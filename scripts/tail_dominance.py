@@ -4,6 +4,8 @@ the largest margin by which any bound column sits above the observed
 frequency (negative would mean a violation).
 
 Usage: python scripts/tail_dominance.py [--trials N] [--seed S] [--threads T]
+
+--threads is accepted and changes neither the results nor the speed.
 """
 
 import argparse
@@ -21,7 +23,8 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=int, default=10**4)
     ap.add_argument("--seed", type=int, default=13)
-    ap.add_argument("--threads", type=int, default=4)
+    ap.add_argument("--threads", type=int, default=4,
+                    help="accepted; changes neither the results nor the speed")
     args = ap.parse_args()
 
     gs = [gf.power(1.0), gf.power(2.0), gf.entropy_log2(64)]

@@ -370,7 +370,6 @@ def _estimator_for(args: argparse.Namespace, g: gf.GFunction) -> est.EstimatorKi
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    threads = args.threads if args.threads else (os.cpu_count() or 1)
     out, close = _open_out(args.path)
     try:
         if args.task == "dirichlet":
@@ -387,8 +386,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                        risk_lab.dirichlet_prior_variance(n, args.c, int(args.alpha))]
                 if mc:
                     m, se = risk_lab.dirichlet_mc_variance(
-                        n, args.c, int(args.alpha), args.trials, args.seed,
-                        threads=threads)
+                        n, args.c, int(args.alpha), args.trials, args.seed)
                     row += [m, se]
                 rows.append(row)
             _write_table(header, rows, args.out, out,
@@ -404,8 +402,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
         if args.task == "risk":
             kind = _estimator_for(args, g)
-            report = risk_lab.mc_risk(dist, kind, g, ns, args.trials,
-                                      args.seed, threads=threads)
+            report = risk_lab.mc_risk(dist, kind, g, ns, args.trials, args.seed)
             rows = [[float(r.n), float(r.trials), r.mse, r.se]
                     for r in report.rows]
             meta = {"task": "risk", "estimator": report.estimator,
@@ -422,8 +419,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         header_set: List[str] = []
         all_rows: List[List[float]] = []
         for n in ns:
-            rep = risk_lab.mc_tail(dist, g, n, args.trials, eps, args.seed,
-                                   threads=threads)
+            rep = risk_lab.mc_tail(dist, g, n, args.trials, eps, args.seed)
             names = sorted(rep.bounds)
             if not header_set:
                 header_set = (["n", "eps", "right_freq", "right_se",
@@ -493,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     pu = sub.add_parser("ustar", help="maximize g(p)^r(1-p)^n(1-(1-p)^n)/p")
     pu.add_argument("--g", required=True, help="power:ALPHA or entropy:K")
     pu.add_argument("--n", type=int, required=True, help="sample size (>= 1)")
-    pu.add_argument("--r", type=int, required=True, help="moment order (>= 1)")
+    pu.add_argument("--r", type=int, required=True, help="moment order (>= 2)")
     pu.add_argument("--tol", type=float, default=1e-10,
                     help="argmax bracket tolerance")
     pu.set_defaults(func=cmd_ustar)
@@ -518,8 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
                     default="auto", help="risk task estimator")
     ps.add_argument("--eps-grid", help="deviations for the tail task")
     ps.add_argument("--threads", type=int, default=0,
-                    help="worker threads (0 = available parallelism); "
-                         "results are identical for any thread count")
+                    help="accepted for compatibility; changes neither the "
+                         "results nor the speed")
     ps.add_argument("--out", choices=("csv", "json"), default="csv",
                     help="output format")
     ps.add_argument("--path", help="output file (default stdout)")

@@ -44,10 +44,6 @@ class DiscreteDistribution:
     def size(self) -> int:
         return int(self.probs.size)
 
-    def min_positive(self) -> float:
-        pos = self.probs[self.probs > 0.0]
-        return float(pos.min())
-
 
 def uniform(k: int) -> DiscreteDistribution:
     if int(k) != k or k < 1:

@@ -1,26 +1,33 @@
 """Monte Carlo lab: estimator risk, empirical tails versus bounds, Dirichlet lower bound.
 
-Reproducibility contract: every experiment derives one RNG per trial from
-SeedSequence((seed, n, trial)), so results are bit-identical for a fixed seed
-regardless of execution order or thread count; aggregation goes through numpy
-pairwise summation on preallocated per-trial arrays.
+Reproducibility contract: trials run in blocks of a fixed size that depends
+only on the support size K and the sample size n (at most _BLOCK_BUDGET
+elements per block array), never on the thread count.  Block b of an
+experiment at sample size n draws from its own RNG, seeded with
+SeedSequence((seed, n, b)), so a fixed seed gives byte-identical results, and
+a run of T trials reproduces the first T trials of any longer run.  The
+``threads`` arguments are accepted for compatibility and change neither the
+results nor the speed.  Monte Carlo numbers differ from those of versions
+that seeded one RNG per trial.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import tail_bounds
 from .distributions import DiscreteDistribution, expected_missing
 from .errors import InvalidInputError, RegimeError
 from .estimators import GENERALIZED, GOOD_TURING, PLUGIN, EstimatorKind, choose_float
 from .gfunction import GFunction
+
+#: Elements per block array; a block holds max(1, _BLOCK_BUDGET // width)
+#: trials.  Larger budgets cost resident memory and gain little speed.
+_BLOCK_BUDGET = 2**16
 
 
 @dataclass(frozen=True)
@@ -55,33 +62,47 @@ class TailReport:
     bounds: Dict[str, Tuple[float, ...]]
 
 
-def _trial_rng(seed: int, n: int, trial: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, n, trial))))
+def _block_rng(seed: int, n: int, block: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, n, block))))
 
 
-def _run_trials(
-    trials: int,
-    worker: Callable[[int], float],
-    threads: Optional[int],
-) -> np.ndarray:
-    """Per-trial statistics in trial order; threading never changes values."""
-    out = np.empty(trials, dtype=float)
-    threads = 1 if threads is None else max(1, int(threads))
-    if threads == 1:
-        for t in range(trials):
-            out[t] = worker(t)
-        return out
+def _blocks(trials: int, width: int) -> Iterator[Tuple[int, int, int]]:
+    """(block index, first trial, end trial) over blocks of
+    max(1, _BLOCK_BUDGET // width) trials."""
+    size = max(1, _BLOCK_BUDGET // width)
+    for block, lo in enumerate(range(0, trials, size)):
+        yield block, lo, min(lo + size, trials)
 
-    def run_chunk(bounds_pair):
-        lo, hi = bounds_pair
-        for t in range(lo, hi):
-            out[t] = worker(t)
 
-    step = -(-trials // threads)
-    chunks = [(lo, min(lo + step, trials)) for lo in range(0, trials, step)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(run_chunk, chunks))
-    return out
+def _occupancy(
+    probs: np.ndarray, gvec: np.ndarray, n: int, trials: int, seed: int, alpha: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-trial missing mass G0 = sum_x g(p_x) [F_x = 0] and phi_alpha =
+    #{x : F_x = alpha} over `trials` iid samples of size n from probs.
+
+    A block of B trials draws a (B, n) array of uniforms, maps them to
+    letters by inverse CDF as distributions.sample does, and counts all B
+    samples with one bincount over the flat offsets row*K + letter.
+    """
+    k = probs.size
+    cum = np.cumsum(probs)
+    g0 = np.empty(trials, dtype=float)
+    phi = np.empty(trials, dtype=np.int64)
+    for block, lo, hi in _blocks(trials, max(k, n)):
+        rows = hi - lo
+        u = _block_rng(seed, n, block).random((rows, n))
+        idx = np.minimum(np.searchsorted(cum, u, side="right"), k - 1)
+        idx += k * np.arange(rows)[:, None]
+        counts = np.bincount(idx.ravel(), minlength=rows * k).reshape(rows, k)
+        g0[lo:hi] = (counts == 0) @ gvec
+        phi[lo:hi] = np.count_nonzero(counts == alpha, axis=1)
+    return g0, phi
+
+
+def _mean_se(values: np.ndarray) -> Tuple[float, float]:
+    trials = values.size
+    se = float(np.std(values, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return float(np.mean(values)), se
 
 
 def _g_vector(dist: DiscreteDistribution, g: GFunction) -> np.ndarray:
@@ -120,28 +141,14 @@ def mc_risk(
         raise InvalidInputError("mc_risk needs trials >= 100")
     alpha = _check_compatible(kind, g)
     gvec = _g_vector(dist, g)
-    probs = dist.probs
     rows = []
     for n in n_list:
         n = int(n)
         if alpha > 0 and n < alpha:
             raise RegimeError(f"n = {n} < alpha = {alpha}")
-        comb = choose_float(n, alpha) if alpha > 0 else 1.0
-
-        def one_trial(t: int, n=n, comb=comb) -> float:
-            rng = _trial_rng(seed, n, t)
-            counts = rng.multinomial(n, probs)
-            realized = float(gvec[counts == 0].sum())
-            if alpha > 0:
-                est = int(np.count_nonzero(counts == alpha)) / comb
-            else:
-                est = 0.0
-            diff = est - realized
-            return diff * diff
-
-        sq = _run_trials(trials, one_trial, threads)
-        mse = float(np.mean(sq))
-        se = float(np.std(sq, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+        g0, phi = _occupancy(dist.probs, gvec, n, trials, seed, alpha)
+        est = phi / choose_float(n, alpha) if alpha > 0 else 0.0
+        mse, se = _mean_se(np.square(est - g0))
         rows.append(RiskRow(n=n, trials=trials, mse=mse, se=se))
     if len(rows) >= 3 and all(r.mse > 0.0 for r in rows):
         slope, intercept, _ = rate_fit([(r.n, r.mse) for r in rows])
@@ -171,27 +178,12 @@ def mc_bias(
     if trials < 100:
         raise InvalidInputError("mc_bias needs trials >= 100")
     alpha = _check_compatible(kind, g)
-    gvec = _g_vector(dist, g)
-    probs = dist.probs
     n = int(n)
     if alpha > 0 and n < alpha:
         raise RegimeError(f"n = {n} < alpha = {alpha}")
-    comb = choose_float(n, alpha) if alpha > 0 else 1.0
-
-    def one_trial(t: int) -> float:
-        rng = _trial_rng(seed, n, t)
-        counts = rng.multinomial(n, probs)
-        realized = float(gvec[counts == 0].sum())
-        if alpha > 0:
-            est = int(np.count_nonzero(counts == alpha)) / comb
-        else:
-            est = 0.0
-        return est - realized
-
-    dev = _run_trials(trials, one_trial, threads)
-    mean = float(np.mean(dev))
-    se = float(np.std(dev, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return mean, se
+    g0, phi = _occupancy(dist.probs, _g_vector(dist, g), n, trials, seed, alpha)
+    est = phi / choose_float(n, alpha) if alpha > 0 else 0.0
+    return _mean_se(est - g0)
 
 
 def _bound_columns(
@@ -249,16 +241,8 @@ def mc_tail(
         raise InvalidInputError("mc_tail needs trials >= 1000")
     n = int(n)
     eps = tuple(float(e) for e in eps_grid)
-    gvec = _g_vector(dist, g)
-    probs = dist.probs
-    center = expected_missing(dist, n, g)
-
-    def one_trial(t: int) -> float:
-        rng = _trial_rng(seed, n, t)
-        counts = rng.multinomial(n, probs)
-        return float(gvec[counts == 0].sum()) - center
-
-    dev = _run_trials(trials, one_trial, threads)
+    g0, _ = _occupancy(dist.probs, _g_vector(dist, g), n, trials, seed, 0)
+    dev = g0 - expected_missing(dist, n, g)
     floor = 1.0 / trials
 
     def freq_and_se(mask_counts: np.ndarray) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
@@ -288,7 +272,7 @@ def mc_tail(
 
 def _tau_log(u: float, v: float) -> float:
     """log tau(u, v) = log Gamma(u+v) - log Gamma(u)."""
-    return float(gammaln(u + v) - gammaln(u))
+    return math.lgamma(u + v) - math.lgamma(u)
 
 
 def _dirichlet_setup(n: int, c_param: float, alpha: int) -> Tuple[int, float]:
@@ -335,6 +319,25 @@ def dirichlet_prior_variance(n: int, c_param: float, alpha: int) -> float:
     return k * math.exp(log_a1) * diff_23 + k * (k - 1.0) * math.exp(log_a4 + log_a5) * diff_67
 
 
+def _polya_unseen(k: int, n: int, trials: int, seed: int) -> np.ndarray:
+    """Per-trial number of letters left unseen by n draws from the symmetric
+    Dirichlet-multinomial with k letters of weight u = 1/n each.
+
+    Uses the Polya-urn form (Blackwell & MacQueen 1973): draw i (from 0) is
+    a new letter with probability (k - seen) u / (k u + i).  O(n) work per
+    trial, vectorized across a block of trials.
+    """
+    u = 1.0 / n
+    unseen = np.empty(trials, dtype=np.int64)
+    for block, lo, hi in _blocks(trials, n):
+        draws = _block_rng(seed, n, block).random((hi - lo, n))
+        seen = np.zeros(hi - lo, dtype=np.int64)
+        for i in range(n):
+            seen += draws[:, i] < (k - seen) * u / (k * u + i)
+        unseen[lo:hi] = k - seen
+    return unseen
+
+
 def dirichlet_mc_variance(
     n: int,
     c_param: float,
@@ -360,19 +363,8 @@ def dirichlet_mc_variance(
     e11_log = 2.0 * _tau_log(u, alpha) - _tau_log(total, 2 * alpha)
     pair_coef = math.exp(e11_log) - math.exp(2.0 * e1_log)
     single_coef = math.exp(e2_log) - math.exp(2.0 * e1_log)
-    weights = np.full(k, u)
-
-    def one_trial(t: int) -> float:
-        rng = _trial_rng(seed, n, t)
-        p = rng.dirichlet(weights)
-        counts = rng.multinomial(n, p / p.sum())
-        m = k - int(np.count_nonzero(counts))
-        return pair_coef * m * (m - 1.0) + single_coef * m
-
-    vals = _run_trials(trials, one_trial, threads)
-    mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return mean, se
+    m = _polya_unseen(k, n, trials, seed)
+    return _mean_se(pair_coef * m * (m - 1.0) + single_coef * m)
 
 
 def rate_fit(pairs) -> Tuple[float, float, float]:

@@ -162,10 +162,6 @@ def poly_filtered_r2_exponent(a2: float, v: float, c: float, eps: float) -> floa
     return (1.0 / c) * ((0.5 - d2 / d1) * eps + (v / c) * math.log1p(-2.0 * c * eps / d1))
 
 
-def poly_filtered_tail_R2(a2: float, v: float, c: float, eps: float) -> float:
-    return _clamp(poly_filtered_r2_exponent(a2, v, c, eps))
-
-
 def _filter_fprime(a: Sequence[float], v: float, c: float, lam: float) -> float:
     """f'(l) = sum_r a_r l^(r-1) + v l / (1 - c l); strictly increasing on [0, 1/c)."""
     s = v * lam / (1.0 - c * lam)

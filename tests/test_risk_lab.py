@@ -13,22 +13,75 @@ P1 = gf.power(1.0)
 P2 = gf.power(2.0)
 
 
-def test_trial_rng_streams_are_reproducible_and_distinct():
-    a = rl._trial_rng(7, 20, 3).random(5)
-    b = rl._trial_rng(7, 20, 3).random(5)
-    c = rl._trial_rng(7, 20, 4).random(5)
-    d = rl._trial_rng(7, 21, 3).random(5)
-    np.testing.assert_array_equal(a, b)
-    assert not np.array_equal(a, c)
-    assert not np.array_equal(a, d)
+def test_block_rng_streams_are_reproducible_and_distinct():
+    a = rl._block_rng(7, 20, 3).random(5)
+    np.testing.assert_array_equal(a, rl._block_rng(7, 20, 3).random(5))
+    for other in ((7, 20, 4), (7, 21, 3), (8, 20, 3)):
+        assert not np.array_equal(a, rl._block_rng(*other).random(5))
 
 
-def test_run_trials_threading_preserves_order_and_values():
-    worker = lambda t: float(t * t)
-    single = rl._run_trials(50, worker, threads=1)
-    multi = rl._run_trials(50, worker, threads=4)
-    np.testing.assert_array_equal(single, multi)
-    np.testing.assert_array_equal(single, np.arange(50.0) ** 2)
+def test_partial_block_repeats_the_leading_trials_of_a_longer_run():
+    d = dm.zipf(200, 1.0)
+    gvec = rl._g_vector(d, P1)
+    size = rl._BLOCK_BUDGET // d.size  # trials per block at n = 20
+    short = rl._occupancy(d.probs, gvec, 20, 2 * size + 5, 3, 1)
+    long = rl._occupancy(d.probs, gvec, 20, 3 * size, 3, 1)
+    for a, b in zip(short, long):
+        np.testing.assert_array_equal(a, b[: 2 * size + 5])
+    # later blocks draw fresh streams: no block repeats the first
+    g0 = long[0]
+    assert not np.array_equal(g0[:size], g0[size : 2 * size])
+    m_short = rl._polya_unseen(1600, 40, rl._BLOCK_BUDGET // 40 + 7, 3)
+    m_long = rl._polya_unseen(1600, 40, 2 * (rl._BLOCK_BUDGET // 40), 3)
+    np.testing.assert_array_equal(m_short, m_long[: m_short.size])
+
+
+def test_mc_tail_thread_count_does_not_change_results():
+    d = dm.zipf(200, 1.0)
+    a = rl.mc_tail(d, P1, 20, 1500, (0.02, 0.1), seed=5, threads=1)
+    b = rl.mc_tail(d, P1, 20, 1500, (0.02, 0.1), seed=5, threads=4)
+    assert a == b
+
+
+def _exact_g0_moments(d, n, g):
+    """E[G0] and Var(G0) by the exact single-letter and O(K^2) pair sums."""
+    p = d.probs
+    gv = np.asarray(g.eval(p), dtype=float)
+    q = (1.0 - p) ** n
+    both = np.clip(1.0 - p[:, None] - p[None, :], 0.0, None) ** n - np.outer(q, q)
+    np.fill_diagonal(both, 0.0)
+    var = float(gv @ both @ gv + np.sum(gv * gv * q * (1.0 - q)))
+    return float(gv @ q), var
+
+
+@pytest.mark.parametrize("d", [dm.uniform(50), dm.zipf(200, 1.0)], ids=lambda d: d.label)
+@pytest.mark.parametrize("g", [P1, P2], ids=lambda g: g.descriptor())
+def test_occupancy_moments_match_exact_oracle(d, g):
+    n, trials = 20, 20000
+    g0, phi = rl._occupancy(d.probs, rl._g_vector(d, g), n, trials, 17, 1)
+    mean, var = _exact_g0_moments(d, n, g)
+    assert mean == pytest.approx(dm.expected_missing(d, n, g), rel=1e-12)
+    se_mean = np.std(g0, ddof=1) / math.sqrt(trials)
+    assert abs(np.mean(g0) - mean) <= 4.0 * se_mean
+    sq = (g0 - np.mean(g0)) ** 2
+    se_var = np.std(sq, ddof=1) / math.sqrt(trials)
+    assert abs(np.var(g0, ddof=1) - var) <= 4.0 * se_var
+    # E[phi_1] = sum_x n p_x (1 - p_x)^(n-1)
+    exact_phi = float(np.sum(n * d.probs * (1.0 - d.probs) ** (n - 1)))
+    assert abs(np.mean(phi) - exact_phi) <= 4.0 * np.std(phi, ddof=1) / math.sqrt(trials)
+
+
+def test_polya_unseen_mean_matches_exact_oracle():
+    # each letter stays unseen with probability
+    # Gamma(k b) Gamma(k b - b + n) / (Gamma(k b - b) Gamma(k b + n)), b = 1/n
+    k, n, trials = 1600, 40, 5000
+    b = 1.0 / n
+    log_p = (math.lgamma(k * b) + math.lgamma(k * b - b + n)
+             - math.lgamma(k * b - b) - math.lgamma(k * b + n))
+    exact = k * math.exp(log_p)
+    assert exact == pytest.approx(1572.26, abs=0.01)
+    m = rl._polya_unseen(k, n, trials, 29)
+    assert abs(np.mean(m) - exact) <= 4.0 * np.std(m, ddof=1) / math.sqrt(trials)
 
 
 def test_mc_risk_plugin_two_point_exact():
