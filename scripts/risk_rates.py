@@ -2,9 +2,7 @@
 """Monte Carlo risk curves: convergence rates of the generalized estimator
 and the worst-case level of the classical one.
 
-Usage: python scripts/risk_rates.py [--trials N] [--seed S] [--threads T]
-
---threads is accepted and changes neither the results nor the speed.
+Usage: python scripts/risk_rates.py [--trials N] [--seed S]
 """
 
 import argparse
@@ -20,8 +18,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=int, default=10**4)
     ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--threads", type=int, default=4,
-                    help="accepted; changes neither the results nor the speed")
     args = ap.parse_args()
 
     print("rate of the order-alpha estimator on uniform(K=n)")
@@ -31,8 +27,7 @@ def main() -> int:
         g = gf.power(float(alpha))
         pairs = []
         for n in (20, 40, 80, 160):
-            rep = rl.mc_risk(dm.uniform(n), kind, g, [n], args.trials,
-                             args.seed, threads=args.threads)
+            rep = rl.mc_risk(dm.uniform(n), kind, g, [n], args.trials, args.seed)
             pairs.append((n, rep.rows[0].mse))
         slope, _, _ = rl.rate_fit(pairs)
         print(f"{alpha:>6} {slope:>8.3f} {-(2 * alpha - 1):>9}")
@@ -42,7 +37,7 @@ def main() -> int:
     print(f"{'K':>6} {'n*mse':>10} {'3 se * n':>10}")
     for k in (10, 100, 1000):
         rep = rl.mc_risk(dm.uniform(k), est.good_turing(), gf.power(1.0),
-                         [100], args.trials, args.seed, threads=args.threads)
+                         [100], args.trials, args.seed)
         row = rep.rows[0]
         print(f"{k:>6} {100 * row.mse:>10.4f} {300 * row.se:>10.4f}")
 
@@ -53,8 +48,7 @@ def main() -> int:
         for n in (10, 20, 50):
             kind = est.generalized_good_turing(alpha)
             g = gf.power(float(alpha))
-            mean, se = rl.mc_bias(dm.uniform(n), kind, g, n, args.trials,
-                                  args.seed, threads=args.threads)
+            mean, se = rl.mc_bias(dm.uniform(n), kind, g, n, args.trials, args.seed)
             bound = est.gt_bias_bound(n, alpha)
             print(f"{alpha:>6} {n:>5} {mean:>12.3e} {3 * se:>10.2e} {bound:>10.3e}")
     return 0

@@ -3,9 +3,7 @@
 the largest margin by which any bound column sits above the observed
 frequency (negative would mean a violation).
 
-Usage: python scripts/tail_dominance.py [--trials N] [--seed S] [--threads T]
-
---threads is accepted and changes neither the results nor the speed.
+Usage: python scripts/tail_dominance.py [--trials N] [--seed S]
 """
 
 import argparse
@@ -23,8 +21,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=int, default=10**4)
     ap.add_argument("--seed", type=int, default=13)
-    ap.add_argument("--threads", type=int, default=4,
-                    help="accepted; changes neither the results nor the speed")
     args = ap.parse_args()
 
     gs = [gf.power(1.0), gf.power(2.0), gf.entropy_log2(64)]
@@ -35,8 +31,7 @@ def main() -> int:
         for d in dists:
             for n in (20, 100):
                 try:
-                    rep = rl.mc_tail(d, g, n, args.trials, EPS, args.seed,
-                                     threads=args.threads)
+                    rep = rl.mc_tail(d, g, n, args.trials, EPS, args.seed)
                 except InvalidInputError as exc:
                     print(f"{g.descriptor():>12} {d.label:>12} {n:>5}  refused: {exc}")
                     continue

@@ -12,8 +12,8 @@ simulate   Monte Carlo: estimator risk curves, tail-frequency dominance
            checks, or Dirichlet-prior variance curves.
 
 Exit codes: 0 success, 2 malformed input, 3 out-of-regime parameters,
-4 I/O failure.  Relative output paths are resolved against the
-MISSINGMASS_OUTDIR environment variable when it is set.
+4 I/O failure, 5 numerical failure.  Relative output paths are resolved
+against the MISSINGMASS_OUTDIR environment variable when it is set.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from . import gfunction as gf
 from . import risk_lab
 from . import tail_bounds as tb
 from .empirical import SampleProfile, profile_from_counts, profile_from_phi
-from .errors import InvalidInputError, RegimeError
+from .errors import InvalidInputError, NumericalError, RegimeError
 from .ustar_engine import u_star
 
 OUTDIR_ENV = "MISSINGMASS_OUTDIR"
@@ -301,16 +301,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 def fig1_rows(n: int) -> Tuple[List[str], List[List[float]]]:
     """Bound curves on eps = 0, 0.05, ..., 0.7 for the identity g."""
     g = gf.power(1.0)
-    spec2 = tb.build_spec(n, g, 2)
-    spec5 = tb.build_spec(n, g, 5)
-    rows = []
-    for e in _FIG_EPS:
-        rows.append([
-            float(e),
-            tb.sub_gaussian_tail(1.0 / (2.0 * n), float(e)),
-            tb.tail_bound(spec2, float(e)),
-            tb.tail_bound(spec5, float(e)),
-        ])
+    curves = [tb.curve(family, n, g, _FIG_EPS)
+              for family in ("subgauss", "poly:2", "poly:5")]
+    rows = [[e] + [c.bounds[j] for c in curves] for j, e in enumerate(curves[0].eps)]
     return ["eps", "subgauss", "r2", "r5"], rows
 
 
@@ -345,9 +338,9 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def cmd_ustar(args: argparse.Namespace) -> int:
     g = parse_g(args.g)
-    res = u_star(args.n, g, args.r, tolerance=args.tol)
+    res = u_star(args.n, g, args.r)
     json.dump({"value": res.value, "argmax": res.argmax, "n": res.n,
-               "r": res.r, "tolerance": res.tolerance}, sys.stdout, indent=2)
+               "r": res.r}, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0
 
@@ -490,8 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     pu.add_argument("--g", required=True, help="power:ALPHA or entropy:K")
     pu.add_argument("--n", type=int, required=True, help="sample size (>= 1)")
     pu.add_argument("--r", type=int, required=True, help="moment order (>= 2)")
-    pu.add_argument("--tol", type=float, default=1e-10,
-                    help="argmax bracket tolerance")
     pu.set_defaults(func=cmd_ustar)
 
     ps = sub.add_parser("simulate", help="Monte Carlo risk / tail / Dirichlet")
@@ -541,6 +532,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return 4
+    except NumericalError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

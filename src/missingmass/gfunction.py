@@ -1,4 +1,4 @@
-"""Positive functions g of letter probabilities, with derivatives and type classification.
+"""Positive functions g of letter probabilities and their type classification.
 
 The quantity under study is the missing mass of g: the sum of g(p_x) over
 letters x that never occur in the sample.  Three kinds are supported:
@@ -7,7 +7,8 @@ letters x that never occur in the sample.  Three kinds are supported:
   missing mass, integer alpha >= 1 the order-alpha missing mass.
 * ``entropy_log2(k)``   -- g(p) = p*log2(1/p), declared on p >= 1/k so that
   g(p)/p stays bounded; the missing Shannon entropy.
-* ``user_defined(...)`` -- caller supplies g and g'.
+* ``user_defined(...)`` -- caller supplies g, optionally with its type class
+  and the sup of g(p)/p.
 
 Classification into Type A / Type B drives the scale-parameter selection in
 the concentration machinery: Type A requires 0 < g'(p) <= mu*g(p)/p, Type B
@@ -27,8 +28,6 @@ from .errors import InvalidInputError
 # Slack applied to inclusive domain edges so that probabilities assembled by
 # floating-point normalization (e.g. 1/64 computed two ways) are not rejected.
 _EDGE_SLACK = 1e-12
-
-_LOG2E = 1.0 / math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,6 @@ class GFunction:
     alpha: float = 0.0
     k_floor: int = 0
     eval_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    deriv_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     type_class: Optional[TypeClass] = None
     ratio_bound: Optional[float] = None
 
@@ -110,19 +108,6 @@ class GFunction:
             return 0.0 + arr * (-np.log2(arr))
         return np.asarray(self.eval_fn(arr), dtype=float)
 
-    def deriv(self, p):
-        """g'(p) on (0,1), closed form for the built-in kinds."""
-        arr = np.asarray(p, dtype=float)
-        if self.kind == POWER:
-            out = self.alpha * arr ** (self.alpha - 1.0)
-        elif self.kind == ENTROPY_LOG2:
-            out = -np.log2(arr) - _LOG2E
-        else:
-            if self.deriv_fn is None:
-                raise InvalidInputError("user-defined g supplied no derivative")
-            out = np.asarray(self.deriv_fn(arr), dtype=float)
-        return float(out) if np.isscalar(p) or arr.ndim == 0 else out
-
     def descriptor(self) -> str:
         if self.kind == POWER:
             a = self.alpha
@@ -148,7 +133,6 @@ def entropy_log2(k_floor: int) -> GFunction:
 
 def user_defined(
     eval_fn: Callable,
-    deriv_fn: Optional[Callable] = None,
     type_class: Optional[TypeClass] = None,
     ratio_bound: Optional[float] = None,
 ) -> GFunction:
@@ -156,7 +140,6 @@ def user_defined(
     return GFunction(
         kind=USER,
         eval_fn=eval_fn,
-        deriv_fn=deriv_fn,
         type_class=type_class,
         ratio_bound=ratio_bound,
     )

@@ -126,6 +126,21 @@ def _check_compatible(kind: EstimatorKind, g: GFunction) -> int:
     return alpha
 
 
+def _estimate_errors(
+    dist: DiscreteDistribution, kind: EstimatorKind, g: GFunction, n: int,
+    trials: int, seed: int,
+) -> np.ndarray:
+    """Per-trial estimate - realized missing mass G0 at sample size n."""
+    if trials < 100:
+        raise InvalidInputError("Monte Carlo risk and bias need trials >= 100")
+    alpha = _check_compatible(kind, g)
+    if alpha > 0 and n < alpha:
+        raise RegimeError(f"n = {n} < alpha = {alpha}")
+    g0, phi = _occupancy(dist.probs, _g_vector(dist, g), n, trials, seed, alpha)
+    est = phi / choose_float(n, alpha) if alpha > 0 else 0.0
+    return est - g0
+
+
 def mc_risk(
     dist: DiscreteDistribution,
     kind: EstimatorKind,
@@ -137,18 +152,10 @@ def mc_risk(
 ) -> RiskReport:
     """Mean squared error (estimate - realized missing mass)^2 per n, with a
     log-log rate fit across n."""
-    if trials < 100:
-        raise InvalidInputError("mc_risk needs trials >= 100")
-    alpha = _check_compatible(kind, g)
-    gvec = _g_vector(dist, g)
     rows = []
     for n in n_list:
         n = int(n)
-        if alpha > 0 and n < alpha:
-            raise RegimeError(f"n = {n} < alpha = {alpha}")
-        g0, phi = _occupancy(dist.probs, gvec, n, trials, seed, alpha)
-        est = phi / choose_float(n, alpha) if alpha > 0 else 0.0
-        mse, se = _mean_se(np.square(est - g0))
+        mse, se = _mean_se(np.square(_estimate_errors(dist, kind, g, n, trials, seed)))
         rows.append(RiskRow(n=n, trials=trials, mse=mse, se=se))
     if len(rows) >= 3 and all(r.mse > 0.0 for r in rows):
         slope, intercept, _ = rate_fit([(r.n, r.mse) for r in rows])
@@ -175,15 +182,7 @@ def mc_bias(
 ) -> Tuple[float, float]:
     """Empirical bias (mean of estimate - realized missing mass) and its
     standard error."""
-    if trials < 100:
-        raise InvalidInputError("mc_bias needs trials >= 100")
-    alpha = _check_compatible(kind, g)
-    n = int(n)
-    if alpha > 0 and n < alpha:
-        raise RegimeError(f"n = {n} < alpha = {alpha}")
-    g0, phi = _occupancy(dist.probs, _g_vector(dist, g), n, trials, seed, alpha)
-    est = phi / choose_float(n, alpha) if alpha > 0 else 0.0
-    return _mean_se(est - g0)
+    return _mean_se(_estimate_errors(dist, kind, g, int(n), trials, seed))
 
 
 def _bound_columns(
@@ -197,7 +196,7 @@ def _bound_columns(
     cols["left_subgauss_519"] = cols["right_subgauss_519"]
     cols["left_exact_u2"] = tuple(tail_bounds.left_tail(n, g, e) for e in eps)
     spec_r2 = tail_bounds.build_spec(n, g, 2)
-    cols["right_poly_r2"] = tuple(tail_bounds.poly_filtered_tail(spec_r2, e) for e in eps)
+    cols["right_poly_r2"] = tuple(tail_bounds.tail_bound(spec_r2, e) for e in eps)
     if g.kind == "power":
         a = g.alpha
         cols["left_corollary"] = tuple(

@@ -8,8 +8,9 @@ Four log-MGF families, ordered from strongest to weakest assumption:
     poly-filtered(R, a, v, c)   f(l) = sum_r a_r l^r / r + Gamma part
 
 Each family yields a right-tail bound exp(-E(eps)) by the Chernoff method;
-E is analytic except for the general poly-filtered case, which is minimized
-numerically.  Builders assemble the poly-filtered parameters from exact
+E is analytic except for the poly-filtered family, whose Legendre transform is
+solved numerically for every R >= 2 (the analytic R = 2 form is kept as a
+cross-check).  Builders assemble the poly-filtered parameters from exact
 numeric u*_r values and the scale parameter c; closed-form corollary tails
 for the missing mass, order-alpha missing mass, and missing entropy are
 implemented exactly as printed.
@@ -28,8 +29,8 @@ from typing import Sequence, Tuple, Union
 import numpy as np
 
 from . import ustar_engine
-from .errors import InvalidInputError, RegimeError
-from .gfunction import GFunction, ratio_sup
+from .errors import InvalidInputError, NumericalError, RegimeError
+from .gfunction import GFunction, entropy_log2, power, ratio_sup
 
 #: Variance factor of the two-sided sub-Gaussian bound (the printed rounding
 #: of 2*kappa = 0.519).
@@ -158,36 +159,43 @@ def poly_filtered_r2_exponent(a2: float, v: float, c: float, eps: float) -> floa
     d1 = s + math.sqrt(s * s - 4.0 * a2 * c * eps)
     d2 = a2 - (v + c * eps)
     if d1 <= 2.0 * c * eps:
-        raise AssertionError("d1 <= 2*c*eps cannot occur for valid parameters")
+        raise NumericalError("d1 <= 2*c*eps cannot occur for valid parameters")
     return (1.0 / c) * ((0.5 - d2 / d1) * eps + (v / c) * math.log1p(-2.0 * c * eps / d1))
 
 
-def _filter_fprime(a: Sequence[float], v: float, c: float, lam: float) -> float:
-    """f'(l) = sum_r a_r l^(r-1) + v l / (1 - c l); strictly increasing on [0, 1/c)."""
-    s = v * lam / (1.0 - c * lam)
-    p = lam
-    for a_r in a:
-        s += a_r * p
+def _filter_derivs(a: Sequence[float], v: float, c: float, s: float) -> Tuple[float, float]:
+    """(f'(l), f''(l)) at l = (1 - s)/c:
+    f'(l) = sum_r a_r l^(r-1) + v l/s, f''(l) = sum_r (r-1) a_r l^(r-2) + v/s^2."""
+    lam = (1.0 - s) / c
+    d1, d2, p = v * lam / s, v / (s * s), 1.0
+    for r, a_r in enumerate(a, start=2):
+        d1 += a_r * p * lam
+        d2 += (r - 1) * a_r * p
         p *= lam
-    return s
+    return d1, d2
 
 
-def _filter_f(a: Sequence[float], v: float, c: float, lam: float) -> float:
-    """f(l) = sum_r a_r l^r / r + (v/c^2)(-c l - log(1 - c l))."""
-    s = (v / (c * c)) * (-c * lam - math.log1p(-c * lam))
+def _filter_f(a: Sequence[float], v: float, c: float, s: float) -> float:
+    """f(l) = sum_r a_r l^r / r + (v/c^2)(-c l - log(1 - c l)) at the pole
+    distance s = 1 - c l, so that log(s) stays exact next to the pole."""
+    lam = (1.0 - s) / c
+    out = (v / (c * c)) * (-(1.0 - s) - math.log(s))
     p = lam * lam
     for r, a_r in enumerate(a, start=2):
-        s += a_r * p / r
+        out += a_r * p / r
         p *= lam
-    return s
+    return out
 
 
 def poly_filtered_exponent(spec: PolyFiltered, eps: float) -> float:
     """Chernoff exponent max over l in [0, 1/c) of l*eps - f(l).
 
-    The stationary point solves f'(l) = eps; f' is continuous, strictly
-    increasing, and diverges at 1/c, so bisection converges; the residual
-    |f'(l*) - eps| is checked against 1e-9 * max(eps, 1).
+    The stationary point solves f'(l) = eps.  It is found in the pole
+    distance s = 1 - c l, where F(s) = f'((1 - s)/c) is convex and
+    decreasing on (0, 1].  Newton's method started at s0 = v/(v + c eps),
+    the root of the Gamma part alone, has F(s0) >= eps, so its steps climb
+    to the root without overshooting, however close the root lies to the
+    pole.  The residual |F(s*) - eps| is checked against 1e-9 * max(eps, 1).
     """
     if eps < 0.0:
         raise InvalidInputError("eps must be >= 0")
@@ -196,28 +204,21 @@ def poly_filtered_exponent(spec: PolyFiltered, eps: float) -> float:
     if spec.R == 1:
         return strongly_sub_gamma_exponent(spec.v, spec.c, eps)
     a, v, c = spec.a, spec.v, spec.c
-    lo, hi = 0.0, (1.0 - 1e-14) / c
+    s = v / (v + c * eps)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _filter_fprime(a, v, c, mid) < eps:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * hi:
+        d1, d2 = _filter_derivs(a, v, c, s)
+        # F'(s) = -f''(l)/c, so the Newton step is c (F(s) - eps) / f''(l).
+        # Exact steps only climb; a tiny or backward one is rounding noise.
+        step = c * (d1 - eps) / d2
+        if step <= 1e-14 * s:
             break
-    lam = 0.5 * (lo + hi)
-    residual = abs(_filter_fprime(a, v, c, lam) - eps)
-    if residual > 1e-9 * max(eps, 1.0):
-        raise AssertionError(
-            f"Chernoff bisection residual {residual:.3g} exceeds tolerance"
+        s += step
+    residual = abs(_filter_derivs(a, v, c, s)[0] - eps)
+    if not residual <= 1e-9 * max(eps, 1.0):  # also catches NaN
+        raise NumericalError(
+            f"Chernoff solve residual {residual:.3g} exceeds tolerance"
         )
-    return lam * eps - _filter_f(a, v, c, lam)
-
-
-def poly_filtered_tail(spec: PolyFiltered, eps: float) -> float:
-    """Numeric Chernoff bound for the poly-filtered family; R=1 falls back to
-    the strongly sub-Gamma closed form."""
-    return _clamp(poly_filtered_exponent(spec, eps))
+    return (1.0 - s) / c * eps - _filter_f(a, v, c, s)
 
 
 def tail_exponent(spec: ConcentrationSpec, eps: float) -> float:
@@ -260,7 +261,7 @@ def build_spec(n: int, g: GFunction, R: int) -> PolyFiltered:
         lead = u[r] / math.factorial(r - 1)
         a_r = lead - c ** (r - 2) * v
         if a_r < -1e-9 * lead:
-            raise AssertionError(
+            raise NumericalError(
                 f"filter coefficient a_{r} = {a_r:.3g} < 0: scale parameter "
                 "violates the ratio chain"
             )
@@ -274,25 +275,21 @@ def theorem2_sub_gaussian_right(n: int, g: GFunction, eps: float) -> float:
     return sub_gaussian_tail(THEOREM2_VARIANCE_FACTOR * rho * rho / n, eps)
 
 
-def left_tail(n: int, g: GFunction, eps: float, closed_form: bool = False) -> float:
-    """Left tail exp(-eps^2/(2 u*_2)); exact numeric u*_2 by default, the
-    closed-form upper bound on u*_2 if closed_form (weaker, faster).
+def left_tail(n: int, g: GFunction, eps: float) -> float:
+    """Left tail exp(-eps^2/(2 u*_2)) with the exact numeric u*_2.
 
-    The exact maximization runs over the declared domain of g, so a k-floor
-    restricts the search window and the numeric tail never exceeds the
-    closed form."""
-    if closed_form:
-        sigma2 = ustar_engine.u2_closed_bound(n, g)
-    else:
-        window = None
-        if g.domain_min > 0.0:
-            window = (g.domain_min, 1.0 - 1e-12)
-        sigma2 = ustar_engine.u_star(n, g, 2, p_window=window).value
+    The maximization runs over the declared domain of g, so a k-floor
+    restricts the search window and the tail never exceeds the closed form
+    of corollary_left_tail."""
+    window = None
+    if g.domain_min > 0.0:
+        window = (g.domain_min, 1.0 - 1e-12)
+    sigma2 = ustar_engine.u_star(n, g, 2, p_window=window).value
     return sub_gaussian_tail(sigma2, eps)
 
 
 def corollary_left_tail(kind: str, n: int, eps: float, *, alpha: float = None, k: int = None) -> float:
-    """Closed-form left tails.
+    """Closed-form left tails exp(-eps^2/(2 sigma2)), sigma2 = u2_closed_bound.
 
     kind="m0alpha": exp(-n^(2a-1) eps^2 / (2 gamma_alpha)),
                     needs alpha >= 1 and n >= (2a-1) ln2/(2a-1-ln2);
@@ -301,22 +298,16 @@ def corollary_left_tail(kind: str, n: int, eps: float, *, alpha: float = None, k
     if eps < 0.0:
         raise InvalidInputError("eps must be >= 0")
     if kind == "m0alpha":
-        if alpha is None or alpha < 1.0:
+        if alpha is None:
             raise InvalidInputError("m0alpha left tail needs alpha >= 1")
-        ln2 = math.log(2.0)
-        thr = (2.0 * alpha - 1.0) * ln2 / (2.0 * alpha - 1.0 - ln2)
-        if n < thr:
-            raise RegimeError(f"left tail for alpha={alpha:g} needs n >= {thr:.4g}")
-        expo = float(n) ** (2.0 * alpha - 1.0) * eps * eps / (2.0 * ustar_engine.gamma_alpha(alpha))
-        return _clamp(expo)
-    if kind == "entropy":
-        if k is None or k < 2:
+        g = power(alpha)
+    elif kind == "entropy":
+        if k is None:
             raise InvalidInputError("entropy left tail needs k >= 2")
-        if n < 3:
-            raise RegimeError("entropy left tail needs n >= 3")
-        expo = n * eps * eps / (2.0 * ustar_engine.gamma_const() * math.log2(k) ** 2)
-        return _clamp(expo)
-    raise InvalidInputError(f"unknown left-tail kind {kind!r}")
+        g = entropy_log2(k)
+    else:
+        raise InvalidInputError(f"unknown left-tail kind {kind!r}")
+    return sub_gaussian_tail(ustar_engine.u2_closed_bound(n, g), eps)
 
 
 def corollary_right_exponent(kind: str, n: int, eps: float, *, alpha: float = None, k: int = None) -> float:

@@ -32,7 +32,7 @@ from .gfunction import GFunction, TypeA, TypeB, Unclassified, classify
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-#: Default number of grid points per half-interval for the global scan.
+#: Grid points per half-interval of u_star's global scan.
 _GRID_POINTS = 20001
 
 _LN2 = math.log(2.0)
@@ -44,7 +44,6 @@ class UStarResult:
     argmax: float
     r: int
     n: int
-    tolerance: float
 
 
 def u_r_eval(p, n: int, g: GFunction, r: int):
@@ -84,6 +83,20 @@ def _golden_max(
     return x, f(x)
 
 
+def _grid_then_golden(
+    f: Callable[[float], float], grid: np.ndarray, vals: np.ndarray
+) -> Tuple[float, float]:
+    """Golden refinement between the neighbours of the grid argmax; keeps the
+    grid point when refinement does not beat it.  Returns (argmax, value)."""
+    i = int(np.argmax(vals))
+    lo = float(grid[max(i - 1, 0)])
+    hi = float(grid[min(i + 1, grid.size - 1)])
+    x, fx = _golden_max(f, lo, hi)
+    if fx < vals[i]:
+        return float(grid[i]), float(vals[i])
+    return float(x), float(fx)
+
+
 def _scan_grid(lo: float, hi: float, points: int) -> np.ndarray:
     """Logarithmically dense grid near both edges of (lo, hi)."""
     mid = 0.5 * (lo + hi)
@@ -97,29 +110,28 @@ def u_star(
     n: int,
     g: GFunction,
     r: int,
-    tolerance: float = 1e-10,
-    grid_points: int = _GRID_POINTS,
     p_window: Optional[Tuple[float, float]] = None,
 ) -> UStarResult:
     """Global maximum of u_r over (0,1): dense log grid, then golden refinement.
 
-    u_r is not proven unimodal in p, so a global scan precedes the local
-    refinement.  grid_points counts points per half-interval (>= 2e4 total).
+    u_r is not proven unimodal in p, so a global scan of 2*_GRID_POINTS
+    points precedes the local refinement.  Raises InvalidInputError when u_r
+    is non-finite or negative anywhere on the grid, as it is for a
+    user-defined g that returns NaN, inf or negative values.
     """
     if n < 1 or r < 2:
         raise InvalidInputError("u_star requires n >= 1 and r >= 2")
     lo, hi = p_window if p_window is not None else (1e-12, 1.0 - 1e-12)
     if not (0.0 < lo < hi < 1.0):
         raise InvalidInputError("p_window must satisfy 0 < lo < hi < 1")
-    grid = _scan_grid(lo, hi, grid_points)
+    grid = _scan_grid(lo, hi, _GRID_POINTS)
     vals = u_r_eval(grid, n, g, r)
-    i = int(np.argmax(vals))
-    blo = grid[max(i - 1, 0)]
-    bhi = grid[min(i + 1, grid.size - 1)]
-    x, fx = _golden_max(lambda p: u_r_eval(p, n, g, r), blo, bhi)
-    if fx < vals[i]:
-        x, fx = float(grid[i]), float(vals[i])
-    return UStarResult(value=float(fx), argmax=float(x), r=r, n=n, tolerance=tolerance)
+    if not (np.all(np.isfinite(vals)) and np.all(vals >= 0.0)):
+        raise InvalidInputError(
+            f"u_{r} of g = {g.descriptor()} is non-finite or negative on (0, 1)"
+        )
+    x, fx = _grid_then_golden(lambda p: u_r_eval(p, n, g, r), grid, vals)
+    return UStarResult(value=fx, argmax=x, r=r, n=n)
 
 
 @functools.lru_cache(maxsize=256)
@@ -138,11 +150,7 @@ def gamma_alpha(alpha: float) -> float:
 
     grid = np.logspace(-6, math.log10(50.0), 4000)
     vals = grid**e * np.exp(-grid) * (-np.expm1(-grid))
-    i = int(np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
-    _, fx = _golden_max(h, float(lo), float(hi))
-    return max(float(fx), float(vals[i]))
+    return _grid_then_golden(h, grid, vals)[1]
 
 
 def gamma_const() -> float:

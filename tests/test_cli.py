@@ -1,5 +1,8 @@
 import json
 import math
+import pathlib
+import re
+import shlex
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ import pytest
 from missingmass import cli
 from missingmass import gfunction as gf
 from missingmass import tail_bounds as tb
-from missingmass.errors import InvalidInputError
+from missingmass.errors import InvalidInputError, NumericalError
 
 
 def run(capsys, *argv):
@@ -210,6 +213,32 @@ def test_bounds_regime_exit(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("family,n", [("poly:2", 702), ("poly:2", 10000),
+                                      ("poly:5", 143), ("poly:5", 10000)])
+def test_bounds_near_pole_cells(family, n, capsys):
+    # power:2 cells whose Chernoff root lies next to the pole 1/c
+    code, out, err = run(capsys, "bounds", "--family", family, "--g", "power:2",
+                         "--n", str(n), "--eps-grid", "0:0.7:0.005")
+    assert code == 0, err
+    lines = out.strip().splitlines()
+    assert lines[0] == "eps,bound,exponent"
+    bound = np.array([float(line.split(",")[1]) for line in lines[1:]])
+    assert bound.size == 141
+    assert np.all((bound >= 0.0) & (bound <= 1.0))
+    assert np.all(np.diff(bound) <= 0.0)
+
+
+def test_numerical_failure_exits_5(capsys, monkeypatch):
+    def fail(spec, eps):
+        raise NumericalError("Chernoff solve residual 1 exceeds tolerance")
+
+    monkeypatch.setattr(tb, "poly_filtered_exponent", fail)
+    code, _, err = run(capsys, "bounds", "--family", "poly:2", "--g", "power:1",
+                       "--n", "50", "--eps-grid", "0.1")
+    assert code == 5
+    assert err.startswith("numerical failure:")
+
+
 def test_ustar_json(capsys):
     code, out, _ = run(capsys, "ustar", "--g", "power:1", "--n", "20", "--r", "2")
     assert code == 0
@@ -221,6 +250,8 @@ def test_ustar_json(capsys):
 
 def test_argparse_errors_exit_2(capsys):
     assert cli.main(["ustar", "--g", "power:1", "--n", "20"]) == 2  # missing --r
+    assert cli.main(["ustar", "--g", "power:1", "--n", "20", "--r", "2",
+                     "--tol", "1e-9"]) == 2
     assert cli.main(["nosuchcommand"]) == 2
     capsys.readouterr()
 
@@ -285,3 +316,13 @@ def test_simulate_entropy_needs_compatible_support(capsys):
                        "--dist", "zipf:200:1", "--n-list", "20", "--trials", "1000")
     assert code == 2
     assert "entropy" in err
+
+
+def test_readme_command_lines_parse():
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    block = re.search(r"## Command line\n+```bash\n(.*?)```", readme.read_text(), re.S)
+    lines = [line for line in block.group(1).splitlines() if line.startswith("missingmass ")]
+    assert len(lines) >= 5
+    parser = cli.build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])

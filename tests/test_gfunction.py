@@ -56,18 +56,6 @@ def test_entropy_eval_raw_ignores_floor():
     assert g.eval_raw(p) == pytest.approx(p * math.log2(1.0 / p), rel=1e-14)
 
 
-@pytest.mark.parametrize(
-    "g",
-    [gf.power(1.0), gf.power(2.5), gf.entropy_log2(32)],
-    ids=["power1", "power2.5", "entropy32"],
-)
-def test_deriv_matches_central_difference(g):
-    p = np.linspace(0.05, 0.95, 19)
-    h = 1e-6
-    numeric = (g.eval_raw(p + h) - g.eval_raw(p - h)) / (2.0 * h)
-    np.testing.assert_allclose(g.deriv(p), numeric, rtol=1e-7, atol=1e-9)
-
-
 def test_power_requires_positive_alpha():
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(InvalidInputError):

@@ -6,7 +6,7 @@ from scipy import optimize
 
 from missingmass import gfunction as gf
 from missingmass import tail_bounds as tb
-from missingmass.errors import InvalidInputError, RegimeError
+from missingmass.errors import InvalidInputError, NumericalError, RegimeError
 from missingmass.ustar_engine import gamma_const, scale_parameter, u_star
 
 P1 = gf.power(1.0)
@@ -94,6 +94,52 @@ def test_poly_exponent_matches_legendre_oracle(n, R):
         assert got == pytest.approx(chernoff_oracle(spec, e), rel=1e-8, abs=1e-12)
 
 
+def mp_chernoff_oracle(spec, eps, digits=60):
+    # independent Legendre transform in 60-digit arithmetic, solved in the pole
+    # distance s = 1 - c*lam: F(s) = f'((1-s)/c) is decreasing, so bisect
+    # F(s) = eps on [v/(v + c eps), 1], where F starts at or above eps
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(digits):
+        a = [mpmath.mpf(x) for x in spec.a]
+        v, c, e = mpmath.mpf(spec.v), mpmath.mpf(spec.c), mpmath.mpf(eps)
+
+        def fprime(s):
+            lam = (1 - s) / c
+            return sum(ar * lam ** (r - 1) for r, ar in enumerate(a, start=2)) + v * lam / s
+
+        lo, hi = v / (v + c * e), mpmath.mpf(1)
+        for _ in range(4 * digits):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if fprime(mid) > e else (lo, mid)
+        s = (lo + hi) / 2
+        lam = (1 - s) / c
+        f = sum(ar * lam**r / r for r, ar in enumerate(a, start=2))
+        f += v / c**2 * (-(1 - s) - mpmath.log(s))
+        return float(lam * e - f)
+
+
+# power:2 cells whose Chernoff root lies next to the pole 1/c: the pole
+# distance s = 1 - c*lam is 1e-18 to 1e-5, and a double-precision lam fixes s
+# only to about 1e-16 absolute
+NEAR_POLE_CELLS = [(2, 702), (2, 10000), (5, 143), (5, 10000)]
+
+
+@pytest.mark.parametrize("R,n", NEAR_POLE_CELLS)
+def test_poly_exponent_matches_mp_oracle_near_the_pole(R, n):
+    spec = tb.build_spec(n, P2, R)
+    for e in (0.005, 0.05, 0.2, 0.7):
+        want = mp_chernoff_oracle(spec, e)
+        assert tb.poly_filtered_exponent(spec, e) == pytest.approx(want, rel=1e-13)
+
+
+def test_build_spec_negative_coefficient_is_numerical_error(monkeypatch):
+    # a scale parameter far below the ratio chain's makes a_2 negative
+    c = scale_parameter(50, P1)
+    monkeypatch.setattr(tb.ustar_engine, "scale_parameter", lambda n, g: 1e-3 * c)
+    with pytest.raises(NumericalError):
+        tb.build_spec(50, P1, 2)
+
+
 @pytest.mark.parametrize("n", [20, 100, 1000])
 def test_r2_analytic_equals_numeric_chernoff(n):
     spec = tb.build_spec(n, P1, 2)
@@ -157,12 +203,18 @@ def test_left_tail_exact_oracle():
     assert tb.left_tail(n, P1, e) == pytest.approx(math.exp(-e * e / (2.0 * v)), rel=1e-13)
 
 
-@pytest.mark.parametrize("g", [P1, P2, E64], ids=["power1", "power2", "entropy64"])
-def test_left_tail_closed_form_never_tighter(g):
+@pytest.mark.parametrize(
+    "g,kw",
+    [(P1, {"alpha": 1.0}), (P2, {"alpha": 2.0}), (E64, {"k": 64})],
+    ids=["power1", "power2", "entropy64"],
+)
+def test_left_tail_closed_form_never_tighter(g, kw):
     # the closed form replaces u*_2 by an upper bound, so its tail is larger
+    kind = "entropy" if "k" in kw else "m0alpha"
     for n in (10, 100):
         for e in (0.02, 0.1, 0.3):
-            assert tb.left_tail(n, g, e) <= tb.left_tail(n, g, e, closed_form=True) + 1e-15
+            closed = tb.corollary_left_tail(kind, n, e, **kw)
+            assert tb.left_tail(n, g, e) <= closed + 1e-15
 
 
 def test_corollary_left_identity_alpha_one():

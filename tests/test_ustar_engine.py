@@ -30,9 +30,14 @@ def test_u_star_matches_brute_force(n, g, r):
     assert res.argmax == pytest.approx(argmax_ref, abs=2e-6)
 
 
-def test_u_star_grid_refinement_stable():
+def test_u_star_grid_refinement_stable(monkeypatch):
     a = ue.u_star(200, P1, 2)
-    b = ue.u_star(200, P1, 2, grid_points=4 * 20001)
+    monkeypatch.setattr(ue, "_GRID_POINTS", 4 * ue._GRID_POINTS)
+    ue.u_star.cache_clear()
+    try:
+        b = ue.u_star(200, P1, 2)
+    finally:
+        ue.u_star.cache_clear()
     assert abs(a.value - b.value) <= 1e-10 * a.value
 
 
@@ -62,6 +67,17 @@ def test_u_star_input_validation():
         ue.u_star(10, P1, 1)
     with pytest.raises(InvalidInputError):
         ue.u_star(10, P1, 2, p_window=(0.5, 0.2))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [lambda p: np.full_like(p, np.nan), lambda p: np.where(p < 0.5, np.inf, p),
+     lambda p: -p],
+    ids=["nan", "inf", "negative"],
+)
+def test_u_star_rejects_non_finite_or_negative_g(bad):
+    with pytest.raises(InvalidInputError):
+        ue.u_star(20, gf.user_defined(bad), 3)
 
 
 def test_u_star_decreasing_in_n():
