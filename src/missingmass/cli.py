@@ -19,11 +19,13 @@ against the MISSINGMASS_OUTDIR environment variable when it is set.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
-from typing import Dict, List, Optional, Sequence, TextIO, Tuple
+from collections import Counter
+from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -105,6 +107,8 @@ def parse_eps_grid(text: str) -> np.ndarray:
             a, b, step = (float(p) for p in pieces)
         except ValueError:
             raise InvalidInputError(f"non-numeric grid spec {text!r}")
+        if not all(map(math.isfinite, (a, b, step))):
+            raise InvalidInputError(f"non-finite grid spec {text!r}")
         if step <= 0 or b < a:
             raise InvalidInputError("grid requires step > 0 and b >= a")
         grid = np.arange(a, b + 0.5 * step, step)
@@ -113,8 +117,8 @@ def parse_eps_grid(text: str) -> np.ndarray:
             grid = np.array([float(p) for p in text.split(",") if p], dtype=float)
         except ValueError:
             raise InvalidInputError(f"non-numeric grid spec {text!r}")
-    if grid.size == 0 or np.any(grid < 0):
-        raise InvalidInputError("epsilon grid must be nonempty and nonnegative")
+    if grid.size == 0 or not np.all((grid >= 0) & np.isfinite(grid)):
+        raise InvalidInputError("epsilon grid must be nonempty, finite and nonnegative")
     return grid
 
 
@@ -132,17 +136,22 @@ def parse_n_list(text: str) -> List[int]:
 # profile readers
 
 
-def _read_lines(path: str) -> List[str]:
+@contextlib.contextmanager
+def _stripped_lines(path: str) -> Iterator[Iterator[str]]:
+    """The stripped lines of a UTF-8 text file; a decoding error is malformed
+    input."""
     with open(path, "r", encoding="utf-8") as fh:
-        return [line.strip() for line in fh]
+        try:
+            yield map(str.strip, fh)
+        except UnicodeDecodeError as exc:
+            raise InvalidInputError(f"{path}: not UTF-8 text ({exc.reason})")
 
 
 def read_tokens(path: str) -> SampleProfile:
     """One token per line; blank lines ignored."""
-    counts: Dict[str, int] = {}
-    for tok in _read_lines(path):
-        if tok:
-            counts[tok] = counts.get(tok, 0) + 1
+    with _stripped_lines(path) as lines:
+        counts = Counter(lines)
+    counts.pop("", None)
     if not counts:
         raise InvalidInputError(f"no tokens found in {path}")
     return profile_from_counts(counts)
@@ -155,22 +164,29 @@ def _split_pair(line: str, path: str) -> Tuple[str, str]:
     return parts[0], parts[1]
 
 
+def _read_pairs(path: str, key_cast: Callable[[str], Hashable]) -> Dict[Hashable, int]:
+    """Rows of key,int with unique keys; a non-numeric first row is a header."""
+    pairs: Dict[Hashable, int] = {}
+    with _stripped_lines(path) as lines:
+        for i, line in enumerate(lines):
+            if not line:
+                continue
+            key, val = _split_pair(line, path)
+            try:
+                key, count = key_cast(key), int(val)
+            except ValueError:
+                if i == 0:
+                    continue
+                raise InvalidInputError(f"{path}: bad row {line!r}")
+            if key in pairs:
+                raise InvalidInputError(f"{path}: duplicate key {key!r}")
+            pairs[key] = count
+    return pairs
+
+
 def read_count_csv(path: str) -> SampleProfile:
     """Lines of token,count; a leading header row is skipped."""
-    counts: Dict[str, int] = {}
-    for i, line in enumerate(_read_lines(path)):
-        if not line:
-            continue
-        key, val = _split_pair(line, path)
-        try:
-            c = int(val)
-        except ValueError:
-            if i == 0:
-                continue
-            raise InvalidInputError(f"{path}: bad count {val!r}")
-        if key in counts:
-            raise InvalidInputError(f"{path}: duplicate token {key!r}")
-        counts[key] = c
+    counts = _read_pairs(path, str)
     if not counts:
         raise InvalidInputError(f"no counts found in {path}")
     return profile_from_counts(counts)
@@ -178,21 +194,7 @@ def read_count_csv(path: str) -> SampleProfile:
 
 def read_phi_csv(path: str, n: int) -> SampleProfile:
     """Lines of l,phi_l; requires the total sample size n."""
-    phi: Dict[int, int] = {}
-    for i, line in enumerate(_read_lines(path)):
-        if not line:
-            continue
-        key, val = _split_pair(line, path)
-        try:
-            l, count = int(key), int(val)
-        except ValueError:
-            if i == 0:
-                continue
-            raise InvalidInputError(f"{path}: bad profile row {line!r}")
-        if l in phi:
-            raise InvalidInputError(f"{path}: duplicate multiplicity {l}")
-        phi[l] = count
-    return profile_from_phi(phi, n)
+    return profile_from_phi(_read_pairs(path, int), n)
 
 
 def write_phi_csv(profile: SampleProfile, out: TextIO) -> None:
@@ -221,7 +223,8 @@ def _write_table(header: Sequence[str], rows: Sequence[Sequence[float]],
 
 def read_csv_table(path: str) -> Tuple[List[str], np.ndarray]:
     """Read back a CSV emitted by this CLI: header plus a float matrix."""
-    lines = [line for line in _read_lines(path) if line]
+    with _stripped_lines(path) as stripped:
+        lines = [line for line in stripped if line]
     if not lines:
         raise InvalidInputError(f"{path}: empty table")
     header = lines[0].split(",")
@@ -276,16 +279,13 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                            if profile.n > 2 * alpha else None),
         }
     if args.eps:
-        g_alpha = float(alpha) if alpha is not None else 1.0
-        kind_name = "m0" if g_alpha == 1.0 else "m0alpha"
-        eps = parse_eps_grid(args.eps)
+        g = gf.power(alpha or 1)
+        eps = [float(e) for e in parse_eps_grid(args.eps)]
         report["deviation_bounds"] = {
-            "g": f"power:{g_alpha:g}",
-            "eps": [float(e) for e in eps],
-            "right": [tb.corollary_right_tail(kind_name, profile.n, float(e),
-                                              alpha=g_alpha) for e in eps],
-            "left": [tb.corollary_left_tail("m0alpha", profile.n, float(e),
-                                            alpha=g_alpha) for e in eps],
+            "g": g.descriptor(),
+            "eps": eps,
+            "right": [tb.corollary_right_tail(profile.n, g, e) for e in eps],
+            "left": [tb.corollary_left_tail(profile.n, g, e) for e in eps],
         }
 
     out, close = _open_out(args.out)

@@ -96,11 +96,14 @@ def make_family(kind: str, *params) -> DiscreteDistribution:
 def from_file(path) -> DiscreteDistribution:
     """Explicit distribution from a JSON array or a one-probability-per-line CSV."""
     path = Path(path)
-    text = path.read_text()
-    if path.suffix.lower() == ".json":
-        values = json.loads(text)
-    else:
-        values = [float(line) for line in text.splitlines() if line.strip()]
+    try:
+        text = path.read_text(encoding="utf-8")
+        if path.suffix.lower() == ".json":
+            values = np.asarray(json.loads(text), dtype=float)
+        else:
+            values = [float(line) for line in text.splitlines() if line.strip()]
+    except (ValueError, TypeError) as exc:
+        raise InvalidInputError(f"{path}: malformed distribution file ({exc})")
     return explicit(values, label=f"explicit:{path.name}")
 
 

@@ -197,27 +197,9 @@ def _bound_columns(
     cols["left_exact_u2"] = tuple(tail_bounds.left_tail(n, g, e) for e in eps)
     spec_r2 = tail_bounds.build_spec(n, g, 2)
     cols["right_poly_r2"] = tuple(tail_bounds.tail_bound(spec_r2, e) for e in eps)
-    if g.kind == "power":
-        a = g.alpha
-        cols["left_corollary"] = tuple(
-            tail_bounds.corollary_left_tail("m0alpha", n, e, alpha=a) for e in eps
-        )
-        if a == 1.0:
-            cols["right_corollary"] = tuple(
-                tail_bounds.corollary_right_tail("m0", n, e) for e in eps
-            )
-        elif a > 1.0:
-            cols["right_corollary"] = tuple(
-                tail_bounds.corollary_right_tail("m0alpha", n, e, alpha=a) for e in eps
-            )
-    elif g.kind == "entropy_log2":
-        k = g.k_floor
-        cols["left_corollary"] = tuple(
-            tail_bounds.corollary_left_tail("entropy", n, e, k=k) for e in eps
-        )
-        cols["right_corollary"] = tuple(
-            tail_bounds.corollary_right_tail("entropy", n, e, k=k) for e in eps
-        )
+    if g.kind in ("power", "entropy_log2"):
+        cols["left_corollary"] = tuple(tail_bounds.corollary_left_tail(n, g, e) for e in eps)
+        cols["right_corollary"] = tuple(tail_bounds.corollary_right_tail(n, g, e) for e in eps)
     return cols
 
 
@@ -277,8 +259,8 @@ def _tau_log(u: float, v: float) -> float:
 def _dirichlet_setup(n: int, c_param: float, alpha: int) -> Tuple[int, float]:
     if int(n) != n or n < 2:
         raise InvalidInputError("need integer n >= 2")
-    if not (c_param > 0.0):
-        raise InvalidInputError("need c > 0")
+    if not (0.0 < c_param * n * n < math.inf):
+        raise InvalidInputError("need c > 0 with c n^2 finite")
     if int(alpha) != alpha or alpha < 1:
         raise InvalidInputError("need integer alpha >= 1")
     k = int(round(c_param * n * n))
@@ -366,10 +348,8 @@ def dirichlet_mc_variance(
     return _mean_se(pair_coef * m * (m - 1.0) + single_coef * m)
 
 
-def rate_fit(pairs) -> Tuple[float, float, float]:
+def rate_fit(pairs: Sequence[Tuple[float, float]]) -> Tuple[float, float, float]:
     """OLS fit of log(value) on log(n); returns (slope, intercept, rms residual)."""
-    if isinstance(pairs, RiskReport):
-        pairs = [(row.n, row.mse) for row in pairs.rows]
     pts = [(float(n), float(v)) for n, v in pairs]
     if len(pts) < 3:
         raise InvalidInputError("rate fit needs at least 3 points")

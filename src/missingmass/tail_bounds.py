@@ -11,9 +11,9 @@ Each family yields a right-tail bound exp(-E(eps)) by the Chernoff method;
 E is analytic except for the poly-filtered family, whose Legendre transform is
 solved numerically for every R >= 2 (the analytic R = 2 form is kept as a
 cross-check).  Builders assemble the poly-filtered parameters from exact
-numeric u*_r values and the scale parameter c; closed-form corollary tails
-for the missing mass, order-alpha missing mass, and missing entropy are
-implemented exactly as printed.
+numeric u*_r values and the scale parameter c.  The closed-form corollary
+tails take the g they bound: power(1) (the missing mass), power(alpha > 1)
+(the order-alpha missing mass) and entropy_log2(k) (the missing entropy).
 
 Every public bound is clamped to <= 1; the raw exponent is available for
 diagnostics (a Chernoff exponent can go negative for tiny eps in the printed
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import ustar_engine
 from .errors import InvalidInputError, NumericalError, RegimeError
-from .gfunction import GFunction, entropy_log2, power, ratio_sup
+from .gfunction import GFunction, ratio_sup
 
 #: Variance factor of the two-sided sub-Gaussian bound (the printed rounding
 #: of 2*kappa = 0.519).
@@ -288,42 +288,34 @@ def left_tail(n: int, g: GFunction, eps: float) -> float:
     return sub_gaussian_tail(sigma2, eps)
 
 
-def corollary_left_tail(kind: str, n: int, eps: float, *, alpha: float = None, k: int = None) -> float:
-    """Closed-form left tails exp(-eps^2/(2 sigma2)), sigma2 = u2_closed_bound.
+def corollary_left_tail(n: int, g: GFunction, eps: float) -> float:
+    """Closed-form left tail exp(-eps^2/(2 sigma2)), sigma2 = u2_closed_bound:
 
-    kind="m0alpha": exp(-n^(2a-1) eps^2 / (2 gamma_alpha)),
-                    needs alpha >= 1 and n >= (2a-1) ln2/(2a-1-ln2);
-    kind="entropy": exp(-n eps^2 / (2 gamma (log2 k)^2)), needs n >= 3.
+    power(a >= 1):   exp(-n^(2a-1) eps^2 / (2 gamma_alpha)),
+                     needs n >= (2a-1) ln2/(2a-1-ln2);
+    entropy_log2(k): exp(-n eps^2 / (2 gamma (log2 k)^2)), needs n >= 3.
     """
     if eps < 0.0:
         raise InvalidInputError("eps must be >= 0")
-    if kind == "m0alpha":
-        if alpha is None:
-            raise InvalidInputError("m0alpha left tail needs alpha >= 1")
-        g = power(alpha)
-    elif kind == "entropy":
-        if k is None:
-            raise InvalidInputError("entropy left tail needs k >= 2")
-        g = entropy_log2(k)
-    else:
-        raise InvalidInputError(f"unknown left-tail kind {kind!r}")
     return sub_gaussian_tail(ustar_engine.u2_closed_bound(n, g), eps)
 
 
-def corollary_right_exponent(kind: str, n: int, eps: float, *, alpha: float = None, k: int = None) -> float:
-    """Chernoff exponents of the printed right-tail closed forms."""
+def corollary_right_exponent(n: int, g: GFunction, eps: float) -> float:
+    """Chernoff exponents of the printed right-tail closed forms.
+
+    power(1) is the strongly sub-Gamma template at v = gamma/n and
+    c = 3/(2(n+2)); power(a > 1) and entropy_log2(k) are the printed forms.
+    """
     if eps < 0.0:
         raise InvalidInputError("eps must be >= 0")
-    if kind == "m0":
+    if g.kind == "power" and g.alpha == 1.0:
         if n < 3:
             raise RegimeError("m0 right tail needs n >= 3")
-        gam_n = ustar_engine.gamma_const() * (1.0 + 2.0 / n)
-        return (2.0 * (n + 2.0) / 3.0) * (
-            eps - (2.0 * gam_n / 3.0) * math.log1p(3.0 * eps / (2.0 * gam_n))
+        return strongly_sub_gamma_exponent(
+            ustar_engine.gamma_const() / n, 3.0 / (2.0 * (n + 2.0)), eps
         )
-    if kind == "m0alpha":
-        if alpha is None or alpha <= 1.0:
-            raise InvalidInputError("m0alpha right tail needs alpha > 1")
+    if g.kind == "power" and g.alpha > 1.0:
+        alpha = g.alpha
         thr = 1.0 + 4.0 * alpha * alpha / (1.0 - alpha) ** 2
         if n <= thr:
             raise RegimeError(f"right tail for alpha={alpha:g} needs n > {thr:.4g}")
@@ -333,24 +325,22 @@ def corollary_right_exponent(kind: str, n: int, eps: float, *, alpha: float = No
         return ((n - b) / a) * eps - (ga / (a * a)) * (n - b) ** (3.0 - 2.0 * alpha) * math.log1p(
             a * float(n) ** (2.0 * alpha - 1.0) * eps / (ga * (n - b))
         )
-    if kind == "entropy":
-        if k is None or k < 2:
-            raise InvalidInputError("entropy right tail needs k >= 2")
+    if g.kind == "entropy_log2":
         if n < 3:
             raise RegimeError("entropy right tail needs n >= 3")
         n0 = (n - 1.0) / 3.0 + _E
         log2n0 = math.log2(n0)
-        gam_k = 2.0 * ustar_engine.gamma_const() * (1.0 / 3.0 + (_E - 1.0 / 3.0) / n) * math.log2(k) ** 2
+        gam_k = 2.0 * ustar_engine.gamma_const() * (1.0 / 3.0 + (_E - 1.0 / 3.0) / n) * math.log2(g.k_floor) ** 2
         # log2 inside the bracket, exactly as printed; weaker than the ln
         # variant for small eps, where clamping makes the bound trivially 1.
         return (2.0 * n0 / log2n0) * (
             eps - (gam_k / log2n0) * math.log2(1.0 + eps * log2n0 / gam_k)
         )
-    raise InvalidInputError(f"unknown right-tail kind {kind!r}")
+    raise InvalidInputError(f"no closed right tail for g = {g.descriptor()}")
 
 
-def corollary_right_tail(kind: str, n: int, eps: float, *, alpha: float = None, k: int = None) -> float:
-    return _clamp(corollary_right_exponent(kind, n, eps, alpha=alpha, k=k))
+def corollary_right_tail(n: int, g: GFunction, eps: float) -> float:
+    return _clamp(corollary_right_exponent(n, g, eps))
 
 
 def curve(family: str, n: int, g: GFunction, eps_grid: Sequence[float]) -> BoundCurve:
@@ -359,6 +349,8 @@ def curve(family: str, n: int, g: GFunction, eps_grid: Sequence[float]) -> Bound
     family: "subgauss" (sigma2 = 1/(2n), the e^[-n eps^2] reference curve),
     "subgamma" / "ssg" (v = exact u*_2, c = scale_parameter), or "poly:R".
     """
+    if int(n) != n or n < 1:
+        raise InvalidInputError("n must be an integer >= 1")
     eps_list = [float(e) for e in eps_grid]
     if any(e < 0.0 for e in eps_list):
         raise InvalidInputError("eps grid must be >= 0")

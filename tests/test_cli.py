@@ -53,7 +53,8 @@ def test_parse_eps_grid():
     np.testing.assert_allclose(cli.parse_eps_grid("0.05,0.1"), [0.05, 0.1])
     grid = cli.parse_eps_grid("0:0.7:0.05")
     assert grid.size == 15 and grid[-1] == pytest.approx(0.7)
-    for bad in ("", "0:1", "0:1:0", "1:0:0.1", "-0.1,0.2", "a:b:c"):
+    for bad in ("", "0:1", "0:1:0", "1:0:0.1", "-0.1,0.2", "a:b:c",
+                "0:nan:0.1", "0:inf:0.1", "nan:1:0.1", "0:1:inf", "nan,0.1", "0.1,inf"):
         with pytest.raises(InvalidInputError):
             cli.parse_eps_grid(bad)
 
@@ -152,9 +153,9 @@ def test_estimate_deviation_bounds(tmp_path, capsys):
     doc = json.loads(out)
     dev = doc["deviation_bounds"]
     assert dev["eps"] == [0.05, 0.2]
-    assert dev["right"][0] == pytest.approx(tb.corollary_right_tail("m0", 30, 0.05))
-    assert dev["left"][1] == pytest.approx(
-        tb.corollary_left_tail("m0alpha", 30, 0.2, alpha=1.0))
+    assert dev["g"] == "power:1"
+    assert dev["right"][0] == tb.corollary_right_tail(30, gf.power(1.0), 0.05)
+    assert dev["left"][1] == tb.corollary_left_tail(30, gf.power(1.0), 0.2)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +257,29 @@ def test_argparse_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+_TAIL_ON_FILE = "simulate --task tail --g power:1 --dist explicit:{f} --n-list 5 --trials 1000"
+
+
+@pytest.mark.parametrize("command,name,data", [
+    ("bounds --family subgauss --g power:1 --n 0 --eps-grid 0.1", None, None),
+    ("simulate --task dirichlet --alpha 1 --c inf --n-list 20 --trials 0", None, None),
+    (_TAIL_ON_FILE, "p.json", b"[0.5, 0.5"),
+    (_TAIL_ON_FILE, "p.json", b'{"p": 1}'),
+    (_TAIL_ON_FILE, "p.csv", b"0.5\nx\n"),
+    (_TAIL_ON_FILE, "p.csv", b"\xff0.5\n0.5\n"),
+    ("estimate --input {f}", "t.txt", b"a\n\xff\n"),
+    ("estimate --input {f} --format counts", "c.csv", b"a,1\n\xff,2\n"),
+], ids=["n_zero", "dirichlet_c_inf", "dist_json", "dist_json_object",
+        "dist_csv", "dist_non_utf8", "tokens_non_utf8", "counts_non_utf8"])
+def test_bad_input_exits_2(command, name, data, tmp_path, capsys):
+    if name is not None:
+        (tmp_path / name).write_bytes(data)
+        command = command.format(f=tmp_path / name)
+    code, _, err = run(capsys, *shlex.split(command))
+    assert code == 2
+    assert err.startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -326,3 +350,9 @@ def test_readme_command_lines_parse():
     parser = cli.build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line)[1:])
+
+
+def test_readme_quick_example_runs():
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    block = re.search(r"Quick example:\n+```python\n(.*?)```", readme.read_text(), re.S)
+    exec(compile(block.group(1), "README.md", "exec"), {})

@@ -71,6 +71,55 @@ def test_occupancy_moments_match_exact_oracle(d, g):
     assert abs(np.mean(phi) - exact_phi) <= 4.0 * np.std(phi, ddof=1) / math.sqrt(trials)
 
 
+def _uniform_distinct_law(k, n):
+    """Exact law of the number D of distinct letters in n uniform draws from k
+    letters: the occupancy birth chain d -> d + 1 with probability (k - d)/k
+    (Johnson & Kotz, Urn Models, 1977), in O(nk)."""
+    law = np.zeros(k + 1)
+    law[0] = 1.0
+    new = (k - np.arange(k + 1)) / k
+    for _ in range(n):
+        moved = law * new
+        law -= moved
+        law[1:] += moved[:-1]
+    return law
+
+
+def test_occupancy_unseen_count_matches_exact_law():
+    k, n, trials = 10, 20, 20000
+    g0, _ = rl._occupancy(dm.uniform(k).probs, np.ones(k), n, trials, 23, 0)
+    freq = np.bincount(k - g0.astype(int), minlength=k + 1) / trials
+    law = _uniform_distinct_law(k, n)
+    assert np.all(np.abs(freq - law) <= 4.0 * np.sqrt(law * (1.0 - law) / trials) + 1e-12)
+
+
+@pytest.mark.parametrize("k", [2, 10, 50, 64])
+@pytest.mark.parametrize("g", [P1, P2, gf.entropy_log2(64)], ids=lambda g: g.descriptor())
+def test_bounds_dominate_exact_tail_law_on_uniform_supports(g, k):
+    # G0 = (k - D) g(1/k).  The exact tails Pr(G0 - E G0 >= eps) and
+    # Pr(G0 - E G0 <= -eps) are step functions that jump at the atoms of the
+    # deviation, and every bound is non-increasing in eps, so checking each
+    # bound at the atoms covers every eps > 0.
+    d = dm.uniform(k)
+    for n in (3, 5, 10, 20, 50, 100, 200, 500, 1000):
+        if g is P2 and n <= 17:  # the order-2 right corollary needs n > 17
+            continue
+        law = _uniform_distinct_law(k, n)
+        g0 = (k - np.arange(k + 1)) * float(g.eval(1.0 / k))
+        mean = float(law @ g0)
+        assert mean == pytest.approx(dm.expected_missing(d, n, g), rel=1e-12, abs=1e-300)
+        dev = (g0 - mean)[law > 0.0]
+        law = law[law > 0.0]
+        eps = np.unique(np.abs(dev[dev != 0.0]))
+        right = np.array([law[dev >= e].sum() for e in eps])
+        left = np.array([law[dev <= -e].sum() for e in eps])
+        cols = rl._bound_columns(n, g, eps)
+        assert len(cols) == 6
+        for name, col in cols.items():
+            exact = right if name.startswith("right") else left
+            assert np.all(exact <= np.asarray(col)), (name, n)
+
+
 def test_polya_unseen_mean_matches_exact_oracle():
     # each letter stays unseen with probability
     # Gamma(k b) Gamma(k b - b + n) / (Gamma(k b - b) Gamma(k b + n)), b = 1/n
@@ -222,12 +271,6 @@ def test_rate_fit_recovers_exact_power_law():
     assert slope == pytest.approx(-2.0, abs=1e-12)
     assert intercept == pytest.approx(math.log(3.0), abs=1e-12)
     assert resid <= 1e-12
-
-
-def test_rate_fit_accepts_report():
-    rep = rl.mc_risk(dm.uniform(25), est.good_turing(), P1, [10, 20, 40], trials=300, seed=8)
-    slope, _, _ = rl.rate_fit(rep)
-    assert slope == rep.slope
 
 
 def test_rate_fit_validation():

@@ -203,39 +203,42 @@ def test_left_tail_exact_oracle():
     assert tb.left_tail(n, P1, e) == pytest.approx(math.exp(-e * e / (2.0 * v)), rel=1e-13)
 
 
-@pytest.mark.parametrize(
-    "g,kw",
-    [(P1, {"alpha": 1.0}), (P2, {"alpha": 2.0}), (E64, {"k": 64})],
-    ids=["power1", "power2", "entropy64"],
-)
-def test_left_tail_closed_form_never_tighter(g, kw):
+@pytest.mark.parametrize("g", [P1, P2, E64], ids=["power1", "power2", "entropy64"])
+def test_left_tail_closed_form_never_tighter(g):
     # the closed form replaces u*_2 by an upper bound, so its tail is larger
-    kind = "entropy" if "k" in kw else "m0alpha"
     for n in (10, 100):
         for e in (0.02, 0.1, 0.3):
-            closed = tb.corollary_left_tail(kind, n, e, **kw)
+            closed = tb.corollary_left_tail(n, g, e)
             assert tb.left_tail(n, g, e) <= closed + 1e-15
 
 
 def test_corollary_left_identity_alpha_one():
     n, e = 50, 0.1
     want = math.exp(-n * e * e / (2.0 * gamma_const()))
-    assert tb.corollary_left_tail("m0alpha", n, e, alpha=1.0) == pytest.approx(want, rel=1e-13)
+    assert tb.corollary_left_tail(n, P1, e) == pytest.approx(want, rel=1e-13)
 
 
 def test_corollary_left_entropy_oracle():
     n, k, e = 50, 64, 0.2
     want = math.exp(-n * e * e / (2.0 * gamma_const() * math.log2(k) ** 2))
-    assert tb.corollary_left_tail("entropy", n, e, k=k) == pytest.approx(want, rel=1e-13)
+    assert tb.corollary_left_tail(n, gf.entropy_log2(k), e) == pytest.approx(want, rel=1e-13)
 
 
 def test_corollary_left_regimes():
     with pytest.raises(RegimeError):
-        tb.corollary_left_tail("entropy", 2, 0.1, k=16)
+        tb.corollary_left_tail(2, gf.entropy_log2(16), 0.1)
     with pytest.raises(InvalidInputError):
-        tb.corollary_left_tail("m0alpha", 50, 0.1, alpha=0.5)
+        tb.corollary_left_tail(50, gf.power(0.5), 0.1)
     with pytest.raises(InvalidInputError):
-        tb.corollary_left_tail("nope", 50, 0.1, alpha=1.0)
+        tb.corollary_left_tail(50, P1, -0.1)
+
+
+def test_corollaries_reject_g_without_closed_form():
+    user = gf.user_defined(lambda p: p, ratio_bound=1.0)
+    for g in (user, gf.power(0.5)):
+        for fn in (tb.corollary_left_tail, tb.corollary_right_tail):
+            with pytest.raises(InvalidInputError):
+                fn(50, g, 0.1)
 
 
 @pytest.mark.parametrize("n", [20, 100])
@@ -245,7 +248,7 @@ def test_corollary_right_m0_is_ssg_with_gamma_variance(n):
     v = gamma_const() / n
     c = 3.0 / (2.0 * (n + 2.0))
     for e in (0.01, 0.05, 0.1, 0.3, 0.6):
-        assert tb.corollary_right_tail("m0", n, e) == pytest.approx(
+        assert tb.corollary_right_tail(n, P1, e) == pytest.approx(
             tb.strongly_sub_gamma_tail(v, c, e), rel=1e-12
         )
 
@@ -255,7 +258,7 @@ def test_corollary_right_m0_closed_form_spot():
     n, e = 20, 0.1
     gam_n = gamma_const() * (1.0 + 2.0 / n)
     expo = (2.0 * (n + 2.0) / 3.0) * (e - (2.0 * gam_n / 3.0) * math.log(1.0 + 3.0 * e / (2.0 * gam_n)))
-    assert tb.corollary_right_tail("m0", n, e) == pytest.approx(math.exp(-expo), rel=1e-12)
+    assert tb.corollary_right_tail(n, P1, e) == pytest.approx(math.exp(-expo), rel=1e-12)
 
 
 def test_corollary_right_m0alpha_weaker_than_exact_ssg():
@@ -265,24 +268,25 @@ def test_corollary_right_m0alpha_weaker_than_exact_ssg():
     v = u_star(n, g, 2).value
     c = scale_parameter(n, g)
     for e in (1e-4, 1e-3, 1e-2):
-        closed = tb.corollary_right_tail("m0alpha", n, e, alpha=alpha)
+        closed = tb.corollary_right_tail(n, g, e)
         exact = tb.strongly_sub_gamma_tail(v, c, e)
         assert closed >= exact - 1e-15
 
 
 def test_corollary_right_m0alpha_regime():
     with pytest.raises(RegimeError):
-        tb.corollary_right_tail("m0alpha", 17, 0.1, alpha=2.0)  # needs n > 17
-    tb.corollary_right_tail("m0alpha", 18, 0.1, alpha=2.0)
+        tb.corollary_right_tail(17, P2, 0.1)  # needs n > 17
+    tb.corollary_right_tail(18, P2, 0.1)
 
 
 def test_corollary_right_entropy_clamps_and_decays():
     # deviations of the missing entropy run up to log2(k) bits, and the
     # closed form only bites once eps is an appreciable fraction of that
     n, k = 100, 1024
-    small = tb.corollary_right_tail("entropy", n, 0.01, k=k)
+    g = gf.entropy_log2(k)
+    small = tb.corollary_right_tail(n, g, 0.01)
     assert small == 1.0
-    vals = [tb.corollary_right_tail("entropy", n, e, k=k) for e in (4.0, 5.0, 6.0)]
+    vals = [tb.corollary_right_tail(n, g, e) for e in (4.0, 5.0, 6.0)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
     assert vals[0] < 1.0
 
