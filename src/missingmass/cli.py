@@ -40,6 +40,9 @@ from .ustar_engine import u_star
 
 OUTDIR_ENV = "MISSINGMASS_OUTDIR"
 
+#: Most points an a:b:step epsilon grid may have.
+MAX_EPS_GRID_POINTS = 10**6
+
 _FIG_NS = (20, 100, 1000)
 _FIG_EPS = np.arange(15) * 0.05
 
@@ -98,7 +101,8 @@ def parse_dist(text: str) -> dist_mod.DiscreteDistribution:
 
 
 def parse_eps_grid(text: str) -> np.ndarray:
-    """Parse 'a:b:step' (inclusive of b up to step/2) or 'e1,e2,...'."""
+    """Parse 'a:b:step' (inclusive of b up to step/2, at most
+    MAX_EPS_GRID_POINTS points) or 'e1,e2,...'."""
     if ":" in text:
         pieces = text.split(":")
         if len(pieces) != 3:
@@ -111,6 +115,11 @@ def parse_eps_grid(text: str) -> np.ndarray:
             raise InvalidInputError(f"non-finite grid spec {text!r}")
         if step <= 0 or b < a:
             raise InvalidInputError("grid requires step > 0 and b >= a")
+        # The grid has ceil((b - a)/step + 1/2) points; check before allocating.
+        if (b - a) / step + 0.5 > MAX_EPS_GRID_POINTS:
+            raise InvalidInputError(
+                f"grid spec {text!r} has more than {MAX_EPS_GRID_POINTS} points"
+            )
         grid = np.arange(a, b + 0.5 * step, step)
     else:
         try:

@@ -79,7 +79,8 @@ def estimate(kind: EstimatorKind, profile: SampleProfile) -> float:
 
 
 def gt_bias_bound(n: int, alpha: int) -> float:
-    """alpha**(alpha+1) / n**alpha, valid for n > 2*alpha.
+    """alpha**(alpha+1) / n**alpha, valid for n > 2*alpha (in log space
+    where the direct powers overflow).
 
     Bounds the bias of the generalized Good-Turing estimator from above; the
     signed bias is >= 0.
@@ -88,4 +89,8 @@ def gt_bias_bound(n: int, alpha: int) -> float:
         raise InvalidInputError("alpha must be an integer >= 1")
     if n <= 2 * alpha:
         raise RegimeError(f"bias bound needs n > 2*alpha; got n = {n}, alpha = {alpha}")
-    return float(alpha) ** (alpha + 1) / float(n) ** alpha
+    try:
+        return float(alpha) ** (alpha + 1) / float(n) ** alpha
+    except OverflowError:
+        # Large alpha: the powers overflow although their ratio is tiny.
+        return math.exp((alpha + 1) * math.log(alpha) - alpha * math.log(n))

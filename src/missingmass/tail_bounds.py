@@ -322,9 +322,20 @@ def corollary_right_exponent(n: int, g: GFunction, eps: float) -> float:
         ga = ustar_engine.gamma_alpha(alpha)
         b = 1.0 + 2.0 * alpha / (alpha - 1.0)
         a = (b - 1.0) * (2.0 * (alpha - 1.0) / (alpha + 1.0)) ** alpha
-        return ((n - b) / a) * eps - (ga / (a * a)) * (n - b) ** (3.0 - 2.0 * alpha) * math.log1p(
-            a * float(n) ** (2.0 * alpha - 1.0) * eps / (ga * (n - b))
-        )
+        try:
+            return ((n - b) / a) * eps - (ga / (a * a)) * (n - b) ** (3.0 - 2.0 * alpha) * math.log1p(
+                a * float(n) ** (2.0 * alpha - 1.0) * eps / (ga * (n - b))
+            )
+        except OverflowError:
+            # Large alpha: n^(2a-1) overflows; take the same terms in log space,
+            # with log1p(z) = max(log z, 0) + log1p(exp(-|log z|)).
+            if eps == 0.0:
+                return 0.0
+            log_z = (math.log(a) + math.log(eps) - math.log(ga) - math.log(n - b)
+                     + (2.0 * alpha - 1.0) * math.log(n))
+            log1p_z = max(log_z, 0.0) + math.log1p(math.exp(-abs(log_z)))
+            scale = math.exp(math.log(ga / (a * a)) + (3.0 - 2.0 * alpha) * math.log(n - b))
+            return ((n - b) / a) * eps - scale * log1p_z
     if g.kind == "entropy_log2":
         if n < 3:
             raise RegimeError("entropy right tail needs n >= 3")

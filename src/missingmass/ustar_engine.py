@@ -16,6 +16,13 @@ k-floor is not applied here): the scale-parameter case formulas and the ratio
 chain are statements about the formula on the full interval, and restricting
 the domain can break the chain.  Pass p_window to maximize over a subinterval,
 e.g. to compare against a closed bound that presumes p >= 1/k.
+
+u_star scans a fixed log grid of 2*_GRID_POINTS points, dense near both
+edges of the window.  The grid and log1p(-grid) are built once per
+(window, point count), cached read-only, and shared by every (n, g, r); a
+scan is then exp(n*log1p(-grid)) and one vector g evaluation.  Golden-section
+refinement around the grid argmax evaluates u_r on Python floats and stops
+once its bracket is a few ulps wide (about 60 of its at most 100 steps).
 """
 
 from __future__ import annotations
@@ -27,13 +34,16 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import InvalidInputError, RegimeError
+from .errors import InvalidInputError, NumericalError, RegimeError
 from .gfunction import GFunction, TypeA, TypeB, Unclassified, classify
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 #: Grid points per half-interval of u_star's global scan.
 _GRID_POINTS = 20001
+
+#: Golden-section search stops once its bracket is this many ulps wide.
+_STOP_ULPS = 4
 
 _LN2 = math.log(2.0)
 
@@ -46,24 +56,27 @@ class UStarResult:
     n: int
 
 
-def u_r_eval(p, n: int, g: GFunction, r: int):
-    """g(p)^r (1-p)^n (1-(1-p)^n) / p for p in (0,1).
+def _u_r(p, qn, gp, r: int):
+    """u_r = g(p)^r (1-p)^n (1-(1-p)^n) / p from gp = g(p) and qn = (1-p)^n.
 
-    (1-p)^n is computed as exp(n*log1p(-p)) so small p and large n are stable.
+    The one u_r formula: p, qn and gp are all arrays or all floats.
     """
-    arr = np.asarray(p, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise InvalidInputError("u_r is defined on p in (0, 1)")
-    qn = np.exp(n * np.log1p(-arr))
-    gv = np.asarray(g.eval_raw(arr), dtype=float)
-    out = gv**r * qn * (1.0 - qn) / arr
-    return float(out) if np.isscalar(p) or arr.ndim == 0 else out
+    return gp**r * qn * (1.0 - qn) / p
+
+
+def _u_r_at(p: float, n: int, g: GFunction, r: int) -> float:
+    """u_r at one p in (0,1) on Python floats; (1-p)^n = exp(n*log1p(-p))."""
+    return _u_r(p, math.exp(n * math.log1p(-p)), g.eval_raw(p), r)
 
 
 def _golden_max(
     f: Callable[[float], float], lo: float, hi: float, iters: int = 100
 ) -> Tuple[float, float]:
-    """Golden-section maximization on [lo, hi]; returns (argmax, value)."""
+    """Golden-section maximization on [lo, hi]; returns (argmax, value).
+
+    Stops after iters steps or once the bracket is _STOP_ULPS ulps wide,
+    the resolution of a double at the bracket.
+    """
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
@@ -77,7 +90,7 @@ def _golden_max(
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
             fd = f(d)
-        if b - a <= 1e-17 * max(abs(a), abs(b), 1e-300):
+        if b - a <= _STOP_ULPS * math.ulp(max(abs(a), abs(b))):
             break
     x = 0.5 * (a + b)
     return x, f(x)
@@ -97,12 +110,18 @@ def _grid_then_golden(
     return float(x), float(fx)
 
 
-def _scan_grid(lo: float, hi: float, points: int) -> np.ndarray:
-    """Logarithmically dense grid near both edges of (lo, hi)."""
+@functools.lru_cache(maxsize=8)
+def _scan_grid(lo: float, hi: float, points: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Logarithmically dense grid near both edges of (lo, hi), and
+    log1p(-grid) beside it.  Both arrays are cached and read-only."""
     mid = 0.5 * (lo + hi)
     left = np.logspace(math.log10(lo), math.log10(mid), points)
     right = hi + lo - np.logspace(math.log10(lo), math.log10(mid), points)
-    return np.unique(np.concatenate([left, right]))
+    grid = np.unique(np.concatenate([left, right]))
+    log_q = np.log1p(-grid)
+    grid.flags.writeable = False
+    log_q.flags.writeable = False
+    return grid, log_q
 
 
 @functools.lru_cache(maxsize=4096)
@@ -115,8 +134,12 @@ def u_star(
     """Global maximum of u_r over (0,1): dense log grid, then golden refinement.
 
     u_r is not proven unimodal in p, so a global scan of 2*_GRID_POINTS
-    points precedes the local refinement.  Raises InvalidInputError when u_r
-    is non-finite or negative anywhere on the grid, as it is for a
+    points precedes the local refinement.  The grid and log1p(-grid) are
+    built once per (window, point count) and cached, so the scan costs one
+    exp and one g evaluation per point.  The golden refinement runs on
+    Python floats between the grid argmax's neighbours and stops once its
+    bracket is a few ulps wide.  Raises InvalidInputError when u_r is
+    non-finite or negative anywhere on the grid, as it is for a
     user-defined g that returns NaN, inf or negative values.
     """
     if n < 1 or r < 2:
@@ -124,13 +147,13 @@ def u_star(
     lo, hi = p_window if p_window is not None else (1e-12, 1.0 - 1e-12)
     if not (0.0 < lo < hi < 1.0):
         raise InvalidInputError("p_window must satisfy 0 < lo < hi < 1")
-    grid = _scan_grid(lo, hi, _GRID_POINTS)
-    vals = u_r_eval(grid, n, g, r)
+    grid, log_q = _scan_grid(lo, hi, _GRID_POINTS)
+    vals = _u_r(grid, np.exp(n * log_q), g.eval_raw(grid), r)
     if not (np.all(np.isfinite(vals)) and np.all(vals >= 0.0)):
         raise InvalidInputError(
             f"u_{r} of g = {g.descriptor()} is non-finite or negative on (0, 1)"
         )
-    x, fx = _grid_then_golden(lambda p: u_r_eval(p, n, g, r), grid, vals)
+    x, fx = _grid_then_golden(lambda p: _u_r_at(p, n, g, r), grid, vals)
     return UStarResult(value=fx, argmax=x, r=r, n=n)
 
 
@@ -139,6 +162,8 @@ def gamma_alpha(alpha: float) -> float:
     """max over t in (0, 50] of t^(2*alpha-1) e^[-t](1-e^[-t]), alpha >= 1.
 
     Golden-section refinement to 1e-8 relative after a coarse bracket scan.
+    Raises NumericalError when t^(2*alpha-1) leaves the double range on the
+    scan, for alpha above about 91.
     """
     if not (alpha >= 1.0):
         raise InvalidInputError("gamma_alpha requires alpha >= 1")
@@ -149,7 +174,10 @@ def gamma_alpha(alpha: float) -> float:
         return t**e * math.exp(-t) * (-math.expm1(-t))
 
     grid = np.logspace(-6, math.log10(50.0), 4000)
-    vals = grid**e * np.exp(-grid) * (-np.expm1(-grid))
+    with np.errstate(over="ignore"):
+        vals = grid**e * np.exp(-grid) * (-np.expm1(-grid))
+    if not np.all(np.isfinite(vals)):
+        raise NumericalError(f"gamma_alpha({alpha:g}) exceeds the double range")
     return _grid_then_golden(h, grid, vals)[1]
 
 
@@ -203,7 +231,11 @@ def u2_closed_bound(n: int, g: GFunction) -> float:
             raise RegimeError(
                 f"u*_2 bound for alpha={a:g} needs n >= {thr:.4g}; got n = {n}"
             )
-        return gamma_alpha(a) / float(n) ** (2.0 * a - 1.0)
+        ga = gamma_alpha(a)
+        try:
+            return ga / float(n) ** (2.0 * a - 1.0)
+        except OverflowError:
+            return math.exp(math.log(ga) - (2.0 * a - 1.0) * math.log(n))
     if g.kind == "entropy_log2":
         if n < 3:
             raise RegimeError("entropy u*_2 bound needs n >= 3")

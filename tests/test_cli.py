@@ -53,8 +53,10 @@ def test_parse_eps_grid():
     np.testing.assert_allclose(cli.parse_eps_grid("0.05,0.1"), [0.05, 0.1])
     grid = cli.parse_eps_grid("0:0.7:0.05")
     assert grid.size == 15 and grid[-1] == pytest.approx(0.7)
+    assert cli.parse_eps_grid(f"0:{cli.MAX_EPS_GRID_POINTS - 1}:1").size == cli.MAX_EPS_GRID_POINTS
     for bad in ("", "0:1", "0:1:0", "1:0:0.1", "-0.1,0.2", "a:b:c",
-                "0:nan:0.1", "0:inf:0.1", "nan:1:0.1", "0:1:inf", "nan,0.1", "0.1,inf"):
+                "0:nan:0.1", "0:inf:0.1", "nan:1:0.1", "0:1:inf", "nan,0.1", "0.1,inf",
+                f"0:{cli.MAX_EPS_GRID_POINTS}:1", "0:1:1e-300"):
         with pytest.raises(InvalidInputError):
             cli.parse_eps_grid(bad)
 
@@ -143,6 +145,37 @@ def test_estimate_clamp(tmp_path, capsys):
     code, out, _ = run(capsys, "estimate", "--input", str(f), "--clamp")
     assert code == 0
     assert json.loads(out)["good_turing"] == 1.0
+
+
+def _finite_json(text):
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.fixture
+def tokens_3000(tmp_path):
+    f = tmp_path / "toks.txt"
+    f.write_text("".join(f"tok{i % 500}\n" for i in range(3000)))
+    return str(f)
+
+
+def test_estimate_large_alpha_bias_bound(tokens_3000, capsys):
+    # alpha^(alpha+1) / n^alpha is about 1.9e-146, though n^alpha overflows
+    code, out, _ = run(capsys, "estimate", "--input", tokens_3000, "--alpha", "100")
+    assert code == 0
+    bias = _finite_json(out)["generalized"]["bias_bound"]
+    assert bias == pytest.approx(math.exp(101 * math.log(100) - 100 * math.log(3000)),
+                                 rel=1e-12)
+
+
+def test_estimate_large_alpha_deviation_bounds(tokens_3000, capsys):
+    # power(50): n^(2 alpha - 1) overflows in both closed-form tails
+    code, out, _ = run(capsys, "estimate", "--input", tokens_3000, "--alpha", "50",
+                       "--eps", "0.1")
+    assert code == 0
+    dev = _finite_json(out)["deviation_bounds"]
+    assert all(0.0 <= b <= 1.0 for b in dev["right"] + dev["left"])
 
 
 def test_estimate_deviation_bounds(tmp_path, capsys):
@@ -269,8 +302,10 @@ _TAIL_ON_FILE = "simulate --task tail --g power:1 --dist explicit:{f} --n-list 5
     (_TAIL_ON_FILE, "p.csv", b"\xff0.5\n0.5\n"),
     ("estimate --input {f}", "t.txt", b"a\n\xff\n"),
     ("estimate --input {f} --format counts", "c.csv", b"a,1\n\xff,2\n"),
+    ("bounds --family subgauss --g power:1 --n 10 --eps-grid 0:1e9:1e-9", None, None),
 ], ids=["n_zero", "dirichlet_c_inf", "dist_json", "dist_json_object",
-        "dist_csv", "dist_non_utf8", "tokens_non_utf8", "counts_non_utf8"])
+        "dist_csv", "dist_non_utf8", "tokens_non_utf8", "counts_non_utf8",
+        "eps_grid_too_long"])
 def test_bad_input_exits_2(command, name, data, tmp_path, capsys):
     if name is not None:
         (tmp_path / name).write_bytes(data)

@@ -7,7 +7,7 @@ from scipy import optimize
 from missingmass import gfunction as gf
 from missingmass import tail_bounds as tb
 from missingmass.errors import InvalidInputError, NumericalError, RegimeError
-from missingmass.ustar_engine import gamma_const, scale_parameter, u_star
+from missingmass.ustar_engine import gamma_alpha, gamma_const, scale_parameter, u_star
 
 P1 = gf.power(1.0)
 P2 = gf.power(2.0)
@@ -277,6 +277,23 @@ def test_corollary_right_m0alpha_regime():
     with pytest.raises(RegimeError):
         tb.corollary_right_tail(17, P2, 0.1)  # needs n > 17
     tb.corollary_right_tail(18, P2, 0.1)
+
+
+@pytest.mark.parametrize("n,eps", [(3000, 0.1), (3000, 0.5), (10**5, 1e-3)])
+def test_corollary_right_large_alpha_matches_mpmath(n, eps):
+    # power(50): n^(2 alpha - 1) overflows a double, so the exponent is taken
+    # in log space; the printed form at 40 digits is the oracle
+    mpmath = pytest.importorskip("mpmath")
+    alpha = 50
+    ga = gamma_alpha(float(alpha))
+    with mpmath.workdps(40):
+        b = 1 + mpmath.mpf(2 * alpha) / (alpha - 1)
+        a = (b - 1) * (mpmath.mpf(2 * (alpha - 1)) / (alpha + 1)) ** alpha
+        e = mpmath.mpf(eps)
+        want = ((n - b) / a) * e - (ga / (a * a)) * (n - b) ** (3 - 2 * alpha) * mpmath.log1p(
+            a * mpmath.mpf(n) ** (2 * alpha - 1) * e / (ga * (n - b)))
+        want = float(want)
+    assert tb.corollary_right_exponent(n, gf.power(alpha), eps) == pytest.approx(want, rel=1e-12)
 
 
 def test_corollary_right_entropy_clamps_and_decays():

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from scipy import optimize
 
 from missingmass import gfunction as gf
 from missingmass import ustar_engine as ue
-from missingmass.errors import InvalidInputError, RegimeError
+from missingmass.errors import InvalidInputError, NumericalError, RegimeError
 
 P1 = gf.power(1.0)
 P2 = gf.power(2.0)
@@ -30,15 +32,65 @@ def test_u_star_matches_brute_force(n, g, r):
     assert res.argmax == pytest.approx(argmax_ref, abs=2e-6)
 
 
+@pytest.fixture(scope="module")
+def reference_script():
+    # the mpmath oracle that writes the r2 reference column; it does not
+    # import the package.  It sets 40 digits globally on import: undo that.
+    mpmath = pytest.importorskip("mpmath")
+    dps = mpmath.mp.dps
+    path = pathlib.Path(__file__).parent / "data" / "make_reference_tail_curves.py"
+    spec = importlib.util.spec_from_file_location("make_reference_tail_curves", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    mpmath.mp.dps = dps
+    return module
+
+
+@pytest.mark.parametrize("r", range(2, 7))
+@pytest.mark.parametrize("n", [20, 100, 1000])
+def test_u_star_matches_exact_oracle(n, r, reference_script):
+    with reference_script.mp.workdps(40):
+        exact = float(reference_script.u_star(n, r))
+    assert ue.u_star(n, P1, r).value == pytest.approx(exact, rel=1e-14)
+
+
 def test_u_star_grid_refinement_stable(monkeypatch):
     a = ue.u_star(200, P1, 2)
     monkeypatch.setattr(ue, "_GRID_POINTS", 4 * ue._GRID_POINTS)
     ue.u_star.cache_clear()
+    ue._scan_grid.cache_clear()
     try:
         b = ue.u_star(200, P1, 2)
     finally:
         ue.u_star.cache_clear()
+    # the grid cache is keyed on the point count, so the finer grid was built
+    assert ue._scan_grid.cache_info().misses == 1
+    grid, _ = ue._scan_grid(1e-12, 1.0 - 1e-12, ue._GRID_POINTS)
+    assert grid.size > 2 * ue._GRID_POINTS - 10
     assert abs(a.value - b.value) <= 1e-10 * a.value
+
+
+def test_scan_grid_cached_and_read_only():
+    grid, log_q = ue._scan_grid(1e-12, 1.0 - 1e-12, ue._GRID_POINTS)
+    assert ue._scan_grid(1e-12, 1.0 - 1e-12, ue._GRID_POINTS)[0] is grid
+    np.testing.assert_array_equal(log_q, np.log1p(-grid))
+    for arr in (grid, log_q):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+
+
+def test_golden_max_stops_at_a_few_ulps():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return -(x - 0.3) ** 2
+
+    x, fx = ue._golden_max(f, 0.2, 0.4)
+    # two opening probes, one per step, one at the end: the stop rule fired
+    assert len(calls) < 100 + 3
+    assert x == pytest.approx(0.3, abs=1e-8)
 
 
 def test_u_star_frozen_spot():
@@ -50,7 +102,7 @@ def test_u_star_frozen_spot():
 def test_u_star_argmax_is_local_max():
     res = ue.u_star(50, P2, 3)
     for d in (-1e-7, 1e-7):
-        assert ue.u_r_eval(res.argmax + d, 50, P2, 3) <= res.value + 1e-18
+        assert ue._u_r_at(res.argmax + d, 50, P2, 3) <= res.value + 1e-18
 
 
 def test_u_star_window_restricts_search():
@@ -106,6 +158,17 @@ def test_gamma_constants_frozen():
 def test_gamma_alpha_requires_alpha_at_least_one():
     with pytest.raises(InvalidInputError):
         ue.gamma_alpha(0.9)
+
+
+def test_gamma_alpha_beyond_double_range_is_numerical_failure():
+    with pytest.raises(NumericalError):
+        ue.gamma_alpha(100.0)
+
+
+def test_u2_closed_bound_large_alpha_in_log_space():
+    # n^(2 alpha - 1) = 3000^99 overflows; the ratio does not
+    want = math.exp(math.log(ue.gamma_alpha(50.0)) - 99.0 * math.log(3000.0))
+    assert ue.u2_closed_bound(3000, gf.power(50.0)) == pytest.approx(want, rel=1e-13)
 
 
 def test_kappa_against_scipy():
