@@ -226,8 +226,12 @@ def _write_table(header: Sequence[str], rows: Sequence[Sequence[float]],
         payload = dict(meta or {})
         payload["columns"] = list(header)
         payload["rows"] = [[float(v) for v in row] for row in rows]
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+        _write_json(payload, out)
+
+
+def _write_json(payload: dict, out: TextIO) -> None:
+    json.dump(payload, out, indent=2)
+    out.write("\n")
 
 
 def read_csv_table(path: str) -> Tuple[List[str], np.ndarray]:
@@ -246,10 +250,16 @@ def read_csv_table(path: str) -> Tuple[List[str], np.ndarray]:
     return header, data
 
 
-def _open_out(path: Optional[str]) -> Tuple[TextIO, bool]:
+def _emit(path: Optional[str], write: Callable[[TextIO], None]) -> None:
+    """Run write on stdout (path None or "-") or on the file at path.
+
+    Callers compute their whole output first, so bad input never creates or
+    truncates the file."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(_resolve_path(path), "w", encoding="utf-8"), True
+        write(sys.stdout)
+        return
+    with open(_resolve_path(path), "w", encoding="utf-8") as fh:
+        write(fh)
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +275,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         if args.n is None:
             raise InvalidInputError("--format phi requires --n")
         profile = read_phi_csv(args.input, args.n)
-
-    if args.emit_phi:
-        with open(_resolve_path(args.emit_phi), "w", encoding="utf-8") as fh:
-            write_phi_csv(profile, fh)
 
     def _maybe_clamp(x: float) -> float:
         return min(1.0, max(0.0, x)) if args.clamp else x
@@ -297,13 +303,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             "left": [tb.corollary_left_tail(profile.n, g, e) for e in eps],
         }
 
-    out, close = _open_out(args.out)
-    try:
-        json.dump(report, out, indent=2)
-        out.write("\n")
-    finally:
-        if close:
-            out.close()
+    if args.emit_phi:
+        with open(_resolve_path(args.emit_phi), "w", encoding="utf-8") as fh:
+            write_phi_csv(profile, fh)
+    _emit(args.out, lambda out: _write_json(report, out))
     return 0
 
 
@@ -334,23 +337,17 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     curve = tb.curve(args.family, args.n, g, eps)
     rows = [[float(e), float(b), float(x)]
             for e, b, x in zip(curve.eps, curve.bounds, curve.exponents)]
-    out, close = _open_out(args.path)
-    try:
-        _write_table(["eps", "bound", "exponent"], rows, args.out, out,
-                     meta={"family": curve.family, "n": curve.n,
-                           "g": curve.g_descriptor})
-    finally:
-        if close:
-            out.close()
+    meta = {"family": curve.family, "n": curve.n, "g": curve.g_descriptor}
+    _emit(args.path, lambda out: _write_table(["eps", "bound", "exponent"], rows,
+                                              args.out, out, meta=meta))
     return 0
 
 
 def cmd_ustar(args: argparse.Namespace) -> int:
     g = parse_g(args.g)
     res = u_star(args.n, g, args.r)
-    json.dump({"value": res.value, "argmax": res.argmax, "n": res.n,
-               "r": res.r}, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _write_json({"value": res.value, "argmax": res.argmax, "n": res.n,
+                 "r": res.r}, sys.stdout)
     return 0
 
 
@@ -371,73 +368,66 @@ def _estimator_for(args: argparse.Namespace, g: gf.GFunction) -> est.EstimatorKi
     return est.plugin()
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    out, close = _open_out(args.path)
-    try:
-        if args.task == "dirichlet":
-            if args.alpha is None:
-                raise InvalidInputError("--task dirichlet requires --alpha")
-            ns = parse_n_list(args.n_list)
-            header = ["n", "variance"]
-            rows: List[List[float]] = []
-            mc = args.trials is not None and args.trials > 0
-            if mc:
-                header += ["mc_variance", "mc_se"]
-            for n in ns:
-                row = [float(n),
-                       risk_lab.dirichlet_prior_variance(n, args.c, int(args.alpha))]
-                if mc:
-                    m, se = risk_lab.dirichlet_mc_variance(
-                        n, args.c, int(args.alpha), args.trials, args.seed)
-                    row += [m, se]
-                rows.append(row)
-            _write_table(header, rows, args.out, out,
-                         meta={"task": "dirichlet", "alpha": int(args.alpha),
-                               "c": args.c})
-            return 0
-
-        if args.g is None or args.dist is None:
-            raise InvalidInputError(f"--task {args.task} requires --g and --dist")
-        g = parse_g(args.g)
-        dist = parse_dist(args.dist)
+def _simulate_table(args: argparse.Namespace) -> Tuple[List[str], List[List[float]], dict]:
+    """Header, rows and JSON meta of one simulate task."""
+    if args.task == "dirichlet":
+        if args.alpha is None:
+            raise InvalidInputError("--task dirichlet requires --alpha")
         ns = parse_n_list(args.n_list)
-
-        if args.task == "risk":
-            kind = _estimator_for(args, g)
-            report = risk_lab.mc_risk(dist, kind, g, ns, args.trials, args.seed)
-            rows = [[float(r.n), float(r.trials), r.mse, r.se]
-                    for r in report.rows]
-            meta = {"task": "risk", "estimator": report.estimator,
-                    "g": report.g_descriptor, "dist": report.dist_descriptor}
-            if math.isfinite(report.slope):
-                meta["slope"] = report.slope
-                meta["intercept"] = report.intercept
-            _write_table(["n", "trials", "mse", "se"], rows, args.out,
-                         out, meta=meta)
-            return 0
-
-        # tail dominance
-        eps = parse_eps_grid(args.eps_grid or "0.01:0.3:0.05")
-        header_set: List[str] = []
-        all_rows: List[List[float]] = []
+        header = ["n", "variance"]
+        rows: List[List[float]] = []
+        mc = args.trials is not None and args.trials > 0
+        if mc:
+            header += ["mc_variance", "mc_se"]
         for n in ns:
-            rep = risk_lab.mc_tail(dist, g, n, args.trials, eps, args.seed)
-            names = sorted(rep.bounds)
-            if not header_set:
-                header_set = (["n", "eps", "right_freq", "right_se",
-                               "left_freq", "left_se"] + names)
-            for j, e in enumerate(rep.eps):
-                row = [float(n), float(e), rep.right_freq[j], rep.right_se[j],
-                       rep.left_freq[j], rep.left_se[j]]
-                row += [rep.bounds[name][j] for name in names]
-                all_rows.append(row)
-        _write_table(header_set, all_rows, args.out, out,
-                     meta={"task": "tail", "g": g.descriptor(),
-                           "dist": dist.label, "trials": args.trials})
-        return 0
-    finally:
-        if close:
-            out.close()
+            row = [float(n),
+                   risk_lab.dirichlet_prior_variance(n, args.c, int(args.alpha))]
+            if mc:
+                m, se = risk_lab.dirichlet_mc_variance(
+                    n, args.c, int(args.alpha), args.trials, args.seed)
+                row += [m, se]
+            rows.append(row)
+        return header, rows, {"task": "dirichlet", "alpha": int(args.alpha), "c": args.c}
+
+    if args.g is None or args.dist is None:
+        raise InvalidInputError(f"--task {args.task} requires --g and --dist")
+    g = parse_g(args.g)
+    dist = parse_dist(args.dist)
+    ns = parse_n_list(args.n_list)
+
+    if args.task == "risk":
+        kind = _estimator_for(args, g)
+        report = risk_lab.mc_risk(dist, kind, g, ns, args.trials, args.seed)
+        rows = [[float(r.n), float(r.trials), r.mse, r.se] for r in report.rows]
+        meta = {"task": "risk", "estimator": report.estimator,
+                "g": report.g_descriptor, "dist": report.dist_descriptor}
+        if math.isfinite(report.slope):
+            meta["slope"] = report.slope
+            meta["intercept"] = report.intercept
+        return ["n", "trials", "mse", "se"], rows, meta
+
+    # tail dominance
+    eps = parse_eps_grid(args.eps_grid or "0.01:0.3:0.05")
+    header, rows = [], []
+    for n in ns:
+        rep = risk_lab.mc_tail(dist, g, n, args.trials, eps, args.seed)
+        names = sorted(rep.bounds)
+        if not header:
+            header = (["n", "eps", "right_freq", "right_se", "left_freq", "left_se"]
+                      + names)
+        for j, e in enumerate(rep.eps):
+            row = [float(n), float(e), rep.right_freq[j], rep.right_se[j],
+                   rep.left_freq[j], rep.left_se[j]]
+            row += [rep.bounds[name][j] for name in names]
+            rows.append(row)
+    return header, rows, {"task": "tail", "g": g.descriptor(), "dist": dist.label,
+                          "trials": args.trials}
+
+
+def cmd_simulate(args: argparse.Namespace) -> int:
+    header, rows, meta = _simulate_table(args)
+    _emit(args.path, lambda out: _write_table(header, rows, args.out, out, meta=meta))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
                     default="auto", help="risk task estimator")
     ps.add_argument("--eps-grid", help="deviations for the tail task")
     ps.add_argument("--threads", type=int, default=0,
-                    help="accepted for compatibility; changes neither the "
-                         "results nor the speed")
+                    help="accepted for compatibility (bench/worker.py passes "
+                         "it); changes neither the results nor the speed")
     ps.add_argument("--out", choices=("csv", "json"), default="csv",
                     help="output format")
     ps.add_argument("--path", help="output file (default stdout)")

@@ -5,10 +5,8 @@ only on the support size K and the sample size n (at most _BLOCK_BUDGET
 elements per block array), never on the thread count.  Block b of an
 experiment at sample size n draws from its own RNG, seeded with
 SeedSequence((seed, n, b)), so a fixed seed gives byte-identical results, and
-a run of T trials reproduces the first T trials of any longer run.  The
-``threads`` arguments are accepted for compatibility and change neither the
-results nor the speed.  Monte Carlo numbers differ from those of versions
-that seeded one RNG per trial.
+a run of T trials reproduces the first T trials of any longer run.  Monte
+Carlo numbers differ from those of versions that seeded one RNG per trial.
 """
 
 from __future__ import annotations
@@ -148,7 +146,6 @@ def mc_risk(
     n_list: Sequence[int],
     trials: int,
     seed: int,
-    threads: Optional[int] = None,
 ) -> RiskReport:
     """Mean squared error (estimate - realized missing mass)^2 per n, with a
     log-log rate fit across n."""
@@ -181,7 +178,10 @@ def mc_bias(
     threads: Optional[int] = None,
 ) -> Tuple[float, float]:
     """Empirical bias (mean of estimate - realized missing mass) and its
-    standard error."""
+    standard error.
+
+    ``threads`` changes neither the result nor the speed; it stays because
+    bench/worker.py passes it."""
     return _mean_se(_estimate_errors(dist, kind, g, int(n), trials, seed))
 
 
@@ -210,7 +210,6 @@ def mc_tail(
     trials: int,
     eps_grid: Sequence[float],
     seed: int,
-    threads: Optional[int] = None,
 ) -> TailReport:
     """Empirical Pr(G0 - E[G0] >= eps) and Pr(G0 - E[G0] <= -eps) per eps,
     against the bound families; E[G0] is analytic.
@@ -325,7 +324,6 @@ def dirichlet_mc_variance(
     alpha: int,
     trials: int,
     seed: int,
-    threads: Optional[int] = None,
 ) -> Tuple[float, float]:
     """Monte Carlo estimate (mean, se) of E[Var(M_[0,alpha] | X^n)] under the
     same Dirichlet prior, via the posterior tau-ratio closed form.

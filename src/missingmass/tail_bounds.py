@@ -1,19 +1,20 @@
-"""Concentration families and tail bounds for the centered missing mass.
+"""Concentration specs and tail bounds for the centered missing mass.
 
-Four log-MGF families, ordered from strongest to weakest assumption:
+The one concentration spec is the order-R polynomial filter PolyFiltered,
 
-    sub-Gaussian(s2)            f(l) = l^2 s2 / 2
-    strongly sub-Gamma(v, c)    f(l) = (v/c^2) log(e^[-lc]/(1-cl))
-    sub-Gamma(v, c)             f(l) = l^2 v / (2(1-cl))
-    poly-filtered(R, a, v, c)   f(l) = sum_r a_r l^r / r + Gamma part
+    f(l) = sum_[r=2..R] a_r l^r / r + (v/c^2) log(e^[-lc]/(1-cl)),
 
-Each family yields a right-tail bound exp(-E(eps)) by the Chernoff method;
-E is analytic except for the poly-filtered family, whose Legendre transform is
-solved numerically for every R >= 2 (the analytic R = 2 form is kept as a
-cross-check).  Builders assemble the poly-filtered parameters from exact
-numeric u*_r values and the scale parameter c.  The closed-form corollary
-tails take the g they bound: power(1) (the missing mass), power(alpha > 1)
-(the order-alpha missing mass) and entropy_log2(k) (the missing entropy).
+built from exact numeric u*_r values and the scale parameter c.  Order 1
+(no filter terms) is the strongly sub-Gamma template.  The sub-Gaussian
+(f = l^2 s2/2) and sub-Gamma (f = l^2 v/(2(1-cl))) templates of Boucheron,
+Lugosi & Massart (2013, section 2.4) are plain exponent functions.
+
+Each yields a right-tail bound exp(-E(eps)) by the Chernoff method; E is
+analytic except for R >= 2, whose Legendre transform is solved numerically
+(the analytic R = 2 form is kept as a cross-check).  The closed-form
+corollary tails take the g they bound: power(1) (the missing mass),
+power(alpha > 1) (the order-alpha missing mass) and entropy_log2(k) (the
+missing entropy).
 
 Every public bound is clamped to <= 1; the raw exponent is available for
 diagnostics (a Chernoff exponent can go negative for tiny eps in the printed
@@ -24,9 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
-
-import numpy as np
+from typing import Sequence, Tuple
 
 from . import ustar_engine
 from .errors import InvalidInputError, NumericalError, RegimeError
@@ -40,38 +39,9 @@ _E = math.e
 
 
 @dataclass(frozen=True)
-class SubGaussian:
-    sigma2: float
-
-    def __post_init__(self):
-        if not (self.sigma2 > 0.0):
-            raise InvalidInputError("sub-Gaussian needs sigma2 > 0")
-
-
-@dataclass(frozen=True)
-class SubGamma:
-    v: float
-    c: float
-
-    def __post_init__(self):
-        if not (self.v > 0.0 and self.c > 0.0):
-            raise InvalidInputError("sub-Gamma needs v > 0 and c > 0")
-
-
-@dataclass(frozen=True)
-class StronglySubGamma:
-    v: float
-    c: float
-
-    def __post_init__(self):
-        if not (self.v > 0.0 and self.c > 0.0):
-            raise InvalidInputError("strongly sub-Gamma needs v > 0 and c > 0")
-
-
-@dataclass(frozen=True)
 class PolyFiltered:
     """Filter coefficients a = (a_2, ..., a_R); R = 1 means an empty filter,
-    semantically a strongly sub-Gamma spec."""
+    the strongly sub-Gamma spec (v, c)."""
 
     R: int
     a: Tuple[float, ...]
@@ -87,9 +57,6 @@ class PolyFiltered:
             raise InvalidInputError("filter coefficients must be >= 0")
         if not (self.v > 0.0 and self.c > 0.0):
             raise InvalidInputError("poly-filtered needs v > 0 and c > 0")
-
-
-ConcentrationSpec = Union[SubGaussian, SubGamma, StronglySubGamma, PolyFiltered]
 
 
 @dataclass(frozen=True)
@@ -127,10 +94,6 @@ def sub_gamma_exponent(v: float, c: float, eps: float) -> float:
     return v / (c * c) * h
 
 
-def sub_gamma_tail(v: float, c: float, eps: float) -> float:
-    return _clamp(sub_gamma_exponent(v, c, eps))
-
-
 def strongly_sub_gamma_exponent(v: float, c: float, eps: float) -> float:
     """(1/c)(eps - (v/c) log(1+c*eps/v)) = (v/c^2)(z - log1p(z)), z = c*eps/v.
 
@@ -140,10 +103,6 @@ def strongly_sub_gamma_exponent(v: float, c: float, eps: float) -> float:
         raise InvalidInputError("need v, c > 0 and eps >= 0")
     z = c * eps / v
     return v / (c * c) * (z - math.log1p(z))
-
-
-def strongly_sub_gamma_tail(v: float, c: float, eps: float) -> float:
-    return _clamp(strongly_sub_gamma_exponent(v, c, eps))
 
 
 def poly_filtered_r2_exponent(a2: float, v: float, c: float, eps: float) -> float:
@@ -221,26 +180,9 @@ def poly_filtered_exponent(spec: PolyFiltered, eps: float) -> float:
     return (1.0 - s) / c * eps - _filter_f(a, v, c, s)
 
 
-def tail_exponent(spec: ConcentrationSpec, eps: float) -> float:
-    """Chernoff exponent of any family; bound = min(1, exp(-exponent))."""
-    if isinstance(spec, SubGaussian):
-        return sub_gaussian_exponent(spec.sigma2, eps)
-    if isinstance(spec, SubGamma):
-        return sub_gamma_exponent(spec.v, spec.c, eps)
-    if isinstance(spec, StronglySubGamma):
-        return strongly_sub_gamma_exponent(spec.v, spec.c, eps)
-    if isinstance(spec, PolyFiltered):
-        return poly_filtered_exponent(spec, eps)
-    raise InvalidInputError(f"unknown concentration spec {type(spec).__name__}")
-
-
-def tail_bound(spec: ConcentrationSpec, eps: float) -> float:
-    return _clamp(tail_exponent(spec, eps))
-
-
-def _reject_small_power(g: GFunction, what: str) -> None:
-    if g.kind == "power" and g.alpha < 1.0:
-        raise InvalidInputError(f"{what} requires power alpha >= 1")
+def tail_bound(spec: PolyFiltered, eps: float) -> float:
+    """min(1, exp(-poly_filtered_exponent(spec, eps)))."""
+    return _clamp(poly_filtered_exponent(spec, eps))
 
 
 def build_spec(n: int, g: GFunction, R: int) -> PolyFiltered:
@@ -249,10 +191,13 @@ def build_spec(n: int, g: GFunction, R: int) -> PolyFiltered:
     c = scale_parameter(n, g); v = u*_[R+1] / (c^(R-1) R!);
     a_r = u*_r/(r-1)! - c^(r-2) v for r = 2..R.  The ratio chain guarantees
     every a_r >= 0; a materially negative coefficient is an internal error.
+    R = 1 gives the strongly sub-Gamma spec v = u*_2.  power(alpha < 1) is
+    rejected: its moments break the ratio chain.
     """
     if int(R) != R or R < 1:
         raise InvalidInputError("build_spec needs integer R >= 1")
-    _reject_small_power(g, "build_spec")
+    if g.kind == "power" and g.alpha < 1.0:
+        raise InvalidInputError("concentration specs require power alpha >= 1")
     c = ustar_engine.scale_parameter(n, g)
     u = {r: ustar_engine.u_star(n, g, r).value for r in range(2, R + 2)}
     v = u[R + 1] / (c ** (R - 1) * math.factorial(R))
@@ -297,7 +242,12 @@ def corollary_left_tail(n: int, g: GFunction, eps: float) -> float:
     """
     if eps < 0.0:
         raise InvalidInputError("eps must be >= 0")
-    return sub_gaussian_tail(ustar_engine.u2_closed_bound(n, g), eps)
+    sigma2 = ustar_engine.u2_closed_bound(n, g)
+    if sigma2 == 0.0:
+        # sigma2 underflowed below 5e-324 (large alpha and n): the bound rounds
+        # to 0 once eps^2 > 1e-320; a smaller eps gets the trivial bound 1.
+        return 0.0 if eps * eps > 1e-320 else 1.0
+    return sub_gaussian_tail(sigma2, eps)
 
 
 def corollary_right_exponent(n: int, g: GFunction, eps: float) -> float:
@@ -358,7 +308,9 @@ def curve(family: str, n: int, g: GFunction, eps_grid: Sequence[float]) -> Bound
     """Bound curve over an eps grid.
 
     family: "subgauss" (sigma2 = 1/(2n), the e^[-n eps^2] reference curve),
-    "subgamma" / "ssg" (v = exact u*_2, c = scale_parameter), or "poly:R".
+    "ssg" (strongly sub-Gamma: the order-1 spec, the same curve as "poly:1"),
+    "subgamma" (the sub-Gamma template on the order-1 spec's v = exact u*_2
+    and c = scale_parameter), or "poly:R".
     """
     if int(n) != n or n < 1:
         raise InvalidInputError("n must be an integer >= 1")
@@ -366,27 +318,22 @@ def curve(family: str, n: int, g: GFunction, eps_grid: Sequence[float]) -> Bound
     if any(e < 0.0 for e in eps_list):
         raise InvalidInputError("eps grid must be >= 0")
     if family == "subgauss":
-        spec: ConcentrationSpec = SubGaussian(sigma2=1.0 / (2.0 * n))
-    elif family in ("subgamma", "ssg"):
-        _reject_small_power(g, "bound builders")
-        v = ustar_engine.u_star(n, g, 2).value
-        c = ustar_engine.scale_parameter(n, g)
-        spec = SubGamma(v=v, c=c) if family == "subgamma" else StronglySubGamma(v=v, c=c)
-    elif family.startswith("poly:"):
-        try:
-            order = int(family.split(":", 1)[1])
-        except ValueError:
-            raise InvalidInputError(f"bad filter order in family {family!r}")
-        spec = build_spec(n, g, order)
+        sigma2 = 1.0 / (2.0 * n)
+        exponents = tuple(sub_gaussian_exponent(sigma2, e) for e in eps_list)
     else:
-        raise InvalidInputError(f"unknown bound family {family!r}")
-    exponents = tuple(tail_exponent(spec, e) for e in eps_list)
-    bounds = tuple(_clamp(x) for x in exponents)
-    return BoundCurve(
-        n=n,
-        g_descriptor=g.descriptor(),
-        family=family,
-        eps=tuple(eps_list),
-        bounds=bounds,
-        exponents=exponents,
-    )
+        if family in ("ssg", "subgamma"):
+            order = 1
+        elif family.startswith("poly:"):
+            try:
+                order = int(family.split(":", 1)[1])
+            except ValueError:
+                raise InvalidInputError(f"bad filter order in family {family!r}")
+        else:
+            raise InvalidInputError(f"unknown bound family {family!r}")
+        spec = build_spec(n, g, order)
+        if family == "subgamma":
+            exponents = tuple(sub_gamma_exponent(spec.v, spec.c, e) for e in eps_list)
+        else:
+            exponents = tuple(poly_filtered_exponent(spec, e) for e in eps_list)
+    return BoundCurve(n=n, g_descriptor=g.descriptor(), family=family, eps=tuple(eps_list),
+                      bounds=tuple(_clamp(x) for x in exponents), exponents=exponents)

@@ -159,26 +159,37 @@ def u_star(
 
 @functools.lru_cache(maxsize=256)
 def gamma_alpha(alpha: float) -> float:
-    """max over t in (0, 50] of t^(2*alpha-1) e^[-t](1-e^[-t]), alpha >= 1.
+    """max over t > 0 of t^(2*alpha-1) e^[-t](1-e^[-t]), alpha >= 1.
 
-    Golden-section refinement to 1e-8 relative after a coarse bracket scan.
-    Raises NumericalError when t^(2*alpha-1) leaves the double range on the
-    scan, for alpha above about 91.
+    Coarse scan of t in [1e-6, max(50, 4(2*alpha-1))], which holds the
+    argmax (near 2*alpha-1), then golden-section refinement.  Where
+    t^(2*alpha-1) overflows, the product is taken in log space.  Raises
+    NumericalError when the maximum itself leaves the double range, from
+    alpha = 87 (above about 86.1).
     """
     if not (alpha >= 1.0):
         raise InvalidInputError("gamma_alpha requires alpha >= 1")
 
     e = 2.0 * alpha - 1.0
-
-    def h(t):
-        return t**e * math.exp(-t) * (-math.expm1(-t))
-
-    grid = np.logspace(-6, math.log10(50.0), 4000)
-    with np.errstate(over="ignore"):
+    grid = np.logspace(-6, math.log10(max(50.0, 4.0 * e)), 4000)
+    with np.errstate(over="ignore", invalid="ignore"):
         vals = grid**e * np.exp(-grid) * (-np.expm1(-grid))
+    if np.all(np.isfinite(vals)):
+        def h(t):
+            return t**e * math.exp(-t) * (-math.expm1(-t))
+    else:
+        with np.errstate(over="ignore"):
+            vals = np.exp(e * np.log(grid) - grid + np.log(-np.expm1(-grid)))
+
+        def h(t):
+            return math.exp(e * math.log(t) - t + math.log(-math.expm1(-t)))
+    msg = f"gamma_alpha({alpha:g}) exceeds the double range"
     if not np.all(np.isfinite(vals)):
-        raise NumericalError(f"gamma_alpha({alpha:g}) exceeds the double range")
-    return _grid_then_golden(h, grid, vals)[1]
+        raise NumericalError(msg)
+    try:
+        return _grid_then_golden(h, grid, vals)[1]
+    except OverflowError:  # the refinement stepped past the largest double
+        raise NumericalError(msg)
 
 
 def gamma_const() -> float:

@@ -114,7 +114,7 @@ def test_criterion_05_generalized_estimator_minimax_rate(alpha):
     kind = est.generalized_good_turing(alpha)
     pairs = []
     for n in (20, 40, 80, 160):
-        rep = rl.mc_risk(dm.uniform(n), kind, g, [n], trials=10**4, seed=42, threads=4)
+        rep = rl.mc_risk(dm.uniform(n), kind, g, [n], trials=10**4, seed=42)
         pairs.append((n, rep.rows[0].mse))
     slope, _, _ = rl.rate_fit(pairs)
     want = -(2.0 * alpha - 1.0)
@@ -126,7 +126,7 @@ def test_criterion_06_good_turing_worst_case_level(k):
     """GT squared error at n=100 stays below 0.65/n across support sizes."""
     n = 100
     rep = rl.mc_risk(dm.uniform(k), est.good_turing(), P1, [n],
-                     trials=10**5, seed=7, threads=4)
+                     trials=10**5, seed=7)
     assert rep.rows[0].mse <= 0.65 / n
 
 
@@ -137,7 +137,7 @@ def test_criterion_07_signed_bias_window(alpha, n):
     g = gf.power(float(alpha))
     kind = est.generalized_good_turing(alpha)
     mean, se = rl.mc_bias(dm.uniform(n), kind, g, n, trials=3 * 10**4,
-                          seed=101, threads=4)
+                          seed=101)
     bound = est.gt_bias_bound(n, alpha)
     assert mean >= -3.0 * se
     assert mean <= bound + 3.0 * se
@@ -163,9 +163,9 @@ def test_criterion_08_tail_bound_dominance(g, dist, n):
     cells whose support puts mass below an entropy floor must refuse."""
     if g.kind == "entropy_log2" and dist.probs.min() < g.domain_min:
         with pytest.raises(InvalidInputError):
-            rl.mc_tail(dist, g, n, 10**5, TAIL_EPS, seed=13, threads=4)
+            rl.mc_tail(dist, g, n, 10**5, TAIL_EPS, seed=13)
         return
-    rep = rl.mc_tail(dist, g, n, 10**5, TAIL_EPS, seed=13, threads=4)
+    rep = rl.mc_tail(dist, g, n, 10**5, TAIL_EPS, seed=13)
     for name, col in rep.bounds.items():
         freqs = rep.right_freq if name.startswith("right") else rep.left_freq
         ses = rep.right_se if name.startswith("right") else rep.left_se
@@ -180,7 +180,7 @@ def test_criterion_09_dirichlet_lower_bound_curves():
     """closed-form prior variance: MC agreement, rate, and 1/(8n) spot."""
     for alpha, n in [(1, 10), (1, 20), (2, 10), (2, 20)]:
         closed = rl.dirichlet_prior_variance(n, 1.0, alpha)
-        mc, se = rl.dirichlet_mc_variance(n, 1.0, alpha, trials=4000, seed=29, threads=4)
+        mc, se = rl.dirichlet_mc_variance(n, 1.0, alpha, trials=4000, seed=29)
         assert abs(mc - closed) / closed <= 0.05
     for alpha in (1, 2):
         pairs = [(n, rl.dirichlet_prior_variance(n, 1.0, alpha)) for n in (20, 40, 80)]
@@ -220,9 +220,8 @@ def test_criterion_10_structural_invariants():
     for v in (1e-4, 0.01, 0.3):
         for c in (0.01, 0.1, 1.0):
             for e in EPS_15:
-                assert tb.strongly_sub_gamma_tail(v, c, float(e)) <= (
-                    tb.sub_gamma_tail(v, c, float(e)) + 1e-15
-                )
+                ssg = tb.tail_bound(tb.PolyFiltered(1, (), v, c), float(e))
+                assert ssg <= math.exp(-tb.sub_gamma_exponent(v, c, float(e))) + 1e-15
 
     # analytic order-2 exponent agrees with the numeric Chernoff solver
     for n in (20, 100, 1000):
@@ -232,10 +231,10 @@ def test_criterion_10_structural_invariants():
             numeric = tb.poly_filtered_exponent(spec, float(e))
             assert abs(analytic - numeric) <= 1e-9 * max(1.0, abs(numeric))
 
-    # same seed, same numbers; thread count never matters
+    # same seed, same numbers
     d = dm.zipf(60, 1.0)
-    a = rl.mc_risk(d, est.good_turing(), P1, [30], trials=400, seed=5, threads=1)
-    b = rl.mc_risk(d, est.good_turing(), P1, [30], trials=400, seed=5, threads=4)
-    c2 = rl.mc_risk(d, est.good_turing(), P1, [30], trials=400, seed=6, threads=1)
+    a = rl.mc_risk(d, est.good_turing(), P1, [30], trials=400, seed=5)
+    b = rl.mc_risk(d, est.good_turing(), P1, [30], trials=400, seed=5)
+    c2 = rl.mc_risk(d, est.good_turing(), P1, [30], trials=400, seed=6)
     assert a.rows[0].mse == b.rows[0].mse and a.rows[0].se == b.rows[0].se
     assert a.rows[0].mse != c2.rows[0].mse

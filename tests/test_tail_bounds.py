@@ -16,6 +16,15 @@ E64 = gf.entropy_log2(64)
 EPS_GRID = np.arange(1, 15) * 0.05
 
 
+def ssg_tail(v, c, e):
+    """Strongly sub-Gamma tail: the order-1 spec, which has no filter terms."""
+    return tb.tail_bound(tb.PolyFiltered(1, (), v, c), e)
+
+
+def sub_gamma_tail(v, c, e):
+    return min(1.0, math.exp(-tb.sub_gamma_exponent(v, c, e)))
+
+
 def test_sub_gaussian_oracle():
     for s2, e in [(0.5, 0.1), (0.01, 0.3), (2.0, 1.0)]:
         assert tb.sub_gaussian_tail(s2, e) == pytest.approx(
@@ -43,7 +52,7 @@ def test_strongly_sub_gamma_oracle():
 def test_ssg_bound_never_above_sub_gamma(v, c):
     # log(1+z) >= z - z^2/2 style comparison: the ssg exponent dominates
     for e in EPS_GRID:
-        assert tb.strongly_sub_gamma_tail(v, c, e) <= tb.sub_gamma_tail(v, c, e) + 1e-15
+        assert ssg_tail(v, c, e) <= sub_gamma_tail(v, c, e) + 1e-15
 
 
 def test_exponents_zero_at_zero_and_increasing():
@@ -56,8 +65,8 @@ def test_exponents_zero_at_zero_and_increasing():
 
 def test_tails_clamped_to_one():
     assert tb.sub_gaussian_tail(1.0, 0.0) == 1.0
-    assert tb.sub_gamma_tail(0.5, 0.5, 0.0) == 1.0
-    assert 0.0 < tb.strongly_sub_gamma_tail(0.5, 0.5, 3.0) <= 1.0
+    assert sub_gamma_tail(0.5, 0.5, 0.0) == 1.0
+    assert 0.0 < ssg_tail(0.5, 0.5, 3.0) <= 1.0
 
 
 def test_param_validation():
@@ -169,7 +178,7 @@ def test_build_spec_r1_is_strongly_sub_gamma():
     assert spec.c == pytest.approx(c, rel=1e-14)
     for e in (0.05, 0.2, 0.5):
         assert tb.tail_bound(spec, e) == pytest.approx(
-            tb.strongly_sub_gamma_tail(v, c, e), rel=1e-12
+            math.exp(-tb.strongly_sub_gamma_exponent(v, c, e)), rel=1e-12
         )
 
 
@@ -178,13 +187,6 @@ def test_higher_order_filter_is_tighter():
     b2 = [tb.tail_bound(tb.build_spec(n, P1, 2), float(e)) for e in EPS_GRID]
     b5 = [tb.tail_bound(tb.build_spec(n, P1, 5), float(e)) for e in EPS_GRID]
     assert all(x5 <= x2 + 1e-12 for x2, x5 in zip(b2, b5))
-
-
-def test_tail_bound_dispatch_matches_families():
-    e = 0.12
-    assert tb.tail_bound(tb.SubGaussian(sigma2=0.02), e) == tb.sub_gaussian_tail(0.02, e)
-    assert tb.tail_bound(tb.SubGamma(v=0.01, c=0.1), e) == tb.sub_gamma_tail(0.01, 0.1, e)
-    assert tb.tail_bound(tb.StronglySubGamma(v=0.01, c=0.1), e) == tb.strongly_sub_gamma_tail(0.01, 0.1, e)
 
 
 def test_theorem2_right_tail_oracle():
@@ -233,6 +235,13 @@ def test_corollary_left_regimes():
         tb.corollary_left_tail(50, P1, -0.1)
 
 
+def test_corollary_left_tail_underflowed_variance():
+    # u2_closed_bound(10^6, power(50)) underflows to 0: the bound rounds to 0
+    # for eps > 0 and stays the trivial 1 at eps = 0
+    assert tb.corollary_left_tail(10**6, gf.power(50), 0.1) == 0.0
+    assert tb.corollary_left_tail(10**6, gf.power(50), 0.0) == 1.0
+
+
 def test_corollaries_reject_g_without_closed_form():
     user = gf.user_defined(lambda p: p, ratio_bound=1.0)
     for g in (user, gf.power(0.5)):
@@ -249,7 +258,7 @@ def test_corollary_right_m0_is_ssg_with_gamma_variance(n):
     c = 3.0 / (2.0 * (n + 2.0))
     for e in (0.01, 0.05, 0.1, 0.3, 0.6):
         assert tb.corollary_right_tail(n, P1, e) == pytest.approx(
-            tb.strongly_sub_gamma_tail(v, c, e), rel=1e-12
+            ssg_tail(v, c, e), rel=1e-12
         )
 
 
@@ -269,7 +278,7 @@ def test_corollary_right_m0alpha_weaker_than_exact_ssg():
     c = scale_parameter(n, g)
     for e in (1e-4, 1e-3, 1e-2):
         closed = tb.corollary_right_tail(n, g, e)
-        exact = tb.strongly_sub_gamma_tail(v, c, e)
+        exact = ssg_tail(v, c, e)
         assert closed >= exact - 1e-15
 
 
@@ -327,6 +336,24 @@ def test_curve_families_consistent():
         assert p3.bounds[i] == pytest.approx(tb.tail_bound(spec3, float(e)), rel=1e-12)
     assert ssg.family == "ssg" and p3.family == "poly:3"
     assert ssg.g_descriptor == "power:1"
+
+
+@pytest.mark.parametrize("g", [P1, P2, E64], ids=["power1", "power2", "entropy64"])
+def test_curve_ssg_is_order_one_filter(g):
+    for n in (20, 100, 1000):
+        ssg = tb.curve("ssg", n, g, EPS_GRID)
+        poly1 = tb.curve("poly:1", n, g, EPS_GRID)
+        assert ssg.bounds == poly1.bounds
+        assert ssg.exponents == poly1.exponents
+
+
+def test_small_power_rejected_alike_by_every_spec_family():
+    messages = set()
+    for family in ("ssg", "subgamma", "poly:1", "poly:3"):
+        with pytest.raises(InvalidInputError) as info:
+            tb.curve(family, 20, gf.power(0.5), [0.1])
+        messages.add(str(info.value))
+    assert len(messages) == 1
 
 
 def test_curve_rejects_unknown_family_and_small_power():

@@ -165,6 +165,22 @@ def test_gamma_alpha_beyond_double_range_is_numerical_failure():
         ue.gamma_alpha(100.0)
 
 
+@pytest.mark.parametrize("alpha", [1.0, 2.0, 6.75, 10.0, 30.0, 40.0, 60.0, 86.0])
+@pytest.mark.parametrize("n", [100, 3000, 10**5])
+def test_u2_closed_bound_dominates_u_star(alpha, n):
+    # gamma_alpha's argmax sits near t = 2 alpha - 1, beyond t = 50 from
+    # alpha = 25.5 on; a scan that stops short makes the bound too small
+    g = gf.power(alpha)
+    assert ue.u2_closed_bound(n, g) >= ue.u_star(n, g, 2).value * (1.0 - 1e-12)
+
+
+def test_gamma_alpha_double_range_edge():
+    # log gamma_alpha(86) is about 708.2; the maximum overflows from alpha = 87
+    assert math.isfinite(ue.gamma_alpha(86.0))
+    with pytest.raises(NumericalError):
+        ue.gamma_alpha(87.0)
+
+
 def test_u2_closed_bound_large_alpha_in_log_space():
     # n^(2 alpha - 1) = 3000^99 overflows; the ratio does not
     want = math.exp(math.log(ue.gamma_alpha(50.0)) - 99.0 * math.log(3000.0))
