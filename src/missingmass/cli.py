@@ -467,8 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("bounds", help="evaluate one bound family on a grid")
     pb.add_argument("--family", required=True,
-                    help="subgauss | subgamma | ssg | poly:R (subgamma, ssg "
-                         "and poly need n >= 3)")
+                    help="subgauss | subgamma | ssg | poly:R with 1 <= R <= 170 "
+                         "(subgamma, ssg and poly need n >= 3)")
     pb.add_argument("--g", required=True, help="power:ALPHA or entropy:K "
                                                "(power needs alpha >= 1 here)")
     pb.add_argument("--n", type=int, required=True, help="sample size")

@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -107,18 +108,57 @@ def from_file(path) -> DiscreteDistribution:
     return explicit(values, label=f"explicit:{path.name}")
 
 
-def sample(dist: DiscreteDistribution, n: int, seed: int) -> np.ndarray:
-    """n iid draws as symbol indices, by inverse CDF on a cumulative table.
+def _inverse_cdf(probs: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Letter lookup u -> i for uniforms u in [0, 1), by a guide table over
+    the cumulative sums cum = cumsum(probs) (Chen & Asau 1974; Devroye 1986,
+    III.2.4).
 
-    Deterministic for a fixed seed.
+    The letter is the first i with cum[i] > u, as np.searchsorted(cum, u,
+    side="right") finds it, clipped to the last positive-probability letter
+    for the u >= cum[-1] that a sum a little below 1 leaves.  With m = 4K
+    buckets, guide[j] is the first i with cum[i] > j/m; a draw starts at the
+    guide entry of the last bucket edge j/m <= u and steps forward while
+    cum[i] <= u, on a cumulative table padded with inf.  The returned
+    function maps an array of uniforms to an int64 array of letters of the
+    same shape.
+    """
+    k = probs.size
+    m = 4 * k
+    cum = np.cumsum(probs)
+    guide = np.searchsorted(cum, np.arange(m) / m, side="right").astype(np.min_scalar_type(k))
+    cum = np.append(cum, np.inf)
+    last = int(np.flatnonzero(probs)[-1])
+
+    def letters(u: np.ndarray) -> np.ndarray:
+        flat = u.ravel()
+        # u*m may round up onto the next bucket edge (never onto m for u < 1),
+        # so step back one bucket where the edge j/m, the same double the
+        # guide entry was built from, exceeds u.
+        j = (flat * m).astype(np.int64)
+        j -= j / m > flat
+        idx = guide[j].astype(np.int64)
+        ahead = np.flatnonzero(cum[idx] <= flat)
+        while ahead.size:
+            idx[ahead] += 1
+            ahead = ahead[cum[idx[ahead]] <= flat[ahead]]
+        return np.minimum(idx, last, out=idx).reshape(u.shape)
+
+    return letters
+
+
+def sample(dist: DiscreteDistribution, n: int, seed: int) -> np.ndarray:
+    """n iid draws as symbol indices, by inverse CDF on the cumulative table.
+
+    Deterministic for a fixed seed.  The guide-table lookup returns the
+    letters a binary search on the cumulative table returns, so the draws
+    are those of earlier versions, except that a uniform at or above the
+    last cumulative sum maps to the last positive-probability letter rather
+    than to letter K-1.
     """
     if int(n) != n or n < 0:
         raise InvalidInputError("sample size must be an integer >= 0")
-    cum = np.cumsum(dist.probs)
     rng = np.random.Generator(np.random.PCG64(seed))
-    u = rng.random(int(n))
-    idx = np.searchsorted(cum, u, side="right")
-    return np.minimum(idx, dist.size - 1).astype(np.int64)
+    return _inverse_cdf(dist.probs)(rng.random(int(n)))
 
 
 def power_sum(dist: DiscreteDistribution, alpha: float) -> float:

@@ -18,7 +18,7 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from . import tail_bounds
-from .distributions import DiscreteDistribution, expected_missing
+from .distributions import DiscreteDistribution, _inverse_cdf, expected_missing
 from .errors import InvalidInputError, RegimeError
 from .estimators import GENERALIZED, GOOD_TURING, PLUGIN, EstimatorKind, choose_float
 from .gfunction import GFunction
@@ -79,17 +79,20 @@ def _occupancy(
     #{x : F_x = alpha} over `trials` iid samples of size n from probs.
 
     A block of B trials draws a (B, n) array of uniforms, maps them to
-    letters by inverse CDF as distributions.sample does, and counts all B
-    samples with one bincount over the flat offsets row*K + letter.
+    letters by the guide-table inverse CDF that distributions.sample uses,
+    and counts all B samples with one bincount over the flat offsets
+    row*K + letter.  The guide table returns the letters a binary search on
+    the cumulative table returns, so the streams are those of earlier
+    versions.
     """
     k = probs.size
-    cum = np.cumsum(probs)
+    letters = _inverse_cdf(probs)
     g0 = np.empty(trials, dtype=float)
     phi = np.empty(trials, dtype=np.int64)
     for block, lo, hi in _blocks(trials, max(k, n)):
         rows = hi - lo
         u = _block_rng(seed, n, block).random((rows, n))
-        idx = np.minimum(np.searchsorted(cum, u, side="right"), k - 1)
+        idx = letters(u)
         idx += k * np.arange(rows)[:, None]
         counts = np.bincount(idx.ravel(), minlength=rows * k).reshape(rows, k)
         g0[lo:hi] = (counts == 0) @ gvec

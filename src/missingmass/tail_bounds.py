@@ -35,6 +35,9 @@ from .gfunction import GFunction, ratio_sup
 #: of 2*kappa = 0.519).
 THEOREM2_VARIANCE_FACTOR = 0.519
 
+#: Largest filter order R: 170! is the largest factorial a double holds.
+_MAX_ORDER = 170
+
 _E = math.e
 
 
@@ -192,10 +195,11 @@ def build_spec(n: int, g: GFunction, R: int) -> PolyFiltered:
     a_r = u*_r/(r-1)! - c^(r-2) v for r = 2..R.  The ratio chain guarantees
     every a_r >= 0; a materially negative coefficient is an internal error.
     R = 1 gives the strongly sub-Gamma spec v = u*_2.  power(alpha < 1) is
-    rejected: its moments break the ratio chain.
+    rejected: its moments break the ratio chain.  R above _MAX_ORDER is
+    rejected before any u*_r scan: its R! overflows a double.
     """
-    if int(R) != R or R < 1:
-        raise InvalidInputError("build_spec needs integer R >= 1")
+    if int(R) != R or not 1 <= R <= _MAX_ORDER:
+        raise InvalidInputError(f"build_spec needs integer R in [1, {_MAX_ORDER}]")
     if g.kind == "power" and g.alpha < 1.0:
         raise InvalidInputError("concentration specs require power alpha >= 1")
     c = ustar_engine.scale_parameter(n, g)

@@ -303,9 +303,11 @@ _TAIL_ON_FILE = "simulate --task tail --g power:1 --dist explicit:{f} --n-list 5
     ("estimate --input {f}", "t.txt", b"a\n\xff\n"),
     ("estimate --input {f} --format counts", "c.csv", b"a,1\n\xff,2\n"),
     ("bounds --family subgauss --g power:1 --n 10 --eps-grid 0:1e9:1e-9", None, None),
+    ("bounds --family poly:171 --g power:1 --n 10 --eps-grid 0.1", None, None),
+    ("bounds --family poly:100000 --g power:1 --n 10 --eps-grid 0.1", None, None),
 ], ids=["n_zero", "dirichlet_c_inf", "dist_json", "dist_json_object",
         "dist_csv", "dist_non_utf8", "tokens_non_utf8", "counts_non_utf8",
-        "eps_grid_too_long"])
+        "eps_grid_too_long", "poly_order_171", "poly_order_huge"])
 def test_bad_input_exits_2(command, name, data, tmp_path, capsys):
     if name is not None:
         (tmp_path / name).write_bytes(data)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from missingmass import distributions as dm
+from missingmass import empirical as emp
 from missingmass import gfunction as gf
 from missingmass.errors import InvalidInputError
 
@@ -84,6 +86,7 @@ def test_sample_deterministic_and_in_range():
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
     assert a.min() >= 0 and a.max() < d.size
+    assert dm.sample(d, 0, seed=7).shape == (0,)
 
 
 def test_sample_frequencies_match_probabilities():
@@ -92,6 +95,85 @@ def test_sample_frequencies_match_probabilities():
     freq = np.bincount(x, minlength=4) / x.size
     # binomial SE is about 0.0022 per cell
     np.testing.assert_allclose(freq, d.probs, atol=0.012)
+
+
+def _binary_search_letters(probs, u):
+    """Reference lookup: the first i with cum[i] > u, clipped to the last
+    positive-probability letter (K-1 unless the support ends in zero atoms)."""
+    cum = np.cumsum(probs)
+    return np.minimum(np.searchsorted(cum, u, side="right"), np.flatnonzero(probs)[-1])
+
+
+def _edge_uniforms(probs, seed):
+    """Random uniforms plus 0, the largest double below 1, every bucket edge
+    j/m of the guide table (m = 4K) and every cumulative sum, each also one
+    step below."""
+    m = 4 * probs.size
+    exact = np.concatenate([np.arange(m) / m, np.cumsum(probs)])
+    exact = exact[exact < 1.0]
+    return np.concatenate([
+        np.random.default_rng(seed).random(2000), [0.0, np.nextafter(1.0, 0.0)],
+        exact, np.nextafter(exact, 0.0),
+    ])
+
+
+_RANDOM_SUPPORTS = (
+    [dm.uniform(k).probs for k in range(1, 65)]
+    + [dm.uniform(k).probs for k in (100, 999, 1000, 1600)]
+    + [dm.zipf(k, s).probs for k in (2, 30, 200, 1000) for s in (0.5, 1.0, 2.0)]
+    + [dm.geometric(k, q).probs for k in (5, 200) for q in (0.05, 0.5, 0.9)]
+)
+
+_ADVERSARIAL_SUPPORTS = {
+    "zero_first": [0.0, 0.0, 0.5, 0.5],
+    "zero_middle": [0.25, 0.0, 0.0, 0.75],
+    "zero_last": [0.3, 0.7, 0.0],
+    "zero_run_last": [0.2, 0.3, 0.5] + [0.0] * 20,
+    "spikes_apart": [0.5] + [0.0] * 50 + [0.5],
+    "tiny_atoms": [0.4] + [1e-300] * 30 + [0.6],
+    "tiny_atoms_in_bucket": [0.30001] + [1e-300] * 200 + [0.69999],
+    "k1": [1.0],
+    "sum_below_1": [0.3, 0.7 - 5e-13],
+    "sum_below_1_zero_last": [0.3, 0.7 - 5e-13, 0.0],
+    "sum_above_1": [0.3, 0.7 + 5e-13],
+}
+
+
+@pytest.mark.parametrize("probs", _RANDOM_SUPPORTS, ids=lambda p: f"k{p.size}_{p[0]:.4g}")
+def test_inverse_cdf_matches_binary_search(probs):
+    u = _edge_uniforms(probs, seed=probs.size)
+    got = dm._inverse_cdf(probs)(u)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, _binary_search_letters(probs, u))
+
+
+@pytest.mark.parametrize("name", sorted(_ADVERSARIAL_SUPPORTS))
+def test_inverse_cdf_matches_binary_search_on_adversarial_supports(name):
+    probs = dm.explicit(_ADVERSARIAL_SUPPORTS[name]).probs
+    u = _edge_uniforms(probs, seed=1)
+    got = dm._inverse_cdf(probs)(u)
+    np.testing.assert_array_equal(got, _binary_search_letters(probs, u))
+    assert np.all(probs[got] > 0.0)
+
+
+def test_last_uniform_never_maps_to_a_zero_probability_letter():
+    d = dm.explicit([0.3, 0.7 - 5e-13, 0.0])
+    assert dm._inverse_cdf(d.probs)(np.array([np.nextafter(1.0, 0.0)])).tolist() == [1]
+    x = dm.sample(d, 20000, seed=5)
+    assert x.max() == 1
+    emp.realized_missing(d, emp.profile_from_samples(x), gf.power(1.0))
+
+
+def test_sample_stream_is_pinned():
+    # sha256 of the int64 letters; computed with the binary-search lookup
+    # that the guide table replaced, so any change of stream fails here.
+    want = {
+        "zipf:200:1": "873d02b0daf1f2c787af9ca4b124838ddeffabdb5fa1700a3a631d88097e9346",
+        "uniform:1000": "630ad4dd66cb1763e2c10485eb6b75e3de35eab11ca85be56aa38156b26acfee",
+    }
+    for d in (dm.zipf(200, 1.0), dm.uniform(1000)):
+        x = dm.sample(d, 5000, seed=7)
+        assert hashlib.sha256(x.astype("<i8").tobytes()).hexdigest() == want[d.label]
 
 
 @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0])

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -34,6 +35,21 @@ def test_partial_block_repeats_the_leading_trials_of_a_longer_run():
     m_short = rl._polya_unseen(1600, 40, rl._BLOCK_BUDGET // 40 + 7, 3)
     m_long = rl._polya_unseen(1600, 40, 2 * (rl._BLOCK_BUDGET // 40), 3)
     np.testing.assert_array_equal(m_short, m_long[: m_short.size])
+
+
+@pytest.mark.parametrize("d,n,want", [
+    (dm.zipf(200, 1.0), 20, "2f1737116d5c9f1292e35a47505022696538127f96401a4a86b98dc347505bd3"),
+    (dm.zipf(200, 1.0), 100, "e55e3d70f72f23fb44cb7d83024a70593e43c198d9d3329737caa73555434f6e"),
+    (dm.uniform(1000), 20, "6e72399f76d5c27db6540fb63da7dd84de276aa73ace00a227254d2d75b34060"),
+    (dm.uniform(1000), 100, "78e1c9ca767264de9b59cbdb2874cc60fddda893f6a1f142ec87566da60139c9"),
+], ids=["zipf200_n20", "zipf200_n100", "uniform1000_n20", "uniform1000_n100"])
+def test_occupancy_stream_is_pinned(d, n, want):
+    # sha256 of the g0 and phi bytes over two full blocks and a partial one;
+    # computed with the binary-search lookup that the guide table replaced.
+    size = rl._BLOCK_BUDGET // max(d.size, n)
+    g0, phi = rl._occupancy(d.probs, rl._g_vector(d, P1), n, 2 * size + 7, 11, 1)
+    digest = hashlib.sha256(g0.astype("<f8").tobytes() + phi.astype("<i8").tobytes())
+    assert digest.hexdigest() == want
 
 
 def test_mc_tail_thread_count_does_not_change_results():
