@@ -173,23 +173,30 @@ def _split_pair(line: str, path: str) -> Tuple[str, str]:
     return parts[0], parts[1]
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_pairs(path: str, key_cast: Callable[[str], Hashable]) -> Dict[Hashable, int]:
-    """Rows of key,int with unique keys; a non-numeric first row is a header."""
-    pairs: Dict[Hashable, int] = {}
+    """Rows of key,int with unique keys; a first non-blank row of two non-numbers is a header."""
     with _stripped_lines(path) as lines:
-        for i, line in enumerate(lines):
-            if not line:
-                continue
-            key, val = _split_pair(line, path)
-            try:
-                key, count = key_cast(key), int(val)
-            except ValueError:
-                if i == 0:
-                    continue
-                raise InvalidInputError(f"{path}: bad row {line!r}")
-            if key in pairs:
-                raise InvalidInputError(f"{path}: duplicate key {key!r}")
-            pairs[key] = count
+        rows = [line for line in lines if line]
+    if rows and not any(map(_is_number, _split_pair(rows[0], path))):
+        rows = rows[1:]
+    pairs: Dict[Hashable, int] = {}
+    for line in rows:
+        key, val = _split_pair(line, path)
+        try:
+            key, count = key_cast(key), int(val)
+        except ValueError:
+            raise InvalidInputError(f"{path}: bad row {line!r}")
+        if key in pairs:
+            raise InvalidInputError(f"{path}: duplicate key {key!r}")
+        pairs[key] = count
     return pairs
 
 
@@ -356,16 +363,14 @@ def _estimator_for(args: argparse.Namespace, g: gf.GFunction) -> est.EstimatorKi
         return est.plugin()
     if args.estimator == "goodturing":
         return est.good_turing()
+    power_order = int(g.alpha) if g.kind == "power" else None
     if args.estimator == "generalized":
-        alpha = args.alpha if args.alpha is not None else (
-            int(g.alpha) if g.kind == "power" else None)
+        alpha = args.alpha if args.alpha is not None else power_order
         if alpha is None:
             raise InvalidInputError("generalized estimator needs --alpha")
-        return est.generalized_good_turing(int(alpha))
-    # auto: match the target functional when possible
-    if g.kind == "power" and float(g.alpha) == int(g.alpha):
-        return est.generalized_good_turing(int(g.alpha))
-    return est.plugin()
+        return est.generalized_good_turing(alpha)
+    # auto: the order-alpha estimator when g = power(alpha), else the plugin
+    return est.EstimatorKind(power_order if power_order == g.alpha else 0)
 
 
 def _simulate_table(args: argparse.Namespace) -> Tuple[List[str], List[List[float]], dict]:

@@ -1,16 +1,16 @@
 """Sample profiles and realized missing/observed mass.
 
-A profile stores per-symbol occurrence counts F_x and the frequency of
-frequencies phi_l = #{x : F_x = l}.  Only phi is needed by the estimators;
-per-symbol counts are needed to evaluate the realized missing mass against a
-known distribution.
+A profile is the sample size n and the frequency of frequencies
+phi_l = #{x : F_x = l}, where F_x counts the occurrences of letter x.  The
+estimators read nothing else.  The realized missing mass against a known
+distribution is computed from the sample itself.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional
+from dataclasses import dataclass
+from typing import Dict, Mapping
 
 import numpy as np
 
@@ -21,16 +21,13 @@ from .gfunction import GFunction
 
 @dataclass(frozen=True)
 class SampleProfile:
-    """n, counts {symbol: F_x > 0}, and phi {l: phi_l, l >= 1}.
+    """n and phi {l: phi_l, l >= 1}.
 
-    counts is None for profiles built from a frequency-of-frequencies table,
-    where symbol identities are unknown; phi alone feeds the estimators.
     phi_0 is never stored: the number of unseen symbols is unknowable without
     the support.
     """
 
     n: int
-    counts: Optional[Dict[int, int]]
     phi: Dict[int, int]
 
     def __post_init__(self):
@@ -43,83 +40,54 @@ class SampleProfile:
             raise InvalidInputError(
                 f"inconsistent profile: sum of l*phi_l != n = {self.n}"
             )
-        if self.counts is not None:
-            if any(int(c) != c or c < 1 for c in self.counts.values()):
-                raise InvalidInputError("per-symbol counts must be integers >= 1")
-            if sum(self.counts.values()) != self.n:
-                raise InvalidInputError("per-symbol counts do not sum to n")
-            derived = Counter(self.counts.values())
-            if dict(derived) != {l: c for l, c in self.phi.items() if c > 0}:
-                raise InvalidInputError("phi does not match the per-symbol counts")
 
 
 def profile_from_samples(seq) -> SampleProfile:
     """Profile of a symbol sequence (any hashable symbols; empty allowed)."""
     if isinstance(seq, np.ndarray):
         symbols, occ = np.unique(seq, return_counts=True)
-        counts = {int(s): int(c) for s, c in zip(symbols, occ)}
-        n = int(seq.size)
-    else:
-        counter = Counter(seq)
-        counts = dict(counter)
-        n = sum(counter.values())
-    phi = dict(Counter(counts.values()))
-    return SampleProfile(n=n, counts=counts, phi=phi)
+        return profile_from_counts(dict(zip(symbols.tolist(), occ.tolist())))
+    return profile_from_counts(Counter(seq))
 
 
 def profile_from_counts(counts: Mapping) -> SampleProfile:
-    """Profile from a {symbol: count} mapping."""
-    clean = {}
-    for sym, cnt in counts.items():
+    """Profile from a {symbol: count} mapping; every count must be >= 1."""
+    phi = Counter(counts.values())
+    for cnt in phi:
         if int(cnt) != cnt or cnt < 1:
+            sym = next(s for s, c in counts.items() if c == cnt)
             raise InvalidInputError(f"count for symbol {sym!r} must be >= 1")
-        clean[sym] = int(cnt)
-    phi = dict(Counter(clean.values()))
-    return SampleProfile(n=sum(clean.values()), counts=clean, phi=phi)
+    phi = {int(l): c for l, c in phi.items()}
+    return SampleProfile(n=sum(l * c for l, c in phi.items()), phi=phi)
 
 
 def profile_from_phi(phi: Mapping[int, int], n: int) -> SampleProfile:
     """Profile from a frequency-of-frequencies table; validates sum l*phi_l = n."""
-    return SampleProfile(n=int(n), counts=None, phi={int(l): int(c) for l, c in phi.items()})
+    return SampleProfile(n=int(n), phi={int(l): int(c) for l, c in phi.items()})
 
 
-def _seen_mask(dist: DiscreteDistribution, profile: SampleProfile) -> np.ndarray:
-    if profile.counts is None:
-        raise InvalidInputError(
-            "profile carries no per-symbol counts (built from phi only)"
-        )
+def _seen_mask(dist: DiscreteDistribution, sample) -> np.ndarray:
+    """Support letters that occur in sample (letter indices); a seen p_x = 0 is an error."""
+    x = np.asarray(sample)
     seen = np.zeros(dist.size, dtype=bool)
-    if profile.counts:
-        syms = np.asarray(list(profile.counts.keys()))
-        if not np.issubdtype(syms.dtype, np.integer):
+    if x.size:
+        if not np.issubdtype(x.dtype, np.integer):
             raise InvalidInputError("symbols must be integer indices into the support")
-        if syms.min(initial=0) < 0 or syms.max(initial=0) >= dist.size:
-            raise InvalidInputError(
-                f"symbol out of support range [0, {dist.size})"
-            )
-        seen[syms] = True
+        if x.min() < 0 or x.max() >= dist.size:
+            raise InvalidInputError(f"symbol out of support range [0, {dist.size})")
+        seen[x] = True
+    if np.any(seen & (dist.probs == 0.0)):
+        raise InvalidInputError("sample contains a symbol with zero probability")
     return seen
 
 
-def realized_missing(
-    dist: DiscreteDistribution, profile: SampleProfile, g: GFunction
-) -> float:
+def realized_missing(dist: DiscreteDistribution, sample, g: GFunction) -> float:
     """G0 = sum of g(p_x) over unseen letters x with p_x > 0."""
-    seen = _seen_mask(dist, profile)
-    p = dist.probs
-    if np.any(seen & (p == 0.0)):
-        raise InvalidInputError("profile contains a symbol with zero probability")
-    mask = (~seen) & (p > 0.0)
-    return float(np.sum(g.eval(p[mask]))) if mask.any() else 0.0
+    mask = ~_seen_mask(dist, sample) & (dist.probs > 0.0)
+    return float(np.sum(g.eval(dist.probs[mask]))) if mask.any() else 0.0
 
 
-def realized_observed(
-    dist: DiscreteDistribution, profile: SampleProfile, g: GFunction
-) -> float:
+def realized_observed(dist: DiscreteDistribution, sample, g: GFunction) -> float:
     """G1+ = sum of g(p_x) over seen letters; G0 + G1+ = sum_x g(p_x)."""
-    seen = _seen_mask(dist, profile)
-    p = dist.probs
-    if np.any(seen & (p == 0.0)):
-        raise InvalidInputError("profile contains a symbol with zero probability")
-    mask = seen & (p > 0.0)
-    return float(np.sum(g.eval(p[mask]))) if mask.any() else 0.0
+    mask = _seen_mask(dist, sample)
+    return float(np.sum(g.eval(dist.probs[mask]))) if mask.any() else 0.0

@@ -3,7 +3,7 @@
 Three failure classes matter to callers: a value that is malformed or outside
 a function's mathematical domain (InvalidInputError), structurally valid
 parameters that fall outside the regime where a formula is proved to hold
-(RegimeError), and a numerical solve that breaks an invariant it must keep
+(RegimeError), and a numerical solve that breaks a property it must keep
 (NumericalError).  The CLI maps them to exit codes 2, 3 and 5.
 """
 
@@ -17,5 +17,5 @@ class RegimeError(ValueError):
 
 
 class NumericalError(ArithmeticError):
-    """An internal numerical invariant failed: a Chernoff solve missed its
-    residual tolerance, or a bound's parameters came out inconsistent."""
+    """An internal numerical check failed: a Chernoff solve missed its
+    residual tolerance, or a bound's parameters left the double range."""

@@ -1,10 +1,11 @@
 """Estimators for the order-alpha missing mass and the Good-Turing bias bound.
 
-The generalized Good-Turing estimator is phi_alpha / C(n, alpha): the fraction
-of alpha-tuples that are copies of a letter seen exactly alpha times.  For
-alpha = 1 it is the classical phi_1 / n.  The plugin estimator reports 0.
-Estimates are reported raw (not clamped); clamping is a CLI option so that
-risk experiments measure the estimator as defined.
+The generalized Good-Turing estimator of order alpha, phi_alpha / C(n, alpha),
+is the fraction of alpha-tuples that are copies of a letter seen exactly alpha
+times; it reads only the profile (n, phi).  Order 1 is the classical phi_1 / n
+and order 0 the plugin estimate 0 (a profile stores no phi_0).  Estimates are
+reported raw (not clamped); clamping is a CLI option so that risk experiments
+measure the estimator as defined.
 """
 
 from __future__ import annotations
@@ -15,39 +16,39 @@ from dataclasses import dataclass
 from .empirical import SampleProfile
 from .errors import InvalidInputError, RegimeError
 
-GOOD_TURING = "good_turing"
-GENERALIZED = "generalized"
-PLUGIN = "plugin"
-
 
 @dataclass(frozen=True)
 class EstimatorKind:
-    variant: str
-    alpha: int = 1
+    """The order-alpha estimator, alpha an integer >= 0."""
+
+    alpha: int
+
+    def __post_init__(self):
+        if int(self.alpha) != self.alpha or self.alpha < 0:
+            raise InvalidInputError("estimator order alpha must be an integer >= 0")
+        object.__setattr__(self, "alpha", int(self.alpha))
 
     def descriptor(self) -> str:
-        if self.variant == GENERALIZED:
-            return f"generalized:{self.alpha}"
-        return self.variant
+        if self.alpha == 0:
+            return "plugin"
+        if self.alpha == 1:
+            return "good_turing"
+        return f"generalized:{self.alpha}"
 
 
 def good_turing() -> EstimatorKind:
-    return EstimatorKind(GOOD_TURING, alpha=1)
+    return EstimatorKind(1)
 
 
 def generalized_good_turing(alpha: int) -> EstimatorKind:
-    """Integer alpha >= 1; non-integer orders have no estimator here (plugin only)."""
-    if int(alpha) != alpha:
-        raise InvalidInputError(
-            "generalized Good-Turing supports integer alpha only"
-        )
+    """Order alpha >= 1; order 1 is good_turing() and order 0 is plugin()."""
     if alpha < 1:
         raise InvalidInputError("alpha must be >= 1")
-    return EstimatorKind(GENERALIZED, alpha=int(alpha))
+    return EstimatorKind(alpha)
 
 
 def plugin() -> EstimatorKind:
-    return EstimatorKind(PLUGIN)
+    return EstimatorKind(0)
 
 
 def choose_float(n: int, alpha: int) -> float:
@@ -61,21 +62,17 @@ def choose_float(n: int, alpha: int) -> float:
     return out
 
 
-def gt_value(phi_alpha: int, n: int, alpha: int) -> float:
-    """phi_alpha / C(n, alpha); requires n >= alpha >= 1."""
+def gt_value(phi_alpha, n: int, alpha: int):
+    """phi_alpha / C(n, alpha) for a count or an array of counts; needs n >= alpha."""
     if n < alpha:
         raise RegimeError(f"insufficient sample: n = {n} < alpha = {alpha}")
     return phi_alpha / choose_float(n, alpha)
 
 
 def estimate(kind: EstimatorKind, profile: SampleProfile) -> float:
-    """Dispatch on kind; a phi_l absent from the profile means phi_l = 0."""
-    if kind.variant == PLUGIN:
-        return 0.0
-    if kind.variant not in (GOOD_TURING, GENERALIZED):
-        raise InvalidInputError(f"unknown estimator {kind.variant!r}")
-    alpha = 1 if kind.variant == GOOD_TURING else kind.alpha
-    return gt_value(profile.phi.get(alpha, 0), profile.n, alpha)
+    """phi_alpha / C(n, alpha); a phi_l absent from the profile means
+    phi_l = 0, so order 0 gives 0."""
+    return gt_value(profile.phi.get(kind.alpha, 0), profile.n, kind.alpha)
 
 
 def gt_bias_bound(n: int, alpha: int) -> float:

@@ -20,8 +20,8 @@ import numpy as np
 from . import tail_bounds
 from .distributions import DiscreteDistribution, _inverse_cdf, expected_missing
 from .errors import InvalidInputError, RegimeError
-from .estimators import GENERALIZED, GOOD_TURING, PLUGIN, EstimatorKind, choose_float
-from .gfunction import GFunction
+from .estimators import EstimatorKind, gt_value
+from .gfunction import GFunction, power
 
 #: Elements per block array; a block holds max(1, _BLOCK_BUDGET // width)
 #: trials.  Larger budgets cost resident memory and gain little speed.
@@ -114,31 +114,24 @@ def _g_vector(dist: DiscreteDistribution, g: GFunction) -> np.ndarray:
     return gv
 
 
-def _check_compatible(kind: EstimatorKind, g: GFunction) -> int:
-    """Returns the order alpha the estimator targets; 0 for plugin."""
-    if kind.variant == PLUGIN:
-        return 0
-    alpha = 1 if kind.variant == GOOD_TURING else kind.alpha
-    if g.kind != "power" or not float(g.alpha).is_integer() or int(g.alpha) != alpha:
-        raise InvalidInputError(
-            f"estimator {kind.descriptor()} targets g = power:{alpha}; "
-            f"got {g.descriptor()}"
-        )
-    return alpha
-
-
 def _estimate_errors(
     dist: DiscreteDistribution, kind: EstimatorKind, g: GFunction, n: int,
     trials: int, seed: int,
 ) -> np.ndarray:
-    """Per-trial estimate - realized missing mass G0 at sample size n."""
+    """Per-trial estimate - realized missing mass G0 at sample size n.  The
+    order-alpha estimator targets g = power(alpha); the plugin (order 0) any g."""
     if trials < 100:
         raise InvalidInputError("Monte Carlo risk and bias need trials >= 100")
-    alpha = _check_compatible(kind, g)
-    if alpha > 0 and n < alpha:
+    alpha = kind.alpha
+    if alpha > 0 and g != power(alpha):
+        raise InvalidInputError(
+            f"estimator {kind.descriptor()} targets g = power:{alpha}; got {g.descriptor()}"
+        )
+    if n < alpha:
         raise RegimeError(f"n = {n} < alpha = {alpha}")
     g0, phi = _occupancy(dist.probs, _g_vector(dist, g), n, trials, seed, alpha)
-    est = phi / choose_float(n, alpha) if alpha > 0 else 0.0
+    # _occupancy's phi_0 counts the unseen letters; the order-0 estimate is 0.
+    est = gt_value(phi, n, alpha) if alpha > 0 else 0.0
     return est - g0
 
 

@@ -24,7 +24,9 @@ entropy form, where the bound is trivially 1).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence, Tuple
 
 from . import ustar_engine
@@ -127,9 +129,10 @@ def poly_filtered_r2_exponent(a2: float, v: float, c: float, eps: float) -> floa
 
 def _filter_derivs(a: Sequence[float], v: float, c: float, s: float) -> Tuple[float, float]:
     """(f'(l), f''(l)) at l = (1 - s)/c:
-    f'(l) = sum_r a_r l^(r-1) + v l/s, f''(l) = sum_r (r-1) a_r l^(r-2) + v/s^2."""
+    f'(l) = sum_r a_r l^(r-1) + v l/s, f''(l) = sum_r (r-1) a_r l^(r-2) + v/s^2.
+    v/s^2 is taken as v/s/s: s^2 underflows where v and s are tiny (high R)."""
     lam = (1.0 - s) / c
-    d1, d2, p = v * lam / s, v / (s * s), 1.0
+    d1, d2, p = v * lam / s, v / s / s, 1.0
     for r, a_r in enumerate(a, start=2):
         d1 += a_r * p * lam
         d2 += (r - 1) * a_r * p
@@ -196,7 +199,9 @@ def build_spec(n: int, g: GFunction, R: int) -> PolyFiltered:
     every a_r >= 0; a materially negative coefficient is an internal error.
     R = 1 gives the strongly sub-Gamma spec v = u*_2.  power(alpha < 1) is
     rejected: its moments break the ratio chain.  R above _MAX_ORDER is
-    rejected before any u*_r scan: its R! overflows a double.
+    rejected before any u*_r scan: its R! overflows a double.  v is rounded
+    from the exact quotient (c^(R-1) alone can underflow) and must be normal;
+    the ratio chain keeps it <= u*_2.
     """
     if int(R) != R or not 1 <= R <= _MAX_ORDER:
         raise InvalidInputError(f"build_spec needs integer R in [1, {_MAX_ORDER}]")
@@ -204,7 +209,9 @@ def build_spec(n: int, g: GFunction, R: int) -> PolyFiltered:
         raise InvalidInputError("concentration specs require power alpha >= 1")
     c = ustar_engine.scale_parameter(n, g)
     u = {r: ustar_engine.u_star(n, g, r).value for r in range(2, R + 2)}
-    v = u[R + 1] / (c ** (R - 1) * math.factorial(R))
+    v = float(Fraction(u[R + 1]) / (Fraction(c) ** (R - 1) * math.factorial(R)))
+    if not v >= sys.float_info.min:
+        raise NumericalError(f"v = u*_{R + 1}/(c^{R - 1} {R}!) = {v:.3g} is not a normal double")
     a = []
     for r in range(2, R + 1):
         lead = u[r] / math.factorial(r - 1)
@@ -297,7 +304,7 @@ def corollary_right_exponent(n: int, g: GFunction, eps: float) -> float:
         log2n0 = math.log2(n0)
         gam_k = 2.0 * ustar_engine.gamma_const() * (1.0 / 3.0 + (_E - 1.0 / 3.0) / n) * math.log2(g.k_floor) ** 2
         # log2 inside the bracket, exactly as printed; weaker than the ln
-        # variant for small eps, where clamping makes the bound trivially 1.
+        # form for small eps, where clamping makes the bound trivially 1.
         return (2.0 * n0 / log2n0) * (
             eps - (gam_k / log2n0) * math.log2(1.0 + eps * log2n0 / gam_k)
         )

@@ -93,6 +93,20 @@ def test_estimate_counts_format(tmp_path, capsys):
     assert json.loads(out)["good_turing"] == pytest.approx(2.0 / 7.0)
 
 
+@pytest.mark.parametrize("text", [
+    "\ntoken,count\nalpha,3\nbeta,2\ngamma,1\ndelta,1\n",
+    "alpha,3\n\nbeta,2\ngamma,1\ndelta,1\n",
+], ids=["blank_line_before_header", "no_header"])
+def test_estimate_counts_header_rule(tmp_path, capsys, text):
+    f = tmp_path / "counts.csv"
+    f.write_text(text)
+    code, out, err = run(capsys, "estimate", "--input", str(f), "--format", "counts")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["n"] == 7
+    assert doc["good_turing"] == pytest.approx(2.0 / 7.0)
+
+
 def test_estimate_phi_roundtrip(tmp_path, capsys):
     toks = tmp_path / "toks.txt"
     toks.write_text("x\ny\nx\nz\nx\ny\nw\n")
@@ -262,6 +276,19 @@ def test_bounds_near_pole_cells(family, n, capsys):
     assert np.all(np.diff(bound) <= 0.0)
 
 
+@pytest.mark.parametrize("family,g,n", [
+    ("poly:133", "power:1", 3), ("poly:169", "power:1", 10),
+    ("poly:120", "power:2", 1000), ("poly:170", "entropy:64", 100),
+])
+def test_high_filter_orders_exit_0_or_5(family, g, n, capsys):
+    # v ~ 4e-164 (s^2 underflows in the Newton solve) or c^(R-1) underflows
+    code, _, err = run(capsys, "bounds", "--family", family, "--g", g,
+                       "--n", str(n), "--eps-grid", "0.1,0.3")
+    assert code in (0, 5), err
+    if code == 5:
+        assert err.startswith("numerical failure:")
+
+
 def test_numerical_failure_exits_5(capsys, monkeypatch):
     def fail(spec, eps):
         raise NumericalError("Chernoff solve residual 1 exceeds tolerance")
@@ -305,9 +332,11 @@ _TAIL_ON_FILE = "simulate --task tail --g power:1 --dist explicit:{f} --n-list 5
     ("bounds --family subgauss --g power:1 --n 10 --eps-grid 0:1e9:1e-9", None, None),
     ("bounds --family poly:171 --g power:1 --n 10 --eps-grid 0.1", None, None),
     ("bounds --family poly:100000 --g power:1 --n 10 --eps-grid 0.1", None, None),
+    ("estimate --input {f} --format counts", "c.csv", b"a,2.5\nb,3\n"),
 ], ids=["n_zero", "dirichlet_c_inf", "dist_json", "dist_json_object",
         "dist_csv", "dist_non_utf8", "tokens_non_utf8", "counts_non_utf8",
-        "eps_grid_too_long", "poly_order_171", "poly_order_huge"])
+        "eps_grid_too_long", "poly_order_171", "poly_order_huge",
+        "counts_fractional_first_row"])
 def test_bad_input_exits_2(command, name, data, tmp_path, capsys):
     if name is not None:
         (tmp_path / name).write_bytes(data)

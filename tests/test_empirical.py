@@ -13,8 +13,8 @@ def test_profile_from_samples_counter_oracle():
     seq = ["a", "b", "a", "c", "a", "b", "d"]
     prof = emp.profile_from_samples(seq)
     assert prof.n == 7
-    assert prof.counts == {"a": 3, "b": 2, "c": 1, "d": 1}
     assert prof.phi == {1: 2, 2: 1, 3: 1}
+    assert prof == emp.profile_from_counts({"a": 3, "b": 2, "c": 1, "d": 1})
 
 
 def test_profile_from_ndarray_matches_list_path():
@@ -22,8 +22,7 @@ def test_profile_from_ndarray_matches_list_path():
     a = emp.profile_from_samples(x)
     b = emp.profile_from_samples(list(int(v) for v in x))
     assert a.n == b.n == 6
-    assert a.counts == b.counts
-    assert a.phi == b.phi
+    assert a.phi == b.phi == {1: 1, 2: 1, 3: 1}
 
 
 def test_empty_sequence_gives_empty_profile():
@@ -32,25 +31,24 @@ def test_empty_sequence_gives_empty_profile():
     assert prof.phi == {}
 
 
+def test_float_symbols_stay_distinct():
+    # symbols are counted as given, not cast to int
+    assert emp.profile_from_samples(np.array([0.2, 0.7])).phi == {1: 2}
+    assert emp.profile_from_samples(np.array([0.2, 1.7, 1.7])).phi == {1: 1, 2: 1}
+
+
 def test_profile_from_counts_rejects_nonpositive():
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="'a'"):
         emp.profile_from_counts({"a": 0})
-    with pytest.raises(InvalidInputError):
-        emp.profile_from_counts({"a": -2})
+    with pytest.raises(InvalidInputError, match="'c'"):
+        emp.profile_from_counts({"a": 1, "b": 4, "c": -2, "d": -2})
 
 
 def test_profile_from_phi_validates_total():
     prof = emp.profile_from_phi({1: 2, 2: 1, 3: 1}, n=7)
-    assert prof.counts is None
+    assert prof == emp.profile_from_samples("abacabd")
     with pytest.raises(InvalidInputError):
         emp.profile_from_phi({1: 2, 2: 1}, n=7)
-
-
-def test_profile_rejects_mismatched_counts_and_phi():
-    with pytest.raises(InvalidInputError):
-        emp.SampleProfile(n=3, counts={0: 2, 1: 1}, phi={1: 2})
-    with pytest.raises(InvalidInputError):
-        emp.SampleProfile(n=3, counts={0: 2, 1: 1}, phi={1: 1, 2: 2})
 
 
 def test_phi_rejects_bad_keys():
@@ -62,31 +60,33 @@ def test_phi_rejects_bad_keys():
 
 def test_realized_split_two_point():
     d = dm.explicit([0.3, 0.7])
-    prof = emp.profile_from_samples(np.array([1, 1, 1]))
+    x = np.array([1, 1, 1])
     g = gf.power(1.0)
-    assert emp.realized_missing(d, prof, g) == pytest.approx(0.3)
-    assert emp.realized_observed(d, prof, g) == pytest.approx(0.7)
+    assert emp.realized_missing(d, x, g) == pytest.approx(0.3)
+    assert emp.realized_observed(d, x, g) == pytest.approx(0.7)
+    assert emp.realized_missing(d, np.array([], dtype=float), g) == pytest.approx(1.0)
+    assert emp.realized_observed(d, [], g) == 0.0
 
 
-def test_realized_requires_symbol_counts():
-    d = dm.uniform(4)
-    prof = emp.profile_from_phi({1: 3}, n=3)
-    with pytest.raises(InvalidInputError):
-        emp.realized_missing(d, prof, gf.power(1.0))
+@pytest.mark.parametrize("realized", [emp.realized_missing, emp.realized_observed])
+def test_realized_rejects_non_integer_symbols(realized):
+    with pytest.raises(InvalidInputError, match="integer"):
+        realized(dm.uniform(3), np.array([0.0, 1.0]), gf.power(1.0))
 
 
 def test_realized_rejects_out_of_range_symbols():
     d = dm.uniform(3)
-    prof = emp.profile_from_samples(np.array([0, 5]))
-    with pytest.raises(InvalidInputError):
-        emp.realized_missing(d, prof, gf.power(1.0))
+    for x in (np.array([0, 5]), np.array([-1, 0])):
+        for realized in (emp.realized_missing, emp.realized_observed):
+            with pytest.raises(InvalidInputError):
+                realized(d, x, gf.power(1.0))
 
 
 def test_realized_rejects_seen_zero_probability_symbol():
     d = dm.explicit([0.5, 0.0, 0.5])
-    prof = emp.profile_from_samples(np.array([1]))
-    with pytest.raises(InvalidInputError):
-        emp.realized_missing(d, prof, gf.power(1.0))
+    for realized in (emp.realized_missing, emp.realized_observed):
+        with pytest.raises(InvalidInputError):
+            realized(d, np.array([1]), gf.power(1.0))
 
 
 @given(seed=st.integers(min_value=0, max_value=10**6), n=st.integers(min_value=0, max_value=300))
@@ -95,9 +95,9 @@ def test_missing_plus_observed_is_total(seed, n):
     # G0 + G1+ equals sum_x g(p_x) for every realization
     d = dm.zipf(40, 1.0)
     g = gf.power(2.0)
-    prof = emp.profile_from_samples(dm.sample(d, n, seed=seed))
+    x = dm.sample(d, n, seed=seed)
     total = float(np.sum(np.asarray(g.eval(d.probs))))
-    got = emp.realized_missing(d, prof, g) + emp.realized_observed(d, prof, g)
+    got = emp.realized_missing(d, x, g) + emp.realized_observed(d, x, g)
     assert abs(got - total) <= 1e-12
 
 
@@ -105,7 +105,8 @@ def test_missing_plus_observed_is_total(seed, n):
 @settings(max_examples=100, deadline=None)
 def test_profile_invariants_from_random_samples(seed, n):
     d = dm.geometric(30, 0.25)
-    prof = emp.profile_from_samples(dm.sample(d, n, seed=seed))
+    x = dm.sample(d, n, seed=seed)
+    prof = emp.profile_from_samples(x)
     assert prof.n == n
     assert sum(l * c for l, c in prof.phi.items()) == n
-    assert sum(prof.phi.values()) == len(prof.counts) <= n
+    assert sum(prof.phi.values()) == np.unique(x).size <= n

@@ -102,7 +102,21 @@ def test_exact_bias_is_nonnegative_and_below_bound(dist, alpha, n):
 def test_descriptors():
     assert est.good_turing().descriptor() == "good_turing"
     assert est.generalized_good_turing(3).descriptor() == "generalized:3"
+    assert est.generalized_good_turing(1).descriptor() == "good_turing"
     assert est.plugin().descriptor() == "plugin"
+
+
+def test_estimators_are_one_family_indexed_by_order():
+    assert est.generalized_good_turing(1) == est.good_turing() == est.EstimatorKind(1)
+    assert est.plugin() == est.EstimatorKind(0)
+    kind = est.EstimatorKind(2.0)
+    assert kind.alpha == 2 and type(kind.alpha) is int
+    assert kind.descriptor() == "generalized:2"
+    for bad in (-1, 1.5):
+        with pytest.raises(InvalidInputError):
+            est.EstimatorKind(bad)
+    # order 0 reads the absent phi_0 and gives 0, even for the empty sample
+    assert est.estimate(est.plugin(), profile_from_phi({}, n=0)) == 0.0
 
 
 def test_gt_value_direct():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from missingmass import distributions as dm
+from missingmass import empirical as emp
 from missingmass import estimators as est
 from missingmass import gfunction as gf
 from missingmass import risk_lab as rl
@@ -155,6 +156,21 @@ def test_mc_risk_plugin_two_point_exact():
     rep = rl.mc_risk(dm.uniform(2), est.plugin(), P2, [1], trials=500, seed=1)
     assert rep.rows[0].mse == pytest.approx(1.0 / 16.0, rel=1e-15)
     assert rep.rows[0].se == 0.0
+
+
+@pytest.mark.parametrize("d", [dm.uniform(30), dm.zipf(200, 1.0)], ids=lambda d: d.label)
+@pytest.mark.parametrize("g,kind", [(P1, est.good_turing()), (P2, est.generalized_good_turing(2))],
+                         ids=["power1", "power2"])
+def test_kernel_errors_match_library_path_trial_by_trial(d, g, kind):
+    # Block 0's letters, rebuilt from the block seed and the inverse CDF,
+    # run through the profile, estimator and realized-mass functions.
+    n, trials, seed = 20, 150, 8
+    assert trials <= rl._BLOCK_BUDGET // max(d.size, n)  # one block
+    errors = rl._estimate_errors(d, kind, g, n, trials, seed)
+    letters = dm._inverse_cdf(d.probs)(rl._block_rng(seed, n, 0).random((trials, n)))
+    for err, row in zip(errors, letters):
+        want = est.estimate(kind, emp.profile_from_samples(row)) - emp.realized_missing(d, row, g)
+        assert abs(err - want) <= 1e-12
 
 
 def test_mc_risk_good_turing_equals_order_one_generalized():
