@@ -24,7 +24,6 @@ import json
 import math
 import os
 import sys
-from collections import Counter
 from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
@@ -145,6 +144,10 @@ def parse_n_list(text: str) -> List[int]:
 # profile readers
 
 
+def _not_utf8(path: str, exc: UnicodeDecodeError) -> InvalidInputError:
+    return InvalidInputError(f"{path}: not UTF-8 text ({exc.reason})")
+
+
 @contextlib.contextmanager
 def _stripped_lines(path: str) -> Iterator[Iterator[str]]:
     """The stripped lines of a UTF-8 text file; a decoding error is malformed
@@ -153,17 +156,145 @@ def _stripped_lines(path: str) -> Iterator[Iterator[str]]:
         try:
             yield map(str.strip, fh)
         except UnicodeDecodeError as exc:
-            raise InvalidInputError(f"{path}: not UTF-8 text ({exc.reason})")
+            raise _not_utf8(path, exc)
+
+
+#: Bytes read_tokens reads at a time.
+_BLOCK_BYTES = 1 << 20
+#: Edge bytes of a line that str.strip may remove or that may start or end a
+#: removable character: ASCII whitespace and every non-ASCII UTF-8 byte.
+_STRIPPABLE = np.zeros(256, dtype=bool)
+_STRIPPABLE[[9, 11, 12, 28, 29, 30, 31, 32]] = True
+_STRIPPABLE[0x80:] = True
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _distinct_rows(keys: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of the uint64 matrix keys, and the sum of counts over each.
+
+    Rows are sorted by a mixed 64-bit hash; if two distinct rows share a hash,
+    the rows themselves are sorted instead."""
+    h = keys[:, 0]
+    for k in range(1, keys.shape[1]):
+        h = ((h ^ (h >> np.uint64(29))) * _MIX) ^ keys[:, k]
+    order = np.argsort(h)
+    hs = h[order]
+    same = hs[1:] == hs[:-1]
+    pair = order[np.flatnonzero(same)]
+    if keys.shape[1] > 1 and (keys[pair] != keys[order[1:][same]]).any():
+        order = np.lexsort(keys.T[::-1])
+        rows = keys[order]
+        same = (rows[1:] == rows[:-1]).all(axis=1)
+    first = np.flatnonzero(np.concatenate(([True], ~same)))
+    return keys[order[first]], np.add.reduceat(counts[order], first)
+
+
+class _LineCounts:
+    """Counts of distinct byte lines.  A line of L bytes is a row of
+    ceil(L/8) little-endian uint64 words, zero padded, in the table for L.
+    A table is regrouped into distinct rows whenever it doubles."""
+
+    def __init__(self) -> None:
+        self.parts: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
+        self.grouped: Dict[int, int] = {}
+
+    def add(self, data: bytes, weights: Optional[np.ndarray] = None) -> None:
+        """Count the non-empty segments of data between line-end bytes
+        (10 and 13); segment i counts weights[i] times (default once)."""
+        buf = np.frombuffer(data, dtype=np.uint8)
+        ends = np.flatnonzero((buf == 10) | (buf == 13))
+        starts = np.concatenate(([0], ends + 1))
+        lens = np.concatenate((ends, [len(data)])) - starts
+        # words[s] is the 8 bytes from offset s on; data is padded with 8
+        # zero bytes so that every word read is in range.
+        padded = data + bytes(8)
+        words = np.ndarray((len(data) + 1,), dtype="<u8", buffer=padded, strides=(1,))
+        order = np.argsort(lens)
+        for group in np.split(order, np.flatnonzero(np.diff(lens[order])) + 1):
+            L = int(lens[group[0]])
+            if L == 0:
+                continue
+            width = -(-L // 8)
+            keys = words[starts[group][:, None] + np.arange(0, 8 * width, 8)]
+            if L % 8:
+                keys[:, -1] &= np.uint64((1 << (8 * (L % 8))) - 1)
+            counts = None if weights is None else weights[group]
+            if counts is None and width == 1:
+                # Sorting the words themselves is cheaper than sorting an order.
+                distinct, counts = np.unique(keys[:, 0], return_counts=True)
+                keys = distinct[:, None]
+            self._merge(L, keys, np.ones(len(keys), np.int64) if counts is None else counts)
+
+    def _merge(self, L: int, keys: np.ndarray, counts: np.ndarray) -> None:
+        parts = self.parts.setdefault(L, [])
+        parts.append((keys, counts))
+        if sum(len(k) for k, _ in parts) >= 2 * self.grouped.get(L, 0):
+            self._regroup(L)
+
+    def _regroup(self, L: int) -> None:
+        parts = self.parts[L]
+        keys, counts = _distinct_rows(np.concatenate([k for k, _ in parts]),
+                                      np.concatenate([c for _, c in parts]))
+        self.parts[L] = [(keys, counts)]
+        self.grouped[L] = len(keys)
+
+    def _tables(self) -> List[Tuple[int, np.ndarray, np.ndarray]]:
+        """(L, distinct rows, their counts) for every length L."""
+        for L, parts in self.parts.items():
+            if len(parts) > 1:
+                self._regroup(L)
+        return [(L, *parts[0]) for L, parts in self.parts.items()]
+
+    def stripped_counts(self) -> np.ndarray:
+        """The count of each distinct non-blank line after str.strip."""
+        # Only a line with a strippable edge byte can change under str.strip.
+        stripped: List[bytes] = []
+        weights: List[np.ndarray] = []
+        for L, keys, counts in self._tables():
+            last = keys[:, (L - 1) // 8] >> np.uint64(8 * ((L - 1) % 8))
+            edge = _STRIPPABLE[keys[:, 0] & 0xFF] | _STRIPPABLE[last & 0xFF]
+            if edge.any():
+                raw = keys[edge].view(np.uint8)[:, :L]
+                stripped += [row.tobytes().decode("utf-8").strip().encode("utf-8")
+                             for row in raw]
+                weights.append(counts[edge])
+                self.parts[L] = [(keys[~edge], counts[~edge])]
+        if stripped:
+            self.add(b"\n".join(stripped), np.concatenate(weights))
+        return np.concatenate([np.zeros(0, np.int64)] + [c for _, _, c in self._tables()])
 
 
 def read_tokens(path: str) -> SampleProfile:
-    """One token per line; blank lines ignored."""
-    with _stripped_lines(path) as lines:
-        counts = Counter(lines)
-    counts.pop("", None)
-    if not counts:
+    """Profile of a UTF-8 file with one token per line.
+
+    Lines end in \\n, \\r\\n or \\r.  Leading and trailing Unicode whitespace
+    (str.strip) is removed, and blank lines are ignored; a byte-order mark
+    stays part of the first token.  The file is read in blocks, and memory
+    grows with the number of distinct tokens, not with the file size.
+    """
+    lines = _LineCounts()
+    with open(path, "rb") as fh:
+        pending: List[bytes] = []  # read since the last line end
+        while True:
+            chunk = fh.read(_BLOCK_BYTES)
+            cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r")) + 1
+            if chunk and not cut:
+                pending.append(chunk)
+                continue
+            # Blocks end on a line end, so each decodes alone.
+            block, pending = b"".join(pending + [chunk[:cut]]), [chunk[cut:]]
+            try:
+                block.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise _not_utf8(path, exc)
+            lines.add(block)
+            if not chunk:
+                break
+    counts = lines.stripped_counts()
+    if not counts.size:
         raise InvalidInputError(f"no tokens found in {path}")
-    return profile_from_counts(counts)
+    ls, phi = np.unique(counts, return_counts=True)
+    return profile_from_phi(dict(zip(ls.tolist(), phi.tolist())), int(counts.sum()))
 
 
 def _split_pair(line: str, path: str) -> Tuple[str, str]:

@@ -130,12 +130,14 @@ def poly_filtered_r2_exponent(a2: float, v: float, c: float, eps: float) -> floa
 def _filter_derivs(a: Sequence[float], v: float, c: float, s: float) -> Tuple[float, float]:
     """(f'(l), f''(l)) at l = (1 - s)/c:
     f'(l) = sum_r a_r l^(r-1) + v l/s, f''(l) = sum_r (r-1) a_r l^(r-2) + v/s^2.
-    v/s^2 is taken as v/s/s: s^2 underflows where v and s are tiny (high R)."""
+    v/s^2 is taken as v/s/s: s^2 underflows where v and s are tiny (high R).
+    Zero coefficients are skipped, since l^r may overflow at high R."""
     lam = (1.0 - s) / c
     d1, d2, p = v * lam / s, v / s / s, 1.0
     for r, a_r in enumerate(a, start=2):
-        d1 += a_r * p * lam
-        d2 += (r - 1) * a_r * p
+        if a_r != 0.0:  # 0 * p is NaN once p overflows
+            d1 += a_r * p * lam
+            d2 += (r - 1) * a_r * p
         p *= lam
     return d1, d2
 
@@ -147,7 +149,10 @@ def _filter_f(a: Sequence[float], v: float, c: float, s: float) -> float:
     out = (v / (c * c)) * (-(1.0 - s) - math.log(s))
     p = lam * lam
     for r, a_r in enumerate(a, start=2):
-        out += a_r * p / r
+        if a_r != 0.0:
+            # l^r can overflow where a_r l^r is small (a_r subnormal, high R).
+            term = a_r * p if p != math.inf else math.exp(math.log(a_r) + r * math.log(lam))
+            out += term / r
         p *= lam
     return out
 

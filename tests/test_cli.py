@@ -3,9 +3,12 @@ import math
 import pathlib
 import re
 import shlex
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from missingmass import cli
 from missingmass import gfunction as gf
@@ -83,6 +86,105 @@ def test_estimate_tokens_json(tmp_path, capsys):
     assert doc["good_turing"] == pytest.approx(2.0 / 7.0)
     assert doc["generalized"]["estimate"] == pytest.approx(1.0 / math.comb(7, 2))
     assert doc["generalized"]["bias_bound"] == pytest.approx(8.0 / 49.0)
+
+
+# Tokens, edge whitespace and line ends of token files: ASCII and Unicode
+# whitespace (VT, FF, FS, US, NEL, NBSP, U+2028, U+3000), a BOM, NUL,
+# non-ASCII letters, inner spaces and tokens of 9 and 17 bytes.
+_TOKENS = ["", "a", "ab", "tok en", "x" * 9, "y" * 17, "\x00", "\u00e9", "\u65e5\u672c",
+           "\ufeffa"]
+_SPACES = ["", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\u0085", "\u00a0", "\u2028",
+           "\u3000"]
+_ENDS = ["\n", "\r", "\r\n"]
+_TEXT_PIECES = [t.encode() for t in _TOKENS + _SPACES + _ENDS if t]
+# Bytes that are not UTF-8: a stray byte, truncated sequences, a surrogate.
+_BAD_PIECES = [b"\xff", b"\xe2\x82", b"\xc3", b"\xed\xa0\x80"]
+
+
+def _text_mode_read(path):
+    """The reader read_tokens replaces: text-mode lines, stripped and counted."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            counts = Counter(map(str.strip, fh))
+    except UnicodeDecodeError as exc:
+        return InvalidInputError(f"{path}: not UTF-8 text ({exc.reason})")
+    counts.pop("", None)
+    if not counts:
+        return InvalidInputError(f"no tokens found in {path}")
+    return sum(counts.values()), dict(Counter(counts.values()))
+
+
+def _check_against_text_mode(path, data):
+    path.write_bytes(data)
+    expected = _text_mode_read(str(path))
+    if isinstance(expected, InvalidInputError):
+        with pytest.raises(InvalidInputError) as err:
+            cli.read_tokens(str(path))
+        assert str(err.value) == str(expected)
+    else:
+        profile = cli.read_tokens(str(path))
+        assert (profile.n, profile.phi) == expected
+
+
+_LINES = st.lists(st.tuples(*map(st.sampled_from, (_SPACES, _TOKENS, _SPACES, _ENDS))),
+                  max_size=30)
+_BLOCK_SIZES = st.sampled_from([1, 2, 3, 5, 8, 13, 64, 1 << 20])
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=_LINES, final_end=st.booleans(), block=_BLOCK_SIZES,
+       mix=st.sampled_from([cli._MIX, np.uint64(0)]))
+def test_read_tokens_matches_text_mode_reader(tmp_path, monkeypatch, lines, final_end,
+                                              block, mix):
+    # Small blocks make lines straddle block cuts; a zero mix makes every
+    # row of two or more words with equal last words collide in the hash.
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", block)
+    monkeypatch.setattr(cli, "_MIX", mix)
+    text = "".join(map("".join, lines))
+    if lines and not final_end:
+        text = text[:-len(lines[-1][3])]
+    _check_against_text_mode(tmp_path / "t.txt", text.encode())
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pieces=st.lists(st.sampled_from(_TEXT_PIECES + _BAD_PIECES), max_size=40),
+       block=_BLOCK_SIZES)
+def test_read_tokens_utf8_error_matches_text_mode_reader(tmp_path, monkeypatch, pieces, block):
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", block)
+    _check_against_text_mode(tmp_path / "t.txt", b"".join(pieces))
+
+
+@pytest.mark.parametrize("data", [
+    b"ab\ncd\xe2\x82\nef\n", b"ab\ncd\xe2\x82", b"ab\r\n\xffcd\r\n", b"abc\xed\xa0\x80\n",
+], ids=["truncated_before_newline", "truncated_at_eof", "stray_byte_after_crlf",
+        "surrogate"])
+@pytest.mark.parametrize("block", range(1, 12))
+def test_read_tokens_bad_byte_at_every_block_cut(tmp_path, monkeypatch, data, block):
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", block)
+    _check_against_text_mode(tmp_path / "t.txt", data)
+
+
+def test_read_tokens_long_lines_and_hash_collisions(tmp_path, monkeypatch):
+    # Rows of 3 words that differ only in their first word collide under a
+    # zero mix; 100 of them, each twice, must still be told apart.
+    lines = [f"{i:08d}-shared-suffix!" for i in range(100)] * 2
+    path = tmp_path / "t.txt"
+    path.write_text("\n".join(lines) + "\n  tail token  ")
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", 7)
+    for mix in (cli._MIX, np.uint64(0)):
+        monkeypatch.setattr(cli, "_MIX", mix)
+        profile = cli.read_tokens(str(path))
+        assert (profile.n, profile.phi) == (201, {2: 100, 1: 1})
+
+
+def test_estimate_blank_tokens_file_exits_2(tmp_path, capsys):
+    f = tmp_path / "blank.txt"
+    f.write_bytes(" \n\t\r\n\r\x0b\n\u3000\u00a0\n".encode())
+    code, _, err = run(capsys, "estimate", "--input", str(f))
+    assert code == 2
+    assert f"no tokens found in {f}" in err
 
 
 def test_estimate_counts_format(tmp_path, capsys):
@@ -287,6 +389,16 @@ def test_high_filter_orders_exit_0_or_5(family, g, n, capsys):
     assert code in (0, 5), err
     if code == 5:
         assert err.startswith("numerical failure:")
+
+
+def test_high_filter_order_with_zero_coefficients_gives_a_bound(capsys):
+    # 39 of the 119 a_r underflow to 0 and l^(r-2) overflows: 0 * inf was NaN
+    code, out, err = run(capsys, "bounds", "--family", "poly:120", "--g", "power:2",
+                         "--n", "1000", "--eps-grid", "0.1,0.3")
+    assert code == 0, err
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [float(r[1]) for r in rows] == pytest.approx([2.53013630061465e-87,
+                                                         1.61140353742407e-260], rel=1e-9)
 
 
 def test_numerical_failure_exits_5(capsys, monkeypatch):

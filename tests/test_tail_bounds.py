@@ -182,6 +182,26 @@ def test_build_spec_r1_is_strongly_sub_gamma():
         )
 
 
+def test_high_order_filter_terms_never_nan():
+    # power:2, n = 100: from R = 135 on, l^r overflows in f(l) while a_r is
+    # subnormal, and from R = 136 on a_r underflows to 0 at high r; the
+    # exponent must stay the limit that the lower orders approach.
+    base = [tb.poly_filtered_exponent(tb.build_spec(100, P2, 134), e) for e in (0.1, 0.3)]
+    for R in (135, 136, 150, 170):
+        spec = tb.build_spec(100, P2, R)
+        for e, want in zip((0.1, 0.3), base):
+            assert tb.poly_filtered_exponent(spec, e) == pytest.approx(want, rel=1e-12)
+
+
+def test_zero_filter_coefficients_add_nothing():
+    # l = 500 at s = 0.5, so l^r overflows from r = 115 on; the 200 trailing
+    # zero coefficients must leave f, f' and f'' bit-identical.
+    lean, padded = (0.25, 0.0, 0.125), (0.25, 0.0, 0.125) + (0.0,) * 200
+    for s in (0.9, 0.5, 1e-6):
+        assert tb._filter_derivs(padded, 0.01, 1e-3, s) == tb._filter_derivs(lean, 0.01, 1e-3, s)
+        assert tb._filter_f(padded, 0.01, 1e-3, s) == tb._filter_f(lean, 0.01, 1e-3, s)
+
+
 def test_higher_order_filter_is_tighter():
     n = 20
     b2 = [tb.tail_bound(tb.build_spec(n, P1, 2), float(e)) for e in EPS_GRID]
