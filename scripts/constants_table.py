@@ -8,18 +8,13 @@ sub-Gaussian variance factor.
 
 import sys
 
-from missingmass.ustar_engine import (
-    gamma_alpha,
-    gamma_const,
-    kappa_const,
-    two_gamma_inverse,
-)
+from missingmass.ustar_engine import gamma_alpha, gamma_const, kappa_const
 
 
 def main() -> int:
     print(f"{'constant':<24} {'value':>20}")
     print(f"{'gamma':<24} {gamma_const():>20.15f}")
-    print(f"{'1/(2 gamma)':<24} {two_gamma_inverse():>20.15f}")
+    print(f"{'1/(2 gamma)':<24} {1.0 / (2.0 * gamma_const()):>20.15f}")
     for a in (1.5, 2.0, 2.5, 3.0):
         print(f"{f'gamma_alpha({a:g})':<24} {gamma_alpha(a):>20.15f}")
     print(f"{'kappa':<24} {kappa_const():>20.15f}")

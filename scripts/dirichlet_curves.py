@@ -30,7 +30,7 @@ def main() -> int:
     print("decay rate across n in (20, 40, 80)")
     for alpha in (1, 2):
         pairs = [(n, rl.dirichlet_prior_variance(n, args.c, alpha)) for n in (20, 40, 80)]
-        slope, _, _ = rl.rate_fit(pairs)
+        slope, _ = rl.rate_fit(pairs)
         print(f"  alpha={alpha}: slope {slope:.3f} (theory {-(2 * alpha - 1)})")
 
     n = 200

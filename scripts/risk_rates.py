@@ -29,7 +29,7 @@ def main() -> int:
         for n in (20, 40, 80, 160):
             rep = rl.mc_risk(dm.uniform(n), kind, g, [n], args.trials, args.seed)
             pairs.append((n, rep.rows[0].mse))
-        slope, _, _ = rl.rate_fit(pairs)
+        slope, _ = rl.rate_fit(pairs)
         print(f"{alpha:>6} {slope:>8.3f} {-(2 * alpha - 1):>9}")
 
     print()

@@ -19,12 +19,11 @@ against the MISSINGMASS_OUTDIR environment variable when it is set.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import os
 import sys
-from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, TextIO, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -84,11 +83,13 @@ def parse_dist(text: str) -> dist_mod.DiscreteDistribution:
         if len(parts) != 2 or not parts[1]:
             raise InvalidInputError("explicit distribution needs a file path")
         return dist_mod.from_file(parts[1])
-    arity = {"uniform": (int,), "zipf": (int, float), "geometric": (int, float)}
-    if parts[0] not in arity:
+    families = {"uniform": (dist_mod.uniform, (int,)),
+                "zipf": (dist_mod.zipf, (int, float)),
+                "geometric": (dist_mod.geometric, (int, float))}
+    if parts[0] not in families:
         raise InvalidInputError(f"unknown distribution family {parts[0]!r}")
     raw = text.split(":")[1:]
-    casts = arity[parts[0]]
+    build, casts = families[parts[0]]
     if len(raw) != len(casts):
         raise InvalidInputError(
             f"{parts[0]} takes {len(casts)} parameter(s), got {len(raw)}")
@@ -96,7 +97,7 @@ def parse_dist(text: str) -> dist_mod.DiscreteDistribution:
         params = [cast(v) for cast, v in zip(casts, raw)]
     except ValueError:
         raise InvalidInputError(f"malformed distribution descriptor {text!r}")
-    return dist_mod.make_family(parts[0], *params)
+    return build(*params)
 
 
 def parse_eps_grid(text: str) -> np.ndarray:
@@ -146,17 +147,6 @@ def parse_n_list(text: str) -> List[int]:
 
 def _not_utf8(path: str, exc: UnicodeDecodeError) -> InvalidInputError:
     return InvalidInputError(f"{path}: not UTF-8 text ({exc.reason})")
-
-
-@contextlib.contextmanager
-def _stripped_lines(path: str) -> Iterator[Iterator[str]]:
-    """The stripped lines of a UTF-8 text file; a decoding error is malformed
-    input."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            yield map(str.strip, fh)
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(path, exc)
 
 
 #: Bytes read_tokens reads at a time.
@@ -314,8 +304,11 @@ def _is_number(text: str) -> bool:
 
 def _read_pairs(path: str, key_cast: Callable[[str], Hashable]) -> Dict[Hashable, int]:
     """Rows of key,int with unique keys; a first non-blank row of two non-numbers is a header."""
-    with _stripped_lines(path) as lines:
-        rows = [line for line in lines if line]
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            rows = [line for line in map(str.strip, fh) if line]
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc)
     if rows and not any(map(_is_number, _split_pair(rows[0], path))):
         rows = rows[1:]
     pairs: Dict[Hashable, int] = {}
@@ -370,22 +363,6 @@ def _write_table(header: Sequence[str], rows: Sequence[Sequence[float]],
 def _write_json(payload: dict, out: TextIO) -> None:
     json.dump(payload, out, indent=2)
     out.write("\n")
-
-
-def read_csv_table(path: str) -> Tuple[List[str], np.ndarray]:
-    """Read back a CSV emitted by this CLI: header plus a float matrix."""
-    with _stripped_lines(path) as stripped:
-        lines = [line for line in stripped if line]
-    if not lines:
-        raise InvalidInputError(f"{path}: empty table")
-    header = lines[0].split(",")
-    try:
-        data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    except ValueError:
-        raise InvalidInputError(f"{path}: non-numeric table body")
-    if data.ndim != 2 or data.shape[1] != len(header):
-        raise InvalidInputError(f"{path}: ragged table")
-    return header, data
 
 
 def _emit(path: Optional[str], write: Callable[[TextIO], None]) -> None:
@@ -667,7 +644,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return 4
-    except NumericalError as exc:
+    except (NumericalError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 5
 

@@ -1,8 +1,8 @@
 """Finite discrete distributions: families, iid sampling, analytic missing-mass moments.
 
 Supports the simulation lab with the quantities that have closed forms under
-iid sampling: E[G0] = sum_x g(p_x)(1-p_x)^n, the per-letter indicator-variance
-sum, and power sums S_alpha = sum_x p_x^alpha.
+iid sampling: E[G0] = sum_x g(p_x)(1-p_x)^n and the per-letter
+indicator-variance sum.
 """
 
 from __future__ import annotations
@@ -81,19 +81,6 @@ def explicit(vector, label: str = "explicit") -> DiscreteDistribution:
     return DiscreteDistribution(np.asarray(vector, dtype=float), label=label)
 
 
-def make_family(kind: str, *params) -> DiscreteDistribution:
-    """Dispatch on kind in {uniform, zipf, geometric, explicit}."""
-    builders = {
-        "uniform": uniform,
-        "zipf": zipf,
-        "geometric": geometric,
-        "explicit": explicit,
-    }
-    if kind not in builders:
-        raise InvalidInputError(f"unknown distribution family {kind!r}")
-    return builders[kind](*params)
-
-
 def from_file(path) -> DiscreteDistribution:
     """Explicit distribution from a JSON array or a one-probability-per-line CSV."""
     path = Path(path)
@@ -150,23 +137,14 @@ def sample(dist: DiscreteDistribution, n: int, seed: int) -> np.ndarray:
     """n iid draws as symbol indices, by inverse CDF on the cumulative table.
 
     Deterministic for a fixed seed.  The guide-table lookup returns the
-    letters a binary search on the cumulative table returns, so the draws
-    are those of earlier versions, except that a uniform at or above the
-    last cumulative sum maps to the last positive-probability letter rather
-    than to letter K-1.
+    letters a binary search on the cumulative table returns, except that a
+    uniform at or above the last cumulative sum maps to the last
+    positive-probability letter.
     """
     if int(n) != n or n < 0:
         raise InvalidInputError("sample size must be an integer >= 0")
     rng = np.random.Generator(np.random.PCG64(seed))
     return _inverse_cdf(dist.probs)(rng.random(int(n)))
-
-
-def power_sum(dist: DiscreteDistribution, alpha: float) -> float:
-    """S_alpha = sum_x p_x**alpha over the positive entries."""
-    if not (alpha > 0.0):
-        raise InvalidInputError("power_sum requires alpha > 0")
-    p = dist.probs[dist.probs > 0.0]
-    return float(np.sum(p**alpha))
 
 
 def _zero_hit_prob(p: np.ndarray, n: int) -> np.ndarray:

@@ -5,8 +5,7 @@ only on the support size K and the sample size n (at most _BLOCK_BUDGET
 elements per block array), never on the thread count.  Block b of an
 experiment at sample size n draws from its own RNG, seeded with
 SeedSequence((seed, n, b)), so a fixed seed gives byte-identical results, and
-a run of T trials reproduces the first T trials of any longer run.  Monte
-Carlo numbers differ from those of versions that seeded one RNG per trial.
+a run of T trials reproduces the first T trials of any longer run.
 """
 
 from __future__ import annotations
@@ -81,9 +80,7 @@ def _occupancy(
     A block of B trials draws a (B, n) array of uniforms, maps them to
     letters by the guide-table inverse CDF that distributions.sample uses,
     and counts all B samples with one bincount over the flat offsets
-    row*K + letter.  The guide table returns the letters a binary search on
-    the cumulative table returns, so the streams are those of earlier
-    versions.
+    row*K + letter.
     """
     k = probs.size
     letters = _inverse_cdf(probs)
@@ -151,7 +148,7 @@ def mc_risk(
         mse, se = _mean_se(np.square(_estimate_errors(dist, kind, g, n, trials, seed)))
         rows.append(RiskRow(n=n, trials=trials, mse=mse, se=se))
     if len(rows) >= 3 and all(r.mse > 0.0 for r in rows):
-        slope, intercept, _ = rate_fit([(r.n, r.mse) for r in rows])
+        slope, intercept = rate_fit([(r.n, r.mse) for r in rows])
     else:
         slope, intercept = math.nan, math.nan
     return RiskReport(
@@ -342,8 +339,8 @@ def dirichlet_mc_variance(
     return _mean_se(pair_coef * m * (m - 1.0) + single_coef * m)
 
 
-def rate_fit(pairs: Sequence[Tuple[float, float]]) -> Tuple[float, float, float]:
-    """OLS fit of log(value) on log(n); returns (slope, intercept, rms residual)."""
+def rate_fit(pairs: Sequence[Tuple[float, float]]) -> Tuple[float, float]:
+    """OLS fit of log(value) on log(n); returns (slope, intercept)."""
     pts = [(float(n), float(v)) for n, v in pairs]
     if len(pts) < 3:
         raise InvalidInputError("rate fit needs at least 3 points")
@@ -352,5 +349,4 @@ def rate_fit(pairs: Sequence[Tuple[float, float]]) -> Tuple[float, float, float]
     x = np.log([n for n, _ in pts])
     y = np.log([v for _, v in pts])
     slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    return float(slope), float(intercept), float(np.sqrt(np.mean(resid**2)))
+    return float(slope), float(intercept)

@@ -10,11 +10,10 @@ built from exact numeric u*_r values and the scale parameter c.  Order 1
 Lugosi & Massart (2013, section 2.4) are plain exponent functions.
 
 Each yields a right-tail bound exp(-E(eps)) by the Chernoff method; E is
-analytic except for R >= 2, whose Legendre transform is solved numerically
-(the analytic R = 2 form is kept as a cross-check).  The closed-form
-corollary tails take the g they bound: power(1) (the missing mass),
-power(alpha > 1) (the order-alpha missing mass) and entropy_log2(k) (the
-missing entropy).
+analytic except for R >= 2, whose Legendre transform is solved numerically.
+The closed-form corollary tails take the g they bound: power(1) (the
+missing mass), power(alpha > 1) (the order-alpha missing mass) and
+entropy_log2(k) (the missing entropy).
 
 Every public bound is clamped to <= 1; the raw exponent is available for
 diagnostics (a Chernoff exponent can go negative for tiny eps in the printed
@@ -108,23 +107,6 @@ def strongly_sub_gamma_exponent(v: float, c: float, eps: float) -> float:
         raise InvalidInputError("need v, c > 0 and eps >= 0")
     z = c * eps / v
     return v / (c * c) * (z - math.log1p(z))
-
-
-def poly_filtered_r2_exponent(a2: float, v: float, c: float, eps: float) -> float:
-    """Analytic Chernoff exponent for R = 2:
-    (1/c)((1/2 - d2/d1) eps + (v/c) ln(1 - 2 c eps / d1)) with
-    d1 = (a2+v+c*eps) + sqrt((a2+v+c*eps)^2 - 4 a2 c eps), d2 = a2-(v+c*eps).
-    """
-    if a2 < 0.0 or not (v > 0.0 and c > 0.0) or eps < 0.0:
-        raise InvalidInputError("need a2 >= 0, v, c > 0, eps >= 0")
-    if eps == 0.0:
-        return 0.0
-    s = a2 + v + c * eps
-    d1 = s + math.sqrt(s * s - 4.0 * a2 * c * eps)
-    d2 = a2 - (v + c * eps)
-    if d1 <= 2.0 * c * eps:
-        raise NumericalError("d1 <= 2*c*eps cannot occur for valid parameters")
-    return (1.0 / c) * ((0.5 - d2 / d1) * eps + (v / c) * math.log1p(-2.0 * c * eps / d1))
 
 
 def _filter_derivs(a: Sequence[float], v: float, c: float, s: float) -> Tuple[float, float]:

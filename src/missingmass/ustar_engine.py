@@ -69,19 +69,17 @@ def _u_r_at(p: float, n: int, g: GFunction, r: int) -> float:
     return _u_r(p, math.exp(n * math.log1p(-p)), g.eval_raw(p), r)
 
 
-def _golden_max(
-    f: Callable[[float], float], lo: float, hi: float, iters: int = 100
-) -> Tuple[float, float]:
+def _golden_max(f: Callable[[float], float], lo: float, hi: float) -> Tuple[float, float]:
     """Golden-section maximization on [lo, hi]; returns (argmax, value).
 
-    Stops after iters steps or once the bracket is _STOP_ULPS ulps wide,
+    Stops after 100 steps or once the bracket is _STOP_ULPS ulps wide,
     the resolution of a double at the bracket.
     """
     a, b = lo, hi
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(100):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
@@ -197,11 +195,6 @@ def gamma_const() -> float:
     return gamma_alpha(1.0)
 
 
-def two_gamma_inverse() -> float:
-    """1/(2*gamma) = 1.9208..., the left-tail sub-Gaussian rate constant."""
-    return 1.0 / (2.0 * gamma_const())
-
-
 @functools.lru_cache(maxsize=1)
 def kappa_const() -> float:
     """max over u, v > 0 of (u/v^2) log(1+e^[-u](e^v-v-1)) = 0.2595...
@@ -221,8 +214,8 @@ def kappa_const() -> float:
     u, v = float(us[iu]), float(vs[iv])
     best = float(vals[iu, iv])
     for _ in range(60):
-        u, best = _golden_max(lambda x: f(x, v), u / 4.0, u * 4.0, iters=80)
-        v, best = _golden_max(lambda y: f(u, y), v / 4.0, v * 4.0, iters=80)
+        u, best = _golden_max(lambda x: f(x, v), u / 4.0, u * 4.0)
+        v, best = _golden_max(lambda y: f(u, y), v / 4.0, v * 4.0)
     return best
 
 

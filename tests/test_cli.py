@@ -22,6 +22,13 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def read_table(path):
+    """Header and float matrix of a CSV the CLI wrote."""
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+    return header, np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
 # ---------------------------------------------------------------------------
 # parsers
 
@@ -315,7 +322,7 @@ def test_fig1_writes_reference_curves(tmp_path, capsys):
     code, out, _ = run(capsys, "fig1", "--outdir", str(tmp_path))
     assert code == 0
     for n in (20, 100, 1000):
-        header, data = cli.read_csv_table(str(tmp_path / f"tail_curves_n{n}.csv"))
+        header, data = read_table(tmp_path / f"tail_curves_n{n}.csv")
         assert header == ["eps", "subgauss", "r2", "r5"]
         assert data.shape == (15, 4)
         np.testing.assert_allclose(data[:, 0], np.arange(15) * 0.05, atol=1e-12)
@@ -334,7 +341,7 @@ def test_bounds_csv_roundtrip(tmp_path, capsys):
     code, _, _ = run(capsys, "bounds", "--family", "ssg", "--g", "power:1",
                      "--n", "50", "--eps-grid", "0:0.3:0.05", "--path", str(out_path))
     assert code == 0
-    header, data = cli.read_csv_table(str(out_path))
+    header, data = read_table(out_path)
     assert header == ["eps", "bound", "exponent"]
     curve = tb.curve("ssg", 50, gf.power(1.0), data[:, 0])
     np.testing.assert_allclose(data[:, 1], curve.bounds, rtol=1e-14)
@@ -410,6 +417,17 @@ def test_numerical_failure_exits_5(capsys, monkeypatch):
                        "--n", "50", "--eps-grid", "0.1")
     assert code == 5
     assert err.startswith("numerical failure:")
+
+
+@pytest.mark.parametrize("command", [
+    "bounds --family subgamma --g power:2e154 --n 20 --eps-grid 0.1",
+    "simulate --task dirichlet --alpha 100 --c 1 --n-list 20 --trials 0",
+], ids=["scale_parameter", "dirichlet_prior_variance"])
+def test_overflow_exits_5(command, capsys):
+    code, out, err = run(capsys, *shlex.split(command))
+    assert code == 5
+    assert out == ""
+    assert err.startswith("numerical failure:") and err.count("\n") == 1
 
 
 def test_ustar_json(capsys):

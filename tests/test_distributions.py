@@ -60,14 +60,6 @@ def test_probs_are_read_only():
         d.probs[0] = 0.9
 
 
-def test_make_family_dispatch():
-    assert dm.make_family("uniform", 10).label == "uniform:10"
-    assert dm.make_family("zipf", 10, 1.0).label == "zipf:10:1"
-    assert dm.make_family("geometric", 10, 0.5).label == "geometric:10:0.5"
-    with pytest.raises(InvalidInputError):
-        dm.make_family("cauchy", 10)
-
-
 def test_from_file_json_and_csv(tmp_path):
     vec = [0.2, 0.3, 0.5]
     jpath = tmp_path / "d.json"
@@ -178,8 +170,10 @@ def test_sample_stream_is_pinned():
 
 @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0])
 def test_power_sum_uniform_oracle(alpha):
+    # at n = 0, E[G0] for g = power(alpha) is the power sum sum_x p_x^alpha
     k = 20
-    assert dm.power_sum(dm.uniform(k), alpha) == pytest.approx(k ** (1.0 - alpha), rel=1e-13)
+    got = dm.expected_missing(dm.uniform(k), 0, gf.power(alpha))
+    assert got == pytest.approx(k ** (1.0 - alpha), rel=1e-13)
 
 
 def test_expected_missing_uniform_closed_form():
@@ -201,7 +195,7 @@ def test_expected_missing_two_point_oracle():
 def test_expected_missing_at_zero_is_total_mass_of_g():
     d = dm.zipf(40, 1.0)
     g = gf.power(2.0)
-    assert dm.expected_missing(d, 0, g) == pytest.approx(dm.power_sum(d, 2.0), rel=1e-13)
+    assert dm.expected_missing(d, 0, g) == pytest.approx(np.sum(d.probs**2), rel=1e-13)
 
 
 @given(n=st.integers(min_value=0, max_value=400))

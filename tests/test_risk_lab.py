@@ -299,10 +299,9 @@ def test_dirichlet_validation():
 
 def test_rate_fit_recovers_exact_power_law():
     pairs = [(n, 3.0 * n**-2.0) for n in (10, 20, 40, 80)]
-    slope, intercept, resid = rl.rate_fit(pairs)
+    slope, intercept = rl.rate_fit(pairs)
     assert slope == pytest.approx(-2.0, abs=1e-12)
     assert intercept == pytest.approx(math.log(3.0), abs=1e-12)
-    assert resid <= 1e-12
 
 
 def test_rate_fit_validation():

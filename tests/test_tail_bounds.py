@@ -150,12 +150,12 @@ def test_build_spec_negative_coefficient_is_numerical_error(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [20, 100, 1000])
-def test_r2_analytic_equals_numeric_chernoff(n):
+def test_r2_exponent_matches_mp_oracle_on_fig1_grid(n):
+    # the order-2 curves of fig1: power:1 on eps = 0.05, 0.10, ..., 0.70
     spec = tb.build_spec(n, P1, 2)
-    for e in np.arange(1, 29) * 0.025:
-        analytic = tb.poly_filtered_r2_exponent(spec.a[0], spec.v, spec.c, float(e))
-        numeric = tb.poly_filtered_exponent(spec, float(e))
-        assert abs(analytic - numeric) <= 1e-9 * max(1.0, abs(numeric))
+    for e in EPS_GRID:
+        want = mp_chernoff_oracle(spec, float(e))
+        assert tb.poly_filtered_exponent(spec, float(e)) == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("g", [P1, P2, E64], ids=["power1", "power2", "entropy64"])
