@@ -19,6 +19,7 @@ against the MISSINGMASS_OUTDIR environment variable when it is set.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -43,10 +44,6 @@ MAX_EPS_GRID_POINTS = 10**6
 
 _FIG_NS = (20, 100, 1000)
 _FIG_EPS = np.arange(15) * 0.05
-
-
-def _fmt(x: float) -> str:
-    return "%.15g" % float(x)
 
 
 def _resolve_path(path: str) -> str:
@@ -351,8 +348,9 @@ def _write_table(header: Sequence[str], rows: Sequence[Sequence[float]],
                  fmt: str, out: TextIO, meta: Optional[dict] = None) -> None:
     if fmt == "csv":
         out.write(",".join(header) + "\n")
+        line = ",".join(["%.15g"] * len(header)) + "\n"
         for row in rows:
-            out.write(",".join(_fmt(v) for v in row) + "\n")
+            out.write(line % tuple(map(float, row)))
     else:
         payload = dict(meta or {})
         payload["columns"] = list(header)
@@ -547,7 +545,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # parser
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args keeps no state
+    between calls, so every main() call in one process can share it."""
     p = argparse.ArgumentParser(
         prog="missingmass",
         description="Missing-mass estimation, concentration bounds, and "

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tail_bounds
 from .distributions import DiscreteDistribution, _inverse_cdf, expected_missing
-from .errors import InvalidInputError, RegimeError
+from .errors import InvalidInputError, NumericalError, RegimeError
 from .estimators import EstimatorKind, gt_value
 from .gfunction import GFunction, power
 
@@ -268,8 +268,10 @@ def dirichlet_prior_variance(n: int, c_param: float, alpha: int) -> float:
         T = k A1 (A2 - A3) + k(k-1) A4 A5 (A6 - A7).
 
     A1, A4 (products of n near-unity factors) go through sum-log1p; the
-    near-cancelling differences go through exp/expm1.  Falls like n^-(2a-1)
-    and lower-bounds the minimax risk of estimating M_[0,alpha].
+    near-cancelling differences go through exp/expm1.  Where k(k-1)
+    overflows (k above 1.3e154) it joins the exponent of A4 A5 instead.
+    Raises NumericalError when T still leaves the double range.  Falls like
+    n^-(2a-1) and lower-bounds the minimax risk of estimating M_[0,alpha].
     """
     k, beta0 = _dirichlet_setup(n, c_param, alpha)
     n = int(n)
@@ -289,7 +291,18 @@ def dirichlet_prior_variance(n: int, c_param: float, alpha: int) -> float:
 
     diff_23 = -math.exp(log_a2) * math.expm1(log_a3 - log_a2)
     diff_67 = -math.exp(log_a6) * math.expm1(log_a7 - log_a6)
-    return k * math.exp(log_a1) * diff_23 + k * (k - 1.0) * math.exp(log_a4 + log_a5) * diff_67
+    pairs = k * (k - 1.0)
+    try:
+        if pairs < math.inf:
+            term2 = pairs * math.exp(log_a4 + log_a5) * diff_67
+        else:
+            term2 = math.exp(math.log(k) + math.log(k - 1.0) + log_a4 + log_a5) * diff_67
+        out = k * math.exp(log_a1) * diff_23 + term2
+    except OverflowError:
+        out = math.nan
+    if not math.isfinite(out):
+        raise NumericalError(f"Dirichlet prior variance at k = {k:.3g} leaves the double range")
+    return out
 
 
 def _polya_unseen(k: int, n: int, trials: int, seed: int) -> np.ndarray:

@@ -90,10 +90,12 @@ def sub_gaussian_tail(sigma2: float, eps: float) -> float:
 
 def sub_gamma_exponent(v: float, c: float, eps: float) -> float:
     """(v/c^2) h(c*eps/v) with h(x) = 1+x-sqrt(1+2x), in the stable form
-    h(x) = x^2/(1+x+sqrt(1+2x))."""
+    h(x) = x^2/(1+x+sqrt(1+2x)).  Where x overflows, the exponent is inf."""
     if not (v > 0.0 and c > 0.0) or eps < 0.0:
         raise InvalidInputError("need v, c > 0 and eps >= 0")
     x = c * eps / v
+    if x == math.inf:
+        return math.inf
     h = x * x / (1.0 + x + math.sqrt(1.0 + 2.0 * x))
     return v / (c * c) * h
 
@@ -101,11 +103,14 @@ def sub_gamma_exponent(v: float, c: float, eps: float) -> float:
 def strongly_sub_gamma_exponent(v: float, c: float, eps: float) -> float:
     """(1/c)(eps - (v/c) log(1+c*eps/v)) = (v/c^2)(z - log1p(z)), z = c*eps/v.
 
-    log1p keeps z - log1p(z) accurate down to z ~ 1e-8 and below.
+    log1p keeps z - log1p(z) accurate down to z ~ 1e-8 and below.  Where z
+    overflows, the exponent is inf (bound 0), not inf - inf.
     """
     if not (v > 0.0 and c > 0.0) or eps < 0.0:
         raise InvalidInputError("need v, c > 0 and eps >= 0")
     z = c * eps / v
+    if z == math.inf:
+        return math.inf
     return v / (c * c) * (z - math.log1p(z))
 
 

@@ -19,10 +19,13 @@ e.g. to compare against a closed bound that presumes p >= 1/k.
 
 u_star scans a fixed log grid of 2*_GRID_POINTS points, dense near both
 edges of the window.  The grid and log1p(-grid) are built once per
-(window, point count), cached read-only, and shared by every (n, g, r); a
-scan is then exp(n*log1p(-grid)) and one vector g evaluation.  Golden-section
-refinement around the grid argmax evaluates u_r on Python floats and stops
-once its bracket is a few ulps wide (about 60 of its at most 100 steps).
+(window, point count), cached read-only, and shared by every (n, g, r).
+The scan base (1-p)^n = exp(n*log1p(-grid)) and g(grid) is cached per
+(n, g, window) and shared by every order r, so the orders 2..R+1 of one
+spec cost one exp and one g evaluation in all; each order then adds one
+power and a few products.  Golden-section refinement around the grid argmax
+evaluates u_r on Python floats and stops once its bracket is a few ulps
+wide (about 60 of its at most 100 steps).
 """
 
 from __future__ import annotations
@@ -122,6 +125,23 @@ def _scan_grid(lo: float, hi: float, points: int) -> Tuple[np.ndarray, np.ndarra
     return grid, log_q
 
 
+@functools.lru_cache(maxsize=1)
+def _scan_base(
+    n: int, g: GFunction, lo: float, hi: float, points: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scan grid with (1-grid)^n and g(grid) beside it, all read-only.
+
+    Every order r of one (n, g, window) scans the same base; build_spec
+    asks for its orders one after another, so one cached base serves them.
+    """
+    grid, log_q = _scan_grid(lo, hi, points)
+    qn = np.exp(n * log_q)
+    gp = g.eval_raw(grid)
+    qn.flags.writeable = False
+    gp.flags.writeable = False
+    return grid, qn, gp
+
+
 @functools.lru_cache(maxsize=4096)
 def u_star(
     n: int,
@@ -133,20 +153,22 @@ def u_star(
 
     u_r is not proven unimodal in p, so a global scan of 2*_GRID_POINTS
     points precedes the local refinement.  The grid and log1p(-grid) are
-    built once per (window, point count) and cached, so the scan costs one
-    exp and one g evaluation per point.  The golden refinement runs on
-    Python floats between the grid argmax's neighbours and stops once its
-    bracket is a few ulps wide.  Raises InvalidInputError when u_r is
-    non-finite or negative anywhere on the grid, as it is for a
-    user-defined g that returns NaN, inf or negative values.
+    built once per (window, point count) and cached, and the base (1-p)^n
+    and g(p) on the grid once per (n, g, window): every order r shares it,
+    so a further order costs one power and a few products per point.  The
+    golden refinement runs on Python floats between the grid argmax's
+    neighbours and stops once its bracket is a few ulps wide.  Raises
+    InvalidInputError when u_r is non-finite or negative anywhere on the
+    grid, as it is for a user-defined g that returns NaN, inf or negative
+    values.
     """
     if n < 1 or r < 2:
         raise InvalidInputError("u_star requires n >= 1 and r >= 2")
     lo, hi = p_window if p_window is not None else (1e-12, 1.0 - 1e-12)
     if not (0.0 < lo < hi < 1.0):
         raise InvalidInputError("p_window must satisfy 0 < lo < hi < 1")
-    grid, log_q = _scan_grid(lo, hi, _GRID_POINTS)
-    vals = _u_r(grid, np.exp(n * log_q), g.eval_raw(grid), r)
+    grid, qn, gp = _scan_base(n, g, lo, hi, _GRID_POINTS)
+    vals = _u_r(grid, qn, gp, r)
     if not (np.all(np.isfinite(vals)) and np.all(vals >= 0.0)):
         raise InvalidInputError(
             f"u_{r} of g = {g.descriptor()} is non-finite or negative on (0, 1)"

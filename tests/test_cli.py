@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import pathlib
@@ -370,6 +371,47 @@ def test_bounds_regime_exit(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("family", ["subgauss", "ssg", "subgamma", "poly:1", "poly:2"])
+def test_bounds_at_huge_eps_are_zero_never_nan(family, capsys):
+    # c*eps/v overflows in the Gamma-type exponents: inf, as on the others
+    code, out, err = run(capsys, "bounds", "--family", family, "--g", "power:1",
+                         "--n", "3", "--eps-grid", "1e308,1e300")
+    assert code == 0, err
+    lines = out.splitlines()
+    assert lines[:2] == ["eps,bound,exponent", "1e+308,0,inf"]
+    eps, bound, exponent = (float(x) for x in lines[2].split(","))
+    assert (eps, bound) == (1e300, 0.0) and exponent > 1e299
+
+
+def test_csv_row_in_one_step_matches_per_value_formatting():
+    rows = [[0.1, np.float64(1.0) / 3.0, 7, np.int64(-3)],
+            [math.inf, -0.0, 5e-324, -math.inf],
+            [1e308, np.float32(0.1), 2.5e-310, math.nan]]
+    out = io.StringIO()
+    cli._write_table(["a", "b", "c", "d"], rows, "csv", out)
+    oracle = "a,b,c,d\n" + "".join(
+        ",".join("%.15g" % float(v) for v in row) + "\n" for row in rows)
+    assert out.getvalue() == oracle
+
+
+def test_parser_built_once_keeps_no_state_between_calls(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    args = ("bounds", "--family", "poly:2", "--g", "power:1", "--n", "50",
+            "--eps-grid", "0.1,0.2")
+    code, csv_out, _ = run(capsys, *args)
+    assert code == 0 and csv_out.startswith("eps,bound,exponent\n")
+    code, json_out, _ = run(capsys, *args, "--out", "json")
+    assert code == 0 and json.loads(json_out)["columns"] == ["eps", "bound", "exponent"]
+    code, filed, _ = run(capsys, *args, "--path", str(tmp_path / "b.csv"))
+    assert code == 0 and filed == ""
+    assert cli.main(["bounds", "--family", "poly:2", "--g", "power:1"]) == 2  # no --n
+    assert cli.main(["nosuchcommand"]) == 2
+    capsys.readouterr()
+    # no --out and no --path: CSV on stdout again
+    assert run(capsys, *args) == (0, csv_out, "")
+    assert (tmp_path / "b.csv").read_text(encoding="utf-8") == csv_out
+
+
 @pytest.mark.parametrize("family,n", [("poly:2", 702), ("poly:2", 10000),
                                       ("poly:5", 143), ("poly:5", 10000)])
 def test_bounds_near_pole_cells(family, n, capsys):
@@ -422,7 +464,8 @@ def test_numerical_failure_exits_5(capsys, monkeypatch):
 @pytest.mark.parametrize("command", [
     "bounds --family subgamma --g power:2e154 --n 20 --eps-grid 0.1",
     "simulate --task dirichlet --alpha 100 --c 1 --n-list 20 --trials 0",
-], ids=["scale_parameter", "dirichlet_prior_variance"])
+    "simulate --task dirichlet --alpha 1 --c 1e300 --n-list 20 --trials 0",
+], ids=["scale_parameter", "dirichlet_prior_variance", "dirichlet_huge_support"])
 def test_overflow_exits_5(command, capsys):
     code, out, err = run(capsys, *shlex.split(command))
     assert code == 5

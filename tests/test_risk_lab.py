@@ -9,7 +9,7 @@ from missingmass import empirical as emp
 from missingmass import estimators as est
 from missingmass import gfunction as gf
 from missingmass import risk_lab as rl
-from missingmass.errors import InvalidInputError
+from missingmass.errors import InvalidInputError, NumericalError
 
 P1 = gf.power(1.0)
 P2 = gf.power(2.0)
@@ -271,6 +271,22 @@ def test_dirichlet_variance_asymptote_order_one():
     n = 200
     got = rl.dirichlet_prior_variance(n, 1.0, 1)
     assert got == pytest.approx(1.0 / (8.0 * n), rel=0.05)
+
+
+def test_dirichlet_variance_frozen_value():
+    # the value the closed form has always given, to the bit
+    assert rl.dirichlet_prior_variance(20, 1.0, 1) == 0.006090074848846891
+
+
+def test_dirichlet_variance_beyond_double_range_is_numerical_failure():
+    # k(k-1) overflows from k = 1.3e154 on and is taken in the exponent
+    # instead; at k = 4e152 and 4e154 the result is finite, from k = 4e155
+    # (c = 1e153, n = 20) the product k(k-1) A4 A5 itself overflows
+    for c in (1e150, 1e152):
+        assert math.isfinite(rl.dirichlet_prior_variance(20, c, 1))
+    for c in (1e153, 1e300):
+        with pytest.raises(NumericalError):
+            rl.dirichlet_prior_variance(20, c, 1)
 
 
 def test_dirichlet_closed_form_matches_monte_carlo():

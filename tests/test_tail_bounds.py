@@ -47,6 +47,14 @@ def test_strongly_sub_gamma_oracle():
     assert tb.strongly_sub_gamma_exponent(v, c, e) == pytest.approx(want, rel=1e-14)
 
 
+@pytest.mark.parametrize("exponent", [tb.sub_gamma_exponent, tb.strongly_sub_gamma_exponent])
+def test_gamma_exponents_are_inf_where_the_ratio_overflows(exponent):
+    # c*eps/v overflows: the exponent is inf and the bound 0, never NaN
+    for e in (1e308, math.inf):
+        assert exponent(0.05, 0.5, e) == math.inf
+    assert math.isfinite(exponent(0.05, 0.5, 1e100))
+
+
 @pytest.mark.parametrize("v", [1e-4, 0.01, 0.3])
 @pytest.mark.parametrize("c", [0.01, 0.1, 1.0])
 def test_ssg_bound_never_above_sub_gamma(v, c):

@@ -80,6 +80,50 @@ def test_scan_grid_cached_and_read_only():
             arr[0] = 0.5
 
 
+def test_scan_base_cached_per_n_g_window_and_read_only():
+    ue._scan_base.cache_clear()
+    ue.u_star.cache_clear()
+    try:
+        ue.u_star(100, P2, 2)
+        grid, qn, gp = ue._scan_base(100, P2, 1e-12, 1.0 - 1e-12, ue._GRID_POINTS)
+        assert ue._scan_base.cache_info().misses == 1
+        _, log_q = ue._scan_grid(1e-12, 1.0 - 1e-12, ue._GRID_POINTS)
+        np.testing.assert_array_equal(qn, np.exp(100 * log_q))
+        np.testing.assert_array_equal(gp, grid**2.0)
+        for arr in (qn, gp):
+            assert not arr.flags.writeable
+    finally:
+        ue.u_star.cache_clear()
+
+
+_BASE_CASES = [(n, g, r) for n in (20, 100, 1000) for g in (P1, P2, E64) for r in range(2, 7)]
+
+
+def test_u_star_same_bits_from_a_shared_or_a_fresh_base():
+    def fresh(n, g, r):
+        ue.u_star.cache_clear()
+        ue._scan_base.cache_clear()
+        res = ue.u_star(n, g, r)
+        return res.value.hex(), res.argmax.hex()
+
+    try:
+        cold = {case: fresh(*case) for case in _BASE_CASES}
+        # r ascending and descending within each (n, g), whose base stays warm
+        # across orders, then r outermost, where each call replaces the base
+        orders = (_BASE_CASES, _BASE_CASES[::-1],
+                  sorted(_BASE_CASES, key=lambda case: case[2]))
+        for order in orders:
+            ue.u_star.cache_clear()
+            ue._scan_base.cache_clear()
+            for n, g, r in order:
+                res = ue.u_star(n, g, r)
+                assert (res.value.hex(), res.argmax.hex()) == cold[n, g, r], (n, g, r)
+        # the last order switched (n, g) on every call: one base per call
+        assert ue._scan_base.cache_info().misses == len(_BASE_CASES)
+    finally:
+        ue.u_star.cache_clear()
+
+
 def test_golden_max_stops_at_a_few_ulps():
     calls = []
 
