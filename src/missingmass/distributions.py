@@ -98,37 +98,36 @@ def from_file(path) -> DiscreteDistribution:
 def _inverse_cdf(probs: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Letter lookup u -> i for uniforms u in [0, 1), by a guide table over
     the cumulative sums cum = cumsum(probs) (Chen & Asau 1974; Devroye 1986,
-    III.2.4).
+    III.2.4), for the Monte Carlo kernel's many draws per support.
 
     The letter is the first i with cum[i] > u, as np.searchsorted(cum, u,
     side="right") finds it, clipped to the last positive-probability letter
-    for the u >= cum[-1] that a sum a little below 1 leaves.  With m = 4K
-    buckets, guide[j] is the first i with cum[i] > j/m; a draw starts at the
-    guide entry of the last bucket edge j/m <= u and steps forward while
-    cum[i] <= u, on a cumulative table padded with inf.  The returned
-    function maps an array of uniforms to an int64 array of letters of the
-    same shape.
+    for the u >= cum[-1] that a sum a little below 1 leaves: sample returns
+    the same letters by that binary search.  Here the table is cum with every
+    entry from the last positive-probability letter on set to inf, so the
+    search never passes that letter.  With m = 4K buckets, a draw starts at
+    guide[int(u*m)] and steps forward while cum[i] <= u.  guide[j] is the
+    first i with cum[i] > e_j, for an edge e_j a few ulps below j/m: u*m may
+    round up onto j from just below j/m, and starting at or before the letter
+    of every such u keeps the lookup exact without a correction pass.  The
+    returned function maps an array of uniforms to an intp array of letters
+    of the same shape.
     """
-    k = probs.size
-    m = 4 * k
+    m = 4 * probs.size
     cum = np.cumsum(probs)
-    guide = np.searchsorted(cum, np.arange(m) / m, side="right").astype(np.min_scalar_type(k))
-    cum = np.append(cum, np.inf)
-    last = int(np.flatnonzero(probs)[-1])
+    cum[np.flatnonzero(probs)[-1]:] = np.inf
+    # e_j = j * (1 - 2^-50)/m lies at least 2^-51 j/m below j/m, more than
+    # the rounding of u*m can hide; for u < 1, u*m stays below m.
+    guide = np.searchsorted(cum, np.arange(m) * ((1.0 - 2.0**-50) / m), side="right")
 
     def letters(u: np.ndarray) -> np.ndarray:
         flat = u.ravel()
-        # u*m may round up onto the next bucket edge (never onto m for u < 1),
-        # so step back one bucket where the edge j/m, the same double the
-        # guide entry was built from, exceeds u.
-        j = (flat * m).astype(np.int64)
-        j -= j / m > flat
-        idx = guide[j].astype(np.int64)
+        idx = guide[(flat * m).astype(np.intp)]
         ahead = np.flatnonzero(cum[idx] <= flat)
         while ahead.size:
             idx[ahead] += 1
             ahead = ahead[cum[idx[ahead]] <= flat[ahead]]
-        return np.minimum(idx, last, out=idx).reshape(u.shape)
+        return idx.reshape(u.shape)
 
     return letters
 
@@ -136,15 +135,18 @@ def _inverse_cdf(probs: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 def sample(dist: DiscreteDistribution, n: int, seed: int) -> np.ndarray:
     """n iid draws as symbol indices, by inverse CDF on the cumulative table.
 
-    Deterministic for a fixed seed.  The guide-table lookup returns the
-    letters a binary search on the cumulative table returns, except that a
-    uniform at or above the last cumulative sum maps to the last
-    positive-probability letter.
+    Deterministic for a fixed seed.  Each uniform u maps by binary search
+    to the first letter i with cumsum(probs)[i] > u, clipped to the last
+    positive-probability letter for the u at or above a last cumulative sum
+    a little below 1.  No guide table is built: one call draws too few
+    letters to pay for it.  The Monte Carlo kernel's guide-table lookup
+    (_inverse_cdf) returns the same letters.
     """
     if int(n) != n or n < 0:
         raise InvalidInputError("sample size must be an integer >= 0")
     rng = np.random.Generator(np.random.PCG64(seed))
-    return _inverse_cdf(dist.probs)(rng.random(int(n)))
+    idx = np.searchsorted(np.cumsum(dist.probs), rng.random(int(n)), side="right")
+    return np.minimum(idx, np.flatnonzero(dist.probs)[-1], out=idx)
 
 
 def _zero_hit_prob(p: np.ndarray, n: int) -> np.ndarray:

@@ -26,6 +26,9 @@ from .gfunction import GFunction, power
 #: trials.  Larger budgets cost resident memory and gain little speed.
 _BLOCK_BUDGET = 2**16
 
+#: Largest estimated relative rounding error dirichlet_prior_variance returns.
+_DIRICHLET_REL_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class RiskRow:
@@ -63,37 +66,53 @@ def _block_rng(seed: int, n: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, n, block))))
 
 
+def _block_size(width: int) -> int:
+    """Trials per block for per-trial arrays of `width` elements."""
+    return max(1, _BLOCK_BUDGET // width)
+
+
 def _blocks(trials: int, width: int) -> Iterator[Tuple[int, int, int]]:
     """(block index, first trial, end trial) over blocks of
-    max(1, _BLOCK_BUDGET // width) trials."""
-    size = max(1, _BLOCK_BUDGET // width)
+    _block_size(width) trials."""
+    size = _block_size(width)
     for block, lo in enumerate(range(0, trials, size)):
         yield block, lo, min(lo + size, trials)
 
 
 def _occupancy(
     probs: np.ndarray, gvec: np.ndarray, n: int, trials: int, seed: int, alpha: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-trial missing mass G0 = sum_x g(p_x) [F_x = 0] and phi_alpha =
-    #{x : F_x = alpha} over `trials` iid samples of size n from probs.
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Per-trial missing mass G0 = sum_x g(p_x) [F_x = 0] and, for alpha >= 1,
+    phi_alpha = #{x : F_x = alpha} over `trials` iid samples of size n from
+    probs.  phi is computed only when it is read: alpha = 0 returns None.
 
-    A block of B trials draws a (B, n) array of uniforms, maps them to
-    letters by the guide-table inverse CDF that distributions.sample uses,
-    and counts all B samples with one bincount over the flat offsets
-    row*K + letter.
+    A block of B trials draws a (B, n) array of uniforms and maps them to
+    letters through the guide table of distributions._inverse_cdf (the same
+    letters distributions.sample draws by binary search).  G0 comes from a
+    0/1 "unseen" matrix: one buffer of B*K doubles, allocated per call and
+    reused by every block, is filled with 1 and zeroed at the drawn cells
+    row*K + letter, then multiplied by gvec.  For phi, one bincount over the
+    same cells gives each draw the count of its letter; a letter seen alpha
+    times is drawn alpha times, so phi_alpha is the number of draws whose
+    count is alpha, divided by alpha.
     """
     k = probs.size
     letters = _inverse_cdf(probs)
+    width = max(k, n)
+    unseen = np.empty(_block_size(width) * k)
     g0 = np.empty(trials, dtype=float)
-    phi = np.empty(trials, dtype=np.int64)
-    for block, lo, hi in _blocks(trials, max(k, n)):
+    phi = np.empty(trials, dtype=np.int64) if alpha else None
+    for block, lo, hi in _blocks(trials, width):
         rows = hi - lo
-        u = _block_rng(seed, n, block).random((rows, n))
-        idx = letters(u)
+        idx = letters(_block_rng(seed, n, block).random((rows, n)))
         idx += k * np.arange(rows)[:, None]
-        counts = np.bincount(idx.ravel(), minlength=rows * k).reshape(rows, k)
-        g0[lo:hi] = (counts == 0) @ gvec
-        phi[lo:hi] = np.count_nonzero(counts == alpha, axis=1)
+        cells = unseen[: rows * k]
+        cells.fill(1.0)
+        cells[idx] = 0.0
+        g0[lo:hi] = cells.reshape(rows, k) @ gvec
+        if alpha:
+            counts = np.bincount(idx.ravel(), minlength=rows * k)
+            phi[lo:hi] = np.count_nonzero(counts[idx] == alpha, axis=1) // alpha
     return g0, phi
 
 
@@ -127,7 +146,7 @@ def _estimate_errors(
     if n < alpha:
         raise RegimeError(f"n = {n} < alpha = {alpha}")
     g0, phi = _occupancy(dist.probs, _g_vector(dist, g), n, trials, seed, alpha)
-    # _occupancy's phi_0 counts the unseen letters; the order-0 estimate is 0.
+    # The order-0 (plugin) estimate is 0 and reads no phi.
     est = gt_value(phi, n, alpha) if alpha > 0 else 0.0
     return est - g0
 
@@ -261,6 +280,12 @@ def _dirichlet_setup(n: int, c_param: float, alpha: int) -> Tuple[int, float]:
     return k, k / n
 
 
+def _expm1_gain(d: float) -> float:
+    """Bound 1 + 1/|d| on the factor by which expm1(d) magnifies an absolute
+    error in d into a relative one; inf at d = 0."""
+    return 1.0 + 1.0 / abs(d) if d else math.inf
+
+
 def dirichlet_prior_variance(n: int, c_param: float, alpha: int) -> float:
     """Average conditional variance of the order-alpha missing mass under a
     symmetric Dirichlet prior with k = c n^2 letters and weights 1/n:
@@ -268,10 +293,16 @@ def dirichlet_prior_variance(n: int, c_param: float, alpha: int) -> float:
         T = k A1 (A2 - A3) + k(k-1) A4 A5 (A6 - A7).
 
     A1, A4 (products of n near-unity factors) go through sum-log1p; the
-    near-cancelling differences go through exp/expm1.  Where k(k-1)
-    overflows (k above 1.3e154) it joins the exponent of A4 A5 instead.
-    Raises NumericalError when T still leaves the double range.  Falls like
+    near-cancelling differences go through exp/expm1.  Falls like
     n^-(2a-1) and lower-bounds the minimax risk of estimating M_[0,alpha].
+
+    Raises NumericalError where T leaves the double range, and where the two
+    terms cancel past what their own rounding supports: each term carries
+    the rounding of its logs, about 2^-52 times their total size, which
+    expm1(d) of a log difference d magnifies by up to 1 + 1/|d|.  Once that
+    error of the two terms exceeds _DIRICHLET_REL_TOL of T, T has no
+    reliable digits: at n = 20 from c near 1.6e3 (alpha = 1) or 1.6e6
+    (alpha = 2), at n = 200 from c near 450 or 1.6e5.
     """
     k, beta0 = _dirichlet_setup(n, c_param, alpha)
     n = int(n)
@@ -289,19 +320,21 @@ def dirichlet_prior_variance(n: int, c_param: float, alpha: int) -> float:
     log_a6 = -float(np.sum(np.log(beta0 + n + l2)))
     log_a7 = -2.0 * float(np.sum(np.log(beta0 + n + l1)))
 
-    diff_23 = -math.exp(log_a2) * math.expm1(log_a3 - log_a2)
-    diff_67 = -math.exp(log_a6) * math.expm1(log_a7 - log_a6)
-    pairs = k * (k - 1.0)
+    d23, d67 = log_a3 - log_a2, log_a7 - log_a6
     try:
-        if pairs < math.inf:
-            term2 = pairs * math.exp(log_a4 + log_a5) * diff_67
-        else:
-            term2 = math.exp(math.log(k) + math.log(k - 1.0) + log_a4 + log_a5) * diff_67
-        out = k * math.exp(log_a1) * diff_23 + term2
+        term1 = k * math.exp(log_a1) * (-math.exp(log_a2) * math.expm1(d23))
+        term2 = k * (k - 1.0) * math.exp(log_a4 + log_a5) * (-math.exp(log_a6) * math.expm1(d67))
     except OverflowError:
-        out = math.nan
+        term1 = term2 = math.nan
+    out = term1 + term2
     if not math.isfinite(out):
         raise NumericalError(f"Dirichlet prior variance at k = {k:.3g} leaves the double range")
+    logs = sum(map(abs, (log_a1, log_a2, log_a3, log_a4, log_a5, log_a6, log_a7)))
+    err = 2.0**-52 * logs * (abs(term1) * _expm1_gain(d23) + abs(term2) * _expm1_gain(d67))
+    if not err <= _DIRICHLET_REL_TOL * abs(out):
+        raise NumericalError(
+            f"Dirichlet prior variance at k = {k:.3g}: its two terms cancel below their rounding"
+        )
     return out
 
 

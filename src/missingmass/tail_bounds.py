@@ -90,13 +90,21 @@ def sub_gaussian_tail(sigma2: float, eps: float) -> float:
 
 def sub_gamma_exponent(v: float, c: float, eps: float) -> float:
     """(v/c^2) h(c*eps/v) with h(x) = 1+x-sqrt(1+2x), in the stable form
-    h(x) = x^2/(1+x+sqrt(1+2x)).  Where x overflows, the exponent is inf."""
+    h(x) = x^2/(1+x+sqrt(1+2x)).  Where x^2 overflows (x above about
+    1.3e154), h is taken as x/(1+r+sqrt(r(2+r))) with r = 1/x, the same
+    quotient divided through by x, since 1+2x too overflows from x = 9e307.
+    Where x overflows, the exponent is inf."""
     if not (v > 0.0 and c > 0.0) or eps < 0.0:
         raise InvalidInputError("need v, c > 0 and eps >= 0")
     x = c * eps / v
     if x == math.inf:
         return math.inf
-    h = x * x / (1.0 + x + math.sqrt(1.0 + 2.0 * x))
+    xx = x * x
+    if xx < math.inf:
+        h = xx / (1.0 + x + math.sqrt(1.0 + 2.0 * x))
+    else:
+        r = 1.0 / x
+        h = x / (1.0 + r + math.sqrt(r * (2.0 + r)))
     return v / (c * c) * h
 
 

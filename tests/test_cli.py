@@ -383,6 +383,22 @@ def test_bounds_at_huge_eps_are_zero_never_nan(family, capsys):
     assert (eps, bound) == (1e300, 0.0) and exponent > 1e299
 
 
+def test_sub_gamma_exponent_stays_finite_where_its_square_overflows(capsys):
+    # x = c*eps/v is about 1e301 here: finite, but x*x is not
+    rows = {}
+    for family in ("ssg", "subgamma"):
+        code, out, err = run(capsys, "bounds", "--family", family, "--g", "power:1",
+                             "--n", "3", "--eps-grid", "1e300")
+        assert code == 0, err
+        rows[family] = out.splitlines()[1]
+    assert rows["subgamma"] == rows["ssg"] == "1e+300,0,3.33333333333333e+300"
+    # here x is finite but 1 + 2x is not: the exponent overflows, never NaN
+    code, out, err = run(capsys, "bounds", "--family", "subgamma", "--g", "entropy:64",
+                         "--n", "3", "--eps-grid", "1e308")
+    assert code == 0, err
+    assert out.splitlines()[1] == "1e+308,0,inf"
+
+
 def test_csv_row_in_one_step_matches_per_value_formatting():
     rows = [[0.1, np.float64(1.0) / 3.0, 7, np.int64(-3)],
             [math.inf, -0.0, 5e-324, -math.inf],
@@ -471,6 +487,16 @@ def test_overflow_exits_5(command, capsys):
     assert code == 5
     assert out == ""
     assert err.startswith("numerical failure:") and err.count("\n") == 1
+
+
+def test_dirichlet_cancellation_exits_5(capsys):
+    # at c = 1e10 the two terms of the closed form cancel to rounding noise,
+    # which at n = 200 comes out as a negative variance, -4.485e-15
+    code, out, err = run(capsys, "simulate", "--task", "dirichlet", "--alpha", "1",
+                         "--c", "1e10", "--n-list", "20,200", "--trials", "0")
+    assert code == 5
+    assert out == ""
+    assert err.startswith("numerical failure:") and "cancel" in err
 
 
 def test_ustar_json(capsys):

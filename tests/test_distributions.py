@@ -148,6 +148,18 @@ def test_inverse_cdf_matches_binary_search_on_adversarial_supports(name):
     assert np.all(probs[got] > 0.0)
 
 
+@pytest.mark.parametrize("k", [1, 3, 7, 200, 1000])
+def test_guide_lookup_is_exact_at_bucket_edges(k):
+    # u*m can round up onto bucket j from just below j/m, so guide[j] must
+    # start at or before the letter of such a u.  Uniform supports put their
+    # cumulative sums on bucket edges; zipf ones fall between them.
+    m = 4 * k
+    edges = np.arange(m) / m
+    u = np.concatenate([edges, np.nextafter(edges, 0.0), [np.nextafter(1.0, 0.0)]])
+    for probs in (dm.uniform(k).probs, dm.zipf(k, 1.0).probs, dm.zipf(k, 2.0).probs):
+        np.testing.assert_array_equal(dm._inverse_cdf(probs)(u), _binary_search_letters(probs, u))
+
+
 def test_last_uniform_never_maps_to_a_zero_probability_letter():
     d = dm.explicit([0.3, 0.7 - 5e-13, 0.0])
     assert dm._inverse_cdf(d.probs)(np.array([np.nextafter(1.0, 0.0)])).tolist() == [1]
@@ -166,6 +178,18 @@ def test_sample_stream_is_pinned():
     for d in (dm.zipf(200, 1.0), dm.uniform(1000)):
         x = dm.sample(d, 5000, seed=7)
         assert hashlib.sha256(x.astype("<i8").tobytes()).hexdigest() == want[d.label]
+
+
+def test_sample_draws_by_binary_search_without_a_guide_table(monkeypatch):
+    def no_guide(probs):
+        raise AssertionError("sample built a guide table")
+
+    monkeypatch.setattr(dm, "_inverse_cdf", no_guide)
+    for probs in ([0.3, 0.7 - 5e-13, 0.0], dm.zipf(1000, 1.0).probs):
+        d = dm.explicit(probs)
+        rng = np.random.Generator(np.random.PCG64(4))
+        x = dm.sample(d, 3000, seed=4)
+        np.testing.assert_array_equal(x, _binary_search_letters(d.probs, rng.random(3000)))
 
 
 @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0])

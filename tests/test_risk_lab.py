@@ -53,6 +53,50 @@ def test_occupancy_stream_is_pinned(d, n, want):
     assert digest.hexdigest() == want
 
 
+def _counting_kernel(probs, gvec, n, trials, seed, alpha):
+    """The occupancy kernel as a full count matrix: letters by binary search
+    (searchsorted, clipped to the last positive-probability letter), one
+    bincount per block, G0 = (counts == 0) @ gvec and
+    phi = count_nonzero(counts == alpha, axis=1)."""
+    k = probs.size
+    cum = np.cumsum(probs)
+    last = np.flatnonzero(probs)[-1]
+    g0 = np.empty(trials)
+    phi = np.empty(trials, dtype=np.int64)
+    for block, lo, hi in rl._blocks(trials, max(k, n)):
+        rows = hi - lo
+        u = rl._block_rng(seed, n, block).random((rows, n))
+        idx = np.minimum(np.searchsorted(cum, u, side="right"), last)
+        idx += k * np.arange(rows)[:, None]
+        counts = np.bincount(idx.ravel(), minlength=rows * k).reshape(rows, k)
+        g0[lo:hi] = (counts == 0) @ gvec
+        phi[lo:hi] = np.count_nonzero(counts == alpha, axis=1)
+    return g0, phi
+
+
+@pytest.mark.parametrize("probs,n", [
+    ([1.0], 5),
+    (dm.uniform(5).probs, 40),
+    (dm.zipf(200, 1.0).probs, 1),
+    (dm.zipf(200, 1.0).probs, 20),
+    ([0.25, 0.0, 0.0, 0.5, 0.0, 0.25, 0.0, 0.0], 6),
+    (dm.geometric(300, 0.05).probs, 400),
+], ids=["k1", "n_above_k", "n1", "zipf200_n20", "zero_letters", "geometric_n_above_k"])
+def test_occupancy_matches_counting_kernel_bit_for_bit(probs, n):
+    d = dm.explicit(probs)
+    gvec = rl._g_vector(d, P2)
+    trials = 2 * rl._block_size(max(d.size, n)) + 7  # two full blocks and a partial one
+    for alpha in (1, 2, 3):
+        g0, phi = rl._occupancy(d.probs, gvec, n, trials, 5, alpha)
+        want_g0, want_phi = _counting_kernel(d.probs, gvec, n, trials, 5, alpha)
+        np.testing.assert_array_equal(g0.view(np.int64), want_g0.view(np.int64))
+        np.testing.assert_array_equal(phi, want_phi)
+    # phi is not computed when nothing reads it
+    g0, phi = rl._occupancy(d.probs, gvec, n, trials, 5, 0)
+    assert phi is None
+    np.testing.assert_array_equal(g0.view(np.int64), want_g0.view(np.int64))
+
+
 def test_mc_tail_thread_count_does_not_change_results():
     d = dm.zipf(200, 1.0)
     a = rl.mc_tail(d, P1, 20, 1500, (0.02, 0.1), seed=5)
@@ -279,14 +323,58 @@ def test_dirichlet_variance_frozen_value():
 
 
 def test_dirichlet_variance_beyond_double_range_is_numerical_failure():
-    # k(k-1) overflows from k = 1.3e154 on and is taken in the exponent
-    # instead; at k = 4e152 and 4e154 the result is finite, from k = 4e155
-    # (c = 1e153, n = 20) the product k(k-1) A4 A5 itself overflows
-    for c in (1e150, 1e152):
-        assert math.isfinite(rl.dirichlet_prior_variance(20, c, 1))
-    for c in (1e153, 1e300):
+    # From k = 4e155 (c = 1e153, n = 20) on, k(k-1) A4 A5 overflows.  Below
+    # that, at c = 1e150 and 1e152, the two terms are finite but cancel to
+    # rounding noise (5e-152 and 5e-154 where T is near 5e-302 and 5e-306).
+    for c in (1e150, 1e152, 1e153, 1e300):
         with pytest.raises(NumericalError):
             rl.dirichlet_prior_variance(20, c, 1)
+
+
+def _dirichlet_variance_mpmath(mpmath, n, c, alpha):
+    """T = k A1 (A2 - A3) + k(k-1) A4 A5 (A6 - A7) at 80 digits, for the
+    same k = round(c n^2) and beta0 = k/n taken exactly."""
+    k = round(c * n * n)
+    with mpmath.workdps(80):
+        n_, k_ = mpmath.mpf(n), mpmath.mpf(k)
+        b = k_ / n_
+        prod = mpmath.fprod
+        a1 = prod([1 - 1 / (n_ * (b + l)) for l in range(n)])
+        a4 = prod([1 - 2 / (n_ * (b + l)) for l in range(n)])
+        a2 = prod([(1 / n_ + l) / (b + n_ + l) for l in range(2 * alpha)])
+        a3 = prod([(1 / n_ + l) / (b + n_ + l) for l in range(alpha)]) ** 2
+        a5 = prod([1 / n_ + l for l in range(alpha)]) ** 2
+        a6 = 1 / prod([b + n_ + l for l in range(2 * alpha)])
+        a7 = 1 / prod([b + n_ + l for l in range(alpha)]) ** 2
+        return k_ * a1 * (a2 - a3) + k_ * (k_ - 1) * a4 * a5 * (a6 - a7)
+
+
+@pytest.mark.parametrize("alpha", [1, 2])
+@pytest.mark.parametrize("n", [20, 200])
+def test_dirichlet_variance_returns_only_digits_it_has(n, alpha):
+    # Every value returned over c = 1..1e300 agrees with 80-digit arithmetic;
+    # where the terms cancel past their rounding, NumericalError instead.
+    mpmath = pytest.importorskip("mpmath")
+    returned = raised = 0
+    for c in [m * 10.0**e for e in range(300) for m in (1, 2, 5)] + [1e300]:
+        try:
+            got = rl.dirichlet_prior_variance(n, c, alpha)
+        except NumericalError:
+            raised += 1
+            continue
+        returned += 1
+        want = _dirichlet_variance_mpmath(mpmath, n, c, alpha)
+        assert abs(got - want) <= 1e-6 * want, c
+    assert returned >= 6 and raised >= 250
+
+
+def test_dirichlet_variance_at_small_c_is_unchanged():
+    # the cancellation check leaves ordinary c alone: these values hold to the bit
+    want = {(20, 0.5, 1): 0.006959545219329518, (20, 3.0, 1): 0.002379984379851624,
+            (200, 2.0, 1): 0.00037050069642450916, (20, 1.0, 2): 2.8390144831090728e-05,
+            (40, 1.0, 1): 0.003085482841663748}
+    for (n, c, alpha), value in want.items():
+        assert rl.dirichlet_prior_variance(n, c, alpha) == value
 
 
 def test_dirichlet_closed_form_matches_monte_carlo():

@@ -55,6 +55,20 @@ def test_gamma_exponents_are_inf_where_the_ratio_overflows(exponent):
     assert math.isfinite(exponent(0.05, 0.5, 1e100))
 
 
+def test_sub_gamma_exponent_matches_mpmath_where_the_square_overflows():
+    # x = c*eps/v; x^2 overflows from x = 1.3e154 on, x itself only past 1.8e308
+    mpmath = pytest.importorskip("mpmath")
+    v, c = 0.05, 0.5
+    with mpmath.workdps(60):
+        for e in (1e-12, 1e-3, 0.2, 1e3, 1e150, 1e152, 1.3e153, 1e154, 1e200, 1e300, 1e307,
+                  1.7e307):
+            x = mpmath.mpf(c * e / v)  # the double the function computes
+            want = mpmath.mpf(v) / mpmath.mpf(c) ** 2 * (1 + x - mpmath.sqrt(1 + 2 * x))
+            got = tb.sub_gamma_exponent(v, c, e)
+            assert math.isfinite(got)
+            assert abs(got - want) <= 1e-13 * want, e
+
+
 @pytest.mark.parametrize("v", [1e-4, 0.01, 0.3])
 @pytest.mark.parametrize("c", [0.01, 0.1, 1.0])
 def test_ssg_bound_never_above_sub_gamma(v, c):
