@@ -10,7 +10,7 @@ import json
 import pathlib
 import sys
 
-from missingmass.cli import cmd_fig1, fig1_rows
+from missingmass.cli import fig1_rows, main as cli_main
 
 
 def main() -> int:
@@ -18,7 +18,9 @@ def main() -> int:
     ap.add_argument("--outdir", default="out", help="where to write the CSVs")
     args = ap.parse_args()
 
-    cmd_fig1(argparse.Namespace(outdir=args.outdir))
+    rc = cli_main(["fig1", "--outdir", args.outdir])
+    if rc:
+        return rc
 
     ref_path = pathlib.Path(__file__).parent.parent / "tests" / "data" / "reference_tail_curves.json"
     reference = json.loads(ref_path.read_text())

@@ -27,8 +27,8 @@ def main() -> int:
         g = gf.power(float(alpha))
         pairs = []
         for n in (20, 40, 80, 160):
-            rep = rl.mc_risk(dm.uniform(n), kind, g, [n], args.trials, args.seed)
-            pairs.append((n, rep.rows[0].mse))
+            (row,) = rl.mc_risk(dm.uniform(n), kind, g, [n], args.trials, args.seed)
+            pairs.append((n, row.mse))
         slope, _ = rl.rate_fit(pairs)
         print(f"{alpha:>6} {slope:>8.3f} {-(2 * alpha - 1):>9}")
 
@@ -36,9 +36,8 @@ def main() -> int:
     print("classical estimator at n=100: n * MSE by support size")
     print(f"{'K':>6} {'n*mse':>10} {'3 se * n':>10}")
     for k in (10, 100, 1000):
-        rep = rl.mc_risk(dm.uniform(k), est.good_turing(), gf.power(1.0),
-                         [100], args.trials, args.seed)
-        row = rep.rows[0]
+        (row,) = rl.mc_risk(dm.uniform(k), est.good_turing(), gf.power(1.0),
+                            [100], args.trials, args.seed)
         print(f"{k:>6} {100 * row.mse:>10.4f} {300 * row.se:>10.4f}")
 
     print()

@@ -11,8 +11,9 @@ ustar      Maximize g(p)^r (1-p)^n (1-(1-p)^n) / p over p.
 simulate   Monte Carlo: estimator risk curves, tail-frequency dominance
            checks, or Dirichlet-prior variance curves.
 
-Exit codes: 0 success, 2 malformed input, 3 out-of-regime parameters,
-4 I/O failure, 5 numerical failure.  Relative output paths are resolved
+Exit codes: 0 success, 2 malformed input, 3 out-of-regime parameters
+(including sizes whose arrays cannot be allocated), 4 I/O failure,
+5 numerical failure.  Relative output paths are resolved
 against the MISSINGMASS_OUTDIR environment variable when it is set.
 """
 
@@ -24,7 +25,7 @@ import json
 import math
 import os
 import sys
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, TextIO, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,7 +47,11 @@ _FIG_NS = (20, 100, 1000)
 _FIG_EPS = np.arange(15) * 0.05
 
 
-def _resolve_path(path: str) -> str:
+def _resolve_path(path: Optional[str]) -> Optional[str]:
+    """The file an output option names: None for stdout (no option or "-"),
+    else the path, resolved against $MISSINGMASS_OUTDIR when relative."""
+    if path is None or path == "-":
+        return None
     base = os.environ.get(OUTDIR_ENV)
     if base and not os.path.isabs(path):
         return os.path.join(base, path)
@@ -334,45 +339,39 @@ def read_phi_csv(path: str, n: int) -> SampleProfile:
     return profile_from_phi(_read_pairs(path, int), n)
 
 
-def write_phi_csv(profile: SampleProfile, out: TextIO) -> None:
-    out.write("l,phi_l\n")
-    for l in sorted(profile.phi):
-        out.write(f"{l},{profile.phi[l]}\n")
+def phi_csv(profile: SampleProfile) -> str:
+    """The occupancy profile as l,phi_l rows under a header."""
+    return "l,phi_l\n" + "".join(f"{l},{profile.phi[l]}\n" for l in sorted(profile.phi))
 
 
 # ---------------------------------------------------------------------------
-# table output
+# output: every command builds its whole output as one string, then _emit
+# writes it, so bad input never creates or truncates a file.
 
 
-def _write_table(header: Sequence[str], rows: Sequence[Sequence[float]],
-                 fmt: str, out: TextIO, meta: Optional[dict] = None) -> None:
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _table(header: Sequence[str], rows: Sequence[Sequence[float]],
+           fmt: str, meta: Optional[dict] = None) -> str:
+    """CSV (15 significant digits) or JSON (meta, columns, rows) text."""
     if fmt == "csv":
-        out.write(",".join(header) + "\n")
         line = ",".join(["%.15g"] * len(header)) + "\n"
-        for row in rows:
-            out.write(line % tuple(map(float, row)))
-    else:
-        payload = dict(meta or {})
-        payload["columns"] = list(header)
-        payload["rows"] = [[float(v) for v in row] for row in rows]
-        _write_json(payload, out)
+        return ",".join(header) + "\n" + "".join(line % tuple(map(float, row)) for row in rows)
+    payload = dict(meta or {})
+    payload["columns"] = list(header)
+    payload["rows"] = [[float(v) for v in row] for row in rows]
+    return _json(payload)
 
 
-def _write_json(payload: dict, out: TextIO) -> None:
-    json.dump(payload, out, indent=2)
-    out.write("\n")
-
-
-def _emit(path: Optional[str], write: Callable[[TextIO], None]) -> None:
-    """Run write on stdout (path None or "-") or on the file at path.
-
-    Callers compute their whole output first, so bad input never creates or
-    truncates the file."""
-    if path is None or path == "-":
-        write(sys.stdout)
+def _emit(text: str, path: Optional[str]) -> None:
+    """Write text to stdout (path None) or to the file at path."""
+    if path is None:
+        sys.stdout.write(text)
         return
-    with open(_resolve_path(path), "w", encoding="utf-8") as fh:
-        write(fh)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +415,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             "left": [tb.corollary_left_tail(profile.n, g, e) for e in eps],
         }
 
+    text = _json(report)
     if args.emit_phi:
-        with open(_resolve_path(args.emit_phi), "w", encoding="utf-8") as fh:
-            write_phi_csv(profile, fh)
-    _emit(args.out, lambda out: _write_json(report, out))
+        _emit(phi_csv(profile), _resolve_path(args.emit_phi))
+    _emit(text, _resolve_path(args.out))
     return 0
 
 
@@ -428,18 +427,17 @@ def fig1_rows(n: int) -> Tuple[List[str], List[List[float]]]:
     g = gf.power(1.0)
     curves = [tb.curve(family, n, g, _FIG_EPS)
               for family in ("subgauss", "poly:2", "poly:5")]
-    rows = [[e] + [c.bounds[j] for c in curves] for j, e in enumerate(curves[0].eps)]
+    rows = [[float(e)] + [c.bounds[j] for c in curves] for j, e in enumerate(_FIG_EPS)]
     return ["eps", "subgauss", "r2", "r5"], rows
 
 
 def cmd_fig1(args: argparse.Namespace) -> int:
     outdir = args.outdir or os.environ.get(OUTDIR_ENV) or "."
     os.makedirs(outdir, exist_ok=True)
-    for n in _FIG_NS:
-        header, rows = fig1_rows(n)
+    tables = [_table(*fig1_rows(n), "csv") for n in _FIG_NS]
+    for n, text in zip(_FIG_NS, tables):
         path = os.path.join(outdir, f"tail_curves_n{n}.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            _write_table(header, rows, "csv", fh)
+        _emit(text, path)
         print(path)
     return 0
 
@@ -448,19 +446,17 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     g = parse_g(args.g)
     eps = parse_eps_grid(args.eps_grid)
     curve = tb.curve(args.family, args.n, g, eps)
-    rows = [[float(e), float(b), float(x)]
-            for e, b, x in zip(curve.eps, curve.bounds, curve.exponents)]
-    meta = {"family": curve.family, "n": curve.n, "g": curve.g_descriptor}
-    _emit(args.path, lambda out: _write_table(["eps", "bound", "exponent"], rows,
-                                              args.out, out, meta=meta))
+    rows = list(zip(eps, curve.bounds, curve.exponents))
+    meta = {"family": args.family, "n": args.n, "g": g.descriptor()}
+    _emit(_table(["eps", "bound", "exponent"], rows, args.out, meta),
+          _resolve_path(args.path))
     return 0
 
 
 def cmd_ustar(args: argparse.Namespace) -> int:
     g = parse_g(args.g)
     res = u_star(args.n, g, args.r)
-    _write_json({"value": res.value, "argmax": res.argmax, "n": res.n,
-                 "r": res.r}, sys.stdout)
+    _emit(_json({"value": res.value, "argmax": res.argmax, "n": args.n, "r": args.r}), None)
     return 0
 
 
@@ -508,13 +504,12 @@ def _simulate_table(args: argparse.Namespace) -> Tuple[List[str], List[List[floa
 
     if args.task == "risk":
         kind = _estimator_for(args, g)
-        report = risk_lab.mc_risk(dist, kind, g, ns, args.trials, args.seed)
-        rows = [[float(r.n), float(r.trials), r.mse, r.se] for r in report.rows]
-        meta = {"task": "risk", "estimator": report.estimator,
-                "g": report.g_descriptor, "dist": report.dist_descriptor}
-        if math.isfinite(report.slope):
-            meta["slope"] = report.slope
-            meta["intercept"] = report.intercept
+        risk = risk_lab.mc_risk(dist, kind, g, ns, args.trials, args.seed)
+        rows = [[r.n, args.trials, r.mse, r.se] for r in risk]
+        meta = {"task": "risk", "estimator": kind.descriptor(),
+                "g": g.descriptor(), "dist": dist.label}
+        if len(risk) >= 3 and all(r.mse > 0.0 for r in risk):
+            meta["slope"], meta["intercept"] = risk_lab.rate_fit([(r.n, r.mse) for r in risk])
         return ["n", "trials", "mse", "se"], rows, meta
 
     # tail dominance
@@ -526,7 +521,7 @@ def _simulate_table(args: argparse.Namespace) -> Tuple[List[str], List[List[floa
         if not header:
             header = (["n", "eps", "right_freq", "right_se", "left_freq", "left_se"]
                       + names)
-        for j, e in enumerate(rep.eps):
+        for j, e in enumerate(eps):
             row = [float(n), float(e), rep.right_freq[j], rep.right_se[j],
                    rep.left_freq[j], rep.left_se[j]]
             row += [rep.bounds[name][j] for name in names]
@@ -537,7 +532,7 @@ def _simulate_table(args: argparse.Namespace) -> Tuple[List[str], List[List[floa
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     header, rows, meta = _simulate_table(args)
-    _emit(args.path, lambda out: _write_table(header, rows, args.out, out, meta=meta))
+    _emit(_table(header, rows, args.out, meta), _resolve_path(args.path))
     return 0
 
 
@@ -641,6 +636,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except RegimeError as exc:
         print(f"out of regime: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)

@@ -8,8 +8,7 @@ indicator-variance sum.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -19,6 +18,9 @@ from .errors import InvalidInputError
 from .gfunction import GFunction
 
 _SUM_TOL = 1e-12
+
+#: Most forward steps a guide-table draw takes before binary search.
+_MAX_GUIDE_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -109,9 +111,11 @@ def _inverse_cdf(probs: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     guide[int(u*m)] and steps forward while cum[i] <= u.  guide[j] is the
     first i with cum[i] > e_j, for an edge e_j a few ulps below j/m: u*m may
     round up onto j from just below j/m, and starting at or before the letter
-    of every such u keeps the lookup exact without a correction pass.  The
-    returned function maps an array of uniforms to an intp array of letters
-    of the same shape.
+    of every such u keeps the lookup exact without a correction pass.  A
+    draw still behind its letter after _MAX_GUIDE_STEPS steps (one in a run
+    of atoms far below 1/m) is finished by binary search on the same table.
+    The returned function maps an array of uniforms to an intp array of
+    letters of the same shape.
     """
     m = 4 * probs.size
     cum = np.cumsum(probs)
@@ -124,9 +128,13 @@ def _inverse_cdf(probs: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         flat = u.ravel()
         idx = guide[(flat * m).astype(np.intp)]
         ahead = np.flatnonzero(cum[idx] <= flat)
-        while ahead.size:
+        for _ in range(_MAX_GUIDE_STEPS):
+            if not ahead.size:
+                break
             idx[ahead] += 1
             ahead = ahead[cum[idx[ahead]] <= flat[ahead]]
+        else:
+            idx[ahead] = np.searchsorted(cum, flat[ahead], side="right")
         return idx.reshape(u.shape)
 
     return letters
@@ -144,6 +152,8 @@ def sample(dist: DiscreteDistribution, n: int, seed: int) -> np.ndarray:
     """
     if int(n) != n or n < 0:
         raise InvalidInputError("sample size must be an integer >= 0")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     idx = np.searchsorted(np.cumsum(dist.probs), rng.random(int(n)), side="right")
     return np.minimum(idx, np.flatnonzero(dist.probs)[-1], out=idx)

@@ -4,7 +4,8 @@ Three failure classes matter to callers: a value that is malformed or outside
 a function's mathematical domain (InvalidInputError), structurally valid
 parameters that fall outside the regime where a formula is proved to hold
 (RegimeError), and a numerical solve that breaks a property it must keep
-(NumericalError).  The CLI maps them to exit codes 2, 3 and 5.
+(NumericalError).  The CLI maps them to exit codes 2, 3 and 5; it also
+maps a MemoryError (an array too large to allocate) to exit code 3.
 """
 
 

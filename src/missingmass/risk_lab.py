@@ -33,28 +33,15 @@ _DIRICHLET_REL_TOL = 1e-6
 @dataclass(frozen=True)
 class RiskRow:
     n: int
-    trials: int
     mse: float
     se: float
 
 
 @dataclass(frozen=True)
-class RiskReport:
-    estimator: str
-    g_descriptor: str
-    dist_descriptor: str
-    rows: Tuple[RiskRow, ...]
-    slope: float
-    intercept: float
-
-
-@dataclass(frozen=True)
 class TailReport:
-    n: int
-    g_descriptor: str
-    dist_descriptor: str
-    trials: int
-    eps: Tuple[float, ...]
+    """Empirical tail frequencies, their standard errors and the bound
+    columns, one entry per eps of the grid."""
+
     right_freq: Tuple[float, ...]
     right_se: Tuple[float, ...]
     left_freq: Tuple[float, ...]
@@ -63,6 +50,8 @@ class TailReport:
 
 
 def _block_rng(seed: int, n: int, block: int) -> np.random.Generator:
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, n, block))))
 
 
@@ -158,26 +147,15 @@ def mc_risk(
     n_list: Sequence[int],
     trials: int,
     seed: int,
-) -> RiskReport:
-    """Mean squared error (estimate - realized missing mass)^2 per n, with a
-    log-log rate fit across n."""
+) -> Tuple[RiskRow, ...]:
+    """Mean squared error (estimate - realized missing mass)^2 per n;
+    rate_fit turns the rows into a log-log rate."""
     rows = []
     for n in n_list:
         n = int(n)
         mse, se = _mean_se(np.square(_estimate_errors(dist, kind, g, n, trials, seed)))
-        rows.append(RiskRow(n=n, trials=trials, mse=mse, se=se))
-    if len(rows) >= 3 and all(r.mse > 0.0 for r in rows):
-        slope, intercept = rate_fit([(r.n, r.mse) for r in rows])
-    else:
-        slope, intercept = math.nan, math.nan
-    return RiskReport(
-        estimator=kind.descriptor(),
-        g_descriptor=g.descriptor(),
-        dist_descriptor=dist.label,
-        rows=tuple(rows),
-        slope=slope,
-        intercept=intercept,
-    )
+        rows.append(RiskRow(n=n, mse=mse, se=se))
+    return tuple(rows)
 
 
 def mc_bias(
@@ -249,11 +227,6 @@ def mc_tail(
     right_freq, right_se = freq_and_se(right_counts)
     left_freq, left_se = freq_and_se(left_counts)
     return TailReport(
-        n=n,
-        g_descriptor=g.descriptor(),
-        dist_descriptor=dist.label,
-        trials=trials,
-        eps=eps,
         right_freq=right_freq,
         right_se=right_se,
         left_freq=left_freq,

@@ -65,10 +65,8 @@ class PolyFiltered:
 
 @dataclass(frozen=True)
 class BoundCurve:
-    n: int
-    g_descriptor: str
-    family: str
-    eps: Tuple[float, ...]
+    """Clamped bounds and raw Chernoff exponents, one per eps of the grid."""
+
     bounds: Tuple[float, ...]
     exponents: Tuple[float, ...]
 
@@ -346,5 +344,4 @@ def curve(family: str, n: int, g: GFunction, eps_grid: Sequence[float]) -> Bound
             exponents = tuple(sub_gamma_exponent(spec.v, spec.c, e) for e in eps_list)
         else:
             exponents = tuple(poly_filtered_exponent(spec, e) for e in eps_list)
-    return BoundCurve(n=n, g_descriptor=g.descriptor(), family=family, eps=tuple(eps_list),
-                      bounds=tuple(_clamp(x) for x in exponents), exponents=exponents)
+    return BoundCurve(bounds=tuple(_clamp(x) for x in exponents), exponents=exponents)

@@ -38,7 +38,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError, RegimeError
-from .gfunction import GFunction, TypeA, TypeB, Unclassified, classify
+from .gfunction import GFunction, TypeA, Unclassified, classify
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -55,8 +55,6 @@ _LN2 = math.log(2.0)
 class UStarResult:
     value: float
     argmax: float
-    r: int
-    n: int
 
 
 def _u_r(p, qn, gp, r: int):
@@ -174,7 +172,7 @@ def u_star(
             f"u_{r} of g = {g.descriptor()} is non-finite or negative on (0, 1)"
         )
     x, fx = _grid_then_golden(lambda p: _u_r_at(p, n, g, r), grid, vals)
-    return UStarResult(value=fx, argmax=x, r=r, n=n)
+    return UStarResult(value=fx, argmax=x)
 
 
 @functools.lru_cache(maxsize=256)

@@ -115,7 +115,7 @@ def test_criterion_05_generalized_estimator_minimax_rate(alpha):
     pairs = []
     for n in (20, 40, 80, 160):
         rep = rl.mc_risk(dm.uniform(n), kind, g, [n], trials=10**4, seed=42)
-        pairs.append((n, rep.rows[0].mse))
+        pairs.append((n, rep[0].mse))
     slope, _ = rl.rate_fit(pairs)
     want = -(2.0 * alpha - 1.0)
     assert abs(slope - want) <= 0.3, f"slope {slope:.3f}, want {want} +- 0.3"
@@ -127,7 +127,7 @@ def test_criterion_06_good_turing_worst_case_level(k):
     n = 100
     rep = rl.mc_risk(dm.uniform(k), est.good_turing(), P1, [n],
                      trials=10**5, seed=7)
-    assert rep.rows[0].mse <= 0.65 / n
+    assert rep[0].mse <= 0.65 / n
 
 
 @pytest.mark.parametrize("alpha", [1, 2, 3])
@@ -169,7 +169,7 @@ def test_criterion_08_tail_bound_dominance(g, dist, n):
     for name, col in rep.bounds.items():
         freqs = rep.right_freq if name.startswith("right") else rep.left_freq
         ses = rep.right_se if name.startswith("right") else rep.left_se
-        for e, f, s, b in zip(rep.eps, freqs, ses, col):
+        for e, f, s, b in zip(TAIL_EPS, freqs, ses, col):
             assert f <= b + 3.0 * s, (
                 f"{name} violated at eps={e}: freq {f:.4g} > bound {b:.4g} "
                 f"+ 3*{s:.2g}"
@@ -228,5 +228,5 @@ def test_criterion_10_structural_invariants():
     a = rl.mc_risk(d, est.good_turing(), P1, [30], trials=400, seed=5)
     b = rl.mc_risk(d, est.good_turing(), P1, [30], trials=400, seed=5)
     c2 = rl.mc_risk(d, est.good_turing(), P1, [30], trials=400, seed=6)
-    assert a.rows[0].mse == b.rows[0].mse and a.rows[0].se == b.rows[0].se
-    assert a.rows[0].mse != c2.rows[0].mse
+    assert a[0].mse == b[0].mse and a[0].se == b[0].se
+    assert a[0].mse != c2[0].mse

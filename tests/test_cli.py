@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from missingmass import cli
 from missingmass import gfunction as gf
+from missingmass import risk_lab as rl
 from missingmass import tail_bounds as tb
 from missingmass.errors import InvalidInputError, NumericalError
 
@@ -403,11 +404,9 @@ def test_csv_row_in_one_step_matches_per_value_formatting():
     rows = [[0.1, np.float64(1.0) / 3.0, 7, np.int64(-3)],
             [math.inf, -0.0, 5e-324, -math.inf],
             [1e308, np.float32(0.1), 2.5e-310, math.nan]]
-    out = io.StringIO()
-    cli._write_table(["a", "b", "c", "d"], rows, "csv", out)
     oracle = "a,b,c,d\n" + "".join(
         ",".join("%.15g" % float(v) for v in row) + "\n" for row in rows)
-    assert out.getvalue() == oracle
+    assert cli._table(["a", "b", "c", "d"], rows, "csv") == oracle
 
 
 def test_parser_built_once_keeps_no_state_between_calls(tmp_path, capsys):
@@ -532,10 +531,16 @@ _TAIL_ON_FILE = "simulate --task tail --g power:1 --dist explicit:{f} --n-list 5
     ("bounds --family poly:171 --g power:1 --n 10 --eps-grid 0.1", None, None),
     ("bounds --family poly:100000 --g power:1 --n 10 --eps-grid 0.1", None, None),
     ("estimate --input {f} --format counts", "c.csv", b"a,2.5\nb,3\n"),
+    ("simulate --task tail --g power:1 --dist uniform:10 --n-list 5 --trials 1000 --seed -1",
+     None, None),
+    ("simulate --task risk --g power:1 --dist uniform:10 --n-list 5 --trials 200 --seed -1",
+     None, None),
+    ("simulate --task dirichlet --alpha 1 --n-list 5 --trials 200 --seed -1", None, None),
 ], ids=["n_zero", "dirichlet_c_inf", "dist_json", "dist_json_object",
         "dist_csv", "dist_non_utf8", "tokens_non_utf8", "counts_non_utf8",
         "eps_grid_too_long", "poly_order_171", "poly_order_huge",
-        "counts_fractional_first_row"])
+        "counts_fractional_first_row", "seed_negative_tail", "seed_negative_risk",
+        "seed_negative_dirichlet"])
 def test_bad_input_exits_2(command, name, data, tmp_path, capsys):
     if name is not None:
         (tmp_path / name).write_bytes(data)
@@ -607,6 +612,44 @@ def test_simulate_risk_json_meta(capsys):
     assert "slope" in doc and len(doc["rows"]) == 3
 
 
+def test_simulate_risk_json_reports_rate_for_three_sizes(capsys):
+    code, out, _ = run(capsys, "simulate", "--task", "risk", "--g", "power:1",
+                       "--dist", "uniform:20", "--n-list", "10,20,40",
+                       "--estimator", "goodturing", "--trials", "300", "--seed", "2",
+                       "--out", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert math.isfinite(doc["slope"])
+    assert (doc["slope"], doc["intercept"]) == rl.rate_fit(
+        [(n, mse) for n, _, mse, _ in doc["rows"]])
+    assert doc["estimator"] == "good_turing"
+    assert doc["dist"] == "uniform:20"
+
+
+def test_simulate_risk_json_has_no_rate_below_three_sizes(capsys):
+    code, out, _ = run(capsys, "simulate", "--task", "risk", "--g", "power:1",
+                       "--dist", "uniform:20", "--n-list", "10,20", "--trials", "300",
+                       "--out", "json")
+    assert code == 0
+    assert "slope" not in json.loads(out)
+
+
+# Each asks for an array of at least 10^15 elements, beyond any 48-bit
+# address space, so numpy refuses it before touching memory.
+@pytest.mark.parametrize("command", [
+    "--task tail --g power:1 --dist uniform:10 --n-list 1000000000000000 --trials 1000",
+    "--task tail --g power:1 --dist uniform:10 --n-list 5 --trials 1000000000000000",
+    "--task tail --g power:1 --dist uniform:1000000000000000 --n-list 5 --trials 1000",
+    "--task dirichlet --alpha 1 --n-list 1000000000000000 --trials 0",
+], ids=["n", "trials", "support", "dirichlet_n"])
+def test_simulate_unallocatable_array_exits_3(command, tmp_path, capsys):
+    out_path = tmp_path / "out.csv"
+    code, out, err = run(capsys, "simulate", *command.split(), "--path", str(out_path))
+    assert code == 3 and out == ""
+    assert err.startswith("out of memory: ") and err.count("\n") == 1
+    assert not out_path.exists()
+
+
 def test_simulate_tail_columns(capsys):
     code, out, _ = run(capsys, "simulate", "--task", "tail", "--g", "power:1",
                        "--dist", "uniform:25", "--n-list", "15",
@@ -647,3 +690,71 @@ def test_readme_quick_example_runs():
     readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
     block = re.search(r"Quick example:\n+```python\n(.*?)```", readme.read_text(), re.S)
     exec(compile(block.group(1), "README.md", "exec"), {})
+
+
+# ---------------------------------------------------------------------------
+# hostile arguments: every command ends in a documented exit code
+
+
+#: A valid command of each kind; each example swaps one to three of its
+#: options for a hostile value, or drops them.
+_VALID = {
+    "bounds": {"--family": "poly:2", "--g": "power:1", "--n": "20", "--eps-grid": "0.1,0.2"},
+    "ustar": {"--g": "power:1", "--n": "20", "--r": "2"},
+    "simulate tail": {"--task": "tail", "--g": "power:1", "--dist": "uniform:10",
+                      "--n-list": "5", "--trials": "1000", "--seed": "0", "--eps-grid": "0.1"},
+    "simulate risk": {"--task": "risk", "--g": "power:1", "--dist": "uniform:10",
+                      "--n-list": "5,10,20", "--trials": "200", "--seed": "0",
+                      "--estimator": "generalized", "--alpha": "1"},
+    "simulate dirichlet": {"--task": "dirichlet", "--alpha": "1", "--c": "1", "--n-list": "5",
+                           "--trials": "200", "--seed": "0"},
+}
+#: Values no option should accept silently.  The 10^15 sizes ask for arrays
+#: beyond any 48-bit address space, which numpy refuses before touching
+#: memory, so no example does more than a few MB of work.
+_HOSTILE = ["-1", "0", "nan", "inf", "1e400", "", "x", "1000000000000000"]
+_POOLS = {
+    "--g": ["power:1", "power:2", "entropy:64", "power:", "power:x", "power:nan", "power:-1",
+            "power:1e400", "power:1000000000000000", "entropy:0", "entropy:x",
+            "entropy:1000000000000000", "nope:1", "power:1:2"],
+    "--dist": ["zipf:10:1", "geometric:10:0.5", "uniform:-1", "uniform:1000000000000000",
+               "zipf:10:nan", "zipf:10:inf", "zipf:10", "geometric:10:1e400",
+               "geometric:1000000000000000:0.5", "explicit:", "explicit:missing.json",
+               "nope:3", "uniform"],
+    "--family": ["subgauss", "ssg", "subgamma", "poly:5", "poly:171", "poly:1000000000000000",
+                 "poly:", "poly:x", "poly:-1", "nope"],
+    "--eps-grid": ["0:0.3:0.1", "0:1:1e-15", "0:1e400:1", "1:0:0.1", "a:b:c", "0,-1", ":",
+                   "1,,2"],
+    "--n-list": ["5,10", "5,,10", "5,-1", "5,1000000000000000"],
+    "--task": ["risk", "tail", "dirichlet", "x"],
+    "--estimator": ["auto", "goodturing", "plugin", "x"],
+}
+
+
+def _mutants(command):
+    base = _VALID[command]
+
+    def build(picks):
+        args = dict(base)
+        for opt, value in picks:
+            if value is None:
+                del args[opt]
+            else:
+                args[opt] = value
+        return command.split()[:1] + [a for kv in args.items() for a in kv]
+
+    def values(opts):
+        return st.tuples(*[st.tuples(st.just(o), st.sampled_from(
+            _HOSTILE + _POOLS.get(o, []) + [None])) for o in opts])
+
+    opts = st.lists(st.sampled_from(sorted(base)), min_size=1, max_size=3, unique=True)
+    return opts.flatmap(values).map(build)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=st.sampled_from(sorted(_VALID)).flatmap(_mutants))
+def test_cli_never_raises_on_hostile_arguments(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) in (0, 2, 3, 4, 5)
+    capsys.readouterr()

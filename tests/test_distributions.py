@@ -160,12 +160,30 @@ def test_guide_lookup_is_exact_at_bucket_edges(k):
         np.testing.assert_array_equal(dm._inverse_cdf(probs)(u), _binary_search_letters(probs, u))
 
 
+@pytest.mark.parametrize("d", [dm.zipf(100000, 2.0), dm.geometric(2000, 0.05)],
+                         ids=lambda d: d.label)
+def test_guide_lookup_past_its_step_cap_matches_binary_search(d):
+    # Runs of atoms far below 1/(4K) put draws many letters behind their
+    # bucket's start; those past the step cap finish by binary search.
+    u = _edge_uniforms(d.probs, seed=3)
+    want = _binary_search_letters(d.probs, u)
+    m = 4 * d.size
+    start = _binary_search_letters(d.probs, np.floor(u * m) * ((1.0 - 2.0**-50) / m))
+    assert (want - start).max() > dm._MAX_GUIDE_STEPS
+    np.testing.assert_array_equal(dm._inverse_cdf(d.probs)(u), want)
+
+
 def test_last_uniform_never_maps_to_a_zero_probability_letter():
     d = dm.explicit([0.3, 0.7 - 5e-13, 0.0])
     assert dm._inverse_cdf(d.probs)(np.array([np.nextafter(1.0, 0.0)])).tolist() == [1]
     x = dm.sample(d, 20000, seed=5)
     assert x.max() == 1
     emp.realized_missing(d, x, gf.power(1.0))
+
+
+def test_sample_rejects_a_negative_seed():
+    with pytest.raises(InvalidInputError, match="seed"):
+        dm.sample(dm.uniform(3), 3, seed=-1)
 
 
 def test_sample_stream_is_pinned():

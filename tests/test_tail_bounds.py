@@ -376,8 +376,7 @@ def test_curve_families_consistent():
     for i, e in enumerate(eps):
         assert ssg.bounds[i] <= sg.bounds[i] + 1e-15
         assert p3.bounds[i] == pytest.approx(tb.tail_bound(spec3, float(e)), rel=1e-12)
-    assert ssg.family == "ssg" and p3.family == "poly:3"
-    assert ssg.g_descriptor == "power:1"
+    assert len(ssg.bounds) == len(ssg.exponents) == len(eps)
 
 
 @pytest.mark.parametrize("g", [P1, P2, E64], ids=["power1", "power2", "entropy64"])
