@@ -151,14 +151,22 @@ def _not_utf8(path: str, exc: UnicodeDecodeError) -> InvalidInputError:
     return InvalidInputError(f"{path}: not UTF-8 text ({exc.reason})")
 
 
-#: Bytes read_tokens reads at a time.
-_BLOCK_BYTES = 1 << 20
+#: Bytes read_tokens reads at a time.  The arrays of a 256 KiB block are
+#: small enough for the allocator to reuse their memory from block to block;
+#: 1 MiB blocks made about 4 times as many page faults on a file of 2e6 lines.
+_BLOCK_BYTES = 1 << 18
 #: Edge bytes of a line that str.strip may remove or that may start or end a
 #: removable character: ASCII whitespace and every non-ASCII UTF-8 byte.
 _STRIPPABLE = np.zeros(256, dtype=bool)
 _STRIPPABLE[[9, 11, 12, 28, 29, 30, 31, 32]] = True
 _STRIPPABLE[0x80:] = True
 _MIX = np.uint64(0x9E3779B97F4A7C15)
+#: Shifting the little-endian word at a line of L <= 7 bytes left by
+#: _SHIFT[L] keeps just its L bytes, at the top, and clears the low byte for
+#: L; numpy shifts by 64 to 0, so an empty line packs to 0.
+_SHIFT = np.array([64 - 8 * L for L in range(8)], dtype=np.uint8)
+#: Table key of the lines of 1 to 7 bytes, one packed word each.
+_PACKED = 0
 
 
 def _distinct_rows(keys: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -169,11 +177,12 @@ def _distinct_rows(keys: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np
     h = keys[:, 0]
     for k in range(1, keys.shape[1]):
         h = ((h ^ (h >> np.uint64(29))) * _MIX) ^ keys[:, k]
-    order = np.argsort(h)
+    # A one-word table (packed lines, lines of 8 bytes) is regrouped mostly
+    # from parts that are each sorted, which a stable sort merges as runs.
+    order = np.argsort(h, kind="stable" if keys.shape[1] == 1 else None)
     hs = h[order]
     same = hs[1:] == hs[:-1]
-    pair = order[np.flatnonzero(same)]
-    if keys.shape[1] > 1 and (keys[pair] != keys[order[1:][same]]).any():
+    if keys.shape[1] > 1 and (keys[order[:-1][same]] != keys[order[1:][same]]).any():
         order = np.lexsort(keys.T[::-1])
         rows = keys[order]
         same = (rows[1:] == rows[:-1]).all(axis=1)
@@ -182,7 +191,9 @@ def _distinct_rows(keys: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np
 
 
 class _LineCounts:
-    """Counts of distinct byte lines.  A line of L bytes is a row of
+    """Counts of distinct byte lines.  A line of 1 to 7 bytes is one uint64
+    key in the _PACKED table: its bytes in the top bytes of a little-endian
+    word, and its length in the low byte.  A longer line of L bytes is a row of
     ceil(L/8) little-endian uint64 words, zero padded, in the table for L.
     A table is regrouped into distinct rows whenever it doubles."""
 
@@ -193,19 +204,62 @@ class _LineCounts:
     def add(self, data: bytes, weights: Optional[np.ndarray] = None) -> None:
         """Count the non-empty segments of data between line-end bytes
         (10 and 13); segment i counts weights[i] times (default once)."""
+        keys, counts = self._short_lines(data, weights)
+        # The block's arrays are freed by now, so a regroup of the packed
+        # table does not add to them.
+        if len(keys):
+            self._merge(_PACKED, keys[:, None], counts)
+
+    def _short_lines(self, data: bytes,
+                     weights: Optional[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+        """Count the segments of 8 or more bytes in their tables, and return
+        the distinct packed keys of the others, empty ones dropped, with
+        their counts."""
         buf = np.frombuffer(data, dtype=np.uint8)
         ends = np.flatnonzero((buf == 10) | (buf == 13))
-        starts = np.concatenate(([0], ends + 1))
-        lens = np.concatenate((ends, [len(data)])) - starts
+        starts = np.empty(len(ends) + 1, np.int64)
+        starts[0] = 0
+        np.add(ends, 1, out=starts[1:])
+        lens = np.empty_like(starts)
+        lens[:-1] = ends
+        lens[-1] = len(data)
+        lens -= starts
         # words[s] is the 8 bytes from offset s on; data is padded with 8
         # zero bytes so that every word read is in range.
         padded = data + bytes(8)
         words = np.ndarray((len(data) + 1,), dtype="<u8", buffer=padded, strides=(1,))
+        long = lens >= 8
+        if long.any():
+            self._add_long(words, starts[long], lens[long],
+                           None if weights is None else weights[long])
+            short = ~long
+            starts, lens = starts[short], lens[short]
+            weights = None if weights is None else weights[short]
+        keys = words[starts]
+        keys <<= _SHIFT.take(lens)
+        keys |= lens.view(np.uint64)
+        if weights is None:
+            keys.sort()
+        else:
+            order = np.argsort(keys)
+            keys, weights = keys[order], weights[order]
+        # An empty line's key is 0, so empty lines sort first.
+        skip = keys.searchsorted(np.uint64(1))
+        keys = keys[skip:]
+        new = np.empty(len(keys), bool)
+        new[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        first = np.flatnonzero(new)
+        counts = (np.diff(first, append=len(keys)) if weights is None
+                  else np.add.reduceat(weights[skip:], first))
+        return keys[first], counts
+
+    def _add_long(self, words: np.ndarray, starts: np.ndarray, lens: np.ndarray,
+                  weights: Optional[np.ndarray]) -> None:
+        """Count the lines of 8 or more bytes at starts, one table per length."""
         order = np.argsort(lens)
         for group in np.split(order, np.flatnonzero(np.diff(lens[order])) + 1):
             L = int(lens[group[0]])
-            if L == 0:
-                continue
             width = -(-L // 8)
             keys = words[starts[group][:, None] + np.arange(0, 8 * width, 8)]
             if L % 8:
@@ -243,12 +297,20 @@ class _LineCounts:
         stripped: List[bytes] = []
         weights: List[np.ndarray] = []
         for L, keys, counts in self._tables():
-            last = keys[:, (L - 1) // 8] >> np.uint64(8 * ((L - 1) % 8))
-            edge = _STRIPPABLE[keys[:, 0] & 0xFF] | _STRIPPABLE[last & 0xFF]
+            # Row i holds its lens[i] bytes from raw[i, lo[i]] on.
+            raw = keys.view(np.uint8)
+            if L == _PACKED:
+                lens = raw[:, 0].astype(np.intp)
+                lo = 8 - lens
+            else:
+                lens = np.full(len(raw), L)
+                lo = np.zeros(len(raw), np.intp)
+            rows = np.arange(len(raw))
+            edge = _STRIPPABLE[raw[rows, lo]] | _STRIPPABLE[raw[rows, lo + lens - 1]]
             if edge.any():
-                raw = keys[edge].view(np.uint8)[:, :L]
-                stripped += [row.tobytes().decode("utf-8").strip().encode("utf-8")
-                             for row in raw]
+                stripped += [row[i:i + n].tobytes().decode("utf-8").strip().encode("utf-8")
+                             for row, i, n in zip(raw[edge], lo[edge].tolist(),
+                                                  lens[edge].tolist())]
                 weights.append(counts[edge])
                 self.parts[L] = [(keys[~edge], counts[~edge])]
         if stripped:
@@ -456,6 +518,11 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_ustar(args: argparse.Namespace) -> int:
     g = parse_g(args.g)
     res = u_star(args.n, g, args.r)
+    if res.value == 0.0:
+        # u_r > 0 on (0, 1), so a maximum of 0 means u_r underflowed at every
+        # grid point, and the argmax is merely the grid's first point.
+        raise NumericalError(f"u_{args.r} underflows to 0 on the whole scan grid, "
+                             "so its maximum and argmax are lost")
     _emit(_json({"value": res.value, "argmax": res.argmax, "n": args.n, "r": args.r}), None)
     return 0
 
@@ -480,10 +547,12 @@ def _simulate_table(args: argparse.Namespace) -> Tuple[List[str], List[List[floa
     if args.task == "dirichlet":
         if args.alpha is None:
             raise InvalidInputError("--task dirichlet requires --alpha")
+        if args.trials < 0:
+            raise InvalidInputError(f"--task dirichlet needs --trials >= 0, got {args.trials}")
         ns = parse_n_list(args.n_list)
         header = ["n", "variance"]
         rows: List[List[float]] = []
-        mc = args.trials is not None and args.trials > 0
+        mc = args.trials > 0
         if mc:
             header += ["mc_variance", "mc_se"]
         for n in ns:
@@ -601,8 +670,8 @@ def build_parser() -> argparse.ArgumentParser:
                                    "explicit:PATH")
     ps.add_argument("--n-list", required=True, help="comma list of sample sizes")
     ps.add_argument("--trials", type=int, default=10000,
-                    help="Monte Carlo trials (risk >= 100, tail >= 1000; "
-                         "dirichlet: 0 skips the posterior check)")
+                    help="Monte Carlo trials (risk >= 100, tail >= 1000, "
+                         "dirichlet >= 0, where 0 skips the posterior check)")
     ps.add_argument("--seed", type=int, default=0, help="master seed")
     ps.add_argument("--alpha", type=int,
                     help="power exponent (dirichlet task, generalized estimator)")

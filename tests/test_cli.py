@@ -188,6 +188,23 @@ def test_read_tokens_long_lines_and_hash_collisions(tmp_path, monkeypatch):
         assert (profile.n, profile.phi) == (201, {2: 100, 1: 1})
 
 
+@pytest.mark.parametrize("block", [1, 7, 8, 9, 1 << 20])
+@pytest.mark.parametrize("end", _ENDS, ids=["lf", "cr", "crlf"])
+@pytest.mark.parametrize("fill", ["a", "\x00"], ids=["a", "nul"])
+def test_read_tokens_packed_key_boundaries(tmp_path, monkeypatch, block, end, fill):
+    # Tokens of 0-17 bytes cross the 7/8-byte line between one packed key and
+    # a row of words, bare or with a strippable edge of 1, 2 or 3 bytes; the
+    # token of L bytes comes 7(L + 1) times, so tokens that merge change phi.
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", block)
+    lines = []
+    for L in range(18):
+        token = fill * L
+        lines += [token] * (L + 1)
+        for edge in (" ", "\u00a0", "\u3000"):
+            lines += [edge + token, token + edge] * (L + 1)
+    _check_against_text_mode(tmp_path / "t.txt", "".join(t + end for t in lines).encode())
+
+
 def test_estimate_blank_tokens_file_exits_2(tmp_path, capsys):
     f = tmp_path / "blank.txt"
     f.write_bytes(" \n\t\r\n\r\x0b\n\u3000\u00a0\n".encode())
@@ -507,6 +524,15 @@ def test_ustar_json(capsys):
     assert doc["n"] == 20 and doc["r"] == 2
 
 
+def test_ustar_underflowed_on_whole_grid_exits_5(capsys):
+    # u_r is 0 at every grid point, so neither its maximum nor its argmax is known
+    code, out, err = run(capsys, "ustar", "--g", "power:1", "--n", "20",
+                         "--r", "1000000000000000")
+    assert code == 5
+    assert out == ""
+    assert err.startswith("numerical failure:") and "underflows to 0" in err
+
+
 def test_argparse_errors_exit_2(capsys):
     assert cli.main(["ustar", "--g", "power:1", "--n", "20"]) == 2  # missing --r
     assert cli.main(["ustar", "--g", "power:1", "--n", "20", "--r", "2",
@@ -536,11 +562,12 @@ _TAIL_ON_FILE = "simulate --task tail --g power:1 --dist explicit:{f} --n-list 5
     ("simulate --task risk --g power:1 --dist uniform:10 --n-list 5 --trials 200 --seed -1",
      None, None),
     ("simulate --task dirichlet --alpha 1 --n-list 5 --trials 200 --seed -1", None, None),
+    ("simulate --task dirichlet --alpha 1 --n-list 5 --trials -1", None, None),
 ], ids=["n_zero", "dirichlet_c_inf", "dist_json", "dist_json_object",
         "dist_csv", "dist_non_utf8", "tokens_non_utf8", "counts_non_utf8",
         "eps_grid_too_long", "poly_order_171", "poly_order_huge",
         "counts_fractional_first_row", "seed_negative_tail", "seed_negative_risk",
-        "seed_negative_dirichlet"])
+        "seed_negative_dirichlet", "trials_negative_dirichlet"])
 def test_bad_input_exits_2(command, name, data, tmp_path, capsys):
     if name is not None:
         (tmp_path / name).write_bytes(data)
