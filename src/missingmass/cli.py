@@ -514,10 +514,10 @@ def cmd_ustar(args: argparse.Namespace) -> int:
     g = parse_g(args.g)
     res = u_star(args.n, g, args.r)
     if res.value == 0.0:
-        # u_r > 0 on (0, 1), so a maximum of 0 means u_r underflowed at every
-        # grid point, and the argmax is merely the grid's first point.
-        raise NumericalError(f"u_{args.r} underflows to 0 on the whole scan grid, "
-                             "so its maximum and argmax are lost")
+        # u_r > 0 on (0, 1), so a maximum of 0 is an underflow: the value
+        # printed would be wrong.
+        raise NumericalError(f"u*_{args.r} underflows to 0 "
+                             f"(log u*_{args.r} = {res.log_value:.6g})")
     _emit(_json({"value": res.value, "argmax": res.argmax, "n": args.n, "r": args.r}), None)
     return 0
 

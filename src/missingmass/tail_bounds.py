@@ -159,6 +159,8 @@ def poly_filtered_exponent(spec: PolyFiltered, eps: float) -> float:
     the root of the Gamma part alone, has F(s0) >= eps, so its steps climb
     to the root without overshooting, however close the root lies to the
     pole.  The residual |F(s*) - eps| is checked against 1e-9 * max(eps, 1).
+    It is the last Newton step's F(s) - eps, taken at the s the loop stops
+    at; F is evaluated once more only when the 200-step cap ends the loop.
     """
     if eps < 0.0:
         raise InvalidInputError("eps must be >= 0")
@@ -176,7 +178,9 @@ def poly_filtered_exponent(spec: PolyFiltered, eps: float) -> float:
         if step <= 1e-14 * s:
             break
         s += step
-    residual = abs(_filter_derivs(a, v, c, s)[0] - eps)
+    else:
+        d1 = _filter_derivs(a, v, c, s)[0]
+    residual = abs(d1 - eps)
     if not residual <= 1e-9 * max(eps, 1.0):  # also catches NaN
         raise NumericalError(
             f"Chernoff solve residual {residual:.3g} exceeds tolerance"
@@ -234,12 +238,20 @@ def left_tail(n: int, g: GFunction, eps: float) -> float:
 
     The maximization runs over the declared domain of g, so a k-floor
     restricts the search window and the tail never exceeds the closed form
-    of corollary_left_tail."""
+    of corollary_left_tail.  Where u*_2 underflows to 0, the exponent is
+    taken from log u*_2; an exponent from e^709 on gives the bound 0."""
     window = None
     if g.domain_min > 0.0:
         window = (g.domain_min, 1.0 - 1e-12)
-    sigma2 = ustar_engine.u_star(n, g, 2, p_window=window).value
-    return sub_gaussian_tail(sigma2, eps)
+    res = ustar_engine.u_star(n, g, 2, p_window=window)
+    if res.value > 0.0 or eps < 0.0:
+        return sub_gaussian_tail(res.value, eps)
+    if eps == 0.0:
+        return 1.0
+    if res.log_value == -math.inf:
+        raise NumericalError(f"g = {g.descriptor()} underflows to 0 on the whole u*_2 scan grid")
+    log_exponent = 2.0 * math.log(eps) - math.log(2.0) - res.log_value
+    return _clamp(math.exp(min(log_exponent, 709.0)))
 
 
 def corollary_left_tail(n: int, g: GFunction, eps: float) -> float:

@@ -17,21 +17,24 @@ chain are statements about the formula on the full interval, and restricting
 the domain can break the chain.  Pass p_window to maximize over a subinterval,
 e.g. to compare against a closed bound that presumes p >= 1/k.
 
-u_star scans a fixed log grid of 2*_GRID_POINTS points, dense near both
-edges of the window.  The grid and log1p(-grid) are built once per
-(window, point count), cached read-only, and shared by every (n, g, r).
-The scan base (1-p)^n = exp(n*log1p(-grid)) and g(grid) is cached per
-(n, g, window) and shared by every order r, so the orders 2..R+1 of one
-spec cost one exp and one g evaluation in all; each order then adds one
-power and a few products.  Golden-section refinement around the grid argmax
-evaluates u_r on Python floats and stops once its bracket is a few ulps
-wide (about 60 of its at most 100 steps).
+u_star works on log u_r = r log g(p) + log w(p), with the order-free base
+log w = n log1p(-p) + log(-expm1(n log1p(-p))) - log p, which stays finite
+where u_r itself underflows.  It scans a fixed log grid of 2*_GRID_POINTS
+points, dense near both edges of the window.  The grid and log1p(-grid) are
+built once per (window, point count); log w and log g on the grid once per
+(n, g, window), so the orders 2..R+1 of one spec share them, and each order
+costs one r*log g + log w and one argmax.  For power and entropy g, a
+safeguarded Newton iteration on d log u_r/dp = 0, with closed-form
+derivatives, refines the grid argmax between its two grid neighbours in a
+few steps.  A user-defined g, whose derivatives are unknown, is refined by
+golden-section search on Python floats instead.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -45,29 +48,101 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 #: Grid points per half-interval of u_star's global scan.
 _GRID_POINTS = 20001
 
-#: Golden-section search stops once its bracket is this many ulps wide.
+#: Golden-section search and the Newton refinement stop once their bracket
+#: (or a Newton step) is this many ulps wide.
 _STOP_ULPS = 4
 
+#: Step cap of the Newton refinement.  Bisection alone narrows the bracket
+#: between two grid neighbours to _STOP_ULPS ulps in about 40 steps.
+_NEWTON_STEPS = 100
+
 _LN2 = math.log(2.0)
+
+#: log of the largest double: a larger log u*_r overflows.
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
 class UStarResult:
+    """u*_r, its argmax, and log u*_r, which stays finite where value
+    underflows to 0."""
+
     value: float
     argmax: float
-
-
-def _u_r(p, qn, gp, r: int):
-    """u_r = g(p)^r (1-p)^n (1-(1-p)^n) / p from gp = g(p) and qn = (1-p)^n.
-
-    The one u_r formula: p, qn and gp are all arrays or all floats.
-    """
-    return gp**r * qn * (1.0 - qn) / p
+    log_value: float
 
 
 def _u_r_at(p: float, n: int, g: GFunction, r: int) -> float:
     """u_r at one p in (0,1) on Python floats; (1-p)^n = exp(n*log1p(-p))."""
-    return _u_r(p, math.exp(n * math.log1p(-p)), g.eval_raw(p), r)
+    qn = math.exp(n * math.log1p(-p))
+    return g.eval_raw(p) ** r * qn * (1.0 - qn) / p
+
+
+def _log_u_r_at(p: float, n: int, g: GFunction, r: int) -> float:
+    """log u_r at one p in (0,1).  log g is taken in closed form for power
+    and entropy g, so that it stays finite where g(p) underflows."""
+    if g.kind == "power":
+        log_g = g.alpha * math.log(p)
+    elif g.kind == "entropy_log2":
+        log_g = math.log(p) + math.log(-math.log(p)) - math.log(_LN2)
+    else:
+        gp = g.eval_raw(p)
+        log_g = math.log(gp) if gp > 0.0 else -math.inf
+    t = n * math.log1p(-p)
+    return r * log_g + t + math.log(-math.expm1(t)) - math.log(p)
+
+
+def _dlog_u_r(p: float, n: int, g: GFunction, r: int) -> Tuple[float, float]:
+    """(h'(p), h''(p)) of h = log u_r, for power and entropy g.
+
+    With w = (1-p)^n / (1-(1-p)^n) and (log g)', (log g)'' in closed form
+    (alpha/p and -alpha/p^2 for power; (1 + 1/L)/p and -(1 + (1+L)/L^2)/p^2
+    with L = log p for entropy):
+
+        h'  = r (log g)'  - n (1-w)/(1-p) - 1/p,
+        h'' = r (log g)'' - n (1-w + n w (1+w))/(1-p)^2 + 1/p^2.
+    """
+    if g.kind == "power":
+        g1, g2 = g.alpha / p, -g.alpha / (p * p)
+    else:
+        log_p = math.log(p)
+        g1 = (1.0 + 1.0 / log_p) / p
+        g2 = -(1.0 + (1.0 + log_p) / (log_p * log_p)) / (p * p)
+    t = n * math.log1p(-p)
+    w = math.exp(t) / -math.expm1(t)
+    q = 1.0 - p
+    h1 = r * g1 - n * (1.0 - w) / q - 1.0 / p
+    h2 = r * g2 - n * (1.0 - w + n * w * (1.0 + w)) / (q * q) + 1.0 / (p * p)
+    return h1, h2
+
+
+def _newton_max(
+    dh: Callable[[float], Tuple[float, float]], lo: float, x: float, hi: float
+) -> float:
+    """Maximizer of h on [lo, hi] by safeguarded Newton on h' = 0, from x.
+
+    dh(p) returns (h'(p), h''(p)).  The sign of h' at each iterate moves one
+    end of the bracket there; a Newton step that leaves the bracket, or one
+    taken where h'' >= 0, is replaced by bisection.  Stops when h' is 0 (or
+    NaN), when the bracket or the step is _STOP_ULPS ulps wide, or after
+    _NEWTON_STEPS steps.  The stop rules end a flat top, where h' is rounding
+    noise, before the step cap.
+    """
+    for _ in range(_NEWTON_STEPS):
+        d1, d2 = dh(x)
+        if d1 > 0.0:
+            lo = x
+        elif d1 < 0.0:
+            hi = x
+        else:
+            break
+        step = -d1 / d2 if d2 < 0.0 else math.nan
+        if abs(step) <= _STOP_ULPS * math.ulp(x):
+            return x + step
+        x = x + step if lo < x + step < hi else 0.5 * (lo + hi)
+        if hi - lo <= _STOP_ULPS * math.ulp(hi):
+            break
+    return x
 
 
 def _golden_max(f: Callable[[float], float], lo: float, hi: float) -> Tuple[float, float]:
@@ -127,17 +202,31 @@ def _scan_grid(lo: float, hi: float, points: int) -> Tuple[np.ndarray, np.ndarra
 def _scan_base(
     n: int, g: GFunction, lo: float, hi: float, points: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The scan grid with (1-grid)^n and g(grid) beside it, all read-only.
+    """The scan grid with log w = n log1p(-p) + log(-expm1(n log1p(-p))) - log p
+    and log g(grid) beside it, all read-only.
 
     Every order r of one (n, g, window) scans the same base; build_spec
     asks for its orders one after another, so one cached base serves them.
+    The arrays are built in place, so that a build holds at most two
+    arrays besides the base it replaces: log w and one scratch array, then
+    log w and g, whose log is taken in place (except for a user-defined g,
+    whose array may be the caller's).  log g is NaN where g is negative or
+    NaN and +inf where g is infinite; either becomes the maximum of u_star's
+    scan, which is how u_star detects it.
     """
     grid, log_q = _scan_grid(lo, hi, points)
-    qn = np.exp(n * log_q)
+    log_w = np.multiply(log_q, n)
+    tmp = np.expm1(log_w)
+    np.negative(tmp, out=tmp)
+    log_w += np.log(tmp, out=tmp)
+    log_w -= np.log(grid, out=tmp)
+    del tmp
     gp = g.eval_raw(grid)
-    qn.flags.writeable = False
-    gp.flags.writeable = False
-    return grid, qn, gp
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_g = np.log(gp, out=None if g.kind == "user" else gp)
+    log_w.flags.writeable = False
+    log_g.flags.writeable = False
+    return grid, log_w, log_g
 
 
 @functools.lru_cache(maxsize=4096)
@@ -147,32 +236,46 @@ def u_star(
     r: int,
     p_window: Optional[Tuple[float, float]] = None,
 ) -> UStarResult:
-    """Global maximum of u_r over (0,1): dense log grid, then golden refinement.
+    """Global maximum of u_r over (0,1): dense log grid, then local refinement.
 
-    u_r is not proven unimodal in p, so a global scan of 2*_GRID_POINTS
-    points precedes the local refinement.  The grid and log1p(-grid) are
-    built once per (window, point count) and cached, and the base (1-p)^n
-    and g(p) on the grid once per (n, g, window): every order r shares it,
-    so a further order costs one power and a few products per point.  The
-    golden refinement runs on Python floats between the grid argmax's
-    neighbours and stops once its bracket is a few ulps wide.  Raises
-    InvalidInputError when u_r is non-finite or negative anywhere on the
-    grid, as it is for a user-defined g that returns NaN, inf or negative
-    values.
+    u_r is not proven unimodal in p, so a global scan of log u_r on
+    2*_GRID_POINTS points precedes the local refinement.  The grid is built
+    once per (window, point count) and the base log w and log g on it once
+    per (n, g, window), all cached: a further order costs one r*log g + log w
+    and one argmax.  Between the grid argmax's neighbours, power and entropy
+    g are refined by safeguarded Newton on d log u_r/dp = 0, a user-defined g
+    by golden-section search.  value is u_r on Python floats at the refined
+    argmax (or at the grid argmax, if that is larger) and log_value is
+    log u_r there; value underflows to 0 where log_value stays finite.  When
+    g underflows to 0 on the whole grid, value is 0, log_value -inf and the
+    argmax the grid argmax.  Raises InvalidInputError when g is NaN, infinite
+    or negative anywhere on the grid, or u*_r overflows, as for a
+    user-defined g that returns such values.
     """
     if n < 1 or r < 2:
         raise InvalidInputError("u_star requires n >= 1 and r >= 2")
     lo, hi = p_window if p_window is not None else (1e-12, 1.0 - 1e-12)
     if not (0.0 < lo < hi < 1.0):
         raise InvalidInputError("p_window must satisfy 0 < lo < hi < 1")
-    grid, qn, gp = _scan_base(n, g, lo, hi, _GRID_POINTS)
-    vals = _u_r(grid, qn, gp, r)
-    if not (np.all(np.isfinite(vals)) and np.all(vals >= 0.0)):
+    grid, log_w, log_g = _scan_base(n, g, lo, hi, _GRID_POINTS)
+    log_u = r * log_g + log_w
+    i = int(np.argmax(log_u))  # a NaN anywhere is the argmax
+    if not log_u[i] <= _LOG_MAX:
         raise InvalidInputError(
             f"u_{r} of g = {g.descriptor()} is non-finite or negative on (0, 1)"
         )
-    x, fx = _grid_then_golden(lambda p: _u_r_at(p, n, g, r), grid, vals)
-    return UStarResult(value=fx, argmax=x)
+    x0 = float(grid[i])
+    if log_u[i] == -math.inf:
+        return UStarResult(value=0.0, argmax=x0, log_value=-math.inf)
+    lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid.size - 1)])
+    if g.kind == "user":
+        x = _golden_max(lambda p: _u_r_at(p, n, g, r), lo, hi)[0]
+    else:
+        x = _newton_max(lambda p: _dlog_u_r(p, n, g, r), lo, x0, hi)
+    fx, f0 = _u_r_at(x, n, g, r), _u_r_at(x0, n, g, r)
+    if fx < f0:
+        x, fx = x0, f0
+    return UStarResult(value=fx, argmax=x, log_value=_log_u_r_at(x, n, g, r))
 
 
 @functools.lru_cache(maxsize=256)

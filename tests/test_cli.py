@@ -525,7 +525,7 @@ def test_ustar_json(capsys):
 
 
 def test_ustar_underflowed_on_whole_grid_exits_5(capsys):
-    # u_r is 0 at every grid point, so neither its maximum nor its argmax is known
+    # u*_r underflows to 0: only its log is known, so no value is printed
     code, out, err = run(capsys, "ustar", "--g", "power:1", "--n", "20",
                          "--r", "1000000000000000")
     assert code == 5

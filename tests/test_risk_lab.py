@@ -181,6 +181,15 @@ def test_bounds_dominate_exact_tail_law_on_uniform_supports(g, k):
             assert np.all(exact <= np.asarray(col)), (name, n)
 
 
+def test_bound_columns_with_underflowed_u2_fail_as_numerical():
+    # simulate --task tail --g power:100 --dist uniform:10 --n-list 100000:
+    # u*_2 underflows to 0 and the left tail takes its log; then the order-2
+    # spec's v = u*_3/(2c) underflows too, a numerical failure (exit 5), not
+    # the malformed input "need sigma2 > 0" (exit 2)
+    with pytest.raises(NumericalError, match="is not a normal double"):
+        rl._bound_columns(10**5, gf.power(100.0), (0.01, 0.1))
+
+
 def test_polya_unseen_mean_matches_exact_oracle():
     # each letter stays unseen with probability
     # Gamma(k b) Gamma(k b - b + n) / (Gamma(k b - b) Gamma(k b + n)), b = 1/n

@@ -163,6 +163,46 @@ def test_poly_exponent_matches_mp_oracle_near_the_pole(R, n):
         assert tb.poly_filtered_exponent(spec, e) == pytest.approx(want, rel=1e-13)
 
 
+def reference_exponent(spec, eps):
+    # the solve with a separate residual evaluation after the Newton loop
+    a, v, c = spec.a, spec.v, spec.c
+    s = v / (v + c * eps)
+    for _ in range(200):
+        d1, d2 = tb._filter_derivs(a, v, c, s)
+        step = c * (d1 - eps) / d2
+        if step <= 1e-14 * s:
+            break
+        s += step
+    residual = abs(tb._filter_derivs(a, v, c, s)[0] - eps)
+    assert residual <= 1e-9 * max(eps, 1.0)
+    return (1.0 - s) / c * eps - tb._filter_f(a, v, c, s)
+
+
+@pytest.mark.parametrize("g", [P1, P2, E64], ids=["power1", "power2", "entropy64"])
+def test_poly_exponent_bit_identical_to_the_separate_residual_solve(g):
+    for n in (20, 702, 10000):
+        for R in (2, 5):
+            spec = tb.build_spec(n, g, R)
+            for e in np.arange(1, 141) * 0.005:
+                e = float(e)
+                assert tb.poly_filtered_exponent(spec, e).hex() == reference_exponent(spec, e).hex()
+
+
+def test_poly_exponent_checks_the_residual_after_the_step_cap(monkeypatch):
+    # derivatives that always ask for a large step: the loop runs its 200
+    # steps, then one more evaluation gives the residual
+    calls = []
+
+    def derivs(a, v, c, s):
+        calls.append(s)
+        return 1.0, 1e-3
+
+    monkeypatch.setattr(tb, "_filter_derivs", derivs)
+    with pytest.raises(NumericalError, match="residual"):
+        tb.poly_filtered_exponent(tb.PolyFiltered(2, (0.1,), 0.01, 0.1), 0.2)
+    assert len(calls) == 201
+
+
 def test_build_spec_negative_coefficient_is_numerical_error(monkeypatch):
     # a scale parameter far below the ratio chain's makes a_2 negative
     c = scale_parameter(50, P1)
@@ -245,6 +285,24 @@ def test_left_tail_exact_oracle():
     n, e = 20, 0.098
     v = u_star(n, P1, 2).value
     assert tb.left_tail(n, P1, e) == pytest.approx(math.exp(-e * e / (2.0 * v)), rel=1e-13)
+
+
+def test_left_tail_from_log_u2_where_u2_underflows():
+    # power:100 at n = 1e5: u*_2 underflows to 0, its log does not
+    n, g = 10**5, gf.power(100.0)
+    res = u_star(n, g, 2)
+    assert res.value == 0.0
+    eps = math.exp(0.5 * res.log_value)  # eps^2 / (2 u*_2) = 1/2
+    assert tb.left_tail(n, g, eps) == pytest.approx(math.exp(-0.5), rel=1e-12)
+    assert tb.left_tail(n, g, 0.1) == 0.0
+    assert tb.left_tail(n, g, 0.0) == 1.0
+    with pytest.raises(InvalidInputError):
+        tb.left_tail(n, g, -0.1)
+
+
+def test_left_tail_where_g_underflows_on_the_whole_grid_is_numerical_error():
+    with pytest.raises(NumericalError):
+        tb.left_tail(20, gf.power(1e15), 0.1)
 
 
 @pytest.mark.parametrize("g", [P1, P2, E64], ids=["power1", "power2", "entropy64"])

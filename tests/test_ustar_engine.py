@@ -1,4 +1,4 @@
-import importlib.util
+import json
 import math
 import pathlib
 
@@ -32,25 +32,17 @@ def test_u_star_matches_brute_force(n, g, r):
     assert res.argmax == pytest.approx(argmax_ref, abs=2e-6)
 
 
-@pytest.fixture(scope="module")
-def reference_script():
-    # the mpmath oracle that writes the r2 reference column; it does not
-    # import the package.  It sets 40 digits globally on import: undo that.
-    mpmath = pytest.importorskip("mpmath")
-    dps = mpmath.mp.dps
-    path = pathlib.Path(__file__).parent / "data" / "make_reference_tail_curves.py"
-    spec = importlib.util.spec_from_file_location("make_reference_tail_curves", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    mpmath.mp.dps = dps
-    return module
+_EXACT = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "reference_u_star.json").read_text()
+)
 
 
 @pytest.mark.parametrize("r", range(2, 7))
 @pytest.mark.parametrize("n", [20, 100, 1000])
-def test_u_star_matches_exact_oracle(n, r, reference_script):
-    with reference_script.mp.workdps(40):
-        exact = float(reference_script.u_star(n, r))
+def test_u_star_matches_exact_oracle(n, r):
+    # 40-digit mpmath maxima written by data/make_reference_tail_curves.py,
+    # which does not import the package
+    exact = _EXACT[str(n)][str(r)]
     assert ue.u_star(n, P1, r).value == pytest.approx(exact, rel=1e-14)
 
 
@@ -85,12 +77,13 @@ def test_scan_base_cached_per_n_g_window_and_read_only():
     ue.u_star.cache_clear()
     try:
         ue.u_star(100, P2, 2)
-        grid, qn, gp = ue._scan_base(100, P2, 1e-12, 1.0 - 1e-12, ue._GRID_POINTS)
+        grid, log_w, log_g = ue._scan_base(100, P2, 1e-12, 1.0 - 1e-12, ue._GRID_POINTS)
         assert ue._scan_base.cache_info().misses == 1
         _, log_q = ue._scan_grid(1e-12, 1.0 - 1e-12, ue._GRID_POINTS)
-        np.testing.assert_array_equal(qn, np.exp(100 * log_q))
-        np.testing.assert_array_equal(gp, grid**2.0)
-        for arr in (qn, gp):
+        t = 100 * log_q
+        np.testing.assert_array_equal(log_w, t + np.log(-np.expm1(t)) - np.log(grid))
+        np.testing.assert_array_equal(log_g, np.log(grid**2.0))
+        for arr in (log_w, log_g):
             assert not arr.flags.writeable
     finally:
         ue.u_star.cache_clear()
@@ -104,7 +97,7 @@ def test_u_star_same_bits_from_a_shared_or_a_fresh_base():
         ue.u_star.cache_clear()
         ue._scan_base.cache_clear()
         res = ue.u_star(n, g, r)
-        return res.value.hex(), res.argmax.hex()
+        return res.value.hex(), res.argmax.hex(), res.log_value.hex()
 
     try:
         cold = {case: fresh(*case) for case in _BASE_CASES}
@@ -117,11 +110,92 @@ def test_u_star_same_bits_from_a_shared_or_a_fresh_base():
             ue._scan_base.cache_clear()
             for n, g, r in order:
                 res = ue.u_star(n, g, r)
-                assert (res.value.hex(), res.argmax.hex()) == cold[n, g, r], (n, g, r)
+                bits = res.value.hex(), res.argmax.hex(), res.log_value.hex()
+                assert bits == cold[n, g, r], (n, g, r)
         # the last order switched (n, g) on every call: one base per call
         assert ue._scan_base.cache_info().misses == len(_BASE_CASES)
     finally:
         ue.u_star.cache_clear()
+
+
+def sweep_sizes():
+    # the 30 sample sizes of the benchmark's bound sweep
+    grid = np.geomspace(10, 10_000, 27)
+    return sorted({int(round(x)) for x in grid} | {20, 100, 1000})
+
+
+def _user_twin(g):
+    # the same formula as a user-defined g, which u_star refines by golden search
+    return gf.user_defined(lambda p, g=g: g.eval_raw(p))
+
+
+_SWEEP_CELLS = [(g, n) for g in (P1, P2, E64) for n in sweep_sizes()]
+
+
+@pytest.mark.parametrize("g,n", _SWEEP_CELLS,
+                         ids=[f"{g.descriptor()}-n{n}" for g, n in _SWEEP_CELLS])
+def test_newton_refinement_matches_golden_and_ends_by_its_stop_rule(g, n, monkeypatch):
+    calls = []  # the points each refinement evaluated h' at
+    newton = ue._newton_max
+
+    def counted(dh, lo, x, hi):
+        calls.append([])
+        return newton(lambda p: calls[-1].append(p) or dh(p), lo, x, hi)
+
+    monkeypatch.setattr(ue, "_newton_max", counted)
+    ue.u_star.cache_clear()
+    try:
+        twin = _user_twin(g)
+        newton_vals = [ue.u_star(n, g, r).value for r in range(2, 7)]
+        golden_vals = [ue.u_star(n, twin, r).value for r in range(2, 7)]
+    finally:
+        ue.u_star.cache_clear()
+    assert len(calls) == 5  # the twin never reaches Newton
+    # the step cap was not what ended any refinement
+    assert max(map(len, calls)) < ue._NEWTON_STEPS
+    for r, a, b in zip(range(2, 7), newton_vals, golden_vals):
+        assert a == pytest.approx(b, rel=1e-14), r
+
+
+def test_newton_max_bisects_where_newton_cannot_step():
+    def run(dh, lo, x, hi):
+        calls = []
+        out = ue._newton_max(lambda p: calls.append(p) or dh(p), lo, x, hi)
+        assert len(calls) < ue._NEWTON_STEPS  # a stop rule, not the cap, ended it
+        return out
+
+    # h'' >= 0 everywhere: every step is a bisection, ended by the bracket width
+    assert run(lambda p: (0.3 - p, 1.0), 0.1, 0.15, 0.7) == pytest.approx(0.3, rel=1e-15)
+    # Newton steps past the bracket: the maximum sits on its upper end
+    assert run(lambda p: (1.0, -1.0), 0.1, 0.15, 0.2) == pytest.approx(0.2, rel=1e-15)
+    # h' = 0 exactly at the start
+    assert run(lambda p: (0.0, -1.0), 0.1, 0.15, 0.2) == 0.15
+
+
+def test_log_value_matches_log_of_value():
+    for g in (P1, P2, E64):
+        for n in (20, 1000):
+            for r in (2, 6):
+                res = ue.u_star(n, g, r)
+                assert res.log_value == pytest.approx(math.log(res.value), rel=1e-14, abs=1e-14)
+
+
+def test_log_value_stays_finite_where_value_underflows():
+    # power:60 at n = 1e5: u*_2 is about e^-1210, far below the smallest double
+    n, g = 10**5, gf.power(60.0)
+    res = ue.u_star(n, g, 2)
+    assert res.value == 0.0 and math.isfinite(res.log_value)
+    # independent dense scan of log u_2 around the argmax
+    p = np.linspace(0.5 * res.argmax, 2.0 * res.argmax, 200_001)
+    t = n * np.log1p(-p)
+    log_u = 2 * 60.0 * np.log(p) + t + np.log(-np.expm1(t)) - np.log(p)
+    assert res.log_value >= log_u.max() - 1e-12 * abs(log_u.max())
+    assert res.log_value == pytest.approx(log_u.max(), rel=1e-12)
+
+
+def test_g_underflowing_on_the_whole_grid_gives_zero_and_minus_inf():
+    res = ue.u_star(20, gf.power(1e15), 2)
+    assert res.value == 0.0 and res.log_value == -math.inf
 
 
 def test_golden_max_stops_at_a_few_ulps():
@@ -140,7 +214,8 @@ def test_golden_max_stops_at_a_few_ulps():
 def test_u_star_frozen_spot():
     res = ue.u_star(20, P1, 2)
     assert res.value == pytest.approx(0.012562256919262382, rel=1e-12)
-    assert res.argmax == pytest.approx(0.0684510292499676, rel=1e-8)
+    # the root of d log u_2/dp = 0, from 40-digit mpmath
+    assert res.argmax == pytest.approx(0.068451030159344687, rel=1e-13)
 
 
 def test_u_star_argmax_is_local_max():
@@ -213,9 +288,11 @@ def test_gamma_alpha_beyond_double_range_is_numerical_failure():
 @pytest.mark.parametrize("n", [100, 3000, 10**5])
 def test_u2_closed_bound_dominates_u_star(alpha, n):
     # gamma_alpha's argmax sits near t = 2 alpha - 1, beyond t = 50 from
-    # alpha = 25.5 on; a scan that stops short makes the bound too small
+    # alpha = 25.5 on; a scan that stops short makes the bound too small.
+    # Compared in logs: at n = 1e5 both sides underflow from alpha = 60 on.
     g = gf.power(alpha)
-    assert ue.u2_closed_bound(n, g) >= ue.u_star(n, g, 2).value * (1.0 - 1e-12)
+    log_closed = math.log(ue.gamma_alpha(alpha)) - (2.0 * alpha - 1.0) * math.log(n)
+    assert log_closed >= ue.u_star(n, g, 2).log_value - 1e-12
 
 
 def test_gamma_alpha_double_range_edge():
