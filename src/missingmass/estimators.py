@@ -10,7 +10,6 @@ measure the estimator as defined.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .empirical import SampleProfile
@@ -76,8 +75,8 @@ def estimate(kind: EstimatorKind, profile: SampleProfile) -> float:
 
 
 def gt_bias_bound(n: int, alpha: int) -> float:
-    """alpha**(alpha+1) / n**alpha, valid for n > 2*alpha (in log space
-    where the direct powers overflow).
+    """alpha**(alpha+1) / n**alpha, valid for n > 2*alpha, taken as
+    alpha (alpha/n)**alpha, which cannot overflow since alpha/n < 1/2.
 
     Bounds the bias of the generalized Good-Turing estimator from above; the
     signed bias is >= 0.
@@ -86,8 +85,4 @@ def gt_bias_bound(n: int, alpha: int) -> float:
         raise InvalidInputError("alpha must be an integer >= 1")
     if n <= 2 * alpha:
         raise RegimeError(f"bias bound needs n > 2*alpha; got n = {n}, alpha = {alpha}")
-    try:
-        return float(alpha) ** (alpha + 1) / float(n) ** alpha
-    except OverflowError:
-        # Large alpha: the powers overflow although their ratio is tiny.
-        return math.exp((alpha + 1) * math.log(alpha) - alpha * math.log(n))
+    return alpha * (alpha / n) ** alpha

@@ -202,7 +202,8 @@ def mc_tail(
     seed: int,
 ) -> TailReport:
     """Empirical Pr(G0 - E[G0] >= eps) and Pr(G0 - E[G0] <= -eps) per eps,
-    against the bound families; E[G0] is analytic.
+    against the bound families; E[G0] is analytic.  The bounds come first,
+    so that a spec that cannot be built fails before the Monte Carlo runs.
 
     Binomial standard errors are floored at 1/trials so that dominance checks
     at empirical frequency 0 stay meaningful.
@@ -211,6 +212,7 @@ def mc_tail(
         raise InvalidInputError("mc_tail needs trials >= 1000")
     n = int(n)
     eps = tuple(float(e) for e in eps_grid)
+    bounds = _bound_columns(n, g, eps)
     g0, _ = _occupancy(dist.probs, _g_vector(dist, g), n, trials, seed, 0)
     dev = g0 - expected_missing(dist, n, g)
     floor = 1.0 / trials
@@ -231,7 +233,7 @@ def mc_tail(
         right_se=right_se,
         left_freq=left_freq,
         left_se=left_se,
-        bounds=_bound_columns(n, g, eps),
+        bounds=bounds,
     )
 
 

@@ -17,17 +17,15 @@ chain are statements about the formula on the full interval, and restricting
 the domain can break the chain.  Pass p_window to maximize over a subinterval,
 e.g. to compare against a closed bound that presumes p >= 1/k.
 
-u_star works on log u_r = r log g(p) + log w(p), with the order-free base
-log w = n log1p(-p) + log(-expm1(n log1p(-p))) - log p, which stays finite
-where u_r itself underflows.  It scans a fixed log grid of 2*_GRID_POINTS
-points, dense near both edges of the window.  The grid and log1p(-grid) are
-built once per (window, point count); log w and log g on the grid once per
-(n, g, window), so the orders 2..R+1 of one spec share them, and each order
-costs one r*log g + log w and one argmax.  For power and entropy g, a
-safeguarded Newton iteration on d log u_r/dp = 0, with closed-form
-derivatives, refines the grid argmax between its two grid neighbours in a
-few steps.  A user-defined g, whose derivatives are unknown, is refined by
-golden-section search on Python floats instead.
+u_star works on log u_r = r log g(p) - log p + n log1p(-p)
++ log(-expm1(n log1p(-p))), which stays finite where u_r itself underflows.
+For power g with r*alpha >= 1 and for entropy g, log u_r is strictly concave
+on (0, 1) (see _log_concave), so its maximum over a window [lo, hi] is lo
+when d log u_r/dp <= 0 there, and otherwise the one root of d log u_r/dp in
+the window, or hi, found by safeguarded Newton with closed-form derivatives
+on the whole window.  Any other g (a user-defined one, or power g with
+r*alpha < 1) is scanned on a log grid dense near both window edges, and the
+grid argmax is refined by golden-section search on Python floats.
 """
 
 from __future__ import annotations
@@ -45,15 +43,17 @@ from .gfunction import GFunction, TypeA, Unclassified, classify
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-#: Grid points per half-interval of u_star's global scan.
+#: Grid points per half-interval of the scan for g whose log u_r is not
+#: known to be concave.
 _GRID_POINTS = 20001
 
-#: Golden-section search and the Newton refinement stop once their bracket
+#: Golden-section search and the Newton search stop once their bracket
 #: (or a Newton step) is this many ulps wide.
 _STOP_ULPS = 4
 
-#: Step cap of the Newton refinement.  Bisection alone narrows the bracket
-#: between two grid neighbours to _STOP_ULPS ulps in about 40 steps.
+#: Step cap of the Newton search.  Bisection alone narrows the default window
+#: (1e-12, 1 - 1e-12) to _STOP_ULPS ulps at its low end in about 90 steps;
+#: on a concave log u_r, Newton steps end the search far sooner.
 _NEWTON_STEPS = 100
 
 _LN2 = math.log(2.0)
@@ -70,6 +70,28 @@ class UStarResult:
     value: float
     argmax: float
     log_value: float
+
+
+def _log_concave(g: GFunction, r: int) -> bool:
+    """Whether log u_r is strictly concave in p on (0, 1), for r >= 2.
+
+    log u_r = r log g - log p + n log(1-p) + log(1-(1-p)^n).  The last two
+    terms are strictly concave for every n >= 1: n log(1-p) has second
+    derivative -n/(1-p)^2, and f = 1-(1-p)^n is positive, increasing and
+    concave, so (log f)'' = f''/f - (f'/f)^2 < 0.  For the first two:
+
+    * power g: r log g - log p = (r alpha - 1) log p, concave when
+      r alpha >= 1;
+    * entropy g = p log2(1/p), with L = -log p > 0:
+      (r log g - log p)'' = -(r (L^2 - L + 1)/L^2 - 1)/p^2, negative for
+      r >= 2, since (L^2 - L + 1)/L^2 = (1/L - 1/2)^2 + 3/4 >= 3/4.
+
+    Nothing is known of a user-defined g.  A strictly concave log u_r has
+    one maximum on any window, which u_star finds without a grid.
+    """
+    if g.kind == "power":
+        return r * g.alpha >= 1.0
+    return g.kind == "entropy_log2"
 
 
 def _u_r_at(p: float, n: int, g: GFunction, r: int) -> float:
@@ -170,95 +192,22 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float) -> Tuple[floa
     return x, f(x)
 
 
-def _grid_then_golden(
-    f: Callable[[float], float], grid: np.ndarray, vals: np.ndarray
-) -> Tuple[float, float]:
-    """Golden refinement between the neighbours of the grid argmax; keeps the
-    grid point when refinement does not beat it.  Returns (argmax, value)."""
-    i = int(np.argmax(vals))
-    lo = float(grid[max(i - 1, 0)])
-    hi = float(grid[min(i + 1, grid.size - 1)])
-    x, fx = _golden_max(f, lo, hi)
-    if fx < vals[i]:
-        return float(grid[i]), float(vals[i])
-    return float(x), float(fx)
+def _scan_max(n: int, g: GFunction, r: int, lo: float, hi: float) -> UStarResult:
+    """u*_r over [lo, hi] for a g whose log u_r is not known to be concave.
 
-
-@functools.lru_cache(maxsize=8)
-def _scan_grid(lo: float, hi: float, points: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Logarithmically dense grid near both edges of (lo, hi), and
-    log1p(-grid) beside it.  Both arrays are cached and read-only."""
-    mid = 0.5 * (lo + hi)
-    left = np.logspace(math.log10(lo), math.log10(mid), points)
-    right = hi + lo - np.logspace(math.log10(lo), math.log10(mid), points)
-    grid = np.unique(np.concatenate([left, right]))
-    log_q = np.log1p(-grid)
-    grid.flags.writeable = False
-    log_q.flags.writeable = False
-    return grid, log_q
-
-
-@functools.lru_cache(maxsize=1)
-def _scan_base(
-    n: int, g: GFunction, lo: float, hi: float, points: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The scan grid with log w = n log1p(-p) + log(-expm1(n log1p(-p))) - log p
-    and log g(grid) beside it, all read-only.
-
-    Every order r of one (n, g, window) scans the same base; build_spec
-    asks for its orders one after another, so one cached base serves them.
-    The arrays are built in place, so that a build holds at most two
-    arrays besides the base it replaces: log w and one scratch array, then
-    log w and g, whose log is taken in place (except for a user-defined g,
-    whose array may be the caller's).  log g is NaN where g is negative or
-    NaN and +inf where g is infinite; either becomes the maximum of u_star's
-    scan, which is how u_star detects it.
+    Scans log u_r on 2*_GRID_POINTS points, logarithmically dense near both
+    edges of the window, then refines u_r by golden-section search between
+    the grid argmax's two neighbours; the grid point wins if refinement does
+    not beat it.  When g underflows to 0 on the whole grid, value is 0,
+    log_value -inf and the argmax the grid argmax.  Raises InvalidInputError
+    when g is NaN, infinite or negative anywhere on the grid, or u*_r
+    overflows.
     """
-    grid, log_q = _scan_grid(lo, hi, points)
-    log_w = np.multiply(log_q, n)
-    tmp = np.expm1(log_w)
-    np.negative(tmp, out=tmp)
-    log_w += np.log(tmp, out=tmp)
-    log_w -= np.log(grid, out=tmp)
-    del tmp
-    gp = g.eval_raw(grid)
+    half = np.logspace(math.log10(lo), math.log10(0.5 * (lo + hi)), _GRID_POINTS)
+    grid = np.unique(np.concatenate([half, hi + lo - half]))
+    t = n * np.log1p(-grid)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_g = np.log(gp, out=None if g.kind == "user" else gp)
-    log_w.flags.writeable = False
-    log_g.flags.writeable = False
-    return grid, log_w, log_g
-
-
-@functools.lru_cache(maxsize=4096)
-def u_star(
-    n: int,
-    g: GFunction,
-    r: int,
-    p_window: Optional[Tuple[float, float]] = None,
-) -> UStarResult:
-    """Global maximum of u_r over (0,1): dense log grid, then local refinement.
-
-    u_r is not proven unimodal in p, so a global scan of log u_r on
-    2*_GRID_POINTS points precedes the local refinement.  The grid is built
-    once per (window, point count) and the base log w and log g on it once
-    per (n, g, window), all cached: a further order costs one r*log g + log w
-    and one argmax.  Between the grid argmax's neighbours, power and entropy
-    g are refined by safeguarded Newton on d log u_r/dp = 0, a user-defined g
-    by golden-section search.  value is u_r on Python floats at the refined
-    argmax (or at the grid argmax, if that is larger) and log_value is
-    log u_r there; value underflows to 0 where log_value stays finite.  When
-    g underflows to 0 on the whole grid, value is 0, log_value -inf and the
-    argmax the grid argmax.  Raises InvalidInputError when g is NaN, infinite
-    or negative anywhere on the grid, or u*_r overflows, as for a
-    user-defined g that returns such values.
-    """
-    if n < 1 or r < 2:
-        raise InvalidInputError("u_star requires n >= 1 and r >= 2")
-    lo, hi = p_window if p_window is not None else (1e-12, 1.0 - 1e-12)
-    if not (0.0 < lo < hi < 1.0):
-        raise InvalidInputError("p_window must satisfy 0 < lo < hi < 1")
-    grid, log_w, log_g = _scan_base(n, g, lo, hi, _GRID_POINTS)
-    log_u = r * log_g + log_w
+        log_u = r * np.log(g.eval_raw(grid)) + t + np.log(-np.expm1(t)) - np.log(grid)
     i = int(np.argmax(log_u))  # a NaN anywhere is the argmax
     if not log_u[i] <= _LOG_MAX:
         raise InvalidInputError(
@@ -268,49 +217,79 @@ def u_star(
     if log_u[i] == -math.inf:
         return UStarResult(value=0.0, argmax=x0, log_value=-math.inf)
     lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid.size - 1)])
-    if g.kind == "user":
-        x = _golden_max(lambda p: _u_r_at(p, n, g, r), lo, hi)[0]
-    else:
-        x = _newton_max(lambda p: _dlog_u_r(p, n, g, r), lo, x0, hi)
+    x = _golden_max(lambda p: _u_r_at(p, n, g, r), lo, hi)[0]
     fx, f0 = _u_r_at(x, n, g, r), _u_r_at(x0, n, g, r)
     if fx < f0:
         x, fx = x0, f0
     return UStarResult(value=fx, argmax=x, log_value=_log_u_r_at(x, n, g, r))
 
 
+@functools.lru_cache(maxsize=4096)
+def u_star(
+    n: int,
+    g: GFunction,
+    r: int,
+    p_window: Optional[Tuple[float, float]] = None,
+) -> UStarResult:
+    """Maximum of u_r over (0,1), or over p_window = (lo, hi).
+
+    Where log u_r is strictly concave (_log_concave: power g with
+    r*alpha >= 1, and entropy g), the maximum needs no grid: it is lo when
+    h = log u_r falls at lo, and otherwise the root of h' in the window (or
+    hi, where h' > 0 on the whole window), found by _newton_max from
+    x0 = r*alpha/(n+1), alpha = 1 for entropy, clipped to the window.  x0
+    lies at or above the root: 1-(1-p)^n >= n p (1-p)^(n-1) gives
+    p h'(p) <= r*alpha - n p/(1-p), which is <= 0 at x0.  So a maximum at hi
+    puts x0 at hi, where the search ends at once.  Any other g goes through
+    _scan_max.  value is u_r on Python floats at the argmax and log_value is
+    log u_r there, with log g in closed form for power and entropy g; value
+    underflows to 0 where log_value stays finite.
+    """
+    if n < 1 or r < 2:
+        raise InvalidInputError("u_star requires n >= 1 and r >= 2")
+    lo, hi = p_window if p_window is not None else (1e-12, 1.0 - 1e-12)
+    if not (0.0 < lo < hi < 1.0):
+        raise InvalidInputError("p_window must satisfy 0 < lo < hi < 1")
+    if not _log_concave(g, r):
+        return _scan_max(n, g, r, lo, hi)
+
+    def dh(p):
+        return _dlog_u_r(p, n, g, r)
+
+    if dh(lo)[0] <= 0.0:
+        x = lo
+    else:
+        a = g.alpha if g.kind == "power" else 1.0
+        x = _newton_max(dh, lo, min(max(r * a / (n + 1.0), lo), hi), hi)
+    return UStarResult(value=_u_r_at(x, n, g, r), argmax=x, log_value=_log_u_r_at(x, n, g, r))
+
+
 @functools.lru_cache(maxsize=256)
 def gamma_alpha(alpha: float) -> float:
     """max over t > 0 of t^(2*alpha-1) e^[-t](1-e^[-t]), alpha >= 1.
 
-    Coarse scan of t in [1e-6, max(50, 4(2*alpha-1))], which holds the
-    argmax (near 2*alpha-1), then golden-section refinement.  Where
-    t^(2*alpha-1) overflows, the product is taken in log space.  Raises
-    NumericalError when the maximum itself leaves the double range, from
-    alpha = 87 (above about 86.1).
+    With e = 2*alpha - 1, the log of the objective,
+    h(t) = e log t - t + log(-expm1(-t)), has
+    h''(t) = -e/t^2 - e^t/(e^t - 1)^2 < 0, h'(e) = 1/(e^e - 1) > 0 and
+    h'(e+1) = 1/(e^(e+1) - 1) - 1/(e+1) < 0.  So the maximizer is the one
+    root of h' in (e, e+1), which _newton_max finds from e + 1/2, and the
+    maximum is exp(h) there.  Raises NumericalError when the maximum leaves
+    the double range, from alpha = 87 (above about 86.1).
     """
     if not (alpha >= 1.0):
         raise InvalidInputError("gamma_alpha requires alpha >= 1")
 
     e = 2.0 * alpha - 1.0
-    grid = np.logspace(-6, math.log10(max(50.0, 4.0 * e)), 4000)
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = grid**e * np.exp(-grid) * (-np.expm1(-grid))
-    if np.all(np.isfinite(vals)):
-        def h(t):
-            return t**e * math.exp(-t) * (-math.expm1(-t))
-    else:
-        with np.errstate(over="ignore"):
-            vals = np.exp(e * np.log(grid) - grid + np.log(-np.expm1(-grid)))
 
-        def h(t):
-            return math.exp(e * math.log(t) - t + math.log(-math.expm1(-t)))
-    msg = f"gamma_alpha({alpha:g}) exceeds the double range"
-    if not np.all(np.isfinite(vals)):
-        raise NumericalError(msg)
-    try:
-        return _grid_then_golden(h, grid, vals)[1]
-    except OverflowError:  # the refinement stepped past the largest double
-        raise NumericalError(msg)
+    def dh(t):
+        b = math.exp(-t) / -math.expm1(-t)  # 1/(e^t - 1), without overflow
+        return e / t - 1.0 + b, -e / (t * t) - b * (1.0 + b)
+
+    t = _newton_max(dh, e, e + 0.5, e + 1.0)
+    log_max = e * math.log(t) - t + math.log(-math.expm1(-t))
+    if not log_max < _LOG_MAX:
+        raise NumericalError(f"gamma_alpha({alpha:g}) exceeds the double range")
+    return math.exp(log_max)
 
 
 def gamma_const() -> float:
@@ -358,11 +337,7 @@ def u2_closed_bound(n: int, g: GFunction) -> float:
             raise RegimeError(
                 f"u*_2 bound for alpha={a:g} needs n >= {thr:.4g}; got n = {n}"
             )
-        ga = gamma_alpha(a)
-        try:
-            return ga / float(n) ** (2.0 * a - 1.0)
-        except OverflowError:
-            return math.exp(math.log(ga) - (2.0 * a - 1.0) * math.log(n))
+        return math.exp(math.log(gamma_alpha(a)) - (2.0 * a - 1.0) * math.log(n))
     if g.kind == "entropy_log2":
         if n < 3:
             raise RegimeError("entropy u*_2 bound needs n >= 3")

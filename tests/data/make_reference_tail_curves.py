@@ -1,20 +1,21 @@
 #!/usr/bin/env python3
-"""Rebuild the order-2 column ("r2") of reference_tail_curves.json, and the
-exact u*_r values of reference_u_star.json, from an independent
-high-precision oracle.
+"""Rebuild the order-2 and order-5 columns ("r2", "r5") of
+reference_tail_curves.json, and the exact u*_r values of
+reference_u_star.json, from an independent high-precision oracle.
 
 Usage: python tests/data/make_reference_tail_curves.py
 
 The oracle uses mpmath at 40 significant digits and does not import
 missingmass.  For g(p) = p and n in {20, 100, 1000} it follows the recipe of
-the order-2 polynomial-filtered bound that acceptance criterion 02 checks:
+the order-R polynomial-filtered bound that acceptance criteria 02 (R = 2)
+and 03 (R = 5) check:
 
     u_r(p)  = p^(r-1) (1-p)^n (1-(1-p)^n)       (g(p)^r (1-p)^n (1-(1-p)^n) / p)
-    u*_r    = max over p in (0, 1) of u_r(p), for r = 2, 3
+    u*_r    = max over p in (0, 1) of u_r(p), for r = 2..R+1
     c       = 3 / (2 (n+2))
-    v       = u*_3 / (2 c)
-    a_2     = u*_2 - v
-    f(l)    = a_2 l^2 / 2 + (v/c^2) (-c l - log(1 - c l)),  0 <= l < 1/c
+    v       = u*_(R+1) / (c^(R-1) R!)
+    a_r     = u*_r / (r-1)! - c^(r-2) v,  r = 2..R
+    f(l)    = sum_r a_r l^r / r + (v/c^2) (-c l - log(1 - c l)),  0 <= l < 1/c
     bound   = min(1, exp(-(l* eps - f(l*)))),  where f'(l*) = eps
 
 u*_r is found from the stationarity condition
@@ -27,16 +28,7 @@ significant digits.
 reference_u_star.json holds u*_r for g(p) = p, n in {20, 100, 1000} and
 r = 2..6, each rounded to the nearest double, keyed by n and then r.
 
-Only the "r2" column of reference_tail_curves.json is written.  The
-"subgauss" column is exp(-n eps^2) and is left as it is.  The "r5" column is
-also left as it is, because acceptance criterion 03 pins two of its points.
-It does not follow the order-5 recipe
-(c as above, v = u*_6 / (c^4 5!), a_r = u*_r/(r-1)! - c^(r-2) v).  With
-exact u*_r, the recipe's curve is up to 2.9% from it at n=20, 42% at n=100
-and about 2.8e4 times it in the far tail at n=1000.  With u*_r taken as the
-maximum over the 999 interior points of linspace(0, 1, 1001), the
-deviations are 2.9%, 42% and 86 times.  Its
-origin is unknown.
+The "subgauss" column is exp(-n eps^2) and is left as it is.
 """
 
 import functools
@@ -76,20 +68,22 @@ def u_star(n, r):
     return u(p)
 
 
-def order2_curve(n, eps_grid):
-    """The order-2 filtered bound for g(p) = p at each eps of eps_grid."""
+def order_curve(n, R, eps_grid):
+    """The order-R filtered bound for g(p) = p at each eps of eps_grid."""
     c = mp.mpf(3) / (2 * (n + 2))
-    u2, u3 = u_star(n, 2), u_star(n, 3)
-    v = u3 / (2 * c)
-    a2 = u2 - v
-    if a2 < 0:
-        raise RuntimeError(f"n={n}: a_2 = {a2} < 0")
+    v = u_star(n, R + 1) / (c ** (R - 1) * mp.factorial(R))
+    a = [u_star(n, r) / mp.factorial(r - 1) - c ** (r - 2) * v for r in range(2, R + 1)]
+    for r, a_r in enumerate(a, start=2):
+        if a_r < 0:
+            raise RuntimeError(f"n={n}, R={R}: a_{r} = {a_r} < 0")
 
     def fprime(lam):
-        return a2 * lam + v * lam / (1 - c * lam)
+        poly = sum(a_r * lam ** (r - 1) for r, a_r in enumerate(a, start=2))
+        return poly + v * lam / (1 - c * lam)
 
     def f(lam):
-        return a2 * lam ** 2 / 2 + (v / c ** 2) * (-c * lam - mp.log1p(-c * lam))
+        poly = sum(a_r * lam ** r / r for r, a_r in enumerate(a, start=2))
+        return poly + (v / c ** 2) * (-c * lam - mp.log1p(-c * lam))
 
     out = []
     for e in eps_grid:
@@ -109,7 +103,8 @@ def order2_curve(n, eps_grid):
 def main() -> int:
     data = json.loads(PATH.read_text())
     for n, curves in data.items():
-        curves["r2"]["bound"] = order2_curve(int(n), curves["r2"]["eps"])
+        for R in (2, 5):
+            curves[f"r{R}"]["bound"] = order_curve(int(n), R, curves[f"r{R}"]["eps"])
     PATH.write_text(json.dumps(data, indent=1))
     print(f"wrote {PATH}")
     exact = {str(n): {str(r): float(u_star(n, r)) for r in range(2, 7)} for n in (20, 100, 1000)}

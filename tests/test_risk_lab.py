@@ -190,6 +190,16 @@ def test_bound_columns_with_underflowed_u2_fail_as_numerical():
         rl._bound_columns(10**5, gf.power(100.0), (0.01, 0.1))
 
 
+def test_mc_tail_builds_its_bounds_before_the_monte_carlo(monkeypatch):
+    # the same probe through mc_tail fails before it draws a letter
+    def no_draws(*args):
+        raise AssertionError("the Monte Carlo ran before the bounds were built")
+
+    monkeypatch.setattr(rl, "_occupancy", no_draws)
+    with pytest.raises(NumericalError, match="is not a normal double"):
+        rl.mc_tail(dm.uniform(10), gf.power(100.0), 10**5, 1000, (0.01, 0.1), seed=1)
+
+
 def test_polya_unseen_mean_matches_exact_oracle():
     # each letter stays unseen with probability
     # Gamma(k b) Gamma(k b - b + n) / (Gamma(k b - b) Gamma(k b + n)), b = 1/n

@@ -301,8 +301,9 @@ def test_left_tail_from_log_u2_where_u2_underflows():
 
 
 def test_left_tail_where_g_underflows_on_the_whole_grid_is_numerical_error():
+    # a user-defined g is scanned; p^1e15 underflows on every grid point
     with pytest.raises(NumericalError):
-        tb.left_tail(20, gf.power(1e15), 0.1)
+        tb.left_tail(20, gf.user_defined(lambda p: p**1e15), 0.1)
 
 
 @pytest.mark.parametrize("g", [P1, P2, E64], ids=["power1", "power2", "entropy64"])

@@ -2,6 +2,7 @@ import json
 import math
 import pathlib
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import optimize
@@ -47,75 +48,21 @@ def test_u_star_matches_exact_oracle(n, r):
 
 
 def test_u_star_grid_refinement_stable(monkeypatch):
-    a = ue.u_star(200, P1, 2)
-    monkeypatch.setattr(ue, "_GRID_POINTS", 4 * ue._GRID_POINTS)
-    ue.u_star.cache_clear()
-    ue._scan_grid.cache_clear()
-    try:
-        b = ue.u_star(200, P1, 2)
-    finally:
-        ue.u_star.cache_clear()
-    # the grid cache is keyed on the point count, so the finer grid was built
-    assert ue._scan_grid.cache_info().misses == 1
-    grid, _ = ue._scan_grid(1e-12, 1.0 - 1e-12, ue._GRID_POINTS)
-    assert grid.size > 2 * ue._GRID_POINTS - 10
+    # a user-defined g is scanned; a finer grid moves its maximum by rounding only
+    sizes = []
+
+    def square(p):
+        sizes.append(np.size(p))
+        return p * p
+
+    g = gf.user_defined(square)
+    points = ue._GRID_POINTS
+    a = ue.u_star(200, g, 2)
+    monkeypatch.setattr(ue, "_GRID_POINTS", 4 * points)
+    b = ue.u_star.__wrapped__(200, g, 2)
+    # the two half-grids share their middle point
+    assert [s for s in sizes if s > 1] == [2 * points - 1, 8 * points - 1]
     assert abs(a.value - b.value) <= 1e-10 * a.value
-
-
-def test_scan_grid_cached_and_read_only():
-    grid, log_q = ue._scan_grid(1e-12, 1.0 - 1e-12, ue._GRID_POINTS)
-    assert ue._scan_grid(1e-12, 1.0 - 1e-12, ue._GRID_POINTS)[0] is grid
-    np.testing.assert_array_equal(log_q, np.log1p(-grid))
-    for arr in (grid, log_q):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0] = 0.5
-
-
-def test_scan_base_cached_per_n_g_window_and_read_only():
-    ue._scan_base.cache_clear()
-    ue.u_star.cache_clear()
-    try:
-        ue.u_star(100, P2, 2)
-        grid, log_w, log_g = ue._scan_base(100, P2, 1e-12, 1.0 - 1e-12, ue._GRID_POINTS)
-        assert ue._scan_base.cache_info().misses == 1
-        _, log_q = ue._scan_grid(1e-12, 1.0 - 1e-12, ue._GRID_POINTS)
-        t = 100 * log_q
-        np.testing.assert_array_equal(log_w, t + np.log(-np.expm1(t)) - np.log(grid))
-        np.testing.assert_array_equal(log_g, np.log(grid**2.0))
-        for arr in (log_w, log_g):
-            assert not arr.flags.writeable
-    finally:
-        ue.u_star.cache_clear()
-
-
-_BASE_CASES = [(n, g, r) for n in (20, 100, 1000) for g in (P1, P2, E64) for r in range(2, 7)]
-
-
-def test_u_star_same_bits_from_a_shared_or_a_fresh_base():
-    def fresh(n, g, r):
-        ue.u_star.cache_clear()
-        ue._scan_base.cache_clear()
-        res = ue.u_star(n, g, r)
-        return res.value.hex(), res.argmax.hex(), res.log_value.hex()
-
-    try:
-        cold = {case: fresh(*case) for case in _BASE_CASES}
-        # r ascending and descending within each (n, g), whose base stays warm
-        # across orders, then r outermost, where each call replaces the base
-        orders = (_BASE_CASES, _BASE_CASES[::-1],
-                  sorted(_BASE_CASES, key=lambda case: case[2]))
-        for order in orders:
-            ue.u_star.cache_clear()
-            ue._scan_base.cache_clear()
-            for n, g, r in order:
-                res = ue.u_star(n, g, r)
-                bits = res.value.hex(), res.argmax.hex(), res.log_value.hex()
-                assert bits == cold[n, g, r], (n, g, r)
-        # the last order switched (n, g) on every call: one base per call
-        assert ue._scan_base.cache_info().misses == len(_BASE_CASES)
-    finally:
-        ue.u_star.cache_clear()
 
 
 def sweep_sizes():
@@ -194,8 +141,79 @@ def test_log_value_stays_finite_where_value_underflows():
 
 
 def test_g_underflowing_on_the_whole_grid_gives_zero_and_minus_inf():
-    res = ue.u_star(20, gf.power(1e15), 2)
+    # a user-defined g is scanned; p^1e15 underflows on every grid point
+    res = ue.u_star(20, gf.user_defined(lambda p: p**1e15), 2)
     assert res.value == 0.0 and res.log_value == -math.inf
+
+
+def test_power_g_far_below_the_double_range_keeps_its_log():
+    # log u_2 of power:1e15 rises up to the window edge 1 - 1e-12; the value
+    # there, from 40-digit mpmath at that double
+    res = ue.u_star(20, gf.power(1e15), 2)
+    assert res.argmax == 1.0 - 1e-12 and res.value == 0.0
+    assert res.log_value == pytest.approx(-2552.5766213186231191, rel=1e-14)
+
+
+def _closed_log_u(n, g, r, p):
+    if g.kind == "power":
+        log_g = g.alpha * np.log(p)
+    else:
+        log_g = np.log(p) + np.log(-np.log(p)) - math.log(math.log(2.0))
+    t = n * np.log1p(-p)
+    return r * log_g + t + np.log(-np.expm1(t)) - np.log(p)
+
+
+_CONCAVE_CELLS = [(n, g, r) for n in (1, 20, 1000, 10**6)
+                  for g in (P1, P2, gf.power(0.5), E64) for r in (2, 3, 6)]
+
+
+@pytest.mark.parametrize("n,g,r", _CONCAVE_CELLS,
+                         ids=[f"n{n}-{g.descriptor()}-r{r}" for n, g, r in _CONCAVE_CELLS])
+def test_concave_u_star_matches_a_dense_closed_form_scan(n, g, r):
+    # independent of the Newton search: a global log grid finds no higher
+    # point, and dense grids zoomed in twice around their argmax agree to 1e-12
+    res = ue.u_star(n, g, r)
+    p = np.geomspace(1e-12, 1.0 - 1e-12, 100_001)
+    for _ in range(3):
+        log_u = _closed_log_u(n, g, r, p)
+        i = int(np.argmax(log_u))
+        assert res.log_value >= log_u[i] - 1e-14 * abs(log_u[i])
+        p = np.linspace(p[max(i - 1, 0)], p[min(i + 1, p.size - 1)], 100_001)
+    assert res.log_value == pytest.approx(log_u[i], rel=1e-12, abs=1e-12)
+    assert res.value == pytest.approx(math.exp(res.log_value), rel=1e-13)
+
+
+def test_u_star_where_p_to_the_alpha_underflows_matches_mpmath():
+    # p^150 underflows below p ~ 0.0068; the argmax sits at 0.00298, where a
+    # scan of log(p**alpha) saw -inf.  40-digit mpmath root of d log u_2/dp
+    res = ue.u_star(10**5, gf.power(150.0), 2)
+    assert res.log_value == pytest.approx(-2037.378645732152114902670046, rel=1e-12)
+    assert res.argmax == pytest.approx(0.002981086551211876489297, rel=1e-12)
+
+
+_EXTREME_CELLS = [(n, g, r) for n in (1, 3, 10**6, 10**12, 10**18)
+                  for g in (P1, P2, gf.power(150.0), gf.power(1e15), E64)
+                  for r in (2, 6, 10**4, 10**15)]
+
+
+def test_newton_search_ends_by_its_stop_rule_on_extreme_cells(monkeypatch):
+    calls = []
+    newton = ue._newton_max
+
+    def counted(dh, lo, x, hi):
+        calls.append(0)
+
+        def dh_counted(p):
+            calls[-1] += 1
+            return dh(p)
+
+        return newton(dh_counted, lo, x, hi)
+
+    monkeypatch.setattr(ue, "_newton_max", counted)
+    for n, g, r in _EXTREME_CELLS:
+        res = ue.u_star.__wrapped__(n, g, r)
+        assert 1e-12 <= res.argmax <= 1.0 - 1e-12 and res.log_value < 0.0, (n, g, r)
+    assert calls and max(calls) < ue._NEWTON_STEPS
 
 
 def test_golden_max_stops_at_a_few_ulps():
@@ -228,7 +246,12 @@ def test_u_star_window_restricts_search():
     full = ue.u_star(200, E64, 2)
     floored = ue.u_star(200, E64, 2, p_window=(1.0 / 64.0, 1.0 - 1e-12))
     assert floored.value <= full.value + 1e-15
-    assert floored.argmax >= 1.0 / 64.0 - 1e-12
+    # log u_2 is concave and falls from the window's lower edge: the edge wins
+    assert floored.argmax == 1.0 / 64.0
+    # the same where the Newton start 2/21 lies inside the window
+    assert ue.u_star(20, P1, 2, p_window=(0.08, 0.5)).argmax == 0.08
+    # and at the upper edge, below the root 0.0685
+    assert ue.u_star(20, P1, 2, p_window=(0.01, 0.05)).argmax == 0.05
 
 
 def test_u_star_input_validation():
@@ -268,6 +291,17 @@ def test_gamma_alpha_against_scipy(alpha):
     assert ue.gamma_alpha(alpha) == pytest.approx(scipy_gamma_alpha(alpha), rel=1e-9)
 
 
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 3.0, 6.75, 30.0, 60.0, 86.0])
+def test_gamma_alpha_matches_mpmath(alpha):
+    # 40-digit root of h'(t) = e/t - 1 + 1/(e^t - 1) in (e, e + 1), e = 2 alpha - 1
+    with mpmath.workdps(40):
+        e = mpmath.mpf(2.0 * alpha - 1.0)
+        t = mpmath.findroot(lambda t: e / t - 1 + 1 / mpmath.expm1(t), (e, e + 1),
+                            solver="anderson")
+        want = float(mpmath.exp(e * mpmath.log(t) - t + mpmath.log(-mpmath.expm1(-t))))
+    assert ue.gamma_alpha(alpha) == pytest.approx(want, rel=1e-12)
+
+
 def test_gamma_constants_frozen():
     assert ue.gamma_const() == pytest.approx(0.26034549134920526, rel=1e-10)
     assert ue.gamma_alpha(2.0) == pytest.approx(1.2820002767035465, rel=1e-10)
@@ -279,9 +313,11 @@ def test_gamma_alpha_requires_alpha_at_least_one():
         ue.gamma_alpha(0.9)
 
 
-def test_gamma_alpha_beyond_double_range_is_numerical_failure():
+@pytest.mark.parametrize("alpha", [100.0, 400.0])
+def test_gamma_alpha_beyond_double_range_is_numerical_failure(alpha):
+    # from alpha = 355 on, e^t overflows on the bracket (2 alpha - 1, 2 alpha)
     with pytest.raises(NumericalError):
-        ue.gamma_alpha(100.0)
+        ue.gamma_alpha(alpha)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 2.0, 6.75, 10.0, 30.0, 40.0, 60.0, 86.0])
