@@ -19,13 +19,12 @@ e.g. to compare against a closed bound that presumes p >= 1/k.
 
 u_star works on log u_r = r log g(p) - log p + n log1p(-p)
 + log(-expm1(n log1p(-p))), which stays finite where u_r itself underflows.
-For power g with r*alpha >= 1 and for entropy g, log u_r is strictly concave
-on (0, 1) (see _log_concave), so its maximum over a window [lo, hi] is lo
-when d log u_r/dp <= 0 there, and otherwise the one root of d log u_r/dp in
-the window, or hi, found by safeguarded Newton with closed-form derivatives
-on the whole window.  Any other g (a user-defined one, or power g with
-r*alpha < 1) is scanned on a log grid dense near both window edges, and the
-grid argmax is refined by golden-section search on Python floats.
+For power and entropy g, log u_r rises to one maximum and then falls (see
+u_star), so its maximum over a window [lo, hi] is lo when d log u_r/dp <= 0
+there, and otherwise the one root of d log u_r/dp in the window, or hi,
+found by safeguarded Newton with closed-form derivatives on the whole window.
+A user-defined g is scanned on a log grid dense near both window edges, and
+the grid argmax is refined by golden-section search on Python floats.
 """
 
 from __future__ import annotations
@@ -43,17 +42,17 @@ from .gfunction import GFunction, TypeA, Unclassified, classify
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-#: Grid points per half-interval of the scan for g whose log u_r is not
-#: known to be concave.
+#: Grid points per half-interval of the scan for a user-defined g.
 _GRID_POINTS = 20001
 
 #: Golden-section search and the Newton search stop once their bracket
 #: (or a Newton step) is this many ulps wide.
 _STOP_ULPS = 4
 
-#: Step cap of the Newton search.  Bisection alone narrows the default window
-#: (1e-12, 1 - 1e-12) to _STOP_ULPS ulps at its low end in about 90 steps;
-#: on a concave log u_r, Newton steps end the search far sooner.
+#: Step cap of the Newton search.  Bisection alone narrows a window
+#: (lo, 1 - 1e-12) to _STOP_ULPS ulps of a root near p in about
+#: 50 + log2(1/p) steps; Newton steps from a start near the root end the
+#: search far sooner.
 _NEWTON_STEPS = 100
 
 _LN2 = math.log(2.0)
@@ -70,28 +69,6 @@ class UStarResult:
     value: float
     argmax: float
     log_value: float
-
-
-def _log_concave(g: GFunction, r: int) -> bool:
-    """Whether log u_r is strictly concave in p on (0, 1), for r >= 2.
-
-    log u_r = r log g - log p + n log(1-p) + log(1-(1-p)^n).  The last two
-    terms are strictly concave for every n >= 1: n log(1-p) has second
-    derivative -n/(1-p)^2, and f = 1-(1-p)^n is positive, increasing and
-    concave, so (log f)'' = f''/f - (f'/f)^2 < 0.  For the first two:
-
-    * power g: r log g - log p = (r alpha - 1) log p, concave when
-      r alpha >= 1;
-    * entropy g = p log2(1/p), with L = -log p > 0:
-      (r log g - log p)'' = -(r (L^2 - L + 1)/L^2 - 1)/p^2, negative for
-      r >= 2, since (L^2 - L + 1)/L^2 = (1/L - 1/2)^2 + 3/4 >= 3/4.
-
-    Nothing is known of a user-defined g.  A strictly concave log u_r has
-    one maximum on any window, which u_star finds without a grid.
-    """
-    if g.kind == "power":
-        return r * g.alpha >= 1.0
-    return g.kind == "entropy_log2"
 
 
 def _u_r_at(p: float, n: int, g: GFunction, r: int) -> float:
@@ -160,7 +137,7 @@ def _newton_max(
             break
         step = -d1 / d2 if d2 < 0.0 else math.nan
         if abs(step) <= _STOP_ULPS * math.ulp(x):
-            return x + step
+            return min(max(x + step, lo), hi)
         x = x + step if lo < x + step < hi else 0.5 * (lo + hi)
         if hi - lo <= _STOP_ULPS * math.ulp(hi):
             break
@@ -193,7 +170,7 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float) -> Tuple[floa
 
 
 def _scan_max(n: int, g: GFunction, r: int, lo: float, hi: float) -> UStarResult:
-    """u*_r over [lo, hi] for a g whose log u_r is not known to be concave.
+    """u*_r over [lo, hi] for a user-defined g, of which nothing is known.
 
     Scans log u_r on 2*_GRID_POINTS points, logarithmically dense near both
     edges of the window, then refines u_r by golden-section search between
@@ -233,24 +210,40 @@ def u_star(
 ) -> UStarResult:
     """Maximum of u_r over (0,1), or over p_window = (lo, hi).
 
-    Where log u_r is strictly concave (_log_concave: power g with
-    r*alpha >= 1, and entropy g), the maximum needs no grid: it is lo when
-    h = log u_r falls at lo, and otherwise the root of h' in the window (or
-    hi, where h' > 0 on the whole window), found by _newton_max from
-    x0 = r*alpha/(n+1), alpha = 1 for entropy, clipped to the window.  x0
-    lies at or above the root: 1-(1-p)^n >= n p (1-p)^(n-1) gives
-    p h'(p) <= r*alpha - n p/(1-p), which is <= 0 at x0.  So a maximum at hi
-    puts x0 at hi, where the search ends at once.  Any other g goes through
-    _scan_max.  value is u_r on Python floats at the argmax and log_value is
-    log u_r there, with log g in closed form for power and entropy g; value
-    underflows to 0 where log_value stays finite.
+    For power and entropy g the maximum needs no grid.  With h = log u_r,
+
+        p h'(p) = r p (log g)'(p) - 1 + k(p) - n p/(1-p),
+        k(p) = n p (1-p)^(n-1) / (1-(1-p)^n) = n / sum_(j<n) (1-p)^(-j),
+
+    where p (log g)' is alpha for power g and 1 + 1/log p for entropy g.
+    Every term is non-increasing in p and -n p/(1-p) is strictly
+    decreasing, so h' changes sign at most once, from + to -: h rises to
+    one maximum and then falls.  On [lo, hi] the maximum is lo where
+    h'(lo) <= 0, and otherwise the root of h' in the window (or hi, where
+    h' > 0 on the whole window), found by _newton_max from
+    x0 = c/(n+1), c = max(r*alpha, 1) (alpha = 1 for entropy), clipped to
+    the window.  x0 lies at or above the root: k <= 1 and
+    p (log g)' <= alpha give p h'(p) <= r*alpha - n p/(1-p), which is <= 0
+    at x0.  So a maximum at hi puts x0 at hi, where the search ends at once.
+
+    The default window is (1e-12, 1 - 1e-12) for a user g.  For power and
+    entropy g its lower edge is min(1e-12, 1e-3/n), so that it holds the
+    maximum for every n: at p <= 1e-3/n, k >= (1-p)^(n-1) > 1 - 1e-3 and
+    n p/(1-p) < 1.001e-3, so p h'(p) > r*alpha - 0.0021 > 0 for
+    r*alpha >= 0.01, and for entropy g, whose p (log g)' >= 0.85 there.
+
+    A user g goes through _scan_max.  value is u_r on Python floats at the
+    argmax and log_value is log u_r there, with log g in closed form for
+    power and entropy g; value underflows to 0 where log_value stays finite.
     """
     if n < 1 or r < 2:
         raise InvalidInputError("u_star requires n >= 1 and r >= 2")
-    lo, hi = p_window if p_window is not None else (1e-12, 1.0 - 1e-12)
+    if p_window is None:
+        p_window = (1e-12 if g.kind == "user" else min(1e-12, 1e-3 / n), 1.0 - 1e-12)
+    lo, hi = p_window
     if not (0.0 < lo < hi < 1.0):
         raise InvalidInputError("p_window must satisfy 0 < lo < hi < 1")
-    if not _log_concave(g, r):
+    if g.kind == "user":
         return _scan_max(n, g, r, lo, hi)
 
     def dh(p):
@@ -259,8 +252,8 @@ def u_star(
     if dh(lo)[0] <= 0.0:
         x = lo
     else:
-        a = g.alpha if g.kind == "power" else 1.0
-        x = _newton_max(dh, lo, min(max(r * a / (n + 1.0), lo), hi), hi)
+        c = max(r * (g.alpha if g.kind == "power" else 1.0), 1.0)
+        x = _newton_max(dh, lo, min(max(c / (n + 1.0), lo), hi), hi)
     return UStarResult(value=_u_r_at(x, n, g, r), argmax=x, log_value=_log_u_r_at(x, n, g, r))
 
 

@@ -662,12 +662,9 @@ def test_simulate_risk_json_has_no_rate_below_three_sizes(capsys):
 
 
 # Each asks for an array of at least 10^15 elements, beyond any 48-bit
-# address space, so numpy refuses it before touching memory.  The huge n
-# goes through the risk task: the tail task builds its bound columns before
-# the Monte Carlo, and at n = 10^15 those fail first (u*_r's argmax, near
-# 1.4/n, lies below the default window's 1e-12).
+# address space, so numpy refuses it before touching memory.
 @pytest.mark.parametrize("command", [
-    "--task risk --g power:1 --dist uniform:10 --n-list 1000000000000000 --trials 100",
+    "--task tail --g power:1 --dist uniform:10 --n-list 1000000000000000 --trials 1000",
     "--task tail --g power:1 --dist uniform:10 --n-list 5 --trials 1000000000000000",
     "--task tail --g power:1 --dist uniform:1000000000000000 --n-list 5 --trials 1000",
     "--task dirichlet --alpha 1 --n-list 1000000000000000 --trials 0",

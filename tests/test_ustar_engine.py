@@ -163,21 +163,24 @@ def _closed_log_u(n, g, r, p):
     return r * log_g + t + np.log(-np.expm1(t)) - np.log(p)
 
 
-_CONCAVE_CELLS = [(n, g, r) for n in (1, 20, 1000, 10**6)
-                  for g in (P1, P2, gf.power(0.5), E64) for r in (2, 3, 6)]
+# power:0.3 at r = 2 and 3 has r*alpha < 1, where log u_r is not concave
+_NEWTON_CELLS = [(n, g, r) for n in (1, 20, 1000, 10**6, 10**13)
+                 for g in (P1, P2, gf.power(0.5), gf.power(0.3), E64) for r in (2, 3, 6)]
 
 
-@pytest.mark.parametrize("n,g,r", _CONCAVE_CELLS,
-                         ids=[f"n{n}-{g.descriptor()}-r{r}" for n, g, r in _CONCAVE_CELLS])
-def test_concave_u_star_matches_a_dense_closed_form_scan(n, g, r):
-    # independent of the Newton search: a global log grid finds no higher
-    # point, and dense grids zoomed in twice around their argmax agree to 1e-12
+@pytest.mark.parametrize("n,g,r", _NEWTON_CELLS,
+                         ids=[f"n{n}-{g.descriptor()}-r{r}" for n, g, r in _NEWTON_CELLS])
+def test_newton_u_star_matches_a_dense_closed_form_scan(n, g, r):
+    # independent of the Newton search: a global log grid, reaching well below
+    # the argmax near r/n, finds no higher point, and dense grids zoomed in
+    # twice around their argmax agree to 1e-12.  The log sums terms near
+    # |r log p|, so near log u = 0 its rounding is absolute, not relative
     res = ue.u_star(n, g, r)
-    p = np.geomspace(1e-12, 1.0 - 1e-12, 100_001)
+    p = np.geomspace(min(1e-12, 1e-4 / n), 1.0 - 1e-12, 100_001)
     for _ in range(3):
         log_u = _closed_log_u(n, g, r, p)
         i = int(np.argmax(log_u))
-        assert res.log_value >= log_u[i] - 1e-14 * abs(log_u[i])
+        assert res.log_value >= log_u[i] - 1e-14 * max(abs(log_u[i]), 1.0)
         p = np.linspace(p[max(i - 1, 0)], p[min(i + 1, p.size - 1)], 100_001)
     assert res.log_value == pytest.approx(log_u[i], rel=1e-12, abs=1e-12)
     assert res.value == pytest.approx(math.exp(res.log_value), rel=1e-13)
@@ -192,7 +195,7 @@ def test_u_star_where_p_to_the_alpha_underflows_matches_mpmath():
 
 
 _EXTREME_CELLS = [(n, g, r) for n in (1, 3, 10**6, 10**12, 10**18)
-                  for g in (P1, P2, gf.power(150.0), gf.power(1e15), E64)
+                  for g in (P1, P2, gf.power(0.3), gf.power(150.0), gf.power(1e15), E64)
                   for r in (2, 6, 10**4, 10**15)]
 
 
@@ -212,8 +215,20 @@ def test_newton_search_ends_by_its_stop_rule_on_extreme_cells(monkeypatch):
     monkeypatch.setattr(ue, "_newton_max", counted)
     for n, g, r in _EXTREME_CELLS:
         res = ue.u_star.__wrapped__(n, g, r)
-        assert 1e-12 <= res.argmax <= 1.0 - 1e-12 and res.log_value < 0.0, (n, g, r)
+        lo = min(1e-12, 1e-3 / n)
+        assert lo <= res.argmax <= 1.0 - 1e-12 and math.isfinite(res.log_value), (n, g, r)
     assert calls and max(calls) < ue._NEWTON_STEPS
+
+
+@pytest.mark.parametrize("n", [10**13, 10**15, 10**18])
+def test_default_window_holds_the_argmax_at_huge_n(n):
+    # the argmax of u_2 for power:1 is t*/n, t* = 1.44557... the root of
+    # 1/t - 1 + 1/(e^t - 1), below the fixed edge 1e-12 from n ~ 1.45e12 on;
+    # n u*_2 tends to gamma = 0.26034...
+    t_star = float(mpmath.findroot(lambda t: 1 / t - 1 + 1 / mpmath.expm1(t), 1.45))
+    res = ue.u_star(n, P1, 2)
+    assert res.argmax == pytest.approx(t_star / n, rel=1e-9)
+    assert n * res.value == pytest.approx(ue.gamma_const(), rel=1e-9)
 
 
 def test_golden_max_stops_at_a_few_ulps():
@@ -252,6 +267,12 @@ def test_u_star_window_restricts_search():
     assert ue.u_star(20, P1, 2, p_window=(0.08, 0.5)).argmax == 0.08
     # and at the upper edge, below the root 0.0685
     assert ue.u_star(20, P1, 2, p_window=(0.01, 0.05)).argmax == 0.05
+    # and with the root 1 to 4 ulps above the upper edge, where the last
+    # Newton step is below the stop rule's width and would cross the edge
+    hi = 0.068451030159344687  # the root of d log u_2/dp, from mpmath
+    for _ in range(4):
+        hi = math.nextafter(hi, 0.0)
+        assert ue.u_star(20, P1, 2, p_window=(0.01, hi)).argmax == hi
 
 
 def test_u_star_input_validation():
