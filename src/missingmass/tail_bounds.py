@@ -7,17 +7,18 @@ The one concentration spec is the order-R polynomial filter PolyFiltered,
 built from exact numeric u*_r values and the scale parameter c.  Order 1
 (no filter terms) is the strongly sub-Gamma template.  The sub-Gaussian
 (f = l^2 s2/2) and sub-Gamma (f = l^2 v/(2(1-cl))) templates of Boucheron,
-Lugosi & Massart (2013, section 2.4) are plain exponent functions.
+Lugosi & Massart (2013, section 2.4) are plain exponent functions.  Each
+yields a right-tail bound exp(-E(eps)) by the Chernoff method; E is analytic
+except for R >= 2, whose Legendre transform is solved numerically.  The
+closed-form corollary tails take the g they bound: power(1) (the missing
+mass), power(alpha > 1) (the order-alpha one) and entropy_log2(k) (the
+missing entropy).
 
-Each yields a right-tail bound exp(-E(eps)) by the Chernoff method; E is
-analytic except for R >= 2, whose Legendre transform is solved numerically.
-The closed-form corollary tails take the g they bound: power(1) (the
-missing mass), power(alpha > 1) (the order-alpha missing mass) and
-entropy_log2(k) (the missing entropy).
-
-Every public bound is clamped to <= 1; the raw exponent is available for
-diagnostics (a Chernoff exponent can go negative for tiny eps in the printed
-entropy form, where the bound is trivially 1).
+Every input taken from u*_r or gamma_alpha is read as its log: v and a_r,
+both left tails' variance and the power(alpha > 1) right tail.  So a u*_r
+that underflows, or a gamma_alpha or n^(2 alpha - 1) that overflows, still
+gives a bound.  Every public bound is clamped to <= 1; the raw exponent is
+available for diagnostics (it can go negative, where the bound is 1).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence, Tuple
 
 from . import ustar_engine
@@ -73,6 +73,17 @@ class BoundCurve:
 
 def _clamp(exponent: float) -> float:
     return min(1.0, math.exp(-exponent))
+
+
+def _gaussian_tail(log_sigma2: float, eps: float) -> float:
+    """exp(-eps^2 / (2 sigma2)) from log sigma2, which stays finite where
+    sigma2 underflows.  eps = 0 gives 1; an exponent from e^709 on gives 0."""
+    if eps < 0.0:
+        raise InvalidInputError("eps must be >= 0")
+    if eps == 0.0:
+        return 1.0
+    log_exponent = 2.0 * math.log(eps) - math.log(2.0) - log_sigma2
+    return math.exp(-math.exp(min(log_exponent, 709.0)))
 
 
 def sub_gaussian_exponent(sigma2: float, eps: float) -> float:
@@ -194,30 +205,32 @@ def tail_bound(spec: PolyFiltered, eps: float) -> float:
 
 
 def build_spec(n: int, g: GFunction, R: int) -> PolyFiltered:
-    """Poly-filtered spec from exact numeric u*_r values.
+    """Poly-filtered spec from the logs of the exact numeric u*_r values.
 
-    c = scale_parameter(n, g); v = u*_[R+1] / (c^(R-1) R!);
-    a_r = u*_r/(r-1)! - c^(r-2) v for r = 2..R.  The ratio chain guarantees
-    every a_r >= 0; a materially negative coefficient is an internal error.
-    R = 1 gives the strongly sub-Gamma spec v = u*_2.  power(alpha < 1) is
-    rejected: its moments break the ratio chain.  R above _MAX_ORDER is
-    rejected before any u*_r scan: its R! overflows a double.  v is rounded
-    from the exact quotient (c^(R-1) alone can underflow) and must be normal;
-    the ratio chain keeps it <= u*_2.
+    With c = scale_parameter(n, g), log v = log u*_[R+1] - (R-1) log c - log R!
+    and a_r = exp(log u*_r - log (r-1)!) - exp(log v + (r-2) log c), r = 2..R:
+    u*_[R+1] and c^(R-1) may underflow where v does not.  The ratio chain
+    keeps every a_r >= 0 (a materially negative one is an internal error)
+    and v <= u*_2.  R = 1 gives the strongly sub-Gamma spec v = u*_2.
+    power(alpha < 1) breaks the ratio chain and is rejected, and so is R
+    above _MAX_ORDER.  Raises NumericalError where v is not a normal double.
     """
     if int(R) != R or not 1 <= R <= _MAX_ORDER:
         raise InvalidInputError(f"build_spec needs integer R in [1, {_MAX_ORDER}]")
     if g.kind == "power" and g.alpha < 1.0:
         raise InvalidInputError("concentration specs require power alpha >= 1")
     c = ustar_engine.scale_parameter(n, g)
-    u = {r: ustar_engine.u_star(n, g, r).value for r in range(2, R + 2)}
-    v = float(Fraction(u[R + 1]) / (Fraction(c) ** (R - 1) * math.factorial(R)))
+    log_c = math.log(c)
+    log_u = {r: ustar_engine.u_star(n, g, r).log_value for r in range(2, R + 2)}
+    log_v = log_u[R + 1] - (R - 1) * log_c - math.log(math.factorial(R))
+    v = math.exp(log_v)
     if not v >= sys.float_info.min:
-        raise NumericalError(f"v = u*_{R + 1}/(c^{R - 1} {R}!) = {v:.3g} is not a normal double")
+        raise NumericalError(f"log v = log(u*_{R + 1}/(c^{R - 1} {R}!)) = {log_v:.6g}: "
+                             "v is not a normal double")
     a = []
     for r in range(2, R + 1):
-        lead = u[r] / math.factorial(r - 1)
-        a_r = lead - c ** (r - 2) * v
+        lead = math.exp(log_u[r] - math.log(math.factorial(r - 1)))
+        a_r = lead - math.exp(log_v + (r - 2) * log_c)
         if a_r < -1e-9 * lead:
             raise NumericalError(
                 f"filter coefficient a_{r} = {a_r:.3g} < 0: scale parameter "
@@ -234,41 +247,28 @@ def theorem2_sub_gaussian_right(n: int, g: GFunction, eps: float) -> float:
 
 
 def left_tail(n: int, g: GFunction, eps: float) -> float:
-    """Left tail exp(-eps^2/(2 u*_2)) with the exact numeric u*_2.
+    """Left tail exp(-eps^2/(2 u*_2)) from the exact numeric log u*_2.
 
     The maximization runs over the declared domain of g, so a k-floor
     restricts the search window and the tail never exceeds the closed form
-    of corollary_left_tail.  Where u*_2 underflows to 0, the exponent is
-    taken from log u*_2; an exponent from e^709 on gives the bound 0."""
+    of corollary_left_tail."""
     window = None
     if g.domain_min > 0.0:
         window = (g.domain_min, 1.0 - 1e-12)
-    res = ustar_engine.u_star(n, g, 2, p_window=window)
-    if res.value > 0.0 or eps < 0.0:
-        return sub_gaussian_tail(res.value, eps)
-    if eps == 0.0:
-        return 1.0
-    if res.log_value == -math.inf:
+    log_u2 = ustar_engine.u_star(n, g, 2, p_window=window).log_value
+    if log_u2 == -math.inf:
         raise NumericalError(f"g = {g.descriptor()} underflows to 0 on the whole u*_2 scan grid")
-    log_exponent = 2.0 * math.log(eps) - math.log(2.0) - res.log_value
-    return _clamp(math.exp(min(log_exponent, 709.0)))
+    return _gaussian_tail(log_u2, eps)
 
 
 def corollary_left_tail(n: int, g: GFunction, eps: float) -> float:
-    """Closed-form left tail exp(-eps^2/(2 sigma2)), sigma2 = u2_closed_bound:
+    """Closed-form left tail exp(-eps^2/(2 sigma2)), sigma2 from log_u2_closed_bound:
 
     power(a >= 1):   exp(-n^(2a-1) eps^2 / (2 gamma_alpha)),
                      needs n >= (2a-1) ln2/(2a-1-ln2);
     entropy_log2(k): exp(-n eps^2 / (2 gamma (log2 k)^2)), needs n >= 3.
     """
-    if eps < 0.0:
-        raise InvalidInputError("eps must be >= 0")
-    sigma2 = ustar_engine.u2_closed_bound(n, g)
-    if sigma2 == 0.0:
-        # sigma2 underflowed below 5e-324 (large alpha and n): the bound rounds
-        # to 0 once eps^2 > 1e-320; a smaller eps gets the trivial bound 1.
-        return 0.0 if eps * eps > 1e-320 else 1.0
-    return sub_gaussian_tail(sigma2, eps)
+    return _gaussian_tail(ustar_engine.log_u2_closed_bound(n, g), eps)
 
 
 def corollary_right_exponent(n: int, g: GFunction, eps: float) -> float:
@@ -276,6 +276,9 @@ def corollary_right_exponent(n: int, g: GFunction, eps: float) -> float:
 
     power(1) is the strongly sub-Gamma template at v = gamma/n and
     c = 3/(2(n+2)); power(a > 1) and entropy_log2(k) are the printed forms.
+    The power(a > 1) form ((n-b)/a) eps - (gamma_alpha/a^2) (n-b)^(3-2a) log1p(z),
+    z = a n^(2a-1) eps/(gamma_alpha (n-b)), is taken in log a, log gamma_alpha,
+    log(n-b) and log n, since a, gamma_alpha and n^(2a-1) overflow.
     """
     if eps < 0.0:
         raise InvalidInputError("eps must be >= 0")
@@ -290,23 +293,19 @@ def corollary_right_exponent(n: int, g: GFunction, eps: float) -> float:
         thr = 1.0 + 4.0 * alpha * alpha / (1.0 - alpha) ** 2
         if n <= thr:
             raise RegimeError(f"right tail for alpha={alpha:g} needs n > {thr:.4g}")
-        ga = ustar_engine.gamma_alpha(alpha)
+        if eps == 0.0:
+            return 0.0
         b = 1.0 + 2.0 * alpha / (alpha - 1.0)
-        a = (b - 1.0) * (2.0 * (alpha - 1.0) / (alpha + 1.0)) ** alpha
-        try:
-            return ((n - b) / a) * eps - (ga / (a * a)) * (n - b) ** (3.0 - 2.0 * alpha) * math.log1p(
-                a * float(n) ** (2.0 * alpha - 1.0) * eps / (ga * (n - b))
-            )
-        except OverflowError:
-            # Large alpha: n^(2a-1) overflows; take the same terms in log space,
-            # with log1p(z) = max(log z, 0) + log1p(exp(-|log z|)).
-            if eps == 0.0:
-                return 0.0
-            log_z = (math.log(a) + math.log(eps) - math.log(ga) - math.log(n - b)
-                     + (2.0 * alpha - 1.0) * math.log(n))
-            log1p_z = max(log_z, 0.0) + math.log1p(math.exp(-abs(log_z)))
-            scale = math.exp(math.log(ga / (a * a)) + (3.0 - 2.0 * alpha) * math.log(n - b))
-            return ((n - b) / a) * eps - scale * log1p_z
+        log_a = math.log(b - 1.0) + alpha * math.log(2.0 * (alpha - 1.0) / (alpha + 1.0))
+        log_ga, log_nb = ustar_engine.log_gamma_alpha(alpha), math.log(n - b)
+        log_z = log_a + math.log(eps) - log_ga - log_nb + (2.0 * alpha - 1.0) * math.log(n)
+        # log log1p(z): log z below z = e^-40, where z itself may underflow
+        log_l = log_z if log_z < -40.0 else math.log(
+            max(log_z, 0.0) + math.log1p(math.exp(-abs(log_z))))
+        log_second = log_ga - 2.0 * log_a + (3.0 - 2.0 * alpha) * log_nb + log_l
+        # a second term past e^709 gives E = -inf, the bound 1
+        second = math.exp(log_second) if log_second < 709.0 else math.inf
+        return math.exp(log_nb - log_a) * eps - second
     if g.kind == "entropy_log2":
         if n < 3:
             raise RegimeError("entropy right tail needs n >= 3")

@@ -17,14 +17,14 @@ chain are statements about the formula on the full interval, and restricting
 the domain can break the chain.  Pass p_window to maximize over a subinterval,
 e.g. to compare against a closed bound that presumes p >= 1/k.
 
-u_star works on log u_r = r log g(p) - log p + n log1p(-p)
-+ log(-expm1(n log1p(-p))), which stays finite where u_r itself underflows.
-For power and entropy g, log u_r rises to one maximum and then falls (see
-u_star), so its maximum over a window [lo, hi] is lo when d log u_r/dp <= 0
-there, and otherwise the one root of d log u_r/dp in the window, or hi,
-found by safeguarded Newton with closed-form derivatives on the whole window.
-A user-defined g is scanned on a log grid dense near both window edges, and
-the grid argmax is refined by golden-section search on Python floats.
+The engine computes logs, which stay finite where u*_r underflows and
+gamma_alpha overflows; the bounds read only these.  u_star maximizes
+log u_r = r log g(p) - log p + n log1p(-p) + log(-expm1(n log1p(-p))).  For
+power and entropy g it rises to one maximum and then falls (see u_star), so
+its maximum over [lo, hi] is lo when d log u_r/dp <= 0 there, and otherwise
+the one root of d log u_r/dp in the window, or hi, found by safeguarded
+Newton with closed-form derivatives.  A user-defined g is scanned on a log
+grid dense near both window edges, refined by golden-section search.
 """
 
 from __future__ import annotations
@@ -63,18 +63,15 @@ _LOG_MAX = math.log(sys.float_info.max)
 
 @dataclass(frozen=True)
 class UStarResult:
-    """u*_r, its argmax, and log u*_r, which stays finite where value
-    underflows to 0."""
+    """The argmax of u_r and log u*_r, the one form the bounds read."""
 
-    value: float
     argmax: float
     log_value: float
 
-
-def _u_r_at(p: float, n: int, g: GFunction, r: int) -> float:
-    """u_r at one p in (0,1) on Python floats; (1-p)^n = exp(n*log1p(-p))."""
-    qn = math.exp(n * math.log1p(-p))
-    return g.eval_raw(p) ** r * qn * (1.0 - qn) / p
+    @property
+    def value(self) -> float:
+        """u*_r = exp(log_value); 0 where u*_r underflows."""
+        return math.exp(self.log_value)
 
 
 def _log_u_r_at(p: float, n: int, g: GFunction, r: int) -> float:
@@ -173,10 +170,10 @@ def _scan_max(n: int, g: GFunction, r: int, lo: float, hi: float) -> UStarResult
     """u*_r over [lo, hi] for a user-defined g, of which nothing is known.
 
     Scans log u_r on 2*_GRID_POINTS points, logarithmically dense near both
-    edges of the window, then refines u_r by golden-section search between
-    the grid argmax's two neighbours; the grid point wins if refinement does
-    not beat it.  When g underflows to 0 on the whole grid, value is 0,
-    log_value -inf and the argmax the grid argmax.  Raises InvalidInputError
+    edges of the window, then refines log u_r by golden-section search
+    between the grid argmax's two neighbours; the grid point wins if
+    refinement does not beat it.  When g underflows to 0 on the whole grid,
+    log_value is -inf and the argmax the grid argmax.  Raises InvalidInputError
     when g is NaN, infinite or negative anywhere on the grid, or u*_r
     overflows.
     """
@@ -192,13 +189,13 @@ def _scan_max(n: int, g: GFunction, r: int, lo: float, hi: float) -> UStarResult
         )
     x0 = float(grid[i])
     if log_u[i] == -math.inf:
-        return UStarResult(value=0.0, argmax=x0, log_value=-math.inf)
+        return UStarResult(argmax=x0, log_value=-math.inf)
     lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid.size - 1)])
-    x = _golden_max(lambda p: _u_r_at(p, n, g, r), lo, hi)[0]
-    fx, f0 = _u_r_at(x, n, g, r), _u_r_at(x0, n, g, r)
+    x, fx = _golden_max(lambda p: _log_u_r_at(p, n, g, r), lo, hi)
+    f0 = _log_u_r_at(x0, n, g, r)
     if fx < f0:
         x, fx = x0, f0
-    return UStarResult(value=fx, argmax=x, log_value=_log_u_r_at(x, n, g, r))
+    return UStarResult(argmax=x, log_value=fx)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -232,9 +229,8 @@ def u_star(
     n p/(1-p) < 1.001e-3, so p h'(p) > r*alpha - 0.0021 > 0 for
     r*alpha >= 0.01, and for entropy g, whose p (log g)' >= 0.85 there.
 
-    A user g goes through _scan_max.  value is u_r on Python floats at the
-    argmax and log_value is log u_r there, with log g in closed form for
-    power and entropy g; value underflows to 0 where log_value stays finite.
+    A user g goes through _scan_max.  log_value is log u_r at the argmax,
+    with log g in closed form for power and entropy g, and value is its exp.
     """
     if n < 1 or r < 2:
         raise InvalidInputError("u_star requires n >= 1 and r >= 2")
@@ -254,20 +250,19 @@ def u_star(
     else:
         c = max(r * (g.alpha if g.kind == "power" else 1.0), 1.0)
         x = _newton_max(dh, lo, min(max(c / (n + 1.0), lo), hi), hi)
-    return UStarResult(value=_u_r_at(x, n, g, r), argmax=x, log_value=_log_u_r_at(x, n, g, r))
+    return UStarResult(argmax=x, log_value=_log_u_r_at(x, n, g, r))
 
 
 @functools.lru_cache(maxsize=256)
-def gamma_alpha(alpha: float) -> float:
-    """max over t > 0 of t^(2*alpha-1) e^[-t](1-e^[-t]), alpha >= 1.
+def log_gamma_alpha(alpha: float) -> float:
+    """log gamma_alpha, gamma_alpha = max_(t>0) t^(2a-1) e^[-t](1-e^[-t]), a >= 1.
 
     With e = 2*alpha - 1, the log of the objective,
     h(t) = e log t - t + log(-expm1(-t)), has
     h''(t) = -e/t^2 - e^t/(e^t - 1)^2 < 0, h'(e) = 1/(e^e - 1) > 0 and
     h'(e+1) = 1/(e^(e+1) - 1) - 1/(e+1) < 0.  So the maximizer is the one
     root of h' in (e, e+1), which _newton_max finds from e + 1/2, and the
-    maximum is exp(h) there.  Raises NumericalError when the maximum leaves
-    the double range, from alpha = 87 (above about 86.1).
+    log maximum is h there.
     """
     if not (alpha >= 1.0):
         raise InvalidInputError("gamma_alpha requires alpha >= 1")
@@ -279,7 +274,13 @@ def gamma_alpha(alpha: float) -> float:
         return e / t - 1.0 + b, -e / (t * t) - b * (1.0 + b)
 
     t = _newton_max(dh, e, e + 0.5, e + 1.0)
-    log_max = e * math.log(t) - t + math.log(-math.expm1(-t))
+    return e * math.log(t) - t + math.log(-math.expm1(-t))
+
+
+def gamma_alpha(alpha: float) -> float:
+    """exp(log_gamma_alpha(alpha)).  Raises NumericalError when it leaves the
+    double range, from alpha = 87 (above about 86.1)."""
+    log_max = log_gamma_alpha(alpha)
     if not log_max < _LOG_MAX:
         raise NumericalError(f"gamma_alpha({alpha:g}) exceeds the double range")
     return math.exp(log_max)
@@ -314,8 +315,8 @@ def kappa_const() -> float:
     return best
 
 
-def u2_closed_bound(n: int, g: GFunction) -> float:
-    """Closed-form upper bound on u*_2(n, g).
+def log_u2_closed_bound(n: int, g: GFunction) -> float:
+    """log of the closed-form upper bound on u*_2(n, g).
 
     power(alpha >= 1):  gamma_alpha / n^(2*alpha-1),
                         valid for n >= (2a-1) ln2 / (2a-1-ln2);
@@ -330,11 +331,11 @@ def u2_closed_bound(n: int, g: GFunction) -> float:
             raise RegimeError(
                 f"u*_2 bound for alpha={a:g} needs n >= {thr:.4g}; got n = {n}"
             )
-        return math.exp(math.log(gamma_alpha(a)) - (2.0 * a - 1.0) * math.log(n))
+        return log_gamma_alpha(a) - (2.0 * a - 1.0) * math.log(n)
     if g.kind == "entropy_log2":
         if n < 3:
             raise RegimeError("entropy u*_2 bound needs n >= 3")
-        return math.log2(g.k_floor) ** 2 * gamma_const() / n
+        return 2.0 * math.log(math.log2(g.k_floor)) + log_gamma_alpha(1.0) - math.log(n)
     raise InvalidInputError("no closed u*_2 bound for user-defined g")
 
 

@@ -311,11 +311,13 @@ def test_estimate_large_alpha_bias_bound(tokens_3000, capsys):
                                  rel=1e-12)
 
 
-def test_estimate_large_alpha_deviation_bounds(tokens_3000, capsys):
-    # power(50): n^(2 alpha - 1) overflows in both closed-form tails
-    code, out, _ = run(capsys, "estimate", "--input", tokens_3000, "--alpha", "50",
-                       "--eps", "0.1")
-    assert code == 0
+@pytest.mark.parametrize("alpha", ["50", "87", "1000"])
+def test_estimate_large_alpha_deviation_bounds(alpha, tokens_3000, capsys):
+    # n^(2 alpha - 1) overflows in both closed-form tails, from alpha = 87 on
+    # gamma_alpha too, and from alpha = 1026 on the right tail's constant a
+    code, out, err = run(capsys, "estimate", "--input", tokens_3000, "--alpha", alpha,
+                         "--eps", "0.1")
+    assert code == 0, err
     dev = _finite_json(out)["deviation_bounds"]
     assert all(0.0 <= b <= 1.0 for b in dev["right"] + dev["left"])
 
@@ -470,6 +472,19 @@ def test_high_filter_orders_exit_0_or_5(family, g, n, capsys):
     assert code in (0, 5), err
     if code == 5:
         assert err.startswith("numerical failure:")
+
+
+@pytest.mark.parametrize("R", range(164, 171))
+def test_high_filter_orders_where_u_star_underflows_exit_0(R, capsys):
+    # power:2, n = 1000: u*_(R+1) is subnormal or 0 from R = 164 on (log u*_165
+    # = -743.8), but v is normal; the bound is the one that order 163 has reached
+    bounds = []
+    for family in ("poly:163", f"poly:{R}"):
+        code, out, err = run(capsys, "bounds", "--family", family, "--g", "power:2",
+                             "--n", "1000", "--eps-grid", "0.1,0.3")
+        assert code == 0, err
+        bounds.append([float(line.split(",")[1]) for line in out.splitlines()[1:]])
+    assert bounds[1] == pytest.approx(bounds[0], rel=1e-12)
 
 
 def test_high_filter_order_with_zero_coefficients_gives_a_bound(capsys):
@@ -735,6 +750,7 @@ _VALID = {
                       "--estimator": "generalized", "--alpha": "1"},
     "simulate dirichlet": {"--task": "dirichlet", "--alpha": "1", "--c": "1", "--n-list": "5",
                            "--trials": "200", "--seed": "0"},
+    "estimate": {"--input": "toks.txt", "--alpha": "2", "--eps": "0.1,0.2"},
 }
 #: Values no option should accept silently.  The 10^15 sizes ask for arrays
 #: beyond any 48-bit address space, which numpy refuses before touching
@@ -752,10 +768,12 @@ _POOLS = {
                  "poly:", "poly:x", "poly:-1", "nope"],
     "--eps-grid": ["0:0.3:0.1", "0:1:1e-15", "0:1e400:1", "1:0:0.1", "a:b:c", "0,-1", ":",
                    "1,,2"],
+    "--alpha": ["87", "1000", "2000"],
     "--n-list": ["5,10", "5,,10", "5,-1", "5,1000000000000000"],
     "--task": ["risk", "tail", "dirichlet", "x"],
     "--estimator": ["auto", "goodturing", "plugin", "x"],
 }
+_POOLS["--eps"] = _POOLS["--eps-grid"]
 
 
 def _mutants(command):
@@ -783,5 +801,6 @@ def _mutants(command):
 @given(argv=st.sampled_from(sorted(_VALID)).flatmap(_mutants))
 def test_cli_never_raises_on_hostile_arguments(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "toks.txt").write_text("".join(f"tok{i % 500}\n" for i in range(3000)))
     assert cli.main(argv) in (0, 2, 3, 4, 5)
     capsys.readouterr()

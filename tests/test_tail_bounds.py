@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from scipy import optimize
 from missingmass import gfunction as gf
 from missingmass import tail_bounds as tb
 from missingmass.errors import InvalidInputError, NumericalError, RegimeError
-from missingmass.ustar_engine import gamma_alpha, gamma_const, scale_parameter, u_star
+from missingmass.ustar_engine import gamma_const, scale_parameter, u_star
 
 P1 = gf.power(1.0)
 P2 = gf.power(2.0)
@@ -220,6 +222,40 @@ def test_r2_exponent_matches_mp_oracle_on_fig1_grid(n):
         assert tb.poly_filtered_exponent(spec, float(e)) == pytest.approx(want, rel=1e-13)
 
 
+@pytest.mark.parametrize("g", [P1, P2, gf.power(3.0), E64],
+                         ids=["power1", "power2", "power3", "entropy64"])
+@pytest.mark.parametrize("n", [3, 20, 100, 1000, 10**4, 10**6])
+def test_build_spec_matches_exact_quotient(g, n):
+    # v = u*_(R+1)/(c^(R-1) R!) and a_r = u*_r/(r-1)! - c^(r-2) v in exact
+    # rational arithmetic on the doubles u*_r and c, wherever that v is normal
+    c = scale_parameter(n, g)
+    checked = 0
+    for R in (1, 2, 3, 5, 10, 20, 50, 100, 170):
+        u = {r: Fraction(u_star(n, g, r).value) for r in range(2, R + 2)}
+        v = u[R + 1] / (Fraction(c) ** (R - 1) * math.factorial(R))
+        if not float(v) >= sys.float_info.min:
+            continue
+        spec = tb.build_spec(n, g, R)
+        assert spec.v == pytest.approx(float(v), rel=1e-12), R
+        for r, a_r in enumerate(spec.a, start=2):
+            lead = u[r] / math.factorial(r - 1)
+            if float(lead) >= sys.float_info.min:
+                want = max(float(lead - Fraction(c) ** (r - 2) * v), 0.0)
+                assert abs(a_r - want) <= 1e-12 * float(lead), (R, r)
+        checked += 1
+    assert checked >= 4
+
+
+def test_high_order_spec_where_u_star_underflows():
+    # power:1, n = 1e4: u*_151 underflows to 0 but log v = -74 does not; the
+    # order-150 curve is the limit that the lower orders have reached
+    eps = (0.01, 0.1)
+    want = tb.curve("poly:140", 10**4, P1, eps)
+    got = tb.curve("poly:150", 10**4, P1, eps)
+    assert got.exponents == pytest.approx(want.exponents, rel=1e-12)
+    assert got.bounds == pytest.approx(want.bounds, rel=1e-12)
+
+
 @pytest.mark.parametrize("g", [P1, P2, E64], ids=["power1", "power2", "entropy64"])
 @pytest.mark.parametrize("n", [10, 50, 200])
 @pytest.mark.parametrize("R", [1, 2, 4, 6])
@@ -389,14 +425,20 @@ def test_corollary_right_m0alpha_regime():
     tb.corollary_right_tail(18, P2, 0.1)
 
 
-@pytest.mark.parametrize("n,eps", [(3000, 0.1), (3000, 0.5), (10**5, 1e-3)])
-def test_corollary_right_large_alpha_matches_mpmath(n, eps):
-    # power(50): n^(2 alpha - 1) overflows a double, so the exponent is taken
-    # in log space; the printed form at 40 digits is the oracle
+@pytest.mark.parametrize("alpha,n,eps", [
+    (50, 3000, 0.1), (50, 3000, 0.5), (50, 10**5, 1e-3), (50, 1000, 0.5), (50, 1000, 0.1),
+    (100, 3000, 0.1), (1000, 3000, 0.1), (10, 10**6, 0.1),
+    (2, 30, 0.1), (2, 30, 1e-3), (2, 30, 1e-5), (2, 30, 1e-25), (3, 2 * 10**6, 0.01),
+])
+def test_corollary_right_large_alpha_matches_mpmath(alpha, n, eps):
+    # n^(2 alpha - 1) overflows a double, from alpha = 87 on gamma_alpha too,
+    # and from alpha = 1026 on a; the printed form at 60 digits is the oracle
     mpmath = pytest.importorskip("mpmath")
-    alpha = 50
-    ga = gamma_alpha(float(alpha))
-    with mpmath.workdps(40):
+    with mpmath.workdps(60):
+        m = mpmath.mpf(2 * alpha - 1)
+        t = mpmath.findroot(lambda t: m / t - 1 + 1 / mpmath.expm1(t), (m, m + 1),
+                            solver="anderson")
+        ga = mpmath.exp(m * mpmath.log(t) - t + mpmath.log(-mpmath.expm1(-t)))
         b = 1 + mpmath.mpf(2 * alpha) / (alpha - 1)
         a = (b - 1) * (mpmath.mpf(2 * (alpha - 1)) / (alpha + 1)) ** alpha
         e = mpmath.mpf(eps)
@@ -404,6 +446,13 @@ def test_corollary_right_large_alpha_matches_mpmath(n, eps):
             a * mpmath.mpf(n) ** (2 * alpha - 1) * e / (ga * (n - b)))
         want = float(want)
     assert tb.corollary_right_exponent(n, gf.power(alpha), eps) == pytest.approx(want, rel=1e-12)
+
+
+def test_corollary_right_second_term_past_double_range():
+    # alpha = 2000 at n = 6: the second term is about e^1387, so E = -inf
+    g = gf.power(2000.0)
+    assert tb.corollary_right_exponent(6, g, 0.1) == -math.inf
+    assert tb.corollary_right_tail(6, g, 0.1) == 1.0
 
 
 def test_corollary_right_entropy_clamps_and_decays():

@@ -252,9 +252,10 @@ def test_u_star_frozen_spot():
 
 
 def test_u_star_argmax_is_local_max():
+    # log u_3 falls by about 3.4e-12 at 1e-7 from the argmax
     res = ue.u_star(50, P2, 3)
     for d in (-1e-7, 1e-7):
-        assert ue._u_r_at(res.argmax + d, 50, P2, 3) <= res.value + 1e-18
+        assert ue._log_u_r_at(res.argmax + d, 50, P2, 3) <= res.log_value + 1e-13
 
 
 def test_u_star_window_restricts_search():
@@ -312,15 +313,26 @@ def test_gamma_alpha_against_scipy(alpha):
     assert ue.gamma_alpha(alpha) == pytest.approx(scipy_gamma_alpha(alpha), rel=1e-9)
 
 
-@pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 3.0, 6.75, 30.0, 60.0, 86.0])
-def test_gamma_alpha_matches_mpmath(alpha):
+def mpmath_log_gamma_alpha(alpha):
     # 40-digit root of h'(t) = e/t - 1 + 1/(e^t - 1) in (e, e + 1), e = 2 alpha - 1
     with mpmath.workdps(40):
         e = mpmath.mpf(2.0 * alpha - 1.0)
         t = mpmath.findroot(lambda t: e / t - 1 + 1 / mpmath.expm1(t), (e, e + 1),
                             solver="anderson")
-        want = float(mpmath.exp(e * mpmath.log(t) - t + mpmath.log(-mpmath.expm1(-t))))
+        return e * mpmath.log(t) - t + mpmath.log(-mpmath.expm1(-t))
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 3.0, 6.75, 30.0, 60.0, 86.0])
+def test_gamma_alpha_matches_mpmath(alpha):
+    want = float(mpmath.exp(mpmath_log_gamma_alpha(alpha)))
     assert ue.gamma_alpha(alpha) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 86.0, 87.0, 400.0, 1000.0, 1e6])
+def test_log_gamma_alpha_matches_mpmath(alpha):
+    # the log stays finite where gamma_alpha leaves the double range
+    want = float(mpmath_log_gamma_alpha(alpha))
+    assert ue.log_gamma_alpha(alpha) == pytest.approx(want, rel=1e-14, abs=1e-15)
 
 
 def test_gamma_constants_frozen():
@@ -348,8 +360,7 @@ def test_u2_closed_bound_dominates_u_star(alpha, n):
     # alpha = 25.5 on; a scan that stops short makes the bound too small.
     # Compared in logs: at n = 1e5 both sides underflow from alpha = 60 on.
     g = gf.power(alpha)
-    log_closed = math.log(ue.gamma_alpha(alpha)) - (2.0 * alpha - 1.0) * math.log(n)
-    assert log_closed >= ue.u_star(n, g, 2).log_value - 1e-12
+    assert ue.log_u2_closed_bound(n, g) >= ue.u_star(n, g, 2).log_value - 1e-12
 
 
 def test_gamma_alpha_double_range_edge():
@@ -359,10 +370,12 @@ def test_gamma_alpha_double_range_edge():
         ue.gamma_alpha(87.0)
 
 
-def test_u2_closed_bound_large_alpha_in_log_space():
-    # n^(2 alpha - 1) = 3000^99 overflows; the ratio does not
-    want = math.exp(math.log(ue.gamma_alpha(50.0)) - 99.0 * math.log(3000.0))
-    assert ue.u2_closed_bound(3000, gf.power(50.0)) == pytest.approx(want, rel=1e-13)
+@pytest.mark.parametrize("alpha", [50.0, 1000.0])
+def test_u2_closed_bound_large_alpha_in_log_space(alpha):
+    # n^(2 alpha - 1) overflows, and from alpha = 87 on gamma_alpha too
+    want = float(mpmath_log_gamma_alpha(alpha) - (2 * alpha - 1) * mpmath.log(3000))
+    got = ue.log_u2_closed_bound(3000, gf.power(alpha))
+    assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_kappa_against_scipy():
@@ -396,7 +409,7 @@ def test_n_times_u2_approaches_gamma_from_below():
 @pytest.mark.parametrize("alpha", [1.0, 2.0, 3.0])
 def test_u2_closed_bound_dominates_power(n, alpha):
     g = gf.power(alpha)
-    assert ue.u_star(n, g, 2).value <= ue.u2_closed_bound(n, g) * (1 + 1e-12)
+    assert ue.u_star(n, g, 2).log_value <= ue.log_u2_closed_bound(n, g) + 1e-12
 
 
 @pytest.mark.parametrize("n", [3, 10, 100, 1000])
@@ -404,16 +417,16 @@ def test_u2_closed_bound_dominates_entropy_on_declared_domain(n):
     # the closed entropy bound presumes p >= 1/k, so compare on that window
     g = gf.entropy_log2(64)
     floored = ue.u_star(n, g, 2, p_window=(1.0 / 64.0, 1.0 - 1e-12))
-    assert floored.value <= ue.u2_closed_bound(n, g) * (1 + 1e-12)
+    assert floored.log_value <= ue.log_u2_closed_bound(n, g) + 1e-12
 
 
 def test_u2_closed_bound_regimes():
     with pytest.raises(RegimeError):
-        ue.u2_closed_bound(2, P1)  # needs n >= ln2/(1-ln2) + eps
+        ue.log_u2_closed_bound(2, P1)  # needs n >= ln2/(1-ln2) + eps
     with pytest.raises(RegimeError):
-        ue.u2_closed_bound(2, E64)
+        ue.log_u2_closed_bound(2, E64)
     with pytest.raises(InvalidInputError):
-        ue.u2_closed_bound(10, gf.power(0.5))
+        ue.log_u2_closed_bound(10, gf.power(0.5))
 
 
 def test_scale_parameter_identity_hand_value():
