@@ -1,25 +1,21 @@
-"""Positive functions g of letter probabilities and their type classification.
+"""Positive functions g of letter probabilities.
 
 The quantity under study is the missing mass of g: the sum of g(p_x) over
-letters x that never occur in the sample.  Three kinds are supported:
+letters x that never occur in the sample.  Two kinds are supported:
 
 * ``power(alpha)``      -- g(p) = p**alpha, alpha > 0; alpha = 1 is the classical
   missing mass, integer alpha >= 1 the order-alpha missing mass.
 * ``entropy_log2(k)``   -- g(p) = p*log2(1/p), declared on p >= 1/k so that
   g(p)/p stays bounded; the missing Shannon entropy.
-* ``user_defined(...)`` -- caller supplies g, optionally with its type class
-  and the sup of g(p)/p.
 
-Classification into Type A / Type B drives the scale-parameter selection in
-the concentration machinery: Type A requires 0 < g'(p) <= mu*g(p)/p, Type B
-requires g increasing below p_star and decreasing above it.
+ustar_engine.scale_parameter maps each kind to its type in the paper: power
+is Type A with mu = alpha, entropy Type B with p_star = 1/e.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -29,31 +25,8 @@ from .errors import InvalidInputError
 # floating-point normalization (e.g. 1/64 computed two ways) are not rejected.
 _EDGE_SLACK = 1e-12
 
-
-@dataclass(frozen=True)
-class TypeA:
-    """g with 0 < g'(p) <= mu*g(p)/p on (0,1)."""
-
-    mu: float
-
-
-@dataclass(frozen=True)
-class TypeB:
-    """g increasing on (0, p_star), decreasing on (p_star, 1)."""
-
-    p_star: float
-
-
-@dataclass(frozen=True)
-class Unclassified:
-    pass
-
-
-TypeClass = Union[TypeA, TypeB, Unclassified]
-
 POWER = "power"
 ENTROPY_LOG2 = "entropy_log2"
-USER = "user"
 
 
 @dataclass(frozen=True)
@@ -61,13 +34,10 @@ class GFunction:
     kind: str
     alpha: float = 0.0
     k_floor: int = 0
-    eval_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    type_class: Optional[TypeClass] = None
-    ratio_bound: Optional[float] = None
 
     @property
     def domain_min(self) -> float:
-        """Lower edge of the declared domain (exclusive for power/user)."""
+        """Lower edge of the declared domain (exclusive for power)."""
         if self.kind == ENTROPY_LOG2:
             return 1.0 / self.k_floor
         return 0.0
@@ -92,9 +62,9 @@ class GFunction:
     def eval_raw(self, p):
         """The bare formula on (0,1), ignoring the entropy k-floor.
 
-        The maximization engine and the scale-parameter case formulas evaluate
-        g at probe points that may fall below 1/k_floor; the floor is a
-        property of the distributions the bounds cover, not of the formula.
+        The scale-parameter case formulas evaluate g at probe points that may
+        fall below 1/k_floor; the floor is a property of the distributions
+        the bounds cover, not of the formula.
         """
         arr = np.asarray(p, dtype=float)
         out = self._raw(arr)
@@ -103,18 +73,14 @@ class GFunction:
     def _raw(self, arr: np.ndarray) -> np.ndarray:
         if self.kind == POWER:
             return arr**self.alpha
-        if self.kind == ENTROPY_LOG2:
-            # 0.0 + x normalizes -0.0 (from p=1) to +0.0.
-            return 0.0 + arr * (-np.log2(arr))
-        return np.asarray(self.eval_fn(arr), dtype=float)
+        # 0.0 + x normalizes -0.0 (from p=1) to +0.0.
+        return 0.0 + arr * (-np.log2(arr))
 
     def descriptor(self) -> str:
         if self.kind == POWER:
             a = self.alpha
             return f"power:{int(a)}" if float(a).is_integer() else f"power:{a:g}"
-        if self.kind == ENTROPY_LOG2:
-            return f"entropy:{self.k_floor}"
-        return "user"
+        return f"entropy:{self.k_floor}"
 
 
 def power(alpha: float) -> GFunction:
@@ -131,29 +97,6 @@ def entropy_log2(k_floor: int) -> GFunction:
     return GFunction(kind=ENTROPY_LOG2, k_floor=int(k_floor))
 
 
-def user_defined(
-    eval_fn: Callable,
-    type_class: Optional[TypeClass] = None,
-    ratio_bound: Optional[float] = None,
-) -> GFunction:
-    """g supplied by the caller; optionally with its class and sup of g(p)/p."""
-    return GFunction(
-        kind=USER,
-        eval_fn=eval_fn,
-        type_class=type_class,
-        ratio_bound=ratio_bound,
-    )
-
-
-def classify(g: GFunction) -> TypeClass:
-    """Type A with mu=alpha for powers; Type B with p_star=1/e for entropy."""
-    if g.kind == POWER:
-        return TypeA(mu=g.alpha)
-    if g.kind == ENTROPY_LOG2:
-        return TypeB(p_star=1.0 / math.e)
-    return g.type_class if g.type_class is not None else Unclassified()
-
-
 def ratio_sup(g: GFunction) -> float:
     """sup over the declared domain of g(p)/p.
 
@@ -166,8 +109,4 @@ def ratio_sup(g: GFunction) -> float:
                 "g(p)/p is unbounded near 0 for power alpha < 1"
             )
         return 1.0
-    if g.kind == ENTROPY_LOG2:
-        return math.log2(g.k_floor)
-    if g.ratio_bound is not None:
-        return float(g.ratio_bound)
-    raise InvalidInputError("no ratio bound available for user-defined g")
+    return math.log2(g.k_floor)

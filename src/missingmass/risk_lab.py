@@ -187,9 +187,8 @@ def _bound_columns(
     cols["left_exact_u2"] = tuple(tail_bounds.left_tail(n, g, e) for e in eps)
     spec_r2 = tail_bounds.build_spec(n, g, 2)
     cols["right_poly_r2"] = tuple(tail_bounds.tail_bound(spec_r2, e) for e in eps)
-    if g.kind in ("power", "entropy_log2"):
-        cols["left_corollary"] = tuple(tail_bounds.corollary_left_tail(n, g, e) for e in eps)
-        cols["right_corollary"] = tuple(tail_bounds.corollary_right_tail(n, g, e) for e in eps)
+    cols["left_corollary"] = tuple(tail_bounds.corollary_left_tail(n, g, e) for e in eps)
+    cols["right_corollary"] = tuple(tail_bounds.corollary_right_tail(n, g, e) for e in eps)
     return cols
 
 

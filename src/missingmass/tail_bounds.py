@@ -72,7 +72,8 @@ class BoundCurve:
 
 
 def _clamp(exponent: float) -> float:
-    return min(1.0, math.exp(-exponent))
+    """exp(-exponent), clamped to <= 1; a negative or NaN exponent gives 1."""
+    return math.exp(-exponent) if exponent > 0.0 else 1.0
 
 
 def _gaussian_tail(log_sigma2: float, eps: float) -> float:
@@ -255,10 +256,7 @@ def left_tail(n: int, g: GFunction, eps: float) -> float:
     window = None
     if g.domain_min > 0.0:
         window = (g.domain_min, 1.0 - 1e-12)
-    log_u2 = ustar_engine.u_star(n, g, 2, p_window=window).log_value
-    if log_u2 == -math.inf:
-        raise NumericalError(f"g = {g.descriptor()} underflows to 0 on the whole u*_2 scan grid")
-    return _gaussian_tail(log_u2, eps)
+    return _gaussian_tail(ustar_engine.u_star(n, g, 2, p_window=window).log_value, eps)
 
 
 def corollary_left_tail(n: int, g: GFunction, eps: float) -> float:

@@ -19,12 +19,11 @@ e.g. to compare against a closed bound that presumes p >= 1/k.
 
 The engine computes logs, which stay finite where u*_r underflows and
 gamma_alpha overflows; the bounds read only these.  u_star maximizes
-log u_r = r log g(p) - log p + n log1p(-p) + log(-expm1(n log1p(-p))).  For
-power and entropy g it rises to one maximum and then falls (see u_star), so
-its maximum over [lo, hi] is lo when d log u_r/dp <= 0 there, and otherwise
-the one root of d log u_r/dp in the window, or hi, found by safeguarded
-Newton with closed-form derivatives.  A user-defined g is scanned on a log
-grid dense near both window edges, refined by golden-section search.
+log u_r = r log g(p) - log p + n log1p(-p) + log(-expm1(n log1p(-p))).  It
+rises to one maximum and then falls (see u_star), so its maximum over
+[lo, hi] is lo when d log u_r/dp <= 0 there, and otherwise the one root of
+d log u_r/dp in the window, or hi, found by safeguarded Newton with
+closed-form derivatives.
 """
 
 from __future__ import annotations
@@ -38,12 +37,9 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError, RegimeError
-from .gfunction import GFunction, TypeA, Unclassified, classify
+from .gfunction import GFunction
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-#: Grid points per half-interval of the scan for a user-defined g.
-_GRID_POINTS = 20001
 
 #: Golden-section search and the Newton search stop once their bracket
 #: (or a Newton step) is this many ulps wide.
@@ -57,7 +53,7 @@ _NEWTON_STEPS = 100
 
 _LN2 = math.log(2.0)
 
-#: log of the largest double: a larger log u*_r overflows.
+#: log of the largest double: a larger log overflows.
 _LOG_MAX = math.log(sys.float_info.max)
 
 
@@ -75,21 +71,18 @@ class UStarResult:
 
 
 def _log_u_r_at(p: float, n: int, g: GFunction, r: int) -> float:
-    """log u_r at one p in (0,1).  log g is taken in closed form for power
-    and entropy g, so that it stays finite where g(p) underflows."""
+    """log u_r at one p in (0,1).  log g is taken in closed form, so that it
+    stays finite where g(p) underflows."""
     if g.kind == "power":
         log_g = g.alpha * math.log(p)
-    elif g.kind == "entropy_log2":
-        log_g = math.log(p) + math.log(-math.log(p)) - math.log(_LN2)
     else:
-        gp = g.eval_raw(p)
-        log_g = math.log(gp) if gp > 0.0 else -math.inf
+        log_g = math.log(p) + math.log(-math.log(p)) - math.log(_LN2)
     t = n * math.log1p(-p)
     return r * log_g + t + math.log(-math.expm1(t)) - math.log(p)
 
 
 def _dlog_u_r(p: float, n: int, g: GFunction, r: int) -> Tuple[float, float]:
-    """(h'(p), h''(p)) of h = log u_r, for power and entropy g.
+    """(h'(p), h''(p)) of h = log u_r.
 
     With w = (1-p)^n / (1-(1-p)^n) and (log g)', (log g)'' in closed form
     (alpha/p and -alpha/p^2 for power; (1 + 1/L)/p and -(1 + (1+L)/L^2)/p^2
@@ -166,38 +159,6 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float) -> Tuple[floa
     return x, f(x)
 
 
-def _scan_max(n: int, g: GFunction, r: int, lo: float, hi: float) -> UStarResult:
-    """u*_r over [lo, hi] for a user-defined g, of which nothing is known.
-
-    Scans log u_r on 2*_GRID_POINTS points, logarithmically dense near both
-    edges of the window, then refines log u_r by golden-section search
-    between the grid argmax's two neighbours; the grid point wins if
-    refinement does not beat it.  When g underflows to 0 on the whole grid,
-    log_value is -inf and the argmax the grid argmax.  Raises InvalidInputError
-    when g is NaN, infinite or negative anywhere on the grid, or u*_r
-    overflows.
-    """
-    half = np.logspace(math.log10(lo), math.log10(0.5 * (lo + hi)), _GRID_POINTS)
-    grid = np.unique(np.concatenate([half, hi + lo - half]))
-    t = n * np.log1p(-grid)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_u = r * np.log(g.eval_raw(grid)) + t + np.log(-np.expm1(t)) - np.log(grid)
-    i = int(np.argmax(log_u))  # a NaN anywhere is the argmax
-    if not log_u[i] <= _LOG_MAX:
-        raise InvalidInputError(
-            f"u_{r} of g = {g.descriptor()} is non-finite or negative on (0, 1)"
-        )
-    x0 = float(grid[i])
-    if log_u[i] == -math.inf:
-        return UStarResult(argmax=x0, log_value=-math.inf)
-    lo, hi = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid.size - 1)])
-    x, fx = _golden_max(lambda p: _log_u_r_at(p, n, g, r), lo, hi)
-    f0 = _log_u_r_at(x0, n, g, r)
-    if fx < f0:
-        x, fx = x0, f0
-    return UStarResult(argmax=x, log_value=fx)
-
-
 @functools.lru_cache(maxsize=4096)
 def u_star(
     n: int,
@@ -207,7 +168,7 @@ def u_star(
 ) -> UStarResult:
     """Maximum of u_r over (0,1), or over p_window = (lo, hi).
 
-    For power and entropy g the maximum needs no grid.  With h = log u_r,
+    The maximum needs no grid.  With h = log u_r,
 
         p h'(p) = r p (log g)'(p) - 1 + k(p) - n p/(1-p),
         k(p) = n p (1-p)^(n-1) / (1-(1-p)^n) = n / sum_(j<n) (1-p)^(-j),
@@ -223,24 +184,21 @@ def u_star(
     p (log g)' <= alpha give p h'(p) <= r*alpha - n p/(1-p), which is <= 0
     at x0.  So a maximum at hi puts x0 at hi, where the search ends at once.
 
-    The default window is (1e-12, 1 - 1e-12) for a user g.  For power and
-    entropy g its lower edge is min(1e-12, 1e-3/n), so that it holds the
-    maximum for every n: at p <= 1e-3/n, k >= (1-p)^(n-1) > 1 - 1e-3 and
-    n p/(1-p) < 1.001e-3, so p h'(p) > r*alpha - 0.0021 > 0 for
+    The default window is (min(1e-12, 1e-3/n), 1 - 1e-12).  Its lower edge
+    holds the maximum for every n: at p <= 1e-3/n, k >= (1-p)^(n-1) > 1 - 1e-3
+    and n p/(1-p) < 1.001e-3, so p h'(p) > r*alpha - 0.0021 > 0 for
     r*alpha >= 0.01, and for entropy g, whose p (log g)' >= 0.85 there.
 
-    A user g goes through _scan_max.  log_value is log u_r at the argmax,
-    with log g in closed form for power and entropy g, and value is its exp.
+    log_value is log u_r at the argmax, with log g in closed form, and value
+    is its exp.
     """
     if n < 1 or r < 2:
         raise InvalidInputError("u_star requires n >= 1 and r >= 2")
     if p_window is None:
-        p_window = (1e-12 if g.kind == "user" else min(1e-12, 1e-3 / n), 1.0 - 1e-12)
+        p_window = (min(1e-12, 1e-3 / n), 1.0 - 1e-12)
     lo, hi = p_window
     if not (0.0 < lo < hi < 1.0):
         raise InvalidInputError("p_window must satisfy 0 < lo < hi < 1")
-    if g.kind == "user":
-        return _scan_max(n, g, r, lo, hi)
 
     def dh(p):
         return _dlog_u_r(p, n, g, r)
@@ -332,41 +290,29 @@ def log_u2_closed_bound(n: int, g: GFunction) -> float:
                 f"u*_2 bound for alpha={a:g} needs n >= {thr:.4g}; got n = {n}"
             )
         return log_gamma_alpha(a) - (2.0 * a - 1.0) * math.log(n)
-    if g.kind == "entropy_log2":
-        if n < 3:
-            raise RegimeError("entropy u*_2 bound needs n >= 3")
-        return 2.0 * math.log(math.log2(g.k_floor)) + log_gamma_alpha(1.0) - math.log(n)
-    raise InvalidInputError("no closed u*_2 bound for user-defined g")
-
-
-def _ratio_nonincreasing(g: GFunction) -> bool:
-    """Numeric check that g(p)/p is non-increasing on (0,1)."""
-    p = np.logspace(-8, -1e-12, 2000)
-    ratio = np.asarray(g.eval_raw(p), dtype=float) / p
-    return bool(np.all(np.diff(ratio) <= 1e-12 * np.maximum(ratio[:-1], 1e-300)))
+    if n < 3:
+        raise RegimeError("entropy u*_2 bound needs n >= 3")
+    return 2.0 * math.log(math.log2(g.k_floor)) + log_gamma_alpha(1.0) - math.log(n)
 
 
 def scale_parameter(n: int, g: GFunction) -> float:
     """The scale constant c of the ratio chain, selected by g's type.
 
-    Type A (mu):     c = 0.5 g(3 mu/(n+3 mu-1)) when mu <= 1 or n < 1+4 mu^2/(mu-1)^2;
-                     otherwise the max of that and g(r2 mu/(n+r2 mu-1))/(r2-1),
-                     r2 = 0.5(n-1)(1-1/mu)(1+sqrt(1-4 mu^2/((n-1)(mu-1)^2))).
-    Type B (p*):     c = 0.5 g(3/(n+3/p*-1)) when g(p)/p is non-increasing or
-                     n < 1+4/(1-p*)^2; otherwise the max of that and
-                     g(r4/(n+r4/p*-1))/(r4-1),
-                     r4 = 0.5(n-1)(1-p*)(1+sqrt(1-4/((n-1)(1-p*)^2))).
+    power(alpha) is Type A with mu = alpha (0 < g'(p) <= mu g(p)/p):
+        c = 0.5 g(3 mu/(n+3 mu-1)) when mu <= 1 or n < 1+4 mu^2/(mu-1)^2;
+        otherwise the max of that and g(r2 mu/(n+r2 mu-1))/(r2-1),
+        r2 = 0.5(n-1)(1-1/mu)(1+sqrt(1-4 mu^2/((n-1)(mu-1)^2))).
+    entropy_log2(k) is Type B with p* = 1/e (g rises on (0, p*) and falls
+    on (p*, 1)), and its g(p)/p = log2(1/p) is non-increasing, so it is
+    always in the single-probe case: c = 0.5 g(3/(n+3/p*-1)).
 
     g is evaluated by its bare formula (probe points may fall below an
-    entropy k-floor).  Requires n >= 3 and a classified g.
+    entropy k-floor).  Requires n >= 3.
     """
     if n < 3:
         raise RegimeError("scale parameter needs n >= 3")
-    tc = classify(g)
-    if isinstance(tc, Unclassified):
-        raise InvalidInputError("scale parameter needs a Type A or Type B g")
-    if isinstance(tc, TypeA):
-        mu = tc.mu
+    if g.kind == "power":
+        mu = g.alpha
         part1 = 0.5 * g.eval_raw(3.0 * mu / (n + 3.0 * mu - 1.0))
         if mu <= 1.0 or n < 1.0 + 4.0 * mu * mu / (mu - 1.0) ** 2:
             return float(part1)
@@ -374,14 +320,5 @@ def scale_parameter(n: int, g: GFunction) -> float:
         r2 = 0.5 * (n - 1.0) * (1.0 - 1.0 / mu) * (1.0 + math.sqrt(max(disc, 0.0)))
         part2 = g.eval_raw(r2 * mu / (n + r2 * mu - 1.0)) / (r2 - 1.0)
         return float(max(part1, part2))
-    p_star = tc.p_star
-    part1 = 0.5 * g.eval_raw(3.0 / (n + 3.0 / p_star - 1.0))
-    nonincreasing = (
-        g.kind == "entropy_log2" or (g.kind == "user" and _ratio_nonincreasing(g))
-    )
-    if nonincreasing or n < 1.0 + 4.0 / (1.0 - p_star) ** 2:
-        return float(part1)
-    disc = 1.0 - 4.0 / ((n - 1.0) * (1.0 - p_star) ** 2)
-    r4 = 0.5 * (n - 1.0) * (1.0 - p_star) * (1.0 + math.sqrt(max(disc, 0.0)))
-    part2 = g.eval_raw(r4 / (n + r4 / p_star - 1.0)) / (r4 - 1.0)
-    return float(max(part1, part2))
+    p_star = 1.0 / math.e
+    return float(0.5 * g.eval_raw(3.0 / (n + 3.0 / p_star - 1.0)))

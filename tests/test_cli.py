@@ -308,7 +308,7 @@ def test_estimate_large_alpha_bias_bound(tokens_3000, capsys):
     assert code == 0
     bias = _finite_json(out)["generalized"]["bias_bound"]
     assert bias == pytest.approx(math.exp(101 * math.log(100) - 100 * math.log(3000)),
-                                 rel=1e-12)
+                                 rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("alpha", ["50", "87", "1000"])
@@ -484,7 +484,7 @@ def test_high_filter_orders_where_u_star_underflows_exit_0(R, capsys):
                              "--n", "1000", "--eps-grid", "0.1,0.3")
         assert code == 0, err
         bounds.append([float(line.split(",")[1]) for line in out.splitlines()[1:]])
-    assert bounds[1] == pytest.approx(bounds[0], rel=1e-12)
+    assert bounds[1] == pytest.approx(bounds[0], rel=1e-12, abs=0)
 
 
 def test_high_filter_order_with_zero_coefficients_gives_a_bound(capsys):
@@ -494,7 +494,7 @@ def test_high_filter_order_with_zero_coefficients_gives_a_bound(capsys):
     assert code == 0, err
     rows = [line.split(",") for line in out.splitlines()[1:]]
     assert [float(r[1]) for r in rows] == pytest.approx([2.53013630061465e-87,
-                                                         1.61140353742407e-260], rel=1e-9)
+                                                         1.61140353742407e-260], rel=1e-9, abs=0)
 
 
 def test_numerical_failure_exits_5(capsys, monkeypatch):

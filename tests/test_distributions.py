@@ -215,7 +215,7 @@ def test_power_sum_uniform_oracle(alpha):
     # at n = 0, E[G0] for g = power(alpha) is the power sum sum_x p_x^alpha
     k = 20
     got = dm.expected_missing(dm.uniform(k), 0, gf.power(alpha))
-    assert got == pytest.approx(k ** (1.0 - alpha), rel=1e-13)
+    assert got == pytest.approx(k ** (1.0 - alpha), rel=1e-13, abs=0)
 
 
 def test_expected_missing_uniform_closed_form():
@@ -223,7 +223,7 @@ def test_expected_missing_uniform_closed_form():
     k, n = 50, 35
     d = dm.uniform(k)
     got = dm.expected_missing(d, n, gf.power(1.0))
-    assert got == pytest.approx((1.0 - 1.0 / k) ** n, rel=1e-12)
+    assert got == pytest.approx((1.0 - 1.0 / k) ** n, rel=1e-12, abs=0)
 
 
 def test_expected_missing_two_point_oracle():
@@ -231,13 +231,13 @@ def test_expected_missing_two_point_oracle():
     g = gf.power(2.0)
     n = 6
     want = 0.09 * 0.7**6 + 0.49 * 0.3**6
-    assert dm.expected_missing(d, n, g) == pytest.approx(want, rel=1e-13)
+    assert dm.expected_missing(d, n, g) == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_expected_missing_at_zero_is_total_mass_of_g():
     d = dm.zipf(40, 1.0)
     g = gf.power(2.0)
-    assert dm.expected_missing(d, 0, g) == pytest.approx(np.sum(d.probs**2), rel=1e-13)
+    assert dm.expected_missing(d, 0, g) == pytest.approx(np.sum(d.probs**2), rel=1e-13, abs=0)
 
 
 @given(n=st.integers(min_value=0, max_value=400))
@@ -251,7 +251,7 @@ def test_expected_missing_nonincreasing_in_n(n):
 def test_expected_missing_skips_zero_probability_letters():
     d = dm.explicit([0.5, 0.0, 0.5])
     g = gf.power(1.0)
-    assert dm.expected_missing(d, 3, g) == pytest.approx(2 * 0.5 * 0.5**3, rel=1e-13)
+    assert dm.expected_missing(d, 3, g) == pytest.approx(2 * 0.5 * 0.5**3, rel=1e-13, abs=0)
 
 
 def test_variance_sum_bound_two_point_oracle():
@@ -259,7 +259,7 @@ def test_variance_sum_bound_two_point_oracle():
     g = gf.power(1.0)
     n = 5
     want = sum(p * p * (1 - p) ** n * (1 - (1 - p) ** n) for p in (0.4, 0.6))
-    assert dm.variance_sum_bound(d, n, g) == pytest.approx(want, rel=1e-12)
+    assert dm.variance_sum_bound(d, n, g) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("n", [3, 10, 100, 1000])

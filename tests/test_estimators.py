@@ -22,13 +22,13 @@ def test_choose_float_matches_exact_binomial(n, alpha):
 
 def test_good_turing_is_phi1_over_n():
     prof = profile_from_phi({1: 3, 2: 2}, n=7)
-    assert est.estimate(est.good_turing(), prof) == pytest.approx(3.0 / 7.0, rel=1e-15)
+    assert est.estimate(est.good_turing(), prof) == pytest.approx(3.0 / 7.0, rel=1e-15, abs=0)
 
 
 def test_generalized_is_phi_alpha_over_binomial():
     prof = profile_from_phi({1: 2, 2: 1, 3: 1}, n=7)
     got = est.estimate(est.generalized_good_turing(2), prof)
-    assert got == pytest.approx(1.0 / math.comb(7, 2), rel=1e-15)
+    assert got == pytest.approx(1.0 / math.comb(7, 2), rel=1e-15, abs=0)
 
 
 def test_missing_multiplicity_gives_zero():
@@ -72,7 +72,7 @@ def test_order_one_generalized_equals_good_turing(seed, n):
 @pytest.mark.parametrize("alpha,n", [(1, 10), (2, 20), (3, 50)])
 def test_bias_bound_formula(alpha, n):
     assert est.gt_bias_bound(n, alpha) == pytest.approx(
-        alpha ** (alpha + 1) / n**alpha, rel=1e-15
+        alpha ** (alpha + 1) / n**alpha, rel=1e-15, abs=0
     )
 
 

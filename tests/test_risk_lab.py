@@ -121,7 +121,7 @@ def test_occupancy_moments_match_exact_oracle(d, g):
     n, trials = 20, 20000
     g0, phi = rl._occupancy(d.probs, rl._g_vector(d, g), n, trials, 17, 1)
     mean, var = _exact_g0_moments(d, n, g)
-    assert mean == pytest.approx(dm.expected_missing(d, n, g), rel=1e-12)
+    assert mean == pytest.approx(dm.expected_missing(d, n, g), rel=1e-12, abs=0)
     se_mean = np.std(g0, ddof=1) / math.sqrt(trials)
     assert abs(np.mean(g0) - mean) <= 4.0 * se_mean
     sq = (g0 - np.mean(g0)) ** 2
@@ -190,6 +190,13 @@ def test_bound_columns_with_underflowed_u2_fail_as_numerical():
         rl._bound_columns(10**5, gf.power(100.0), (0.01, 0.1))
 
 
+def test_bound_columns_with_a_right_exponent_below_the_double_range():
+    # simulate --task tail --g entropy:1000 --n-list 1000000 --eps-grid 0.1:
+    # the closed right tail's exponent is about -1348, so exp(-E) overflows;
+    # the clamped bound is 1
+    assert rl._bound_columns(10**6, gf.entropy_log2(1000), (0.1,))["right_corollary"] == (1.0,)
+
+
 def test_mc_tail_builds_its_bounds_before_the_monte_carlo(monkeypatch):
     # the same probe through mc_tail fails before it draws a letter
     def no_draws(*args):
@@ -217,7 +224,7 @@ def test_mc_risk_plugin_two_point_exact():
     # one draw from uniform(2): the unseen letter always has mass 1/2,
     # so with g = p^2 every trial scores (0 - 1/4)^2 = 1/16
     rep = rl.mc_risk(dm.uniform(2), est.plugin(), P2, [1], trials=500, seed=1)
-    assert rep[0].mse == pytest.approx(1.0 / 16.0, rel=1e-15)
+    assert rep[0].mse == pytest.approx(1.0 / 16.0, rel=1e-15, abs=0)
     assert rep[0].se == 0.0
 
 

@@ -30,7 +30,7 @@ def sub_gamma_tail(v, c, e):
 def test_sub_gaussian_oracle():
     for s2, e in [(0.5, 0.1), (0.01, 0.3), (2.0, 1.0)]:
         assert tb.sub_gaussian_tail(s2, e) == pytest.approx(
-            min(1.0, math.exp(-e * e / (2.0 * s2))), rel=1e-15
+            min(1.0, math.exp(-e * e / (2.0 * s2))), rel=1e-15, abs=0
         )
 
 
@@ -46,7 +46,7 @@ def test_strongly_sub_gamma_oracle():
     v, c, e = 0.012, 0.07, 0.15
     z = c * e / v
     want = (v / c**2) * (z - math.log1p(z))
-    assert tb.strongly_sub_gamma_exponent(v, c, e) == pytest.approx(want, rel=1e-14)
+    assert tb.strongly_sub_gamma_exponent(v, c, e) == pytest.approx(want, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("exponent", [tb.sub_gamma_exponent, tb.strongly_sub_gamma_exponent])
@@ -162,7 +162,7 @@ def test_poly_exponent_matches_mp_oracle_near_the_pole(R, n):
     spec = tb.build_spec(n, P2, R)
     for e in (0.005, 0.05, 0.2, 0.7):
         want = mp_chernoff_oracle(spec, e)
-        assert tb.poly_filtered_exponent(spec, e) == pytest.approx(want, rel=1e-13)
+        assert tb.poly_filtered_exponent(spec, e) == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def reference_exponent(spec, eps):
@@ -219,7 +219,7 @@ def test_r2_exponent_matches_mp_oracle_on_fig1_grid(n):
     spec = tb.build_spec(n, P1, 2)
     for e in EPS_GRID:
         want = mp_chernoff_oracle(spec, float(e))
-        assert tb.poly_filtered_exponent(spec, float(e)) == pytest.approx(want, rel=1e-13)
+        assert tb.poly_filtered_exponent(spec, float(e)) == pytest.approx(want, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("g", [P1, P2, gf.power(3.0), E64],
@@ -236,7 +236,7 @@ def test_build_spec_matches_exact_quotient(g, n):
         if not float(v) >= sys.float_info.min:
             continue
         spec = tb.build_spec(n, g, R)
-        assert spec.v == pytest.approx(float(v), rel=1e-12), R
+        assert spec.v == pytest.approx(float(v), rel=1e-12, abs=0), R
         for r, a_r in enumerate(spec.a, start=2):
             lead = u[r] / math.factorial(r - 1)
             if float(lead) >= sys.float_info.min:
@@ -253,7 +253,7 @@ def test_high_order_spec_where_u_star_underflows():
     want = tb.curve("poly:140", 10**4, P1, eps)
     got = tb.curve("poly:150", 10**4, P1, eps)
     assert got.exponents == pytest.approx(want.exponents, rel=1e-12)
-    assert got.bounds == pytest.approx(want.bounds, rel=1e-12)
+    assert got.bounds == pytest.approx(want.bounds, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("g", [P1, P2, E64], ids=["power1", "power2", "entropy64"])
@@ -272,11 +272,11 @@ def test_build_spec_r1_is_strongly_sub_gamma():
     spec = tb.build_spec(n, P1, 1)
     v = u_star(n, P1, 2).value
     c = scale_parameter(n, P1)
-    assert spec.v == pytest.approx(v, rel=1e-14)
-    assert spec.c == pytest.approx(c, rel=1e-14)
+    assert spec.v == pytest.approx(v, rel=1e-14, abs=0)
+    assert spec.c == pytest.approx(c, rel=1e-14, abs=0)
     for e in (0.05, 0.2, 0.5):
         assert tb.tail_bound(spec, e) == pytest.approx(
-            math.exp(-tb.strongly_sub_gamma_exponent(v, c, e)), rel=1e-12
+            math.exp(-tb.strongly_sub_gamma_exponent(v, c, e)), rel=1e-12, abs=0
         )
 
 
@@ -313,14 +313,14 @@ def test_theorem2_right_tail_oracle():
         s2 = tb.THEOREM2_VARIANCE_FACTOR * ratio**2 / n
         for e in (0.05, 0.3):
             assert tb.theorem2_sub_gaussian_right(n, g, e) == pytest.approx(
-                math.exp(-e * e / (2.0 * s2)), rel=1e-14
+                math.exp(-e * e / (2.0 * s2)), rel=1e-14, abs=0
             )
 
 
 def test_left_tail_exact_oracle():
     n, e = 20, 0.098
     v = u_star(n, P1, 2).value
-    assert tb.left_tail(n, P1, e) == pytest.approx(math.exp(-e * e / (2.0 * v)), rel=1e-13)
+    assert tb.left_tail(n, P1, e) == pytest.approx(math.exp(-e * e / (2.0 * v)), rel=1e-13, abs=0)
 
 
 def test_left_tail_from_log_u2_where_u2_underflows():
@@ -328,18 +328,16 @@ def test_left_tail_from_log_u2_where_u2_underflows():
     n, g = 10**5, gf.power(100.0)
     res = u_star(n, g, 2)
     assert res.value == 0.0
-    eps = math.exp(0.5 * res.log_value)  # eps^2 / (2 u*_2) = 1/2
-    assert tb.left_tail(n, g, eps) == pytest.approx(math.exp(-0.5), rel=1e-12)
+    eps = math.exp(0.5 * res.log_value)  # eps^2 / (2 u*_2) = 1/2, up to rounding
+    # 40-digit mpmath at these two doubles
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        want = float(mpmath.exp(-mpmath.mpf(eps) ** 2 / (2 * mpmath.exp(res.log_value))))
+    assert tb.left_tail(n, g, eps) == pytest.approx(want, rel=1e-12, abs=0)
     assert tb.left_tail(n, g, 0.1) == 0.0
     assert tb.left_tail(n, g, 0.0) == 1.0
     with pytest.raises(InvalidInputError):
         tb.left_tail(n, g, -0.1)
-
-
-def test_left_tail_where_g_underflows_on_the_whole_grid_is_numerical_error():
-    # a user-defined g is scanned; p^1e15 underflows on every grid point
-    with pytest.raises(NumericalError):
-        tb.left_tail(20, gf.user_defined(lambda p: p**1e15), 0.1)
 
 
 @pytest.mark.parametrize("g", [P1, P2, E64], ids=["power1", "power2", "entropy64"])
@@ -354,13 +352,13 @@ def test_left_tail_closed_form_never_tighter(g):
 def test_corollary_left_identity_alpha_one():
     n, e = 50, 0.1
     want = math.exp(-n * e * e / (2.0 * gamma_const()))
-    assert tb.corollary_left_tail(n, P1, e) == pytest.approx(want, rel=1e-13)
+    assert tb.corollary_left_tail(n, P1, e) == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_corollary_left_entropy_oracle():
     n, k, e = 50, 64, 0.2
     want = math.exp(-n * e * e / (2.0 * gamma_const() * math.log2(k) ** 2))
-    assert tb.corollary_left_tail(n, gf.entropy_log2(k), e) == pytest.approx(want, rel=1e-13)
+    assert tb.corollary_left_tail(n, gf.entropy_log2(k), e) == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_corollary_left_regimes():
@@ -380,11 +378,9 @@ def test_corollary_left_tail_underflowed_variance():
 
 
 def test_corollaries_reject_g_without_closed_form():
-    user = gf.user_defined(lambda p: p, ratio_bound=1.0)
-    for g in (user, gf.power(0.5)):
-        for fn in (tb.corollary_left_tail, tb.corollary_right_tail):
-            with pytest.raises(InvalidInputError):
-                fn(50, g, 0.1)
+    for fn in (tb.corollary_left_tail, tb.corollary_right_tail):
+        with pytest.raises(InvalidInputError):
+            fn(50, gf.power(0.5), 0.1)
 
 
 @pytest.mark.parametrize("n", [20, 100])
@@ -395,7 +391,7 @@ def test_corollary_right_m0_is_ssg_with_gamma_variance(n):
     c = 3.0 / (2.0 * (n + 2.0))
     for e in (0.01, 0.05, 0.1, 0.3, 0.6):
         assert tb.corollary_right_tail(n, P1, e) == pytest.approx(
-            ssg_tail(v, c, e), rel=1e-12
+            ssg_tail(v, c, e), rel=1e-12, abs=0
         )
 
 
@@ -404,7 +400,7 @@ def test_corollary_right_m0_closed_form_spot():
     n, e = 20, 0.1
     gam_n = gamma_const() * (1.0 + 2.0 / n)
     expo = (2.0 * (n + 2.0) / 3.0) * (e - (2.0 * gam_n / 3.0) * math.log(1.0 + 3.0 * e / (2.0 * gam_n)))
-    assert tb.corollary_right_tail(n, P1, e) == pytest.approx(math.exp(-expo), rel=1e-12)
+    assert tb.corollary_right_tail(n, P1, e) == pytest.approx(math.exp(-expo), rel=1e-12, abs=0)
 
 
 def test_corollary_right_m0alpha_weaker_than_exact_ssg():
@@ -445,7 +441,7 @@ def test_corollary_right_large_alpha_matches_mpmath(alpha, n, eps):
         want = ((n - b) / a) * e - (ga / (a * a)) * (n - b) ** (3 - 2 * alpha) * mpmath.log1p(
             a * mpmath.mpf(n) ** (2 * alpha - 1) * e / (ga * (n - b)))
         want = float(want)
-    assert tb.corollary_right_exponent(n, gf.power(alpha), eps) == pytest.approx(want, rel=1e-12)
+    assert tb.corollary_right_exponent(n, gf.power(alpha), eps) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_corollary_right_second_term_past_double_range():
@@ -467,6 +463,14 @@ def test_corollary_right_entropy_clamps_and_decays():
     assert vals[0] < 1.0
 
 
+def test_corollary_right_entropy_far_below_zero_clamps_to_one():
+    # n = 1e9, k = 1e6 at eps = 0.01: the printed form's exponent is far
+    # below -709, where exp(-E) overflows; the bound is the trivial 1
+    g = gf.entropy_log2(10**6)
+    assert tb.corollary_right_exponent(10**9, g, 0.01) < -710.0
+    assert tb.corollary_right_tail(10**9, g, 0.01) == 1.0
+
+
 def test_curve_subgauss_matches_exponential_rate():
     for n in (20, 100, 1000):
         c = tb.curve("subgauss", n, P1, EPS_GRID)
@@ -483,7 +487,7 @@ def test_curve_families_consistent():
     spec3 = tb.build_spec(n, P1, 3)
     for i, e in enumerate(eps):
         assert ssg.bounds[i] <= sg.bounds[i] + 1e-15
-        assert p3.bounds[i] == pytest.approx(tb.tail_bound(spec3, float(e)), rel=1e-12)
+        assert p3.bounds[i] == pytest.approx(tb.tail_bound(spec3, float(e)), rel=1e-12, abs=0)
     assert len(ssg.bounds) == len(ssg.exponents) == len(eps)
 
 

@@ -29,7 +29,7 @@ def brute_force_max(n, g, r, points=2_000_001):
 def test_u_star_matches_brute_force(n, g, r):
     res = ue.u_star(n, g, r)
     ref, argmax_ref = brute_force_max(n, g, r)
-    assert res.value == pytest.approx(ref, rel=1e-8)
+    assert res.value == pytest.approx(ref, rel=1e-8, abs=0)
     assert res.argmax == pytest.approx(argmax_ref, abs=2e-6)
 
 
@@ -44,25 +44,7 @@ def test_u_star_matches_exact_oracle(n, r):
     # 40-digit mpmath maxima written by data/make_reference_tail_curves.py,
     # which does not import the package
     exact = _EXACT[str(n)][str(r)]
-    assert ue.u_star(n, P1, r).value == pytest.approx(exact, rel=1e-14)
-
-
-def test_u_star_grid_refinement_stable(monkeypatch):
-    # a user-defined g is scanned; a finer grid moves its maximum by rounding only
-    sizes = []
-
-    def square(p):
-        sizes.append(np.size(p))
-        return p * p
-
-    g = gf.user_defined(square)
-    points = ue._GRID_POINTS
-    a = ue.u_star(200, g, 2)
-    monkeypatch.setattr(ue, "_GRID_POINTS", 4 * points)
-    b = ue.u_star.__wrapped__(200, g, 2)
-    # the two half-grids share their middle point
-    assert [s for s in sizes if s > 1] == [2 * points - 1, 8 * points - 1]
-    assert abs(a.value - b.value) <= 1e-10 * a.value
+    assert ue.u_star(n, P1, r).value == pytest.approx(exact, rel=1e-14, abs=0)
 
 
 def sweep_sizes():
@@ -71,9 +53,28 @@ def sweep_sizes():
     return sorted({int(round(x)) for x in grid} | {20, 100, 1000})
 
 
-def _user_twin(g):
-    # the same formula as a user-defined g, which u_star refines by golden search
-    return gf.user_defined(lambda p, g=g: g.eval_raw(p))
+def _closed_log_u(n, g, r, p):
+    if g.kind == "power":
+        log_g = g.alpha * np.log(p)
+    else:
+        log_g = np.log(p) + np.log(-np.log(p)) - math.log(math.log(2.0))
+    t = n * np.log1p(-p)
+    return r * log_g + t + np.log(-np.expm1(t)) - np.log(p)
+
+
+def _golden_oracle(n, g, r):
+    # independent of the Newton search: the closed-form log u_r scanned on a
+    # log grid dense near both edges of (1e-12, 1 - 1e-12), refined by
+    # golden-section search between the grid argmax's two neighbours; the
+    # grid point wins if the refinement does not beat it
+    lo, hi = 1e-12, 1.0 - 1e-12
+    half = np.geomspace(lo, 0.5 * (lo + hi), 20001)
+    grid = np.unique(np.concatenate([half, hi + lo - half]))
+    i = int(np.argmax(_closed_log_u(n, g, r, grid)))
+    x0 = float(grid[i])
+    a, b = float(grid[max(i - 1, 0)]), float(grid[min(i + 1, grid.size - 1)])
+    _, fx = ue._golden_max(lambda p: ue._log_u_r_at(p, n, g, r), a, b)
+    return max(fx, ue._log_u_r_at(x0, n, g, r))
 
 
 _SWEEP_CELLS = [(g, n) for g in (P1, P2, E64) for n in sweep_sizes()]
@@ -92,16 +93,14 @@ def test_newton_refinement_matches_golden_and_ends_by_its_stop_rule(g, n, monkey
     monkeypatch.setattr(ue, "_newton_max", counted)
     ue.u_star.cache_clear()
     try:
-        twin = _user_twin(g)
-        newton_vals = [ue.u_star(n, g, r).value for r in range(2, 7)]
-        golden_vals = [ue.u_star(n, twin, r).value for r in range(2, 7)]
+        newton_vals = [ue.u_star(n, g, r).log_value for r in range(2, 7)]
     finally:
         ue.u_star.cache_clear()
-    assert len(calls) == 5  # the twin never reaches Newton
+    assert len(calls) == 5  # one Newton search per r
     # the step cap was not what ended any refinement
     assert max(map(len, calls)) < ue._NEWTON_STEPS
-    for r, a, b in zip(range(2, 7), newton_vals, golden_vals):
-        assert a == pytest.approx(b, rel=1e-14), r
+    for r, got in zip(range(2, 7), newton_vals):
+        assert got == pytest.approx(_golden_oracle(n, g, r), rel=4e-15, abs=0), r
 
 
 def test_newton_max_bisects_where_newton_cannot_step():
@@ -112,9 +111,9 @@ def test_newton_max_bisects_where_newton_cannot_step():
         return out
 
     # h'' >= 0 everywhere: every step is a bisection, ended by the bracket width
-    assert run(lambda p: (0.3 - p, 1.0), 0.1, 0.15, 0.7) == pytest.approx(0.3, rel=1e-15)
+    assert run(lambda p: (0.3 - p, 1.0), 0.1, 0.15, 0.7) == pytest.approx(0.3, rel=1e-15, abs=0)
     # Newton steps past the bracket: the maximum sits on its upper end
-    assert run(lambda p: (1.0, -1.0), 0.1, 0.15, 0.2) == pytest.approx(0.2, rel=1e-15)
+    assert run(lambda p: (1.0, -1.0), 0.1, 0.15, 0.2) == pytest.approx(0.2, rel=1e-15, abs=0)
     # h' = 0 exactly at the start
     assert run(lambda p: (0.0, -1.0), 0.1, 0.15, 0.2) == 0.15
 
@@ -140,27 +139,12 @@ def test_log_value_stays_finite_where_value_underflows():
     assert res.log_value == pytest.approx(log_u.max(), rel=1e-12)
 
 
-def test_g_underflowing_on_the_whole_grid_gives_zero_and_minus_inf():
-    # a user-defined g is scanned; p^1e15 underflows on every grid point
-    res = ue.u_star(20, gf.user_defined(lambda p: p**1e15), 2)
-    assert res.value == 0.0 and res.log_value == -math.inf
-
-
 def test_power_g_far_below_the_double_range_keeps_its_log():
     # log u_2 of power:1e15 rises up to the window edge 1 - 1e-12; the value
     # there, from 40-digit mpmath at that double
     res = ue.u_star(20, gf.power(1e15), 2)
     assert res.argmax == 1.0 - 1e-12 and res.value == 0.0
     assert res.log_value == pytest.approx(-2552.5766213186231191, rel=1e-14)
-
-
-def _closed_log_u(n, g, r, p):
-    if g.kind == "power":
-        log_g = g.alpha * np.log(p)
-    else:
-        log_g = np.log(p) + np.log(-np.log(p)) - math.log(math.log(2.0))
-    t = n * np.log1p(-p)
-    return r * log_g + t + np.log(-np.expm1(t)) - np.log(p)
 
 
 # power:0.3 at r = 2 and 3 has r*alpha < 1, where log u_r is not concave
@@ -183,7 +167,7 @@ def test_newton_u_star_matches_a_dense_closed_form_scan(n, g, r):
         assert res.log_value >= log_u[i] - 1e-14 * max(abs(log_u[i]), 1.0)
         p = np.linspace(p[max(i - 1, 0)], p[min(i + 1, p.size - 1)], 100_001)
     assert res.log_value == pytest.approx(log_u[i], rel=1e-12, abs=1e-12)
-    assert res.value == pytest.approx(math.exp(res.log_value), rel=1e-13)
+    assert res.value == pytest.approx(math.exp(res.log_value), rel=1e-13, abs=0)
 
 
 def test_u_star_where_p_to_the_alpha_underflows_matches_mpmath():
@@ -191,7 +175,7 @@ def test_u_star_where_p_to_the_alpha_underflows_matches_mpmath():
     # scan of log(p**alpha) saw -inf.  40-digit mpmath root of d log u_2/dp
     res = ue.u_star(10**5, gf.power(150.0), 2)
     assert res.log_value == pytest.approx(-2037.378645732152114902670046, rel=1e-12)
-    assert res.argmax == pytest.approx(0.002981086551211876489297, rel=1e-12)
+    assert res.argmax == pytest.approx(0.002981086551211876489297, rel=1e-12, abs=0)
 
 
 _EXTREME_CELLS = [(n, g, r) for n in (1, 3, 10**6, 10**12, 10**18)
@@ -227,7 +211,7 @@ def test_default_window_holds_the_argmax_at_huge_n(n):
     # n u*_2 tends to gamma = 0.26034...
     t_star = float(mpmath.findroot(lambda t: 1 / t - 1 + 1 / mpmath.expm1(t), 1.45))
     res = ue.u_star(n, P1, 2)
-    assert res.argmax == pytest.approx(t_star / n, rel=1e-9)
+    assert res.argmax == pytest.approx(t_star / n, rel=1e-9, abs=0)
     assert n * res.value == pytest.approx(ue.gamma_const(), rel=1e-9)
 
 
@@ -246,9 +230,9 @@ def test_golden_max_stops_at_a_few_ulps():
 
 def test_u_star_frozen_spot():
     res = ue.u_star(20, P1, 2)
-    assert res.value == pytest.approx(0.012562256919262382, rel=1e-12)
+    assert res.value == pytest.approx(0.012562256919262382, rel=1e-12, abs=0)
     # the root of d log u_2/dp = 0, from 40-digit mpmath
-    assert res.argmax == pytest.approx(0.068451030159344687, rel=1e-13)
+    assert res.argmax == pytest.approx(0.068451030159344687, rel=1e-13, abs=0)
 
 
 def test_u_star_argmax_is_local_max():
@@ -285,17 +269,6 @@ def test_u_star_input_validation():
         ue.u_star(10, P1, 2, p_window=(0.5, 0.2))
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [lambda p: np.full_like(p, np.nan), lambda p: np.where(p < 0.5, np.inf, p),
-     lambda p: -p],
-    ids=["nan", "inf", "negative"],
-)
-def test_u_star_rejects_non_finite_or_negative_g(bad):
-    with pytest.raises(InvalidInputError):
-        ue.u_star(20, gf.user_defined(bad), 3)
-
-
 def test_u_star_decreasing_in_n():
     vals = [ue.u_star(n, P1, 2).value for n in (5, 10, 20, 40, 80)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
@@ -325,7 +298,7 @@ def mpmath_log_gamma_alpha(alpha):
 @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 3.0, 6.75, 30.0, 60.0, 86.0])
 def test_gamma_alpha_matches_mpmath(alpha):
     want = float(mpmath.exp(mpmath_log_gamma_alpha(alpha)))
-    assert ue.gamma_alpha(alpha) == pytest.approx(want, rel=1e-12)
+    assert ue.gamma_alpha(alpha) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 86.0, 87.0, 400.0, 1000.0, 1e6])
@@ -431,8 +404,8 @@ def test_u2_closed_bound_regimes():
 
 def test_scale_parameter_identity_hand_value():
     # type A with mu=1 stays in the single-probe case: 0.5 * 3/(n+2)
-    assert ue.scale_parameter(20, P1) == pytest.approx(3.0 / 44.0, rel=1e-14)
-    assert ue.scale_parameter(100, P1) == pytest.approx(3.0 / 204.0, rel=1e-14)
+    assert ue.scale_parameter(20, P1) == pytest.approx(3.0 / 44.0, rel=1e-14, abs=0)
+    assert ue.scale_parameter(100, P1) == pytest.approx(3.0 / 204.0, rel=1e-14, abs=0)
 
 
 def test_scale_parameter_entropy_hand_value():
@@ -440,19 +413,17 @@ def test_scale_parameter_entropy_hand_value():
     n = 100
     probe = 3.0 / (n + 3.0 * math.e - 1.0)
     want = 0.5 * probe * math.log2(1.0 / probe)
-    assert ue.scale_parameter(n, E64) == pytest.approx(want, rel=1e-14)
-    assert want == pytest.approx(0.07221219098980826, rel=1e-12)
+    assert ue.scale_parameter(n, E64) == pytest.approx(want, rel=1e-14, abs=0)
+    assert want == pytest.approx(0.07221219098980826, rel=1e-12, abs=0)
 
 
 def test_scale_parameter_square_frozen():
-    assert ue.scale_parameter(1000, P2) == pytest.approx(5.015065398113834e-4, rel=1e-10)
+    assert ue.scale_parameter(1000, P2) == pytest.approx(5.015065398113834e-4, rel=1e-10, abs=0)
 
 
 def test_scale_parameter_regimes():
     with pytest.raises(RegimeError):
         ue.scale_parameter(2, P1)
-    with pytest.raises(InvalidInputError):
-        ue.scale_parameter(100, gf.user_defined(lambda p: p))
 
 
 @pytest.mark.parametrize("g", [P1, P2, E64], ids=["power1", "power2", "entropy64"])
