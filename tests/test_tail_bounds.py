@@ -340,6 +340,14 @@ def test_left_tail_from_log_u2_where_u2_underflows():
         tb.left_tail(n, g, -0.1)
 
 
+def test_left_tail_at_the_largest_power_alpha_is_zero():
+    # log u*_2 of power:1.7e308 is about -3.4e296, finite, so the exponent
+    # eps^2 / (2 u*_2) is +inf for eps > 0 and the bound is 0
+    g = gf.power(1.7e308)
+    assert tb.left_tail(20, g, 0.1) == 0.0
+    assert tb.left_tail(20, g, 0.0) == 1.0
+
+
 @pytest.mark.parametrize("g", [P1, P2, E64], ids=["power1", "power2", "entropy64"])
 def test_left_tail_closed_form_never_tighter(g):
     # the closed form replaces u*_2 by an upper bound, so its tail is larger

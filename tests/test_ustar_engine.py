@@ -147,6 +147,14 @@ def test_power_g_far_below_the_double_range_keeps_its_log():
     assert res.log_value == pytest.approx(-2552.5766213186231191, rel=1e-14)
 
 
+def test_power_g_at_the_largest_alpha_keeps_a_finite_log():
+    # no power g underflows to log u*_2 = -inf: even alpha = 1.7e308 gives a
+    # finite log at the window edge, about alpha * log(1 - 1e-12)
+    res = ue.u_star(20, gf.power(1.7e308), 2)
+    assert res.value == 0.0
+    assert math.isfinite(res.log_value) and res.log_value < -1e296
+
+
 # power:0.3 at r = 2 and 3 has r*alpha < 1, where log u_r is not concave
 _NEWTON_CELLS = [(n, g, r) for n in (1, 20, 1000, 10**6, 10**13)
                  for g in (P1, P2, gf.power(0.5), gf.power(0.3), E64) for r in (2, 3, 6)]
@@ -258,6 +266,18 @@ def test_u_star_window_restricts_search():
     for _ in range(4):
         hi = math.nextafter(hi, 0.0)
         assert ue.u_star(20, P1, 2, p_window=(0.01, hi)).argmax == hi
+
+
+@pytest.mark.parametrize("g", [P1, P2, E64], ids=["power1", "power2", "entropy64"])
+def test_u_star_agrees_on_a_window_around_its_argmax(g):
+    # a narrow window that holds the argmax starts Newton elsewhere and
+    # ends at the same maximum
+    for n in (20, 1000, 10**6):
+        for r in (2, 5):
+            full = ue.u_star(n, g, r)
+            narrow = ue.u_star(n, g, r, p_window=(0.5 * full.argmax, 2.0 * full.argmax))
+            assert narrow.log_value == pytest.approx(full.log_value, rel=4e-15, abs=0), (n, r)
+            assert narrow.argmax == pytest.approx(full.argmax, rel=1e-12, abs=0), (n, r)
 
 
 def test_u_star_input_validation():
@@ -424,6 +444,29 @@ def test_scale_parameter_square_frozen():
 def test_scale_parameter_regimes():
     with pytest.raises(RegimeError):
         ue.scale_parameter(2, P1)
+
+
+@pytest.mark.parametrize("alpha,n", [(0.5, 1000), (1.0, 1000), (2.0, 10), (2.0, 1000), (3.5, 1000)])
+def test_scale_parameter_power_is_type_a_with_mu_alpha(alpha, n):
+    # the paper's Type-A constant with mu = alpha; (2, 10) has
+    # n < 1 + 4 mu^2/(mu-1)^2 = 17 and stays in the single-probe case
+    mu = alpha
+    want = 0.5 * (3.0 * mu / (n + 3.0 * mu - 1.0)) ** alpha
+    if mu > 1.0 and n >= 1.0 + 4.0 * mu * mu / (mu - 1.0) ** 2:
+        r2 = 0.5 * (n - 1.0) * (1.0 - 1.0 / mu) * (
+            1.0 + math.sqrt(1.0 - 4.0 * mu * mu / ((n - 1.0) * (mu - 1.0) ** 2)))
+        want = max(want, (r2 * mu / (n + r2 * mu - 1.0)) ** alpha / (r2 - 1.0))
+    assert ue.scale_parameter(n, gf.power(alpha)) == pytest.approx(want, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("k", [2, 64, 10**6])
+def test_scale_parameter_entropy_is_type_b_at_inverse_e_for_every_floor(k):
+    # Type B with p* = 1/e, single probe 3/(n + 3/p* - 1), evaluated by the
+    # bare formula: the k-floor does not enter
+    n = 1000
+    probe = 3.0 / (n + 3.0 * math.e - 1.0)
+    want = 0.5 * probe * math.log2(1.0 / probe)
+    assert ue.scale_parameter(n, gf.entropy_log2(k)) == pytest.approx(want, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("g", [P1, P2, E64], ids=["power1", "power2", "entropy64"])
