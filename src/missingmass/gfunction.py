@@ -92,7 +92,8 @@ def power(alpha: float) -> GFunction:
 
 def entropy_log2(k_floor: int) -> GFunction:
     """g(p) = p*log2(1/p), declared on p >= 1/k_floor."""
-    if int(k_floor) != k_floor or k_floor < 2:
+    # a chained comparison rejects nan and +-inf before int() can raise
+    if not -math.inf < k_floor < math.inf or int(k_floor) != k_floor or k_floor < 2:
         raise InvalidInputError("entropy_log2 requires an integer k_floor >= 2")
     return GFunction(kind=ENTROPY_LOG2, k_floor=int(k_floor))
 

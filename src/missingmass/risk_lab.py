@@ -213,25 +213,17 @@ def mc_tail(
     eps = tuple(float(e) for e in eps_grid)
     bounds = _bound_columns(n, g, eps)
     g0, _ = _occupancy(dist.probs, _g_vector(dist, g), n, trials, seed, 0)
-    dev = g0 - expected_missing(dist, n, g)
-    floor = 1.0 / trials
-
-    def freq_and_se(mask_counts: np.ndarray) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
-        freqs = tuple(float(c) / trials for c in mask_counts)
-        ses = tuple(
-            max(math.sqrt(f * (1.0 - f) / trials), floor) for f in freqs
-        )
-        return freqs, ses
-
-    right_counts = [int(np.count_nonzero(dev >= e)) for e in eps]
-    left_counts = [int(np.count_nonzero(dev <= -e)) for e in eps]
-    right_freq, right_se = freq_and_se(right_counts)
-    left_freq, left_se = freq_and_se(left_counts)
+    dev = np.sort(g0 - expected_missing(dist, n, g))
+    e = np.asarray(eps)
+    # rows: Pr(dev >= eps), Pr(dev <= -eps)
+    freq = np.stack([trials - np.searchsorted(dev, e, "left"),
+                     np.searchsorted(dev, -e, "right")]) / trials
+    se = np.maximum(np.sqrt(freq * (1.0 - freq) / trials), 1.0 / trials)
     return TailReport(
-        right_freq=right_freq,
-        right_se=right_se,
-        left_freq=left_freq,
-        left_se=left_se,
+        right_freq=tuple(freq[0].tolist()),
+        right_se=tuple(se[0].tolist()),
+        left_freq=tuple(freq[1].tolist()),
+        left_se=tuple(se[1].tolist()),
         bounds=bounds,
     )
 

@@ -5,20 +5,22 @@ The one concentration spec is the order-R polynomial filter PolyFiltered,
     f(l) = sum_[r=2..R] a_r l^r / r + (v/c^2) log(e^[-lc]/(1-cl)),
 
 built from exact numeric u*_r values and the scale parameter c.  Order 1
-(no filter terms) is the strongly sub-Gamma template.  The sub-Gaussian
-(f = l^2 s2/2) and sub-Gamma (f = l^2 v/(2(1-cl))) templates of Boucheron,
-Lugosi & Massart (2013, section 2.4) are plain exponent functions.  Each
-yields a right-tail bound exp(-E(eps)) by the Chernoff method; E is analytic
-except for R >= 2, whose Legendre transform is solved numerically.  The
-closed-form corollary tails take the g they bound: power(1) (the missing
-mass), power(alpha > 1) (the order-alpha one) and entropy_log2(k) (the
-missing entropy).
+(no filter terms) is the strongly sub-Gamma template.  The sub-Gamma
+(f = l^2 v/(2(1-cl))) template of Boucheron, Lugosi & Massart (2013,
+section 2.4) is a plain exponent function.  Each yields a right-tail bound
+exp(-E(eps)) by the Chernoff method; E is analytic except for R >= 2, whose
+Legendre transform is solved numerically.  The closed-form corollary tails
+take the g they bound: power(1) (the missing mass), power(alpha > 1) (the
+order-alpha one) and entropy_log2(k) (the missing entropy).
 
 Every input taken from u*_r or gamma_alpha is read as its log: v and a_r,
 both left tails' variance and the power(alpha > 1) right tail.  So a u*_r
 that underflows, or a gamma_alpha or n^(2 alpha - 1) that overflows, still
-gives a bound.  Every public bound is clamped to <= 1; the raw exponent is
-available for diagnostics (it can go negative, where the bound is 1).
+gives a bound.  Every sub-Gaussian bound exp(-eps^2/(2 sigma2)) -- Theorem 2,
+the exact left tail and the closed left tails -- is taken from log sigma2.
+
+Every public bound is clamped to <= 1; the raw exponent is available for
+diagnostics (it can go negative, where the bound is 1).
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from . import ustar_engine
 from .errors import InvalidInputError, NumericalError, RegimeError
 from .gfunction import GFunction, ratio_sup
 
-#: Variance factor of the two-sided sub-Gaussian bound (the printed rounding
-#: of 2*kappa = 0.519).
-THEOREM2_VARIANCE_FACTOR = 0.519
+#: Variance factor of the two-sided sub-Gaussian bound: 2*kappa = 0.51909...
+#: rounded up, so that the bound is never below the theorem's.
+THEOREM2_VARIANCE_FACTOR = 0.5191
 
 #: Largest filter order R: 170! is the largest factorial a double holds.
 _MAX_ORDER = 170
@@ -85,17 +87,6 @@ def _gaussian_tail(log_sigma2: float, eps: float) -> float:
         return 1.0
     log_exponent = 2.0 * math.log(eps) - math.log(2.0) - log_sigma2
     return math.exp(-math.exp(min(log_exponent, 709.0)))
-
-
-def sub_gaussian_exponent(sigma2: float, eps: float) -> float:
-    if not (sigma2 > 0.0) or eps < 0.0:
-        raise InvalidInputError("need sigma2 > 0 and eps >= 0")
-    return eps * eps / (2.0 * sigma2)
-
-
-def sub_gaussian_tail(sigma2: float, eps: float) -> float:
-    """exp(-eps^2 / (2 sigma2)), clamped to <= 1."""
-    return _clamp(sub_gaussian_exponent(sigma2, eps))
 
 
 def sub_gamma_exponent(v: float, c: float, eps: float) -> float:
@@ -242,21 +233,22 @@ def build_spec(n: int, g: GFunction, R: int) -> PolyFiltered:
 
 
 def theorem2_sub_gaussian_right(n: int, g: GFunction, eps: float) -> float:
-    """Two-sided sub-Gaussian bound with sigma2 = 0.519 * ratio_sup(g)^2 / n."""
-    rho = ratio_sup(g)
-    return sub_gaussian_tail(THEOREM2_VARIANCE_FACTOR * rho * rho / n, eps)
+    """Two-sided sub-Gaussian bound exp(-eps^2/(2 sigma2)),
+    sigma2 = THEOREM2_VARIANCE_FACTOR * ratio_sup(g)^2 / n, from log sigma2."""
+    log_rho = math.log(ratio_sup(g))
+    return _gaussian_tail(math.log(THEOREM2_VARIANCE_FACTOR) + 2.0 * log_rho - math.log(n), eps)
 
 
 def left_tail(n: int, g: GFunction, eps: float) -> float:
     """Left tail exp(-eps^2/(2 u*_2)) from the exact numeric log u*_2.
 
-    The maximization runs over the declared domain of g, so a k-floor
-    restricts the search window and the tail never exceeds the closed form
-    of corollary_left_tail."""
-    window = None
-    if g.domain_min > 0.0:
-        window = (g.domain_min, 1.0 - 1e-12)
-    return _gaussian_tail(ustar_engine.u_star(n, g, 2, p_window=window).log_value, eps)
+    u*_2 is the maximum over the declared domain p >= domain_min of g.  log u_2
+    rises to one maximum and then falls, so that maximum lies at
+    max(argmax, domain_min): an entropy k-floor above the argmax moves it to
+    p = 1/k, and the tail never exceeds the closed form of
+    corollary_left_tail."""
+    p = max(ustar_engine.u_star(n, g, 2).argmax, g.domain_min)
+    return _gaussian_tail(ustar_engine._log_u_r_at(p, n, g, 2), eps)
 
 
 def corollary_left_tail(n: int, g: GFunction, eps: float) -> float:
@@ -337,7 +329,7 @@ def curve(family: str, n: int, g: GFunction, eps_grid: Sequence[float]) -> Bound
         raise InvalidInputError("eps grid must be >= 0")
     if family == "subgauss":
         sigma2 = 1.0 / (2.0 * n)
-        exponents = tuple(sub_gaussian_exponent(sigma2, e) for e in eps_list)
+        exponents = tuple(e * e / (2.0 * sigma2) for e in eps_list)
     else:
         if family in ("ssg", "subgamma"):
             order = 1

@@ -5,7 +5,7 @@ on the log-MGF of the centered missing mass; u*_r is its maximum over p.
 The engine also computes the universal constants
 
     gamma       = max_t t e^[-t](1-e^[-t])            = 0.2603...
-    gamma_alpha = max_t t^(2a-1) e^[-t](1-e^[-t])
+    gamma_alpha = max_t t^(2a-1) e^[-t](1-e^[-t])     (as its log)
     kappa       = max_[u,v>0] (u/v^2) log(1+e^[-u](e^v-v-1)) = 0.2595...
 
 the closed-form upper bounds on u*_2, and the scale parameter c satisfying
@@ -14,29 +14,27 @@ the ratio chain u*_r/(r-1)! <= c u*_[r-1]/(r-2)! for r >= 3.
 The engine maximizes the bare g formula over all of (0,1) (the entropy
 k-floor is not applied here): the scale-parameter case formulas and the ratio
 chain are statements about the formula on the full interval, and restricting
-the domain can break the chain.  Pass p_window to maximize over a subinterval,
-e.g. to compare against a closed bound that presumes p >= 1/k.
+the domain can break the chain.  log u_r rises to one maximum and then falls
+(see u_star), so its maximum over p >= p0 lies at max(argmax, p0); the
+entropy left tail reads it there.
 
 The engine computes logs, which stay finite where u*_r underflows and
 gamma_alpha overflows; the bounds read only these.  u_star maximizes
-log u_r = r log g(p) - log p + n log1p(-p) + log(-expm1(n log1p(-p))).  It
-rises to one maximum and then falls (see u_star), so its maximum over
-[lo, hi] is lo when d log u_r/dp <= 0 there, and otherwise the one root of
-d log u_r/dp in the window, or hi, found by safeguarded Newton with
-closed-form derivatives.
+log u_r = r log g(p) - log p + n log1p(-p) + log(-expm1(n log1p(-p))) at
+the one root of d log u_r/dp, found by safeguarded Newton with closed-form
+derivatives.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalError, RegimeError
+from .errors import InvalidInputError, RegimeError
 from .gfunction import GFunction
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -52,9 +50,6 @@ _STOP_ULPS = 4
 _NEWTON_STEPS = 100
 
 _LN2 = math.log(2.0)
-
-#: log of the largest double: a larger log overflows.
-_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -160,13 +155,8 @@ def _golden_max(f: Callable[[float], float], lo: float, hi: float) -> Tuple[floa
 
 
 @functools.lru_cache(maxsize=4096)
-def u_star(
-    n: int,
-    g: GFunction,
-    r: int,
-    p_window: Optional[Tuple[float, float]] = None,
-) -> UStarResult:
-    """Maximum of u_r over (0,1), or over p_window = (lo, hi).
+def u_star(n: int, g: GFunction, r: int) -> UStarResult:
+    """Maximum of u_r over (0,1).
 
     The maximum needs no grid.  With h = log u_r,
 
@@ -176,7 +166,8 @@ def u_star(
     where p (log g)' is alpha for power g and 1 + 1/log p for entropy g.
     Every term is non-increasing in p and -n p/(1-p) is strictly
     decreasing, so h' changes sign at most once, from + to -: h rises to
-    one maximum and then falls.  On [lo, hi] the maximum is lo where
+    one maximum and then falls.  The search runs on the window
+    [lo, hi] = [min(1e-12, 1e-3/n), 1 - 1e-12]: the maximum is lo where
     h'(lo) <= 0, and otherwise the root of h' in the window (or hi, where
     h' > 0 on the whole window), found by _newton_max from
     x0 = c/(n+1), c = max(r*alpha, 1) (alpha = 1 for entropy), clipped to
@@ -184,21 +175,17 @@ def u_star(
     p (log g)' <= alpha give p h'(p) <= r*alpha - n p/(1-p), which is <= 0
     at x0.  So a maximum at hi puts x0 at hi, where the search ends at once.
 
-    The default window is (min(1e-12, 1e-3/n), 1 - 1e-12).  Its lower edge
-    holds the maximum for every n: at p <= 1e-3/n, k >= (1-p)^(n-1) > 1 - 1e-3
-    and n p/(1-p) < 1.001e-3, so p h'(p) > r*alpha - 0.0021 > 0 for
-    r*alpha >= 0.01, and for entropy g, whose p (log g)' >= 0.85 there.
+    The lower edge holds the maximum for every n unless r*alpha is tiny: at
+    p <= 1e-3/n, k >= (1-p)^(n-1) > 1 - 1e-3 and n p/(1-p) < 1.001e-3, so
+    p h'(p) > r*alpha - 0.0021 > 0 for r*alpha >= 0.01, and for entropy g,
+    whose p (log g)' >= 0.85 there.
 
     log_value is log u_r at the argmax, with log g in closed form, and value
     is its exp.
     """
     if n < 1 or r < 2:
         raise InvalidInputError("u_star requires n >= 1 and r >= 2")
-    if p_window is None:
-        p_window = (min(1e-12, 1e-3 / n), 1.0 - 1e-12)
-    lo, hi = p_window
-    if not (0.0 < lo < hi < 1.0):
-        raise InvalidInputError("p_window must satisfy 0 < lo < hi < 1")
+    lo, hi = min(1e-12, 1e-3 / n), 1.0 - 1e-12
 
     def dh(p):
         return _dlog_u_r(p, n, g, r)
@@ -235,18 +222,9 @@ def log_gamma_alpha(alpha: float) -> float:
     return e * math.log(t) - t + math.log(-math.expm1(-t))
 
 
-def gamma_alpha(alpha: float) -> float:
-    """exp(log_gamma_alpha(alpha)).  Raises NumericalError when it leaves the
-    double range, from alpha = 87 (above about 86.1)."""
-    log_max = log_gamma_alpha(alpha)
-    if not log_max < _LOG_MAX:
-        raise NumericalError(f"gamma_alpha({alpha:g}) exceeds the double range")
-    return math.exp(log_max)
-
-
 def gamma_const() -> float:
-    """gamma = max_t t e^[-t](1-e^[-t]) = 0.2603... (the alpha=1 case)."""
-    return gamma_alpha(1.0)
+    """gamma = max_t t e^[-t](1-e^[-t]) = 0.2603..., exp(log_gamma_alpha(1))."""
+    return math.exp(log_gamma_alpha(1.0))
 
 
 @functools.lru_cache(maxsize=1)
@@ -254,7 +232,7 @@ def kappa_const() -> float:
     """max over u, v > 0 of (u/v^2) log(1+e^[-u](e^v-v-1)) = 0.2595...
 
     Coarse 2-D grid, then alternating coordinate-wise golden refinement.
-    Doubling the Theorem-2 variance factor: 2*kappa = 0.519.
+    2*kappa = 0.51909...; the Theorem-2 variance factor rounds it up.
     """
 
     def f(u, v):

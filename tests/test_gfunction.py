@@ -63,7 +63,8 @@ def test_power_requires_positive_alpha():
 
 
 def test_entropy_requires_integer_floor_at_least_two():
-    for bad in (1, 0, -4):
+    # int() of nan raises ValueError and of +-inf OverflowError
+    for bad in (1, 0, -4, math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidInputError):
             gf.entropy_log2(bad)
 

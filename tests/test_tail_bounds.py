@@ -9,7 +9,7 @@ from scipy import optimize
 from missingmass import gfunction as gf
 from missingmass import tail_bounds as tb
 from missingmass.errors import InvalidInputError, NumericalError, RegimeError
-from missingmass.ustar_engine import gamma_const, scale_parameter, u_star
+from missingmass.ustar_engine import gamma_const, kappa_const, scale_parameter, u_star
 
 P1 = gf.power(1.0)
 P2 = gf.power(2.0)
@@ -25,13 +25,6 @@ def ssg_tail(v, c, e):
 
 def sub_gamma_tail(v, c, e):
     return min(1.0, math.exp(-tb.sub_gamma_exponent(v, c, e)))
-
-
-def test_sub_gaussian_oracle():
-    for s2, e in [(0.5, 0.1), (0.01, 0.3), (2.0, 1.0)]:
-        assert tb.sub_gaussian_tail(s2, e) == pytest.approx(
-            min(1.0, math.exp(-e * e / (2.0 * s2))), rel=1e-15, abs=0
-        )
 
 
 def test_sub_gamma_matches_naive_form():
@@ -88,14 +81,12 @@ def test_exponents_zero_at_zero_and_increasing():
 
 
 def test_tails_clamped_to_one():
-    assert tb.sub_gaussian_tail(1.0, 0.0) == 1.0
+    assert tb.theorem2_sub_gaussian_right(10, P1, 0.0) == 1.0
     assert sub_gamma_tail(0.5, 0.5, 0.0) == 1.0
     assert 0.0 < ssg_tail(0.5, 0.5, 3.0) <= 1.0
 
 
 def test_param_validation():
-    with pytest.raises(InvalidInputError):
-        tb.sub_gaussian_exponent(0.0, 0.1)
     with pytest.raises(InvalidInputError):
         tb.sub_gamma_exponent(0.1, -1.0, 0.1)
     with pytest.raises(InvalidInputError):
@@ -317,6 +308,11 @@ def test_theorem2_right_tail_oracle():
             )
 
 
+def test_theorem2_variance_factor_not_below_two_kappa():
+    # rounding 2 kappa = 0.51909... down would shrink the theorem's variance
+    assert tb.THEOREM2_VARIANCE_FACTOR >= 2.0 * kappa_const()
+
+
 def test_left_tail_exact_oracle():
     n, e = 20, 0.098
     v = u_star(n, P1, 2).value
@@ -338,6 +334,25 @@ def test_left_tail_from_log_u2_where_u2_underflows():
     assert tb.left_tail(n, g, 0.0) == 1.0
     with pytest.raises(InvalidInputError):
         tb.left_tail(n, g, -0.1)
+
+
+def test_left_tail_entropy_floor():
+    # log u_2 rises to one maximum and then falls, so its maximum over the
+    # declared domain p >= 1/64 lies at max(argmax, 1/64)
+    e = 0.15
+    res = u_star(20, E64, 2)
+    assert res.argmax > 1.0 / 64.0
+    assert tb.left_tail(20, E64, e) == tb._gaussian_tail(res.log_value, e)
+    n = 200
+    assert u_star(n, E64, 2).argmax < 1.0 / 64.0
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        p = mpmath.mpf(1) / 64
+        t = n * mpmath.log1p(-p)
+        log_u2 = (2 * mpmath.log(p * mpmath.log(1 / p) / mpmath.log(2)) + t
+                  + mpmath.log(-mpmath.expm1(t)) - mpmath.log(p))
+        want = float(mpmath.exp(-mpmath.mpf(e) ** 2 / (2 * mpmath.exp(log_u2))))
+    assert tb.left_tail(n, E64, e) == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_left_tail_at_the_largest_power_alpha_is_zero():

@@ -9,7 +9,7 @@ from scipy import optimize
 
 from missingmass import gfunction as gf
 from missingmass import ustar_engine as ue
-from missingmass.errors import InvalidInputError, NumericalError, RegimeError
+from missingmass.errors import InvalidInputError, RegimeError
 
 P1 = gf.power(1.0)
 P2 = gf.power(2.0)
@@ -251,33 +251,35 @@ def test_u_star_argmax_is_local_max():
 
 
 def test_u_star_window_restricts_search():
-    full = ue.u_star(200, E64, 2)
-    floored = ue.u_star(200, E64, 2, p_window=(1.0 / 64.0, 1.0 - 1e-12))
-    assert floored.value <= full.value + 1e-15
-    # log u_2 is concave and falls from the window's lower edge: the edge wins
-    assert floored.argmax == 1.0 / 64.0
-    # the same where the Newton start 2/21 lies inside the window
-    assert ue.u_star(20, P1, 2, p_window=(0.08, 0.5)).argmax == 0.08
-    # and at the upper edge, below the root 0.0685
-    assert ue.u_star(20, P1, 2, p_window=(0.01, 0.05)).argmax == 0.05
+    # h'(lo) <= 0 at the window's lower edge 1e-12: the edge wins
+    assert ue.u_star(20, gf.power(1e-12), 2).argmax == 1e-12
+
+    def dh(p):
+        return ue._dlog_u_r(p, 20, P1, 2)
+
+    # the Newton search ends at its upper edge, below the root 0.0685
+    assert ue._newton_max(dh, 0.01, 0.05, 0.05) == 0.05
     # and with the root 1 to 4 ulps above the upper edge, where the last
     # Newton step is below the stop rule's width and would cross the edge
     hi = 0.068451030159344687  # the root of d log u_2/dp, from mpmath
     for _ in range(4):
         hi = math.nextafter(hi, 0.0)
-        assert ue.u_star(20, P1, 2, p_window=(0.01, hi)).argmax == hi
+        assert ue._newton_max(dh, 0.01, hi, hi) == hi
 
 
 @pytest.mark.parametrize("g", [P1, P2, E64], ids=["power1", "power2", "entropy64"])
 def test_u_star_agrees_on_a_window_around_its_argmax(g):
-    # a narrow window that holds the argmax starts Newton elsewhere and
-    # ends at the same maximum
+    # Newton on a narrow bracket that holds the argmax, started at either
+    # edge, ends at the same maximum
     for n in (20, 1000, 10**6):
         for r in (2, 5):
             full = ue.u_star(n, g, r)
-            narrow = ue.u_star(n, g, r, p_window=(0.5 * full.argmax, 2.0 * full.argmax))
-            assert narrow.log_value == pytest.approx(full.log_value, rel=4e-15, abs=0), (n, r)
-            assert narrow.argmax == pytest.approx(full.argmax, rel=1e-12, abs=0), (n, r)
+            lo, hi = 0.5 * full.argmax, 2.0 * full.argmax
+            for x0 in (lo, hi):
+                x = ue._newton_max(lambda p: ue._dlog_u_r(p, n, g, r), lo, x0, hi)
+                log_value = ue._log_u_r_at(x, n, g, r)
+                assert log_value == pytest.approx(full.log_value, rel=4e-15, abs=0), (n, r)
+                assert x == pytest.approx(full.argmax, rel=1e-12, abs=0), (n, r)
 
 
 def test_u_star_input_validation():
@@ -285,8 +287,6 @@ def test_u_star_input_validation():
         ue.u_star(0, P1, 2)
     with pytest.raises(InvalidInputError):
         ue.u_star(10, P1, 1)
-    with pytest.raises(InvalidInputError):
-        ue.u_star(10, P1, 2, p_window=(0.5, 0.2))
 
 
 def test_u_star_decreasing_in_n():
@@ -303,7 +303,7 @@ def scipy_gamma_alpha(alpha):
 
 @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 3.0])
 def test_gamma_alpha_against_scipy(alpha):
-    assert ue.gamma_alpha(alpha) == pytest.approx(scipy_gamma_alpha(alpha), rel=1e-9)
+    assert math.exp(ue.log_gamma_alpha(alpha)) == pytest.approx(scipy_gamma_alpha(alpha), rel=1e-9)
 
 
 def mpmath_log_gamma_alpha(alpha):
@@ -318,32 +318,25 @@ def mpmath_log_gamma_alpha(alpha):
 @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 3.0, 6.75, 30.0, 60.0, 86.0])
 def test_gamma_alpha_matches_mpmath(alpha):
     want = float(mpmath.exp(mpmath_log_gamma_alpha(alpha)))
-    assert ue.gamma_alpha(alpha) == pytest.approx(want, rel=1e-12, abs=0)
+    assert math.exp(ue.log_gamma_alpha(alpha)) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 86.0, 87.0, 400.0, 1000.0, 1e6])
 def test_log_gamma_alpha_matches_mpmath(alpha):
-    # the log stays finite where gamma_alpha leaves the double range
+    # the log stays finite where gamma_alpha leaves the double range (alpha >= 87)
     want = float(mpmath_log_gamma_alpha(alpha))
     assert ue.log_gamma_alpha(alpha) == pytest.approx(want, rel=1e-14, abs=1e-15)
 
 
 def test_gamma_constants_frozen():
     assert ue.gamma_const() == pytest.approx(0.26034549134920526, rel=1e-10)
-    assert ue.gamma_alpha(2.0) == pytest.approx(1.2820002767035465, rel=1e-10)
+    assert math.exp(ue.log_gamma_alpha(2.0)) == pytest.approx(1.2820002767035465, rel=1e-10)
     assert 1.0 / (2.0 * ue.gamma_const()) == pytest.approx(1.920524904844012, rel=1e-10)
 
 
 def test_gamma_alpha_requires_alpha_at_least_one():
     with pytest.raises(InvalidInputError):
-        ue.gamma_alpha(0.9)
-
-
-@pytest.mark.parametrize("alpha", [100.0, 400.0])
-def test_gamma_alpha_beyond_double_range_is_numerical_failure(alpha):
-    # from alpha = 355 on, e^t overflows on the bracket (2 alpha - 1, 2 alpha)
-    with pytest.raises(NumericalError):
-        ue.gamma_alpha(alpha)
+        ue.log_gamma_alpha(0.9)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 2.0, 6.75, 10.0, 30.0, 40.0, 60.0, 86.0])
@@ -354,13 +347,6 @@ def test_u2_closed_bound_dominates_u_star(alpha, n):
     # Compared in logs: at n = 1e5 both sides underflow from alpha = 60 on.
     g = gf.power(alpha)
     assert ue.log_u2_closed_bound(n, g) >= ue.u_star(n, g, 2).log_value - 1e-12
-
-
-def test_gamma_alpha_double_range_edge():
-    # log gamma_alpha(86) is about 708.2; the maximum overflows from alpha = 87
-    assert math.isfinite(ue.gamma_alpha(86.0))
-    with pytest.raises(NumericalError):
-        ue.gamma_alpha(87.0)
 
 
 @pytest.mark.parametrize("alpha", [50.0, 1000.0])
@@ -407,10 +393,11 @@ def test_u2_closed_bound_dominates_power(n, alpha):
 
 @pytest.mark.parametrize("n", [3, 10, 100, 1000])
 def test_u2_closed_bound_dominates_entropy_on_declared_domain(n):
-    # the closed entropy bound presumes p >= 1/k, so compare on that window
+    # the closed entropy bound presumes p >= 1/k, so compare the maximum of
+    # log u_2 over p >= 1/k, which lies at max(argmax, 1/k)
     g = gf.entropy_log2(64)
-    floored = ue.u_star(n, g, 2, p_window=(1.0 / 64.0, 1.0 - 1e-12))
-    assert floored.log_value <= ue.log_u2_closed_bound(n, g) + 1e-12
+    floored = ue._log_u_r_at(max(ue.u_star(n, g, 2).argmax, 1.0 / 64.0), n, g, 2)
+    assert floored <= ue.log_u2_closed_bound(n, g) + 1e-12
 
 
 def test_u2_closed_bound_regimes():
