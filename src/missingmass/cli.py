@@ -445,20 +445,17 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             raise InvalidInputError("--format phi requires --n")
         profile = read_phi_csv(args.input, args.n)
 
-    def _maybe_clamp(x: float) -> float:
-        return min(1.0, max(0.0, x)) if args.clamp else x
-
     report: Dict[str, object] = {
         "n": profile.n,
         "phi": {str(l): profile.phi[l] for l in sorted(profile.phi)},
-        "good_turing": _maybe_clamp(est.estimate(est.good_turing(), profile)),
+        "good_turing": est.estimate(est.good_turing(), profile),
     }
     alpha = args.alpha
     if alpha is not None:
         kind = est.generalized_good_turing(alpha)
         report["generalized"] = {
             "alpha": alpha,
-            "estimate": _maybe_clamp(est.estimate(kind, profile)),
+            "estimate": est.estimate(kind, profile),
             "bias_bound": (est.gt_bias_bound(profile.n, alpha)
                            if profile.n > 2 * alpha else None),
         }
@@ -626,8 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "needs n > 2*alpha")
     pe.add_argument("--eps", help="comma list or a:b:step grid of deviations "
                                   "to bound (right bounds need n >= 3)")
-    pe.add_argument("--clamp", action="store_true",
-                    help="clamp estimates into [0, 1]")
     pe.add_argument("--emit-phi", help="write the occupancy profile as CSV")
     pe.add_argument("--out", help="output JSON path (default stdout)")
     pe.set_defaults(func=cmd_estimate)

@@ -3,9 +3,9 @@
 The generalized Good-Turing estimator of order alpha, phi_alpha / C(n, alpha),
 is the fraction of alpha-tuples that are copies of a letter seen exactly alpha
 times; it reads only the profile (n, phi).  Order 1 is the classical phi_1 / n
-and order 0 the plugin estimate 0 (a profile stores no phi_0).  Estimates are
-reported raw (not clamped); clamping is a CLI option so that risk experiments
-measure the estimator as defined.
+and order 0 the plugin estimate 0 (a profile stores no phi_0).  Every
+estimate lies in [0, 1] with no clamp: each letter seen alpha times takes
+alpha of the n draws, so phi_alpha <= n/alpha <= C(n, alpha) for n >= alpha >= 1.
 """
 
 from __future__ import annotations

@@ -91,10 +91,11 @@ def power(alpha: float) -> GFunction:
 
 
 def entropy_log2(k_floor: int) -> GFunction:
-    """g(p) = p*log2(1/p), declared on p >= 1/k_floor."""
-    # a chained comparison rejects nan and +-inf before int() can raise
-    if not -math.inf < k_floor < math.inf or int(k_floor) != k_floor or k_floor < 2:
-        raise InvalidInputError("entropy_log2 requires an integer k_floor >= 2")
+    """g(p) = p*log2(1/p), declared on p >= 1/k_floor.  k_floor is at most
+    2**1022, where 1/k_floor stops being a normal double."""
+    # the range test rejects nan and +-inf before int() can raise
+    if not 2 <= k_floor <= 2**1022 or int(k_floor) != k_floor:
+        raise InvalidInputError("entropy_log2 requires an integer k_floor in [2, 2**1022]")
     return GFunction(kind=ENTROPY_LOG2, k_floor=int(k_floor))
 
 

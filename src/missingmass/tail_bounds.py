@@ -18,6 +18,9 @@ both left tails' variance and the power(alpha > 1) right tail.  So a u*_r
 that underflows, or a gamma_alpha or n^(2 alpha - 1) that overflows, still
 gives a bound.  Every sub-Gaussian bound exp(-eps^2/(2 sigma2)) -- Theorem 2,
 the exact left tail and the closed left tails -- is taken from log sigma2.
+The filter polynomial and its derivatives are taken by Horner's rule: every
+a_r is >= 0, so no partial sum overflows unless the whole sum does, even
+where l^R alone would.
 
 Every public bound is clamped to <= 1; the raw exponent is available for
 diagnostics (it can go negative, where the bound is 1).
@@ -125,32 +128,26 @@ def strongly_sub_gamma_exponent(v: float, c: float, eps: float) -> float:
 
 def _filter_derivs(a: Sequence[float], v: float, c: float, s: float) -> Tuple[float, float]:
     """(f'(l), f''(l)) at l = (1 - s)/c:
-    f'(l) = sum_r a_r l^(r-1) + v l/s, f''(l) = sum_r (r-1) a_r l^(r-2) + v/s^2.
-    v/s^2 is taken as v/s/s: s^2 underflows where v and s are tiny (high R).
-    Zero coefficients are skipped, since l^r may overflow at high R."""
+    f'(l) = l Q(l) + v l/s, f''(l) = Q(l) + l Q'(l) + v/s^2,
+    Q(l) = sum_r a_r l^(r-2), with Q and Q' by Horner's rule.
+    v/s^2 is taken as v/s/s: s^2 underflows where v and s are tiny (high R)."""
     lam = (1.0 - s) / c
-    d1, d2, p = v * lam / s, v / s / s, 1.0
-    for r, a_r in enumerate(a, start=2):
-        if a_r != 0.0:  # 0 * p is NaN once p overflows
-            d1 += a_r * p * lam
-            d2 += (r - 1) * a_r * p
-        p *= lam
-    return d1, d2
+    q = dq = 0.0
+    for a_r in reversed(a):
+        dq = dq * lam + q
+        q = q * lam + a_r
+    return lam * q + v * lam / s, q + lam * dq + v / s / s
 
 
 def _filter_f(a: Sequence[float], v: float, c: float, s: float) -> float:
     """f(l) = sum_r a_r l^r / r + (v/c^2)(-c l - log(1 - c l)) at the pole
-    distance s = 1 - c l, so that log(s) stays exact next to the pole."""
+    distance s = 1 - c l, so that log(s) stays exact next to the pole.  The
+    polynomial is l^2 sum_r (a_r/r) l^(r-2), by Horner's rule."""
     lam = (1.0 - s) / c
-    out = (v / (c * c)) * (-(1.0 - s) - math.log(s))
-    p = lam * lam
-    for r, a_r in enumerate(a, start=2):
-        if a_r != 0.0:
-            # l^r can overflow where a_r l^r is small (a_r subnormal, high R).
-            term = a_r * p if p != math.inf else math.exp(math.log(a_r) + r * math.log(lam))
-            out += term / r
-        p *= lam
-    return out
+    q = 0.0
+    for r in range(len(a) + 1, 1, -1):
+        q = q * lam + a[r - 2] / r
+    return (v / (c * c)) * (-(1.0 - s) - math.log(s)) + q * lam * lam
 
 
 def poly_filtered_exponent(spec: PolyFiltered, eps: float) -> float:

@@ -281,12 +281,14 @@ def test_estimate_out_of_regime_exits_3(tmp_path, capsys):
 
 
 def test_estimate_clamp(tmp_path, capsys):
-    # n = 1 with one singleton gives phi_1/n = 1, clamp keeps it at 1
+    # n = 1 with one singleton gives phi_1/n = 1, the top of [0, 1]:
+    # estimates need no clamp, and the retired --clamp flag is a usage error
     f = tmp_path / "toks.txt"
     f.write_text("solo\n")
-    code, out, _ = run(capsys, "estimate", "--input", str(f), "--clamp")
+    code, out, _ = run(capsys, "estimate", "--input", str(f))
     assert code == 0
     assert json.loads(out)["good_turing"] == 1.0
+    assert run(capsys, "estimate", "--input", str(f), "--clamp")[0] == 2
 
 
 def _finite_json(text):
@@ -716,6 +718,17 @@ def test_simulate_entropy_needs_compatible_support(capsys):
                        "--dist", "zipf:200:1", "--n-list", "20", "--trials", "1000")
     assert code == 2
     assert "entropy" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--task", "tail", "--dist", "uniform:10", "--n-list", "20", "--trials", "1000"),
+    ("bounds", "--family", "poly:2", "--n", "20", "--eps-grid", "0.1"),
+])
+def test_entropy_floor_past_the_double_range_exits_2(capsys, argv):
+    # 1/k underflows past 2**1022: simulate used to exit 5 and bounds 0
+    code, _, err = run(capsys, *argv, "--g", f"entropy:{10**400}")
+    assert code == 2
+    assert "k_floor" in err
 
 
 def test_readme_command_lines_parse():

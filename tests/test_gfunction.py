@@ -69,6 +69,14 @@ def test_entropy_requires_integer_floor_at_least_two():
             gf.entropy_log2(bad)
 
 
+def test_entropy_floor_stops_where_its_reciprocal_leaves_the_normal_doubles():
+    # 1/k must be a normal double: a larger floor overflowed domain_min
+    assert gf.entropy_log2(2**1022).domain_min == 2.2250738585072014e-308
+    for bad in (2**1022 + 1, 10**400):
+        with pytest.raises(InvalidInputError):
+            gf.entropy_log2(bad)
+
+
 @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0, 4.0])
 def test_ratio_sup_power_is_one(alpha):
     assert gf.ratio_sup(gf.power(alpha)) == 1.0

@@ -291,6 +291,27 @@ def test_zero_filter_coefficients_add_nothing():
         assert tb._filter_f(padded, 0.01, 1e-3, s) == tb._filter_f(lean, 0.01, 1e-3, s)
 
 
+@pytest.mark.parametrize("s", [0.01, 1e-6])
+def test_filter_matches_mpmath_where_the_power_overflows(s):
+    # power:2, n = 100, R = 150: l = (1 - s)/c is about 192-194, so l^150 is
+    # about 1e342; Horner's rule must still give f, f' and f'' in full
+    mpmath = pytest.importorskip("mpmath")
+    spec = tb.build_spec(100, P2, 150)
+    a, v, c = spec.a, spec.v, spec.c
+    lam = (1.0 - s) / c
+    assert 150 * math.log10(lam) > 309  # l^150 overflows a double
+    with mpmath.workdps(40):
+        mv, mc, ms, ml = (mpmath.mpf(x) for x in (v, c, s, lam))
+        terms = [(r, mpmath.mpf(a_r)) for r, a_r in enumerate(a, start=2)]
+        d1 = sum(a_r * ml ** (r - 1) for r, a_r in terms) + mv * ml / ms
+        d2 = sum((r - 1) * a_r * ml ** (r - 2) for r, a_r in terms) + mv / ms**2
+        f = sum(a_r * ml**r / r for r, a_r in terms) + mv / mc**2 * (-(1 - ms) - mpmath.log(ms))
+    got_d1, got_d2 = tb._filter_derivs(a, v, c, s)
+    assert got_d1 == pytest.approx(float(d1), rel=1e-14, abs=0)
+    assert got_d2 == pytest.approx(float(d2), rel=1e-14, abs=0)
+    assert tb._filter_f(a, v, c, s) == pytest.approx(float(f), rel=1e-13, abs=0)
+
+
 def test_higher_order_filter_is_tighter():
     n = 20
     b2 = [tb.tail_bound(tb.build_spec(n, P1, 2), float(e)) for e in EPS_GRID]

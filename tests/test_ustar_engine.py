@@ -376,6 +376,12 @@ def test_kappa_frozen():
     assert 2.0 * ue.kappa_const() == pytest.approx(0.519, abs=1e-3)
 
 
+def test_kappa_matches_the_30_digit_root():
+    # the root of the gradient, in 30-digit mpmath, is at
+    # (u, v) = (1.7088..., 2.7965...) with kappa = 0.2595471629748334035...
+    assert ue.kappa_const() == pytest.approx(0.2595471629748334, rel=1e-14, abs=0)
+
+
 def test_n_times_u2_approaches_gamma_from_below():
     # n u*_2(n, id) increases toward gamma
     seq = [n * ue.u_star(n, P1, 2).value for n in (10, 40, 160, 640)]
