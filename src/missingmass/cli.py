@@ -6,7 +6,8 @@ estimate   Read a sample (tokens, token counts, or an occupancy profile),
            report Good-Turing style estimates and optional deviation bounds.
 fig1       Emit reference tail-bound curves (sub-Gaussian, order-2 and
            order-5 polynomial filters) for n in {20, 100, 1000}.
-bounds     Evaluate a single bound family on an epsilon grid.
+bounds     Evaluate one bound family (subgauss, theorem2, left_u2, left_corollary,
+           right_corollary, ssg, subgamma or poly:R) on an epsilon grid.
 ustar      Maximize g(p)^r (1-p)^n (1-(1-p)^n) / p over p.
 simulate   Monte Carlo: estimator risk curves, tail-frequency dominance
            checks, or Dirichlet-prior variance curves.
@@ -412,13 +413,15 @@ def _json(payload: dict) -> str:
 
 def _table(header: Sequence[str], rows: Sequence[Sequence[float]],
            fmt: str, meta: Optional[dict] = None) -> str:
-    """CSV (15 significant digits) or JSON (meta, columns, rows) text."""
+    """CSV (15 significant digits) or JSON (meta, columns, rows) text; JSON
+    writes an infinity as the string CSV prints for it, "inf" or "-inf"."""
     if fmt == "csv":
         line = ",".join(["%.15g"] * len(header)) + "\n"
         return ",".join(header) + "\n" + "".join(line % tuple(map(float, row)) for row in rows)
     payload = dict(meta or {})
     payload["columns"] = list(header)
-    payload["rows"] = [[float(v) for v in row] for row in rows]
+    payload["rows"] = [[v if math.isfinite(v) else "%.15g" % v for v in map(float, row)]
+                       for row in rows]
     return _json(payload)
 
 
@@ -465,8 +468,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         report["deviation_bounds"] = {
             "g": g.descriptor(),
             "eps": eps,
-            "right": [tb.corollary_right_tail(profile.n, g, e) for e in eps],
-            "left": [tb.corollary_left_tail(profile.n, g, e) for e in eps],
+            "right": list(tb.curve("right_corollary", profile.n, g, eps).bounds),
+            "left": list(tb.curve("left_corollary", profile.n, g, eps).bounds),
         }
 
     text = _json(report)
@@ -635,8 +638,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("bounds", help="evaluate one bound family on a grid")
     pb.add_argument("--family", required=True,
-                    help="subgauss | subgamma | ssg | poly:R with 1 <= R <= 170 "
-                         "(subgamma, ssg and poly need n >= 3)")
+                    help="subgauss | theorem2 | left_u2 | left_corollary | right_corollary | "
+                         "ssg | subgamma | poly:R with 1 <= R <= 170 (the corollaries, "
+                         "subgamma, ssg and poly need n >= 3, or more by g)")
     pb.add_argument("--g", required=True, help="power:ALPHA or entropy:K "
                                                "(power needs alpha >= 1 here)")
     pb.add_argument("--n", type=int, required=True, help="sample size")

@@ -175,21 +175,20 @@ def mc_bias(
     return _mean_se(_estimate_errors(dist, kind, g, int(n), trials, seed))
 
 
+#: Tail report column -> the tail_bounds.curve family it shows (theorem2 is two-sided).
+_BOUND_FAMILIES = {"right_subgauss_519": "theorem2", "left_subgauss_519": "theorem2",
+                   "left_exact_u2": "left_u2", "right_poly_r2": "poly:2",
+                   "left_corollary": "left_corollary", "right_corollary": "right_corollary"}
+
+
 def _bound_columns(
     n: int, g: GFunction, eps: Sequence[float]
 ) -> Dict[str, Tuple[float, ...]]:
-    """Bound values per family for the deviation of the missing mass of g."""
-    cols: Dict[str, Tuple[float, ...]] = {}
-    cols["right_subgauss_519"] = tuple(
-        tail_bounds.theorem2_sub_gaussian_right(n, g, e) for e in eps
-    )
-    cols["left_subgauss_519"] = cols["right_subgauss_519"]
-    cols["left_exact_u2"] = tuple(tail_bounds.left_tail(n, g, e) for e in eps)
-    spec_r2 = tail_bounds.build_spec(n, g, 2)
-    cols["right_poly_r2"] = tuple(tail_bounds.tail_bound(spec_r2, e) for e in eps)
-    cols["left_corollary"] = tuple(tail_bounds.corollary_left_tail(n, g, e) for e in eps)
-    cols["right_corollary"] = tuple(tail_bounds.corollary_right_tail(n, g, e) for e in eps)
-    return cols
+    """Bound values per family for the deviation of the missing mass of g;
+    each family's curve is computed once, in column order."""
+    curves = {family: tail_bounds.curve(family, n, g, eps).bounds
+              for family in dict.fromkeys(_BOUND_FAMILIES.values())}
+    return {name: curves[family] for name, family in _BOUND_FAMILIES.items()}
 
 
 def mc_tail(

@@ -9,29 +9,35 @@ built from exact numeric u*_r values and the scale parameter c.  Order 1
 (f = l^2 v/(2(1-cl))) template of Boucheron, Lugosi & Massart (2013,
 section 2.4) is a plain exponent function.  Each yields a right-tail bound
 exp(-E(eps)) by the Chernoff method; E is analytic except for R >= 2, whose
-Legendre transform is solved numerically.  The closed-form corollary tails
-take the g they bound: power(1) (the missing mass), power(alpha > 1) (the
-order-alpha one) and entropy_log2(k) (the missing entropy).
+Legendre transform is solved numerically.
+
+curve(family, n, g, eps_grid) is the one loop over eps, for every family:
+subgauss, theorem2, left_u2, left_corollary, right_corollary, ssg, subgamma
+and poly:R.  A family's (n, g) work is done once, before any eps.  The
+closed-form tails take the g they bound: power(1) (the missing mass),
+power(alpha > 1) (the order-alpha one) and entropy_log2(k) (the missing entropy).
 
 Every input taken from u*_r or gamma_alpha is read as its log: v and a_r,
 both left tails' variance and the power(alpha > 1) right tail.  So a u*_r
 that underflows, or a gamma_alpha or n^(2 alpha - 1) that overflows, still
-gives a bound.  Every sub-Gaussian bound exp(-eps^2/(2 sigma2)) -- Theorem 2,
+gives a bound.  Every sub-Gaussian exponent eps^2/(2 sigma2) -- Theorem 2,
 the exact left tail and the closed left tails -- is taken from log sigma2.
 The filter polynomial and its derivatives are taken by Horner's rule: every
 a_r is >= 0, so no partial sum overflows unless the whole sum does, even
 where l^R alone would.
 
 Every public bound is clamped to <= 1; the raw exponent is available for
-diagnostics (it can go negative, where the bound is 1).
+diagnostics (it can go negative, where the bound is 1).  An exponent past
+the double range is inf, and its bound 0.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 from . import ustar_engine
 from .errors import InvalidInputError, NumericalError, RegimeError
@@ -45,6 +51,8 @@ THEOREM2_VARIANCE_FACTOR = 0.5191
 _MAX_ORDER = 170
 
 _E = math.e
+#: Largest x whose exp is a finite double.
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -81,15 +89,12 @@ def _clamp(exponent: float) -> float:
     return math.exp(-exponent) if exponent > 0.0 else 1.0
 
 
-def _gaussian_tail(log_sigma2: float, eps: float) -> float:
-    """exp(-eps^2 / (2 sigma2)) from log sigma2, which stays finite where
-    sigma2 underflows.  eps = 0 gives 1; an exponent from e^709 on gives 0."""
-    if eps < 0.0:
-        raise InvalidInputError("eps must be >= 0")
+def _gaussian_exponent(log_sigma2: float, eps: float) -> float:
+    """eps^2/(2 sigma2) from log sigma2, finite where sigma2 underflows; inf past e^709.78."""
     if eps == 0.0:
-        return 1.0
+        return 0.0
     log_exponent = 2.0 * math.log(eps) - math.log(2.0) - log_sigma2
-    return math.exp(-math.exp(min(log_exponent, 709.0)))
+    return math.inf if log_exponent > _LOG_MAX else math.exp(log_exponent)
 
 
 def sub_gamma_exponent(v: float, c: float, eps: float) -> float:
@@ -229,37 +234,8 @@ def build_spec(n: int, g: GFunction, R: int) -> PolyFiltered:
     return PolyFiltered(R=int(R), a=tuple(a), v=v, c=c)
 
 
-def theorem2_sub_gaussian_right(n: int, g: GFunction, eps: float) -> float:
-    """Two-sided sub-Gaussian bound exp(-eps^2/(2 sigma2)),
-    sigma2 = THEOREM2_VARIANCE_FACTOR * ratio_sup(g)^2 / n, from log sigma2."""
-    log_rho = math.log(ratio_sup(g))
-    return _gaussian_tail(math.log(THEOREM2_VARIANCE_FACTOR) + 2.0 * log_rho - math.log(n), eps)
-
-
-def left_tail(n: int, g: GFunction, eps: float) -> float:
-    """Left tail exp(-eps^2/(2 u*_2)) from the exact numeric log u*_2.
-
-    u*_2 is the maximum over the declared domain p >= domain_min of g.  log u_2
-    rises to one maximum and then falls, so that maximum lies at
-    max(argmax, domain_min): an entropy k-floor above the argmax moves it to
-    p = 1/k, and the tail never exceeds the closed form of
-    corollary_left_tail."""
-    p = max(ustar_engine.u_star(n, g, 2).argmax, g.domain_min)
-    return _gaussian_tail(ustar_engine._log_u_r_at(p, n, g, 2), eps)
-
-
-def corollary_left_tail(n: int, g: GFunction, eps: float) -> float:
-    """Closed-form left tail exp(-eps^2/(2 sigma2)), sigma2 from log_u2_closed_bound:
-
-    power(a >= 1):   exp(-n^(2a-1) eps^2 / (2 gamma_alpha)),
-                     needs n >= (2a-1) ln2/(2a-1-ln2);
-    entropy_log2(k): exp(-n eps^2 / (2 gamma (log2 k)^2)), needs n >= 3.
-    """
-    return _gaussian_tail(ustar_engine.log_u2_closed_bound(n, g), eps)
-
-
-def corollary_right_exponent(n: int, g: GFunction, eps: float) -> float:
-    """Chernoff exponents of the printed right-tail closed forms.
+def _right_corollary(n: int, g: GFunction) -> Callable[[float], float]:
+    """eps -> the Chernoff exponent of the printed right-tail closed form of g at n.
 
     power(1) is the strongly sub-Gamma template at v = gamma/n and
     c = 3/(2(n+2)); power(a > 1) and entropy_log2(k) are the printed forms.
@@ -267,79 +243,99 @@ def corollary_right_exponent(n: int, g: GFunction, eps: float) -> float:
     z = a n^(2a-1) eps/(gamma_alpha (n-b)), is taken in log a, log gamma_alpha,
     log(n-b) and log n, since a, gamma_alpha and n^(2a-1) overflow.
     """
-    if eps < 0.0:
-        raise InvalidInputError("eps must be >= 0")
     if g.kind == "power" and g.alpha == 1.0:
         if n < 3:
             raise RegimeError("m0 right tail needs n >= 3")
-        return strongly_sub_gamma_exponent(
-            ustar_engine.gamma_const() / n, 3.0 / (2.0 * (n + 2.0)), eps
-        )
+        return functools.partial(strongly_sub_gamma_exponent,
+                                 ustar_engine.gamma_const() / n, 3.0 / (2.0 * (n + 2.0)))
     if g.kind == "power" and g.alpha > 1.0:
         alpha = g.alpha
         thr = 1.0 + 4.0 * alpha * alpha / (1.0 - alpha) ** 2
         if n <= thr:
             raise RegimeError(f"right tail for alpha={alpha:g} needs n > {thr:.4g}")
-        if eps == 0.0:
-            return 0.0
         b = 1.0 + 2.0 * alpha / (alpha - 1.0)
         log_a = math.log(b - 1.0) + alpha * math.log(2.0 * (alpha - 1.0) / (alpha + 1.0))
         log_ga, log_nb = ustar_engine.log_gamma_alpha(alpha), math.log(n - b)
-        log_z = log_a + math.log(eps) - log_ga - log_nb + (2.0 * alpha - 1.0) * math.log(n)
-        # log log1p(z): log z below z = e^-40, where z itself may underflow
-        log_l = log_z if log_z < -40.0 else math.log(
-            max(log_z, 0.0) + math.log1p(math.exp(-abs(log_z))))
-        log_second = log_ga - 2.0 * log_a + (3.0 - 2.0 * alpha) * log_nb + log_l
-        # a second term past e^709 gives E = -inf, the bound 1
-        second = math.exp(log_second) if log_second < 709.0 else math.inf
-        return math.exp(log_nb - log_a) * eps - second
+
+        def power_exponent(eps: float) -> float:
+            if eps == 0.0:
+                return 0.0
+            log_z = log_a + math.log(eps) - log_ga - log_nb + (2.0 * alpha - 1.0) * math.log(n)
+            # log log1p(z): log z below z = e^-40, where z itself may underflow
+            log_l = log_z if log_z < -40.0 else math.log(
+                max(log_z, 0.0) + math.log1p(math.exp(-abs(log_z))))
+            log_second = log_ga - 2.0 * log_a + (3.0 - 2.0 * alpha) * log_nb + log_l
+            # a second term past the double range gives E = -inf, the bound 1
+            second = math.inf if log_second > _LOG_MAX else math.exp(log_second)
+            return math.exp(log_nb - log_a) * eps - second
+        return power_exponent
     if g.kind == "entropy_log2":
         if n < 3:
             raise RegimeError("entropy right tail needs n >= 3")
         n0 = (n - 1.0) / 3.0 + _E
         log2n0 = math.log2(n0)
         gam_k = 2.0 * ustar_engine.gamma_const() * (1.0 / 3.0 + (_E - 1.0 / 3.0) / n) * math.log2(g.k_floor) ** 2
-        # log2 inside the bracket, exactly as printed; weaker than the ln
-        # form for small eps, where clamping makes the bound trivially 1.
-        return (2.0 * n0 / log2n0) * (
-            eps - (gam_k / log2n0) * math.log2(1.0 + eps * log2n0 / gam_k)
-        )
+
+        def entropy_exponent(eps: float) -> float:
+            # log2 inside the bracket, exactly as printed; weaker than the ln
+            # form for small eps, where clamping makes the bound trivially 1.
+            return (2.0 * n0 / log2n0) * (
+                eps - (gam_k / log2n0) * math.log2(1.0 + eps * log2n0 / gam_k)
+            )
+        return entropy_exponent
     raise InvalidInputError(f"no closed right tail for g = {g.descriptor()}")
 
 
-def corollary_right_tail(n: int, g: GFunction, eps: float) -> float:
-    return _clamp(corollary_right_exponent(n, g, eps))
+def _exponent(family: str, n: int, g: GFunction) -> Callable[[float], float]:
+    """The Chernoff exponent of one bound family at (n, g), as a function of
+    eps >= 0.  The family's (n, g) work is done here, once; an error it
+    raises is raised before any eps."""
+    if family == "subgauss":
+        sigma2 = 1.0 / (2.0 * n)
+        return lambda e: e * e / (2.0 * sigma2)
+    if family == "theorem2":
+        log_sigma2 = math.log(THEOREM2_VARIANCE_FACTOR) + 2.0 * math.log(ratio_sup(g)) - math.log(n)
+        return functools.partial(_gaussian_exponent, log_sigma2)
+    if family == "left_u2":
+        # log u_2 rises to one maximum and then falls, so its maximum over
+        # the declared domain p >= domain_min lies at max(argmax, domain_min)
+        p = max(ustar_engine.u_star(n, g, 2).argmax, g.domain_min)
+        return functools.partial(_gaussian_exponent, ustar_engine._log_u_r_at(p, n, g, 2))
+    if family == "left_corollary":
+        return functools.partial(_gaussian_exponent, ustar_engine.log_u2_closed_bound(n, g))
+    if family == "right_corollary":
+        return _right_corollary(n, g)
+    if family in ("ssg", "subgamma"):
+        order = 1
+    elif family.startswith("poly:"):
+        try:
+            order = int(family.split(":", 1)[1])
+        except ValueError:
+            raise InvalidInputError(f"bad filter order in family {family!r}")
+    else:
+        raise InvalidInputError(f"unknown bound family {family!r}")
+    spec = build_spec(n, g, order)
+    if family == "subgamma":
+        return functools.partial(sub_gamma_exponent, spec.v, spec.c)
+    # looked up at call time, so that a wrapper on the module attribute sees every solve
+    return functools.partial(poly_filtered_exponent, spec)
 
 
 def curve(family: str, n: int, g: GFunction, eps_grid: Sequence[float]) -> BoundCurve:
-    """Bound curve over an eps grid.
+    """Bound curve of one family over an eps grid; the only loop over eps.
 
     family: "subgauss" (sigma2 = 1/(2n), the e^[-n eps^2] reference curve),
-    "ssg" (strongly sub-Gamma: the order-1 spec, the same curve as "poly:1"),
-    "subgamma" (the sub-Gamma template on the order-1 spec's v = exact u*_2
-    and c = scale_parameter), or "poly:R".
+    "theorem2" (sigma2 = THEOREM2_VARIANCE_FACTOR ratio_sup(g)^2 / n),
+    "left_u2" (the exact left tail, sigma2 = u*_2 over the domain of g),
+    "left_corollary" (sigma2 from log_u2_closed_bound), "right_corollary"
+    (the printed right tails), "ssg" (the order-1 spec, as "poly:1"),
+    "subgamma" (the sub-Gamma template on the order-1 spec's v and c) or
+    "poly:R".  A regime or input error of the family comes before any eps.
     """
     if int(n) != n or n < 1:
         raise InvalidInputError("n must be an integer >= 1")
     eps_list = [float(e) for e in eps_grid]
     if any(e < 0.0 for e in eps_list):
         raise InvalidInputError("eps grid must be >= 0")
-    if family == "subgauss":
-        sigma2 = 1.0 / (2.0 * n)
-        exponents = tuple(e * e / (2.0 * sigma2) for e in eps_list)
-    else:
-        if family in ("ssg", "subgamma"):
-            order = 1
-        elif family.startswith("poly:"):
-            try:
-                order = int(family.split(":", 1)[1])
-            except ValueError:
-                raise InvalidInputError(f"bad filter order in family {family!r}")
-        else:
-            raise InvalidInputError(f"unknown bound family {family!r}")
-        spec = build_spec(n, g, order)
-        if family == "subgamma":
-            exponents = tuple(sub_gamma_exponent(spec.v, spec.c, e) for e in eps_list)
-        else:
-            exponents = tuple(poly_filtered_exponent(spec, e) for e in eps_list)
-    return BoundCurve(bounds=tuple(_clamp(x) for x in exponents), exponents=exponents)
+    exponents = tuple(map(_exponent(family, n, g), eps_list))
+    return BoundCurve(bounds=tuple(map(_clamp, exponents)), exponents=exponents)

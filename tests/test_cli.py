@@ -333,8 +333,8 @@ def test_estimate_deviation_bounds(tmp_path, capsys):
     dev = doc["deviation_bounds"]
     assert dev["eps"] == [0.05, 0.2]
     assert dev["g"] == "power:1"
-    assert dev["right"][0] == tb.corollary_right_tail(30, gf.power(1.0), 0.05)
-    assert dev["left"][1] == tb.corollary_left_tail(30, gf.power(1.0), 0.2)
+    assert dev["right"][0] == tb.curve("right_corollary", 30, gf.power(1.0), [0.05]).bounds[0]
+    assert dev["left"][1] == tb.curve("left_corollary", 30, gf.power(1.0), [0.2]).bounds[0]
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +393,8 @@ def test_bounds_regime_exit(capsys):
     assert code == 3
 
 
-@pytest.mark.parametrize("family", ["subgauss", "ssg", "subgamma", "poly:1", "poly:2"])
+@pytest.mark.parametrize("family", ["subgauss", "theorem2", "left_u2", "left_corollary",
+                                    "right_corollary", "ssg", "subgamma", "poly:1", "poly:2"])
 def test_bounds_at_huge_eps_are_zero_never_nan(family, capsys):
     # c*eps/v overflows in the Gamma-type exponents: inf, as on the others
     code, out, err = run(capsys, "bounds", "--family", family, "--g", "power:1",
@@ -428,6 +429,50 @@ def test_csv_row_in_one_step_matches_per_value_formatting():
     oracle = "a,b,c,d\n" + "".join(
         ",".join("%.15g" % float(v) for v in row) + "\n" for row in rows)
     assert cli._table(["a", "b", "c", "d"], rows, "csv") == oracle
+
+
+@pytest.mark.parametrize("argv,exponent", [
+    ("--family ssg --g power:1 --n 3 --eps-grid 1e308", "inf"),
+    # alpha = 2000 at n = 6: the second term of the closed form is about e^1387
+    ("--family right_corollary --g power:2000 --n 6 --eps-grid 0.1", "-inf"),
+])
+def test_bounds_json_is_strict_at_infinite_exponents(argv, exponent, capsys):
+    code, out, err = run(capsys, "bounds", *argv.split(), "--out", "json")
+    assert code == 0, err
+    (row,) = _finite_json(out)["rows"]
+    assert row[2] == exponent
+    assert row[1] == (0.0 if exponent == "inf" else 1.0)
+
+
+#: simulate --task tail bound column -> the bounds --family that prints it.
+_TAIL_COLUMN_FAMILIES = {
+    "right_subgauss_519": "theorem2",
+    "left_subgauss_519": "theorem2",
+    "left_exact_u2": "left_u2",
+    "right_poly_r2": "poly:2",
+    "left_corollary": "left_corollary",
+    "right_corollary": "right_corollary",
+}
+
+
+@pytest.mark.parametrize("n", ["20", "100"])
+@pytest.mark.parametrize("g", ["power:1", "power:2", "entropy:64"])
+def test_bounds_families_reproduce_tail_columns(g, n, capsys):
+    grid = "0.01:0.3:0.05"
+    code, out, err = run(capsys, "simulate", "--task", "tail", "--g", g, "--dist", "uniform:10",
+                         "--n-list", n, "--trials", "1000", "--eps-grid", grid, "--out", "json")
+    assert code == 0, err
+    doc = _finite_json(out)
+    columns = [list(col) for col in zip(*doc["rows"])]
+    table = dict(zip(doc["columns"], columns))
+    assert set(_TAIL_COLUMN_FAMILIES) <= set(table)
+    for name, family in _TAIL_COLUMN_FAMILIES.items():
+        code, out, err = run(capsys, "bounds", "--family", family, "--g", g, "--n", n,
+                             "--eps-grid", grid, "--out", "json")
+        assert code == 0, err
+        rows = _finite_json(out)["rows"]
+        assert [r[0] for r in rows] == table["eps"]
+        assert [r[1] for r in rows] == table[name], name
 
 
 def test_parser_built_once_keeps_no_state_between_calls(tmp_path, capsys):
@@ -777,7 +822,8 @@ _POOLS = {
                "zipf:10:nan", "zipf:10:inf", "zipf:10", "geometric:10:1e400",
                "geometric:1000000000000000:0.5", "explicit:", "explicit:missing.json",
                "nope:3", "uniform"],
-    "--family": ["subgauss", "ssg", "subgamma", "poly:5", "poly:171", "poly:1000000000000000",
+    "--family": ["subgauss", "theorem2", "left_u2", "left_corollary", "right_corollary",
+                 "ssg", "subgamma", "poly:5", "poly:171", "poly:1000000000000000",
                  "poly:", "poly:x", "poly:-1", "nope"],
     "--eps-grid": ["0:0.3:0.1", "0:1:1e-15", "0:1e400:1", "1:0:0.1", "a:b:c", "0,-1", ":",
                    "1,,2"],

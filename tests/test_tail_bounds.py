@@ -23,6 +23,16 @@ def ssg_tail(v, c, e):
     return tb.tail_bound(tb.PolyFiltered(1, (), v, c), e)
 
 
+def bound(family, n, g, e):
+    """The bound of one curve family at a single eps."""
+    return tb.curve(family, n, g, [e]).bounds[0]
+
+
+def exponent(family, n, g, e):
+    """The Chernoff exponent of one curve family at a single eps."""
+    return tb.curve(family, n, g, [e]).exponents[0]
+
+
 def sub_gamma_tail(v, c, e):
     return min(1.0, math.exp(-tb.sub_gamma_exponent(v, c, e)))
 
@@ -81,7 +91,7 @@ def test_exponents_zero_at_zero_and_increasing():
 
 
 def test_tails_clamped_to_one():
-    assert tb.theorem2_sub_gaussian_right(10, P1, 0.0) == 1.0
+    assert bound("theorem2", 10, P1, 0.0) == 1.0
     assert sub_gamma_tail(0.5, 0.5, 0.0) == 1.0
     assert 0.0 < ssg_tail(0.5, 0.5, 3.0) <= 1.0
 
@@ -324,7 +334,7 @@ def test_theorem2_right_tail_oracle():
         ratio = gf.ratio_sup(g)
         s2 = tb.THEOREM2_VARIANCE_FACTOR * ratio**2 / n
         for e in (0.05, 0.3):
-            assert tb.theorem2_sub_gaussian_right(n, g, e) == pytest.approx(
+            assert bound("theorem2", n, g, e) == pytest.approx(
                 math.exp(-e * e / (2.0 * s2)), rel=1e-14, abs=0
             )
 
@@ -337,7 +347,7 @@ def test_theorem2_variance_factor_not_below_two_kappa():
 def test_left_tail_exact_oracle():
     n, e = 20, 0.098
     v = u_star(n, P1, 2).value
-    assert tb.left_tail(n, P1, e) == pytest.approx(math.exp(-e * e / (2.0 * v)), rel=1e-13, abs=0)
+    assert bound("left_u2", n, P1, e) == pytest.approx(math.exp(-e * e / (2.0 * v)), rel=1e-13, abs=0)
 
 
 def test_left_tail_from_log_u2_where_u2_underflows():
@@ -350,11 +360,11 @@ def test_left_tail_from_log_u2_where_u2_underflows():
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         want = float(mpmath.exp(-mpmath.mpf(eps) ** 2 / (2 * mpmath.exp(res.log_value))))
-    assert tb.left_tail(n, g, eps) == pytest.approx(want, rel=1e-12, abs=0)
-    assert tb.left_tail(n, g, 0.1) == 0.0
-    assert tb.left_tail(n, g, 0.0) == 1.0
+    assert bound("left_u2", n, g, eps) == pytest.approx(want, rel=1e-12, abs=0)
+    assert bound("left_u2", n, g, 0.1) == 0.0
+    assert bound("left_u2", n, g, 0.0) == 1.0
     with pytest.raises(InvalidInputError):
-        tb.left_tail(n, g, -0.1)
+        bound("left_u2", n, g, -0.1)
 
 
 def test_left_tail_entropy_floor():
@@ -363,7 +373,7 @@ def test_left_tail_entropy_floor():
     e = 0.15
     res = u_star(20, E64, 2)
     assert res.argmax > 1.0 / 64.0
-    assert tb.left_tail(20, E64, e) == tb._gaussian_tail(res.log_value, e)
+    assert exponent("left_u2", 20, E64, e) == tb._gaussian_exponent(res.log_value, e)
     n = 200
     assert u_star(n, E64, 2).argmax < 1.0 / 64.0
     mpmath = pytest.importorskip("mpmath")
@@ -373,15 +383,15 @@ def test_left_tail_entropy_floor():
         log_u2 = (2 * mpmath.log(p * mpmath.log(1 / p) / mpmath.log(2)) + t
                   + mpmath.log(-mpmath.expm1(t)) - mpmath.log(p))
         want = float(mpmath.exp(-mpmath.mpf(e) ** 2 / (2 * mpmath.exp(log_u2))))
-    assert tb.left_tail(n, E64, e) == pytest.approx(want, rel=1e-13, abs=0)
+    assert bound("left_u2", n, E64, e) == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_left_tail_at_the_largest_power_alpha_is_zero():
     # log u*_2 of power:1.7e308 is about -3.4e296, finite, so the exponent
     # eps^2 / (2 u*_2) is +inf for eps > 0 and the bound is 0
     g = gf.power(1.7e308)
-    assert tb.left_tail(20, g, 0.1) == 0.0
-    assert tb.left_tail(20, g, 0.0) == 1.0
+    assert bound("left_u2", 20, g, 0.1) == 0.0
+    assert bound("left_u2", 20, g, 0.0) == 1.0
 
 
 @pytest.mark.parametrize("g", [P1, P2, E64], ids=["power1", "power2", "entropy64"])
@@ -389,42 +399,42 @@ def test_left_tail_closed_form_never_tighter(g):
     # the closed form replaces u*_2 by an upper bound, so its tail is larger
     for n in (10, 100):
         for e in (0.02, 0.1, 0.3):
-            closed = tb.corollary_left_tail(n, g, e)
-            assert tb.left_tail(n, g, e) <= closed + 1e-15
+            closed = bound("left_corollary", n, g, e)
+            assert bound("left_u2", n, g, e) <= closed + 1e-15
 
 
 def test_corollary_left_identity_alpha_one():
     n, e = 50, 0.1
     want = math.exp(-n * e * e / (2.0 * gamma_const()))
-    assert tb.corollary_left_tail(n, P1, e) == pytest.approx(want, rel=1e-13, abs=0)
+    assert bound("left_corollary", n, P1, e) == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_corollary_left_entropy_oracle():
     n, k, e = 50, 64, 0.2
     want = math.exp(-n * e * e / (2.0 * gamma_const() * math.log2(k) ** 2))
-    assert tb.corollary_left_tail(n, gf.entropy_log2(k), e) == pytest.approx(want, rel=1e-13, abs=0)
+    assert bound("left_corollary", n, gf.entropy_log2(k), e) == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def test_corollary_left_regimes():
     with pytest.raises(RegimeError):
-        tb.corollary_left_tail(2, gf.entropy_log2(16), 0.1)
+        bound("left_corollary", 2, gf.entropy_log2(16), 0.1)
     with pytest.raises(InvalidInputError):
-        tb.corollary_left_tail(50, gf.power(0.5), 0.1)
+        bound("left_corollary", 50, gf.power(0.5), 0.1)
     with pytest.raises(InvalidInputError):
-        tb.corollary_left_tail(50, P1, -0.1)
+        bound("left_corollary", 50, P1, -0.1)
 
 
 def test_corollary_left_tail_underflowed_variance():
     # u2_closed_bound(10^6, power(50)) underflows to 0: the bound rounds to 0
     # for eps > 0 and stays the trivial 1 at eps = 0
-    assert tb.corollary_left_tail(10**6, gf.power(50), 0.1) == 0.0
-    assert tb.corollary_left_tail(10**6, gf.power(50), 0.0) == 1.0
+    assert bound("left_corollary", 10**6, gf.power(50), 0.1) == 0.0
+    assert bound("left_corollary", 10**6, gf.power(50), 0.0) == 1.0
 
 
 def test_corollaries_reject_g_without_closed_form():
-    for fn in (tb.corollary_left_tail, tb.corollary_right_tail):
+    for family in ("left_corollary", "right_corollary"):
         with pytest.raises(InvalidInputError):
-            fn(50, gf.power(0.5), 0.1)
+            bound(family, 50, gf.power(0.5), 0.1)
 
 
 @pytest.mark.parametrize("n", [20, 100])
@@ -434,7 +444,7 @@ def test_corollary_right_m0_is_ssg_with_gamma_variance(n):
     v = gamma_const() / n
     c = 3.0 / (2.0 * (n + 2.0))
     for e in (0.01, 0.05, 0.1, 0.3, 0.6):
-        assert tb.corollary_right_tail(n, P1, e) == pytest.approx(
+        assert bound("right_corollary", n, P1, e) == pytest.approx(
             ssg_tail(v, c, e), rel=1e-12, abs=0
         )
 
@@ -444,7 +454,7 @@ def test_corollary_right_m0_closed_form_spot():
     n, e = 20, 0.1
     gam_n = gamma_const() * (1.0 + 2.0 / n)
     expo = (2.0 * (n + 2.0) / 3.0) * (e - (2.0 * gam_n / 3.0) * math.log(1.0 + 3.0 * e / (2.0 * gam_n)))
-    assert tb.corollary_right_tail(n, P1, e) == pytest.approx(math.exp(-expo), rel=1e-12, abs=0)
+    assert bound("right_corollary", n, P1, e) == pytest.approx(math.exp(-expo), rel=1e-12, abs=0)
 
 
 def test_corollary_right_m0alpha_weaker_than_exact_ssg():
@@ -454,15 +464,15 @@ def test_corollary_right_m0alpha_weaker_than_exact_ssg():
     v = u_star(n, g, 2).value
     c = scale_parameter(n, g)
     for e in (1e-4, 1e-3, 1e-2):
-        closed = tb.corollary_right_tail(n, g, e)
+        closed = bound("right_corollary", n, g, e)
         exact = ssg_tail(v, c, e)
         assert closed >= exact - 1e-15
 
 
 def test_corollary_right_m0alpha_regime():
     with pytest.raises(RegimeError):
-        tb.corollary_right_tail(17, P2, 0.1)  # needs n > 17
-    tb.corollary_right_tail(18, P2, 0.1)
+        bound("right_corollary", 17, P2, 0.1)  # needs n > 17
+    bound("right_corollary", 18, P2, 0.1)
 
 
 @pytest.mark.parametrize("alpha,n,eps", [
@@ -485,14 +495,14 @@ def test_corollary_right_large_alpha_matches_mpmath(alpha, n, eps):
         want = ((n - b) / a) * e - (ga / (a * a)) * (n - b) ** (3 - 2 * alpha) * mpmath.log1p(
             a * mpmath.mpf(n) ** (2 * alpha - 1) * e / (ga * (n - b)))
         want = float(want)
-    assert tb.corollary_right_exponent(n, gf.power(alpha), eps) == pytest.approx(want, rel=1e-12, abs=0)
+    assert exponent("right_corollary", n, gf.power(alpha), eps) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_corollary_right_second_term_past_double_range():
     # alpha = 2000 at n = 6: the second term is about e^1387, so E = -inf
     g = gf.power(2000.0)
-    assert tb.corollary_right_exponent(6, g, 0.1) == -math.inf
-    assert tb.corollary_right_tail(6, g, 0.1) == 1.0
+    assert exponent("right_corollary", 6, g, 0.1) == -math.inf
+    assert bound("right_corollary", 6, g, 0.1) == 1.0
 
 
 def test_corollary_right_entropy_clamps_and_decays():
@@ -500,9 +510,9 @@ def test_corollary_right_entropy_clamps_and_decays():
     # closed form only bites once eps is an appreciable fraction of that
     n, k = 100, 1024
     g = gf.entropy_log2(k)
-    small = tb.corollary_right_tail(n, g, 0.01)
+    small = bound("right_corollary", n, g, 0.01)
     assert small == 1.0
-    vals = [tb.corollary_right_tail(n, g, e) for e in (4.0, 5.0, 6.0)]
+    vals = [bound("right_corollary", n, g, e) for e in (4.0, 5.0, 6.0)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
     assert vals[0] < 1.0
 
@@ -511,8 +521,8 @@ def test_corollary_right_entropy_far_below_zero_clamps_to_one():
     # n = 1e9, k = 1e6 at eps = 0.01: the printed form's exponent is far
     # below -709, where exp(-E) overflows; the bound is the trivial 1
     g = gf.entropy_log2(10**6)
-    assert tb.corollary_right_exponent(10**9, g, 0.01) < -710.0
-    assert tb.corollary_right_tail(10**9, g, 0.01) == 1.0
+    assert exponent("right_corollary", 10**9, g, 0.01) < -710.0
+    assert bound("right_corollary", 10**9, g, 0.01) == 1.0
 
 
 def test_curve_subgauss_matches_exponential_rate():
