@@ -344,7 +344,7 @@ def read_tokens(path: str) -> SampleProfile:
     if not counts.size:
         raise InvalidInputError(f"no tokens found in {path}")
     ls, phi = np.unique(counts, return_counts=True)
-    return profile_from_phi(dict(zip(ls.tolist(), phi.tolist())), int(counts.sum()))
+    return profile_from_phi(dict(zip(ls.tolist(), phi.tolist())))
 
 
 def _split_pair(line: str, path: str) -> Tuple[str, str]:
@@ -392,9 +392,9 @@ def read_count_csv(path: str) -> SampleProfile:
     return profile_from_counts(counts)
 
 
-def read_phi_csv(path: str, n: int) -> SampleProfile:
-    """Lines of l,phi_l; requires the total sample size n."""
-    return profile_from_phi(_read_pairs(path, int), n)
+def read_phi_csv(path: str) -> SampleProfile:
+    """Lines of l,phi_l; the sample size is sum l*phi_l."""
+    return profile_from_phi(_read_pairs(path, int))
 
 
 def phi_csv(profile: SampleProfile) -> str:
@@ -444,9 +444,10 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     elif args.format == "counts":
         profile = read_count_csv(args.input)
     else:
-        if args.n is None:
-            raise InvalidInputError("--format phi requires --n")
-        profile = read_phi_csv(args.input, args.n)
+        profile = read_phi_csv(args.input)
+        if args.n not in (None, profile.n):
+            raise InvalidInputError(
+                f"inconsistent profile: sum of l*phi_l = {profile.n} != --n {args.n}")
 
     report: Dict[str, object] = {
         "n": profile.n,
@@ -619,8 +620,9 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--format", choices=("tokens", "counts", "phi"),
                     default="tokens",
                     help="tokens: one token per line; counts: token,count "
-                         "rows; phi: l,phi_l rows (needs --n)")
-    pe.add_argument("--n", type=int, help="sample size (phi format only)")
+                         "rows; phi: l,phi_l rows")
+    pe.add_argument("--n", type=int, help="phi format only: the sample size, checked "
+                                          "against sum l*phi_l (default: that sum)")
     pe.add_argument("--alpha", type=int,
                     help="also report the order-alpha estimator; bias bound "
                          "needs n > 2*alpha")

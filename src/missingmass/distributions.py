@@ -159,25 +159,28 @@ def sample(dist: DiscreteDistribution, n: int, seed: int) -> np.ndarray:
     return np.minimum(idx, np.flatnonzero(dist.probs)[-1], out=idx)
 
 
+def _g_vector(dist: DiscreteDistribution, g: GFunction) -> np.ndarray:
+    """g(p_x) aligned with the support; zero-probability letters contribute 0."""
+    gv = np.zeros(dist.size, dtype=float)
+    mask = dist.probs > 0.0
+    gv[mask] = g.eval(dist.probs[mask])
+    return gv
+
+
 def _zero_hit_prob(p: np.ndarray, n: int) -> np.ndarray:
-    """(1-p)^n elementwise via exp(n*log1p(-p)); stable for small p, large n."""
-    out = np.zeros_like(p)
+    """(1-p)^n elementwise via exp(n*log1p(-p)); stable for small p, large n.
+    At p = 1 it is 0^n, which is 1 at n = 0."""
+    if int(n) != n or n < 0:
+        raise InvalidInputError("n must be an integer >= 0")
+    out = np.full_like(p, 0.0**n)
     inside = p < 1.0
-    out[inside] = np.exp(n * np.log1p(-p[inside]))
+    out[inside] = np.exp(int(n) * np.log1p(-p[inside]))
     return out
 
 
 def expected_missing(dist: DiscreteDistribution, n: int, g: GFunction) -> float:
-    """E[G0] = sum_x g(p_x) (1-p_x)^n, zero-probability letters skipped."""
-    if int(n) != n or n < 0:
-        raise InvalidInputError("n must be an integer >= 0")
-    p = dist.probs[dist.probs > 0.0]
-    if p.size == 0:
-        return 0.0
-    gv = np.asarray(g.eval(p), dtype=float)
-    if n == 0:
-        return float(np.sum(gv))
-    return float(np.sum(gv * _zero_hit_prob(p, int(n))))
+    """E[G0] = sum_x g(p_x) (1-p_x)^n."""
+    return float(np.sum(_zero_hit_prob(dist.probs, n) * _g_vector(dist, g)))
 
 
 def variance_sum_bound(dist: DiscreteDistribution, n: int, g: GFunction) -> float:
@@ -186,13 +189,6 @@ def variance_sum_bound(dist: DiscreteDistribution, n: int, g: GFunction) -> floa
     Each term is the variance of g(p_x) I(F_x = 0); negative association of
     the indicators makes the sum an upper bound on Var(G0).
     """
-    if int(n) != n or n < 0:
-        raise InvalidInputError("n must be an integer >= 0")
-    if n == 0:
-        return 0.0
-    p = dist.probs[dist.probs > 0.0]
-    if p.size == 0:
-        return 0.0
-    gv = np.asarray(g.eval(p), dtype=float)
-    qn = _zero_hit_prob(p, int(n))
+    qn = _zero_hit_prob(dist.probs, n)
+    gv = _g_vector(dist, g)
     return float(np.sum(gv * gv * qn * (1.0 - qn)))

@@ -1,9 +1,10 @@
 """Sample profiles and realized missing/observed mass.
 
-A profile is the sample size n and the frequency of frequencies
-phi_l = #{x : F_x = l}, where F_x counts the occurrences of letter x.  The
-estimators read nothing else.  The realized missing mass against a known
-distribution is computed from the sample itself.
+A profile is the frequency of frequencies phi_l = #{x : F_x = l}, where F_x
+counts the occurrences of letter x, and the sample size n = sum_l l phi_l it
+implies.  The estimators read nothing else.  The realized missing mass
+against a known distribution is computed from the sample itself, on the
+g vector of distributions._g_vector.
 """
 
 from __future__ import annotations
@@ -14,32 +15,29 @@ from typing import Dict, Mapping
 
 import numpy as np
 
-from .distributions import DiscreteDistribution
+from .distributions import DiscreteDistribution, _g_vector
 from .errors import InvalidInputError
 from .gfunction import GFunction
 
 
 @dataclass(frozen=True)
 class SampleProfile:
-    """n and phi {l: phi_l, l >= 1}.
+    """phi {l: phi_l, l >= 1} and the sample size n = sum_l l phi_l it implies.
 
     phi_0 is never stored: the number of unseen symbols is unknowable without
     the support.
     """
 
-    n: int
     phi: Dict[int, int]
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 0:
-            raise InvalidInputError("profile n must be an integer >= 0")
         for l, cnt in self.phi.items():
             if int(l) != l or l < 1 or int(cnt) != cnt or cnt < 0:
                 raise InvalidInputError("phi must map integers l >= 1 to counts >= 0")
-        if sum(l * c for l, c in self.phi.items()) != self.n:
-            raise InvalidInputError(
-                f"inconsistent profile: sum of l*phi_l != n = {self.n}"
-            )
+
+    @property
+    def n(self) -> int:
+        return sum(l * c for l, c in self.phi.items())
 
 
 def profile_from_samples(seq) -> SampleProfile:
@@ -57,13 +55,12 @@ def profile_from_counts(counts: Mapping) -> SampleProfile:
         if int(cnt) != cnt or cnt < 1:
             sym = next(s for s, c in counts.items() if c == cnt)
             raise InvalidInputError(f"count for symbol {sym!r} must be >= 1")
-    phi = {int(l): c for l, c in phi.items()}
-    return SampleProfile(n=sum(l * c for l, c in phi.items()), phi=phi)
+    return SampleProfile(phi={int(l): c for l, c in phi.items()})
 
 
-def profile_from_phi(phi: Mapping[int, int], n: int) -> SampleProfile:
-    """Profile from a frequency-of-frequencies table; validates sum l*phi_l = n."""
-    return SampleProfile(n=int(n), phi={int(l): int(c) for l, c in phi.items()})
+def profile_from_phi(phi: Mapping[int, int]) -> SampleProfile:
+    """Profile from a frequency-of-frequencies table; n is sum l*phi_l."""
+    return SampleProfile(phi={int(l): int(c) for l, c in phi.items()})
 
 
 def _seen_mask(dist: DiscreteDistribution, sample) -> np.ndarray:
@@ -82,12 +79,12 @@ def _seen_mask(dist: DiscreteDistribution, sample) -> np.ndarray:
 
 
 def realized_missing(dist: DiscreteDistribution, sample, g: GFunction) -> float:
-    """G0 = sum of g(p_x) over unseen letters x with p_x > 0."""
-    mask = ~_seen_mask(dist, sample) & (dist.probs > 0.0)
-    return float(np.sum(g.eval(dist.probs[mask]))) if mask.any() else 0.0
+    """G0 = sum of g(p_x) over unseen letters x."""
+    unseen = ~_seen_mask(dist, sample)
+    return float(np.sum(_g_vector(dist, g)[unseen]))
 
 
 def realized_observed(dist: DiscreteDistribution, sample, g: GFunction) -> float:
     """G1+ = sum of g(p_x) over seen letters; G0 + G1+ = sum_x g(p_x)."""
-    mask = _seen_mask(dist, sample)
-    return float(np.sum(g.eval(dist.probs[mask]))) if mask.any() else 0.0
+    seen = _seen_mask(dist, sample)
+    return float(np.sum(_g_vector(dist, g)[seen]))

@@ -6,6 +6,10 @@ elements per block array), never on the thread count.  Block b of an
 experiment at sample size n draws from its own RNG, seeded with
 SeedSequence((seed, n, b)), so a fixed seed gives byte-identical results, and
 a run of T trials reproduces the first T trials of any longer run.
+
+g on the support is distributions._g_vector, the vector expected_missing
+reads.  The Dirichlet closed form and its Monte Carlo check read one set of
+posterior factors, _posterior_factors.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from . import tail_bounds
-from .distributions import DiscreteDistribution, _inverse_cdf, expected_missing
+from .distributions import DiscreteDistribution, _g_vector, _inverse_cdf, expected_missing
 from .errors import InvalidInputError, NumericalError, RegimeError
 from .estimators import EstimatorKind, gt_value
 from .gfunction import GFunction, power
@@ -109,14 +113,6 @@ def _mean_se(values: np.ndarray) -> Tuple[float, float]:
     trials = values.size
     se = float(np.std(values, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return float(np.mean(values)), se
-
-
-def _g_vector(dist: DiscreteDistribution, g: GFunction) -> np.ndarray:
-    """g(p_x) aligned with the support; zero-probability letters contribute 0."""
-    gv = np.zeros(dist.size, dtype=float)
-    mask = dist.probs > 0.0
-    gv[mask] = g.eval(dist.probs[mask])
-    return gv
 
 
 def _estimate_errors(
@@ -227,11 +223,6 @@ def mc_tail(
     )
 
 
-def _tau_log(u: float, v: float) -> float:
-    """log tau(u, v) = log Gamma(u+v) - log Gamma(u)."""
-    return math.lgamma(u + v) - math.lgamma(u)
-
-
 def _dirichlet_setup(n: int, c_param: float, alpha: int) -> Tuple[int, float]:
     if int(n) != n or n < 2:
         raise InvalidInputError("need integer n >= 2")
@@ -251,15 +242,40 @@ def _expm1_gain(d: float) -> float:
     return 1.0 + 1.0 / abs(d) if d else math.inf
 
 
+def _posterior_factors(
+    n: int, beta0: float, alpha: int
+) -> Tuple[Tuple[float, float, float], Tuple[float, float, float]]:
+    """Posterior factors of Var(M_[0,alpha] | m unseen letters), each of
+    weight u = 1/n out of beta0 + n: for unseen w != w', E[w^2a] - E[w^a]^2
+    = A2 - A3 and E[w^a w'^a] - E[w^a]^2 = A5 (A6 - A7), so that
+    Var = (A2 - A3) m + A5 (A6 - A7) m(m-1).  Both differences nearly
+    cancel: each is -A expm1(d) from its log gap d = log(A3/A2), log(A7/A6).
+    Returns (A2 - A3, log A5, A6 - A7) and, for a rounding estimate,
+    (sum of |log A_i|, d23, d67).
+    """
+    l2 = np.arange(2 * alpha, dtype=float)
+    l1 = np.arange(alpha, dtype=float)
+    log_a2 = float(np.sum(np.log(1.0 / n + l2) - np.log(beta0 + n + l2)))
+    log_a3 = 2.0 * float(np.sum(np.log(1.0 / n + l1) - np.log(beta0 + n + l1)))
+    log_a5 = 2.0 * float(np.sum(np.log(1.0 / n + l1)))
+    log_a6 = -float(np.sum(np.log(beta0 + n + l2)))
+    log_a7 = -2.0 * float(np.sum(np.log(beta0 + n + l1)))
+    d23, d67 = log_a3 - log_a2, log_a7 - log_a6
+    logs = sum(map(abs, (log_a2, log_a3, log_a5, log_a6, log_a7)))
+    factors = (-math.exp(log_a2) * math.expm1(d23), log_a5, -math.exp(log_a6) * math.expm1(d67))
+    return factors, (logs, d23, d67)
+
+
 def dirichlet_prior_variance(n: int, c_param: float, alpha: int) -> float:
     """Average conditional variance of the order-alpha missing mass under a
     symmetric Dirichlet prior with k = c n^2 letters and weights 1/n:
 
-        T = k A1 (A2 - A3) + k(k-1) A4 A5 (A6 - A7).
+        T = k A1 (A2 - A3) + k(k-1) A4 A5 (A6 - A7),
 
-    A1, A4 (products of n near-unity factors) go through sum-log1p; the
-    near-cancelling differences go through exp/expm1.  Falls like
-    n^-(2a-1) and lower-bounds the minimax risk of estimating M_[0,alpha].
+    where k A1 = E[m] and k(k-1) A4 = E[m(m-1)] for the number m of unseen
+    letters, and the rest are _posterior_factors.  A1, A4 (products of n
+    near-unity factors) go through sum-log1p.  Falls like n^-(2a-1) and
+    lower-bounds the minimax risk of estimating M_[0,alpha].
 
     Raises NumericalError where T leaves the double range, and where the two
     terms cancel past what their own rounding supports: each term carries
@@ -271,30 +287,19 @@ def dirichlet_prior_variance(n: int, c_param: float, alpha: int) -> float:
     """
     k, beta0 = _dirichlet_setup(n, c_param, alpha)
     n = int(n)
-    alpha = int(alpha)
-    l_n = np.arange(n, dtype=float)
-    denom = n * (beta0 + l_n)
+    denom = n * (beta0 + np.arange(n, dtype=float))
     log_a1 = float(np.sum(np.log1p(-1.0 / denom)))
     log_a4 = float(np.sum(np.log1p(-2.0 / denom)))
-
-    l2 = np.arange(2 * alpha, dtype=float)
-    l1 = np.arange(alpha, dtype=float)
-    log_a2 = float(np.sum(np.log(1.0 / n + l2) - np.log(beta0 + n + l2)))
-    log_a3 = 2.0 * float(np.sum(np.log(1.0 / n + l1) - np.log(beta0 + n + l1)))
-    log_a5 = 2.0 * float(np.sum(np.log(1.0 / n + l1)))
-    log_a6 = -float(np.sum(np.log(beta0 + n + l2)))
-    log_a7 = -2.0 * float(np.sum(np.log(beta0 + n + l1)))
-
-    d23, d67 = log_a3 - log_a2, log_a7 - log_a6
+    (single, log_a5, diff67), (logs, d23, d67) = _posterior_factors(n, beta0, alpha)
     try:
-        term1 = k * math.exp(log_a1) * (-math.exp(log_a2) * math.expm1(d23))
-        term2 = k * (k - 1.0) * math.exp(log_a4 + log_a5) * (-math.exp(log_a6) * math.expm1(d67))
+        term1 = k * math.exp(log_a1) * single
+        term2 = k * (k - 1.0) * math.exp(log_a4 + log_a5) * diff67
     except OverflowError:
         term1 = term2 = math.nan
     out = term1 + term2
     if not math.isfinite(out):
         raise NumericalError(f"Dirichlet prior variance at k = {k:.3g} leaves the double range")
-    logs = sum(map(abs, (log_a1, log_a2, log_a3, log_a4, log_a5, log_a6, log_a7)))
+    logs += abs(log_a1) + abs(log_a4)
     err = 2.0**-52 * logs * (abs(term1) * _expm1_gain(d23) + abs(term2) * _expm1_gain(d67))
     if not err <= _DIRICHLET_REL_TOL * abs(out):
         raise NumericalError(
@@ -330,24 +335,20 @@ def dirichlet_mc_variance(
     seed: int,
 ) -> Tuple[float, float]:
     """Monte Carlo estimate (mean, se) of E[Var(M_[0,alpha] | X^n)] under the
-    same Dirichlet prior, via the posterior tau-ratio closed form.
+    same Dirichlet prior.
 
     Given the sample, the conditional variance depends only on the number m
-    of unseen letters: Var = A m(m-1) + B m with A, B from posterior moments
-    (unseen letters are exchangeable with weight 1/n each).
+    of unseen letters (they are exchangeable, with weight 1/n each):
+    Var = (A2 - A3) m + A5 (A6 - A7) m(m-1), from _posterior_factors.
     """
     if trials < 100:
         raise InvalidInputError("needs trials >= 100")
     k, beta0 = _dirichlet_setup(n, c_param, alpha)
     n = int(n)
-    u, total = 1.0 / n, beta0 + n
-    e1_log = _tau_log(u, alpha) - _tau_log(total, alpha)
-    e2_log = _tau_log(u, 2 * alpha) - _tau_log(total, 2 * alpha)
-    e11_log = 2.0 * _tau_log(u, alpha) - _tau_log(total, 2 * alpha)
-    pair_coef = math.exp(e11_log) - math.exp(2.0 * e1_log)
-    single_coef = math.exp(e2_log) - math.exp(2.0 * e1_log)
+    (single, log_a5, diff67), _ = _posterior_factors(n, beta0, alpha)
+    pair = math.exp(log_a5) * diff67
     m = _polya_unseen(k, n, trials, seed)
-    return _mean_se(pair_coef * m * (m - 1.0) + single_coef * m)
+    return _mean_se(pair * m * (m - 1.0) + single * m)
 
 
 def rate_fit(pairs: Sequence[Tuple[float, float]]) -> Tuple[float, float]:

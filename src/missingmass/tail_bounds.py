@@ -206,13 +206,12 @@ def build_spec(n: int, g: GFunction, R: int) -> PolyFiltered:
     u*_[R+1] and c^(R-1) may underflow where v does not.  The ratio chain
     keeps every a_r >= 0 (a materially negative one is an internal error)
     and v <= u*_2.  R = 1 gives the strongly sub-Gamma spec v = u*_2.
-    power(alpha < 1) breaks the ratio chain and is rejected, and so is R
-    above _MAX_ORDER.  Raises NumericalError where v is not a normal double.
+    ratio_sup rejects power(alpha < 1), which breaks the ratio chain, and R
+    above _MAX_ORDER is rejected.  Raises NumericalError where v is not a normal double.
     """
     if int(R) != R or not 1 <= R <= _MAX_ORDER:
         raise InvalidInputError(f"build_spec needs integer R in [1, {_MAX_ORDER}]")
-    if g.kind == "power" and g.alpha < 1.0:
-        raise InvalidInputError("concentration specs require power alpha >= 1")
+    ratio_sup(g)
     c = ustar_engine.scale_parameter(n, g)
     log_c = math.log(c)
     log_u = {r: ustar_engine.u_star(n, g, r).log_value for r in range(2, R + 2)}
@@ -239,6 +238,7 @@ def _right_corollary(n: int, g: GFunction) -> Callable[[float], float]:
 
     power(1) is the strongly sub-Gamma template at v = gamma/n and
     c = 3/(2(n+2)); power(a > 1) and entropy_log2(k) are the printed forms.
+    curve's ratio_sup gate leaves no other g.
     The power(a > 1) form ((n-b)/a) eps - (gamma_alpha/a^2) (n-b)^(3-2a) log1p(z),
     z = a n^(2a-1) eps/(gamma_alpha (n-b)), is taken in log a, log gamma_alpha,
     log(n-b) and log n, since a, gamma_alpha and n^(2a-1) overflow.
@@ -269,21 +269,19 @@ def _right_corollary(n: int, g: GFunction) -> Callable[[float], float]:
             second = math.inf if log_second > _LOG_MAX else math.exp(log_second)
             return math.exp(log_nb - log_a) * eps - second
         return power_exponent
-    if g.kind == "entropy_log2":
-        if n < 3:
-            raise RegimeError("entropy right tail needs n >= 3")
-        n0 = (n - 1.0) / 3.0 + _E
-        log2n0 = math.log2(n0)
-        gam_k = 2.0 * ustar_engine.gamma_const() * (1.0 / 3.0 + (_E - 1.0 / 3.0) / n) * math.log2(g.k_floor) ** 2
+    if n < 3:
+        raise RegimeError("entropy right tail needs n >= 3")
+    n0 = (n - 1.0) / 3.0 + _E
+    log2n0 = math.log2(n0)
+    gam_k = 2.0 * ustar_engine.gamma_const() * (1.0 / 3.0 + (_E - 1.0 / 3.0) / n) * math.log2(g.k_floor) ** 2
 
-        def entropy_exponent(eps: float) -> float:
-            # log2 inside the bracket, exactly as printed; weaker than the ln
-            # form for small eps, where clamping makes the bound trivially 1.
-            return (2.0 * n0 / log2n0) * (
-                eps - (gam_k / log2n0) * math.log2(1.0 + eps * log2n0 / gam_k)
-            )
-        return entropy_exponent
-    raise InvalidInputError(f"no closed right tail for g = {g.descriptor()}")
+    def entropy_exponent(eps: float) -> float:
+        # log2 inside the bracket, exactly as printed; weaker than the ln
+        # form for small eps, where clamping makes the bound trivially 1.
+        return (2.0 * n0 / log2n0) * (
+            eps - (gam_k / log2n0) * math.log2(1.0 + eps * log2n0 / gam_k)
+        )
+    return entropy_exponent
 
 
 def _exponent(family: str, n: int, g: GFunction) -> Callable[[float], float]:
@@ -330,10 +328,12 @@ def curve(family: str, n: int, g: GFunction, eps_grid: Sequence[float]) -> Bound
     "left_corollary" (sigma2 from log_u2_closed_bound), "right_corollary"
     (the printed right tails), "ssg" (the order-1 spec, as "poly:1"),
     "subgamma" (the sub-Gamma template on the order-1 spec's v and c) or
-    "poly:R".  A regime or input error of the family comes before any eps.
+    "poly:R".  ratio_sup rejects power(alpha < 1) for every family, then the
+    family's own regime or input errors come, all before any eps.
     """
     if int(n) != n or n < 1:
         raise InvalidInputError("n must be an integer >= 1")
+    ratio_sup(g)
     eps_list = [float(e) for e in eps_grid]
     if any(e < 0.0 for e in eps_list):
         raise InvalidInputError("eps grid must be >= 0")

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Tuple
 
 from .errors import InvalidInputError, RegimeError
-from .gfunction import GFunction
+from .gfunction import GFunction, ratio_sup
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -250,12 +250,12 @@ def log_u2_closed_bound(n: int, g: GFunction) -> float:
 
     power(alpha >= 1):  gamma_alpha / n^(2*alpha-1),
                         valid for n >= (2a-1) ln2 / (2a-1-ln2);
-    entropy_log2(k):    (log2 k)^2 gamma / n, valid for n >= 3.
+    entropy_log2(k):    ratio_sup(g)^2 gamma / n = (log2 k)^2 gamma / n, n >= 3.
+    ratio_sup rejects power(alpha < 1).
     """
+    ratio = ratio_sup(g)
     if g.kind == "power":
         a = g.alpha
-        if a < 1.0:
-            raise InvalidInputError("closed u*_2 bound requires alpha >= 1")
         thr = (2.0 * a - 1.0) * _LN2 / (2.0 * a - 1.0 - _LN2)
         if n < thr:
             raise RegimeError(
@@ -264,7 +264,7 @@ def log_u2_closed_bound(n: int, g: GFunction) -> float:
         return log_gamma_alpha(a) - (2.0 * a - 1.0) * math.log(n)
     if n < 3:
         raise RegimeError("entropy u*_2 bound needs n >= 3")
-    return 2.0 * math.log(math.log2(g.k_floor)) + log_gamma_alpha(1.0) - math.log(n)
+    return 2.0 * math.log(ratio) + log_gamma_alpha(1.0) - math.log(n)
 
 
 def scale_parameter(n: int, g: GFunction) -> float:

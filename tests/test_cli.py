@@ -258,11 +258,16 @@ def test_estimate_inconsistent_phi_exits_2(tmp_path, capsys):
     assert "inconsistent" in err
 
 
-def test_estimate_phi_needs_n(tmp_path, capsys):
+def test_estimate_phi_derives_n(tmp_path, capsys):
+    # without --n the sample size is sum l*phi_l; a --n that agrees changes nothing
     f = tmp_path / "phi.csv"
-    f.write_text("1,2\n")
-    code, _, _ = run(capsys, "estimate", "--input", str(f), "--format", "phi")
-    assert code == 2
+    f.write_text("1,2\n3,1\n")
+    code, out, _ = run(capsys, "estimate", "--input", str(f), "--format", "phi")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["n"] == 5 and doc["good_turing"] == 2.0 / 5.0
+    code, again, _ = run(capsys, "estimate", "--input", str(f), "--format", "phi", "--n", "5")
+    assert code == 0 and again == out
 
 
 def test_estimate_missing_file_exits_4(capsys):
@@ -381,10 +386,15 @@ def test_bounds_json_format(capsys):
     assert doc["rows"][0][1] == pytest.approx(math.exp(-20 * 0.01))
 
 
-def test_bounds_rejects_small_power(capsys):
-    code, _, _ = run(capsys, "bounds", "--family", "ssg", "--g", "power:0.5",
-                     "--n", "50", "--eps-grid", "0.1,0.2")
+@pytest.mark.parametrize("alpha", ["0.5", "0.01"])
+@pytest.mark.parametrize("family", ["subgauss", "theorem2", "left_u2", "left_corollary",
+                                    "right_corollary", "ssg", "subgamma", "poly:2", "poly:5"])
+def test_bounds_rejects_small_power(family, alpha, capsys):
+    # every family bounds g with g(p)/p bounded, subgauss and left_u2 included
+    code, out, err = run(capsys, "bounds", "--family", family, "--g", f"power:{alpha}",
+                         "--n", "50", "--eps-grid", "0.1,0.2")
     assert code == 2
+    assert out == "" and "unbounded near 0" in err
 
 
 def test_bounds_regime_exit(capsys):

@@ -254,6 +254,38 @@ def test_expected_missing_skips_zero_probability_letters():
     assert dm.expected_missing(d, 3, g) == pytest.approx(2 * 0.5 * 0.5**3, rel=1e-13, abs=0)
 
 
+@pytest.mark.parametrize("g", [gf.power(1.0), gf.power(2.5), gf.power(0.5), gf.entropy_log2(2)],
+                         ids=["power1", "power2.5", "power0.5", "entropy2"])
+def test_point_mass_moments(g):
+    # (1 - 1)^n = 0^n, which is 1 at n = 0: E[G0] = g(1) there, 0 after
+    d = dm.explicit([1.0])
+    assert dm.expected_missing(d, 0, g) == g.eval(1.0)
+    assert dm.expected_missing(d, 5, g) == 0.0
+    assert dm.variance_sum_bound(d, 0, g) == dm.variance_sum_bound(d, 5, g) == 0.0
+
+
+@pytest.mark.parametrize("g", [gf.power(1.0), gf.power(2.0), gf.entropy_log2(10**6)],
+                         ids=["power1", "power2", "entropy1e6"])
+@pytest.mark.parametrize("base", [dm.explicit([0.3, 0.7]), dm.zipf(40, 1.0),
+                                  dm.geometric(300, 0.02)],
+                         ids=["two_point", "zipf40", "geometric300"])
+def test_zero_probability_letters_change_no_moment(base, g):
+    # zeros inserted anywhere in the support: every sum over it holds to 1e-15
+    rng = np.random.default_rng(base.size)
+    k = base.size
+    slots = np.sort(rng.choice(2 * k + 1, size=k, replace=False))
+    probs = np.zeros(2 * k + 1)
+    probs[slots] = base.probs
+    padded = dm.explicit(probs)
+    sample = dm.sample(base, 30, seed=5)
+    for n in (0, 1, 30, 10**4):
+        for moment in (dm.expected_missing, dm.variance_sum_bound):
+            assert moment(padded, n, g) == pytest.approx(moment(base, n, g), rel=1e-15, abs=0)
+    for realized in (emp.realized_missing, emp.realized_observed):
+        want = realized(base, sample, g)
+        assert realized(padded, slots[sample], g) == pytest.approx(want, rel=1e-15, abs=0)
+
+
 def test_variance_sum_bound_two_point_oracle():
     d = dm.explicit([0.4, 0.6])
     g = gf.power(1.0)

@@ -44,18 +44,21 @@ def test_profile_from_counts_rejects_nonpositive():
         emp.profile_from_counts({"a": 1, "b": 4, "c": -2, "d": -2})
 
 
-def test_profile_from_phi_validates_total():
-    prof = emp.profile_from_phi({1: 2, 2: 1, 3: 1}, n=7)
+def test_profile_from_phi_derives_n():
+    # n is sum l*phi_l; a table that disagrees with a given n is the CLI's
+    # --n check (test_cli.py::test_estimate_inconsistent_phi_exits_2)
+    prof = emp.profile_from_phi({1: 2, 2: 1, 3: 1})
+    assert prof.n == 7
     assert prof == emp.profile_from_samples("abacabd")
-    with pytest.raises(InvalidInputError):
-        emp.profile_from_phi({1: 2, 2: 1}, n=7)
+    assert emp.profile_from_phi({}).n == 0
+    assert emp.profile_from_phi({2: 0, 5: 3}).n == 15
 
 
 def test_phi_rejects_bad_keys():
     with pytest.raises(InvalidInputError):
-        emp.profile_from_phi({0: 1}, n=0)
+        emp.profile_from_phi({0: 1})
     with pytest.raises(InvalidInputError):
-        emp.profile_from_phi({1: -1}, n=-1)
+        emp.profile_from_phi({1: -1})
 
 
 def test_realized_split_two_point():

@@ -21,24 +21,24 @@ def test_choose_float_matches_exact_binomial(n, alpha):
 
 
 def test_good_turing_is_phi1_over_n():
-    prof = profile_from_phi({1: 3, 2: 2}, n=7)
+    prof = profile_from_phi({1: 3, 2: 2})
     assert est.estimate(est.good_turing(), prof) == pytest.approx(3.0 / 7.0, rel=1e-15, abs=0)
 
 
 def test_generalized_is_phi_alpha_over_binomial():
-    prof = profile_from_phi({1: 2, 2: 1, 3: 1}, n=7)
+    prof = profile_from_phi({1: 2, 2: 1, 3: 1})
     got = est.estimate(est.generalized_good_turing(2), prof)
     assert got == pytest.approx(1.0 / math.comb(7, 2), rel=1e-15, abs=0)
 
 
 def test_missing_multiplicity_gives_zero():
-    prof = profile_from_phi({2: 2}, n=4)
+    prof = profile_from_phi({2: 2})
     assert est.estimate(est.good_turing(), prof) == 0.0
     assert est.estimate(est.generalized_good_turing(3), prof) == 0.0
 
 
 def test_plugin_is_zero():
-    prof = profile_from_phi({1: 4}, n=4)
+    prof = profile_from_phi({1: 4})
     assert est.estimate(est.plugin(), prof) == 0.0
 
 
@@ -51,7 +51,7 @@ def test_generalized_requires_integer_alpha_at_least_one():
 
 
 def test_estimate_out_of_regime_when_n_below_alpha():
-    prof = profile_from_phi({1: 2}, n=2)
+    prof = profile_from_phi({1: 2})
     with pytest.raises(RegimeError):
         est.estimate(est.generalized_good_turing(3), prof)
 
@@ -116,7 +116,7 @@ def test_estimators_are_one_family_indexed_by_order():
         with pytest.raises(InvalidInputError):
             est.EstimatorKind(bad)
     # order 0 reads the absent phi_0 and gives 0, even for the empty sample
-    assert est.estimate(est.plugin(), profile_from_phi({}, n=0)) == 0.0
+    assert est.estimate(est.plugin(), profile_from_phi({})) == 0.0
 
 
 def test_gt_value_direct():

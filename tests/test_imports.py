@@ -1,5 +1,6 @@
 """Every name that a module of src/missingmass/ or scripts/ imports is used in
-it, and every module-level _name of src/missingmass/ is read in the package.
+it, every module-level _name of src/missingmass/ is read in the package, and
+every subcommand runs without the development-only dependencies.
 
 Stdlib-ast stand-ins for a linter's unused-import and dead-code rules: a name
 counts as used when it is read anywhere in the module (for _names, anywhere
@@ -7,7 +8,10 @@ in the package, as a bare name or an attribute), annotations included.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -69,3 +73,39 @@ def test_dead_helpers_finds_unread_private_names():
 
 def test_every_private_helper_is_read():
     assert dead_helpers([path.read_text() for path in PACKAGE]) == []
+
+
+#: Installed by the dev extra only; the package must not import them.
+DEV_ONLY = ("scipy", "mpmath", "hypothesis")
+
+#: One command per subcommand, and one per simulate task.
+COMMANDS = [
+    "estimate --input {tokens} --alpha 1 --eps 0.1",
+    "fig1 --outdir {outdir}",
+    "bounds --family poly:2 --g power:1 --n 50 --eps-grid 0.1,0.2",
+    "ustar --g entropy:64 --n 100 --r 2",
+    "simulate --task risk --g power:1 --dist uniform:50 --n-list 20 --trials 100",
+    "simulate --task tail --g power:1 --dist zipf:50:1 --n-list 20 --trials 1000 "
+    "--eps-grid 0.1",
+    "simulate --task dirichlet --alpha 1 --n-list 10 --trials 100",
+]
+
+
+def test_every_subcommand_runs_without_dev_dependencies(tmp_path):
+    # a None entry in sys.modules makes any import of that name fail
+    tokens = tmp_path / "tokens.txt"
+    tokens.write_text("a\nb\na\nc\na\nb\nd\ne\n")
+    argvs = [c.format(tokens=tokens, outdir=tmp_path).split() for c in COMMANDS]
+    script = (
+        "import sys\n"
+        f"for name in {DEV_ONLY!r}:\n"
+        "    sys.modules[name] = None\n"
+        "from missingmass import cli\n"
+        f"codes = [cli.main(argv) for argv in {argvs!r}]\n"
+        "print('exit codes:', codes, file=sys.stderr)\n"
+        "sys.exit(any(codes))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

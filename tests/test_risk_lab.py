@@ -24,7 +24,7 @@ def test_block_rng_streams_are_reproducible_and_distinct():
 
 def test_partial_block_repeats_the_leading_trials_of_a_longer_run():
     d = dm.zipf(200, 1.0)
-    gvec = rl._g_vector(d, P1)
+    gvec = dm._g_vector(d, P1)
     size = rl._BLOCK_BUDGET // d.size  # trials per block at n = 20
     short = rl._occupancy(d.probs, gvec, 20, 2 * size + 5, 3, 1)
     long = rl._occupancy(d.probs, gvec, 20, 3 * size, 3, 1)
@@ -48,7 +48,7 @@ def test_occupancy_stream_is_pinned(d, n, want):
     # sha256 of the g0 and phi bytes over two full blocks and a partial one;
     # computed with the binary-search lookup that the guide table replaced.
     size = rl._BLOCK_BUDGET // max(d.size, n)
-    g0, phi = rl._occupancy(d.probs, rl._g_vector(d, P1), n, 2 * size + 7, 11, 1)
+    g0, phi = rl._occupancy(d.probs, dm._g_vector(d, P1), n, 2 * size + 7, 11, 1)
     digest = hashlib.sha256(g0.astype("<f8").tobytes() + phi.astype("<i8").tobytes())
     assert digest.hexdigest() == want
 
@@ -84,7 +84,7 @@ def _counting_kernel(probs, gvec, n, trials, seed, alpha):
 ], ids=["k1", "n_above_k", "n1", "zipf200_n20", "zero_letters", "geometric_n_above_k"])
 def test_occupancy_matches_counting_kernel_bit_for_bit(probs, n):
     d = dm.explicit(probs)
-    gvec = rl._g_vector(d, P2)
+    gvec = dm._g_vector(d, P2)
     trials = 2 * rl._block_size(max(d.size, n)) + 7  # two full blocks and a partial one
     for alpha in (1, 2, 3):
         g0, phi = rl._occupancy(d.probs, gvec, n, trials, 5, alpha)
@@ -119,7 +119,7 @@ def _exact_g0_moments(d, n, g):
 @pytest.mark.parametrize("g", [P1, P2], ids=lambda g: g.descriptor())
 def test_occupancy_moments_match_exact_oracle(d, g):
     n, trials = 20, 20000
-    g0, phi = rl._occupancy(d.probs, rl._g_vector(d, g), n, trials, 17, 1)
+    g0, phi = rl._occupancy(d.probs, dm._g_vector(d, g), n, trials, 17, 1)
     mean, var = _exact_g0_moments(d, n, g)
     assert mean == pytest.approx(dm.expected_missing(d, n, g), rel=1e-12, abs=0)
     se_mean = np.std(g0, ddof=1) / math.sqrt(trials)
@@ -401,6 +401,60 @@ def test_dirichlet_closed_form_matches_monte_carlo():
         closed = rl.dirichlet_prior_variance(n, 1.0, alpha)
         mc, se = rl.dirichlet_mc_variance(n, 1.0, alpha, trials=2000, seed=13)
         assert abs(mc - closed) <= max(4.0 * se, 0.02 * closed)
+
+
+def _unseen_law(k, n):
+    """Exact law of the unseen count m after n draws of the Polya urn with k
+    letters of weight u = 1/n: with j letters seen, draw i (from 0) is a new
+    letter with probability (k - j) u / (k u + i).  Returns (m, Pr(m))."""
+    u = 1.0 / n
+    seen = np.zeros(min(k, n) + 1)  # law of j, the letters seen
+    seen[0] = 1.0
+    j = np.arange(seen.size)
+    for i in range(n):
+        new = seen * ((k - j) * u / (k * u + i))
+        seen = seen - new
+        seen[1:] += new[:-1]
+    return k - j, seen
+
+
+#: (n, c) cells of the exact unseen-count law; k = round(c n^2) from 5 to 30000
+_URN_CELLS = [(10, 0.05), (10, 1.0), (20, 3.0), (40, 0.5), (40, 1.0), (100, 3.0)]
+
+
+@pytest.mark.parametrize("n,c", _URN_CELLS)
+def test_unseen_count_factorial_moments_are_k_a1_and_k2_a4(n, c):
+    # E[m] = k A1 and E[m(m-1)] = k(k-1) A4, the factors of the prior variance,
+    # with n(beta0 + l) = k + n l
+    k = round(c * n * n)
+    m, law = _unseen_law(k, n)
+    assert math.fsum(law) == pytest.approx(1.0, rel=1e-15, abs=0)
+    a1 = math.prod(1.0 - 1.0 / (k + n * l) for l in range(n))
+    a4 = math.prod(1.0 - 2.0 / (k + n * l) for l in range(n))
+    assert math.fsum(law * m) == pytest.approx(k * a1, rel=1e-13, abs=0)
+    assert math.fsum(law * m * (m - 1.0)) == pytest.approx(k * (k - 1) * a4, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("alpha", [1, 2])
+@pytest.mark.parametrize("n,c", [(10, 1.0), (20, 3.0), (40, 1.0), (100, 1.0), (100, 3.0)])
+def test_dirichlet_mc_estimator_mean_is_the_prior_variance(n, c, alpha, monkeypatch):
+    # the Monte Carlo estimator's values at every m, averaged under the exact
+    # law of m, give the closed form: both read one set of posterior factors
+    m, law = _unseen_law(round(c * n * n), n)
+    monkeypatch.setattr(rl, "_polya_unseen", lambda *args: m)
+    monkeypatch.setattr(rl, "_mean_se", lambda values: (values, 0.0))
+    values, _ = rl.dirichlet_mc_variance(n, c, alpha, trials=100, seed=0)
+    want = rl.dirichlet_prior_variance(n, c, alpha)
+    assert math.fsum(law * values) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n,c", [(10, 0.05), (20, 3.0), (40, 1.0)])
+def test_polya_urn_draws_follow_the_exact_unseen_law(n, c):
+    k = round(c * n * n)
+    m, law = _unseen_law(k, n)
+    draws = rl._polya_unseen(k, n, 4000, 23)
+    mean, se = draws.mean(), draws.std(ddof=1) / math.sqrt(draws.size)
+    assert abs(mean - math.fsum(law * m)) <= 4.0 * se
 
 
 def test_dirichlet_mc_thread_determinism():

@@ -9,7 +9,8 @@ from scipy import optimize
 from missingmass import gfunction as gf
 from missingmass import tail_bounds as tb
 from missingmass.errors import InvalidInputError, NumericalError, RegimeError
-from missingmass.ustar_engine import gamma_const, kappa_const, scale_parameter, u_star
+from missingmass.ustar_engine import (gamma_const, kappa_const, log_u2_closed_bound,
+                                      scale_parameter, u_star)
 
 P1 = gf.power(1.0)
 P2 = gf.power(2.0)
@@ -554,13 +555,31 @@ def test_curve_ssg_is_order_one_filter(g):
         assert ssg.exponents == poly1.exponents
 
 
-def test_small_power_rejected_alike_by_every_spec_family():
-    messages = set()
-    for family in ("ssg", "subgamma", "poly:1", "poly:3"):
-        with pytest.raises(InvalidInputError) as info:
-            tb.curve(family, 20, gf.power(0.5), [0.1])
-        messages.add(str(info.value))
-    assert len(messages) == 1
+@pytest.mark.parametrize("family", ["subgauss", "theorem2", "left_u2", "left_corollary",
+                                    "right_corollary", "ssg", "subgamma", "poly:2", "poly:5"])
+@pytest.mark.parametrize("eps", [[], [0.1]], ids=["empty", "one"])
+def test_every_family_rejects_small_power_before_its_work(family, eps, monkeypatch):
+    # the one domain gate is ratio_sup, and it comes before any (n, g) work
+    def no_work(*args):
+        raise AssertionError("family work reached")
+
+    monkeypatch.setattr(tb, "_exponent", no_work)
+    with pytest.raises(InvalidInputError) as info:
+        gf.ratio_sup(gf.power(0.5))
+    for alpha in (0.5, 0.01):
+        with pytest.raises(InvalidInputError) as got:
+            tb.curve(family, 50, gf.power(alpha), eps)
+        assert str(got.value) == str(info.value)
+
+
+def test_spec_and_closed_u2_bound_take_the_ratio_sup_gate():
+    with pytest.raises(InvalidInputError) as info:
+        gf.ratio_sup(gf.power(0.5))
+    for call in (lambda: tb.build_spec(50, gf.power(0.5), 2),
+                 lambda: log_u2_closed_bound(50, gf.power(0.5))):
+        with pytest.raises(InvalidInputError) as got:
+            call()
+        assert str(got.value) == str(info.value)
 
 
 def test_curve_rejects_unknown_family_and_small_power():
