@@ -465,7 +465,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         }
     if args.eps:
         g = gf.power(alpha or 1)
-        eps = [float(e) for e in parse_eps_grid(args.eps)]
+        eps = parse_eps_grid(args.eps).tolist()
         report["deviation_bounds"] = {
             "g": g.descriptor(),
             "eps": eps,
@@ -485,7 +485,7 @@ def fig1_rows(n: int) -> Tuple[List[str], List[List[float]]]:
     g = gf.power(1.0)
     curves = [tb.curve(family, n, g, _FIG_EPS)
               for family in ("subgauss", "poly:2", "poly:5")]
-    rows = [[float(e)] + [c.bounds[j] for c in curves] for j, e in enumerate(_FIG_EPS)]
+    rows = [list(row) for row in zip(_FIG_EPS.tolist(), *(c.bounds for c in curves))]
     return ["eps", "subgauss", "r2", "r5"], rows
 
 
@@ -504,7 +504,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     g = parse_g(args.g)
     eps = parse_eps_grid(args.eps_grid)
     curve = tb.curve(args.family, args.n, g, eps)
-    rows = list(zip(eps, curve.bounds, curve.exponents))
+    rows = list(zip(eps.tolist(), curve.bounds, curve.exponents))
     meta = {"family": args.family, "n": args.n, "g": g.descriptor()}
     _emit(_table(["eps", "bound", "exponent"], rows, args.out, meta),
           _resolve_path(args.path))

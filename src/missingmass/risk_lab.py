@@ -15,6 +15,7 @@ posterior factors, _posterior_factors.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
@@ -243,15 +244,18 @@ def _expm1_gain(d: float) -> float:
 
 
 def _posterior_factors(
-    n: int, beta0: float, alpha: int
-) -> Tuple[Tuple[float, float, float], Tuple[float, float, float]]:
+    n: int, beta0: float, alpha: int, log_scale: float = 0.0
+) -> Tuple[Tuple[float, float], Tuple[float, float, float]]:
     """Posterior factors of Var(M_[0,alpha] | m unseen letters), each of
     weight u = 1/n out of beta0 + n: for unseen w != w', E[w^2a] - E[w^a]^2
     = A2 - A3 and E[w^a w'^a] - E[w^a]^2 = A5 (A6 - A7), so that
     Var = (A2 - A3) m + A5 (A6 - A7) m(m-1).  Both differences nearly
     cancel: each is -A expm1(d) from its log gap d = log(A3/A2), log(A7/A6).
-    Returns (A2 - A3, log A5, A6 - A7) and, for a rounding estimate,
-    (sum of |log A_i|, d23, d67).
+    A5 (A6 - A7), scaled by exp(log_scale), is -exp(log_scale + log A5 +
+    log A6) expm1(d67), all in one exponent: A5 alone overflows, and A6 - A7
+    underflows, from alpha near 100.
+    Returns (A2 - A3, exp(log_scale) A5 (A6 - A7)) and, for a rounding
+    estimate, (sum of |log A_i|, d23, d67).
     """
     l2 = np.arange(2 * alpha, dtype=float)
     l1 = np.arange(alpha, dtype=float)
@@ -262,7 +266,8 @@ def _posterior_factors(
     log_a7 = -2.0 * float(np.sum(np.log(beta0 + n + l1)))
     d23, d67 = log_a3 - log_a2, log_a7 - log_a6
     logs = sum(map(abs, (log_a2, log_a3, log_a5, log_a6, log_a7)))
-    factors = (-math.exp(log_a2) * math.expm1(d23), log_a5, -math.exp(log_a6) * math.expm1(d67))
+    factors = (-math.exp(log_a2) * math.expm1(d23),
+               -math.exp(log_scale + log_a5 + log_a6) * math.expm1(d67))
     return factors, (logs, d23, d67)
 
 
@@ -277,8 +282,9 @@ def dirichlet_prior_variance(n: int, c_param: float, alpha: int) -> float:
     near-unity factors) go through sum-log1p.  Falls like n^-(2a-1) and
     lower-bounds the minimax risk of estimating M_[0,alpha].
 
-    Raises NumericalError where T leaves the double range, and where the two
-    terms cancel past what their own rounding supports: each term carries
+    Raises NumericalError where T leaves the double range (above, or below
+    the normal doubles), and where the two terms cancel past what their
+    own rounding supports: each term carries
     the rounding of its logs, about 2^-52 times their total size, which
     expm1(d) of a log difference d magnifies by up to 1 + 1/|d|.  Once that
     error of the two terms exceeds _DIRICHLET_REL_TOL of T, T has no
@@ -289,22 +295,22 @@ def dirichlet_prior_variance(n: int, c_param: float, alpha: int) -> float:
     n = int(n)
     denom = n * (beta0 + np.arange(n, dtype=float))
     log_a1 = float(np.sum(np.log1p(-1.0 / denom)))
-    log_a4 = float(np.sum(np.log1p(-2.0 / denom)))
-    (single, log_a5, diff67), (logs, d23, d67) = _posterior_factors(n, beta0, alpha)
-    try:
-        term1 = k * math.exp(log_a1) * single
-        term2 = k * (k - 1.0) * math.exp(log_a4 + log_a5) * diff67
-    except OverflowError:
-        term1 = term2 = math.nan
+    # at k = 2 at most one letter is unseen, so A4 = 0 exactly, with no rounding
+    log_a4 = float(np.sum(np.log1p(-2.0 / denom))) if k > 2 else -math.inf
+    (single, pair), (logs, d23, d67) = _posterior_factors(n, beta0, alpha, log_a4)
+    term1 = k * math.exp(log_a1) * single
+    term2 = k * (k - 1.0) * pair
     out = term1 + term2
     if not math.isfinite(out):
         raise NumericalError(f"Dirichlet prior variance at k = {k:.3g} leaves the double range")
-    logs += abs(log_a1) + abs(log_a4)
+    logs += abs(log_a1) + (abs(log_a4) if k > 2 else 0.0)
     err = 2.0**-52 * logs * (abs(term1) * _expm1_gain(d23) + abs(term2) * _expm1_gain(d67))
     if not err <= _DIRICHLET_REL_TOL * abs(out):
         raise NumericalError(
             f"Dirichlet prior variance at k = {k:.3g}: its two terms cancel below their rounding"
         )
+    if out < sys.float_info.min:
+        raise NumericalError(f"Dirichlet prior variance at k = {k:.3g} underflows")
     return out
 
 
@@ -345,8 +351,7 @@ def dirichlet_mc_variance(
         raise InvalidInputError("needs trials >= 100")
     k, beta0 = _dirichlet_setup(n, c_param, alpha)
     n = int(n)
-    (single, log_a5, diff67), _ = _posterior_factors(n, beta0, alpha)
-    pair = math.exp(log_a5) * diff67
+    (single, pair), _ = _posterior_factors(n, beta0, alpha)
     m = _polya_unseen(k, n, trials, seed)
     return _mean_se(pair * m * (m - 1.0) + single * m)
 

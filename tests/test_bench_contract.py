@@ -26,7 +26,11 @@ def test_tracer_patches_and_restores_every_layer(monkeypatch):
     tracer.patch()
     try:
         assert tb.poly_filtered_exponent is not original
-        tb.curve("poly:2", 20, gf.power(1.0), [0.0, 0.1, 0.2])
+        # curve solves a whole grid at once, past this hook; a direct call
+        # at eps > 0 is one solve
+        spec = tb.build_spec(20, gf.power(1.0), 2)
+        for eps in (0.0, 0.1, 0.2):
+            tb.poly_filtered_exponent(spec, eps)
         assert tracer.counters["chernoff_solves"] == 2
     finally:
         tracer.unpatch()

@@ -15,7 +15,7 @@ from missingmass import cli
 from missingmass import gfunction as gf
 from missingmass import risk_lab as rl
 from missingmass import tail_bounds as tb
-from missingmass.errors import InvalidInputError, NumericalError
+from missingmass.errors import InvalidInputError
 
 
 def run(capsys, *argv):
@@ -555,10 +555,8 @@ def test_high_filter_order_with_zero_coefficients_gives_a_bound(capsys):
 
 
 def test_numerical_failure_exits_5(capsys, monkeypatch):
-    def fail(spec, eps):
-        raise NumericalError("Chernoff solve residual 1 exceeds tolerance")
-
-    monkeypatch.setattr(tb, "poly_filtered_exponent", fail)
+    # NaN derivatives: the solve's own residual check fails inside curve
+    monkeypatch.setattr(tb, "_filter_derivs", lambda a, v, c, s: (math.nan, math.nan))
     code, _, err = run(capsys, "bounds", "--family", "poly:2", "--g", "power:1",
                        "--n", "50", "--eps-grid", "0.1")
     assert code == 5
@@ -567,14 +565,32 @@ def test_numerical_failure_exits_5(capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", [
     "bounds --family subgamma --g power:2e154 --n 20 --eps-grid 0.1",
-    "simulate --task dirichlet --alpha 100 --c 1 --n-list 20 --trials 0",
     "simulate --task dirichlet --alpha 1 --c 1e300 --n-list 20 --trials 0",
-], ids=["scale_parameter", "dirichlet_prior_variance", "dirichlet_huge_support"])
+], ids=["scale_parameter", "dirichlet_huge_support"])
 def test_overflow_exits_5(command, capsys):
     code, out, err = run(capsys, *shlex.split(command))
     assert code == 5
     assert out == ""
     assert err.startswith("numerical failure:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("alpha,want", [(99, 1.7696023154867586e-46), (100, 1.2264161151994913e-46)])
+def test_dirichlet_prior_variance_where_a5_overflows(alpha, want, capsys):
+    # A5 alone passes the double range here; T is the 50-digit mpmath value
+    code, out, err = run(capsys, "simulate", "--task", "dirichlet", "--alpha", str(alpha),
+                         "--c", "1", "--n-list", "20", "--trials", "0")
+    assert code == 0, err
+    assert out.splitlines()[0] == "n,variance"
+    n, variance = out.splitlines()[1].split(",")
+    assert n == "20" and float(variance) == pytest.approx(want, rel=1e-13, abs=0)
+
+
+def test_dirichlet_at_two_letters_exits_0(capsys):
+    # k = round(c n^2) = 2: A4 = 0, and T = k A1 (A2 - A3) = 5/192
+    code, out, err = run(capsys, "simulate", "--task", "dirichlet", "--alpha", "1",
+                         "--c", "0.5", "--n-list", "2", "--trials", "0")
+    assert (code, err) == (0, "")
+    assert out == "n,variance\n2,0.0260416666666667\n"
 
 
 def test_dirichlet_cancellation_exits_5(capsys):

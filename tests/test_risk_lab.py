@@ -350,6 +350,14 @@ def test_dirichlet_variance_beyond_double_range_is_numerical_failure():
             rl.dirichlet_prior_variance(20, c, 1)
 
 
+def test_dirichlet_variance_below_the_normal_doubles_is_numerical_failure():
+    # T is 2.3e-321, a subnormal, at (2, 1e36, 5) and 1.5e-2943 at
+    # (200, 1e29, 50); both came out as 0, which has no digit of T
+    for n, c, alpha in ((2, 1e36, 5), (200, 1e29, 50)):
+        with pytest.raises(NumericalError, match="underflows"):
+            rl.dirichlet_prior_variance(n, c, alpha)
+
+
 def _dirichlet_variance_mpmath(mpmath, n, c, alpha):
     """T = k A1 (A2 - A3) + k(k-1) A4 A5 (A6 - A7) at 80 digits, for the
     same k = round(c n^2) and beta0 = k/n taken exactly."""
@@ -388,12 +396,31 @@ def test_dirichlet_variance_returns_only_digits_it_has(n, alpha):
 
 
 def test_dirichlet_variance_at_small_c_is_unchanged():
-    # the cancellation check leaves ordinary c alone: these values hold to the bit
-    want = {(20, 0.5, 1): 0.006959545219329518, (20, 3.0, 1): 0.002379984379851624,
-            (200, 2.0, 1): 0.00037050069642450916, (20, 1.0, 2): 2.8390144831090728e-05,
+    # the cancellation check leaves ordinary c alone: these values hold to the
+    # bit, each within 4e-14 of the 80-digit value
+    want = {(20, 0.5, 1): 0.006959545219329516, (20, 3.0, 1): 0.002379984379851624,
+            (200, 2.0, 1): 0.00037050069642451046, (20, 1.0, 2): 2.83901448310907e-05,
             (40, 1.0, 1): 0.003085482841663748}
     for (n, c, alpha), value in want.items():
         assert rl.dirichlet_prior_variance(n, c, alpha) == value
+
+
+@pytest.mark.parametrize("n,c,alpha", [(20, 1.0, 99), (20, 1.0, 100), (2, 1.0, 98)])
+def test_dirichlet_variance_where_a5_overflows_matches_mpmath(n, c, alpha):
+    # A5 alone leaves the double range and A6 - A7 underflows (partly
+    # subnormal at n = 2); A4 A5 A6 from one exponent keeps T's digits
+    mpmath = pytest.importorskip("mpmath")
+    want = _dirichlet_variance_mpmath(mpmath, n, c, alpha)
+    got = rl.dirichlet_prior_variance(n, c, alpha)
+    assert abs(got - want) <= 1e-13 * want
+
+
+def test_dirichlet_at_two_letters_has_no_pair_term():
+    # k = round(0.5 * 2^2) = 2: n = 2 draws leave at most one letter unseen, so
+    # A4 = 0 and T = k A1 (A2 - A3) = 2 (3/8)(1/16 - 1/36) = 5/192
+    assert rl.dirichlet_prior_variance(2, 0.5, 1) == pytest.approx(5.0 / 192.0, rel=1e-15, abs=0)
+    mc, se = rl.dirichlet_mc_variance(2, 0.5, 1, trials=4000, seed=5)
+    assert abs(mc - 5.0 / 192.0) <= 4.0 * se
 
 
 def test_dirichlet_closed_form_matches_monte_carlo():
@@ -436,7 +463,8 @@ def test_unseen_count_factorial_moments_are_k_a1_and_k2_a4(n, c):
 
 
 @pytest.mark.parametrize("alpha", [1, 2])
-@pytest.mark.parametrize("n,c", [(10, 1.0), (20, 3.0), (40, 1.0), (100, 1.0), (100, 3.0)])
+@pytest.mark.parametrize("n,c", [(2, 0.5), (10, 1.0), (20, 3.0), (40, 1.0), (100, 1.0),
+                                 (100, 3.0)])
 def test_dirichlet_mc_estimator_mean_is_the_prior_variance(n, c, alpha, monkeypatch):
     # the Monte Carlo estimator's values at every m, averaged under the exact
     # law of m, give the closed form: both read one set of posterior factors

@@ -207,6 +207,107 @@ def test_poly_exponent_checks_the_residual_after_the_step_cap(monkeypatch):
     assert len(calls) == 201
 
 
+@pytest.mark.parametrize("g", [P1, P2, E64], ids=["power1", "power2", "entropy64"])
+def test_curve_exponents_equal_one_point_solves(g):
+    # the whole-grid Newton gives every point what a one-point solve gives
+    eps = np.arange(0, 141) * 0.005
+    for n in (20, 702, 10000):
+        for R in (2, 5):
+            got = tb.curve(f"poly:{R}", n, g, eps).exponents
+            spec = tb.build_spec(n, g, R)
+            for e, E in zip(eps.tolist(), got):
+                assert abs(E - tb.poly_filtered_exponent(spec, e)) <= 1e-14 * max(1.0, abs(E))
+
+
+def test_one_failed_point_fails_the_whole_curve(monkeypatch):
+    # a NaN at one point of the grid: its residual check fails, and so does the curve
+    derivs = tb._filter_derivs
+
+    def nan_at_middle(a, v, c, s):
+        d1, d2 = derivs(a, v, c, s)
+        d1 = np.array(d1, dtype=float)
+        d1[3] = math.nan
+        return d1, d2
+
+    eps = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35]
+    tb.curve("poly:2", 50, P1, eps)
+    monkeypatch.setattr(tb, "_filter_derivs", nan_at_middle)
+    with pytest.raises(NumericalError, match="residual nan"):
+        tb.curve("poly:2", 50, P1, eps)
+
+
+@pytest.mark.parametrize("family", ["subgauss", "theorem2", "left_u2", "left_corollary",
+                                    "right_corollary", "ssg", "subgamma", "poly:2", "poly:5"])
+def test_curve_evaluates_the_exponent_once_on_the_whole_grid(family, monkeypatch):
+    exponent = tb._exponent
+    calls = []
+
+    def counted(*args):
+        fn = exponent(*args)
+
+        def once(eps):
+            calls.append(eps.copy())
+            return fn(eps)
+        return once
+
+    monkeypatch.setattr(tb, "_exponent", counted)
+    eps = [0.0, 0.01, 0.1, 0.3]
+    c = tb.curve(family, 50, P2, eps)
+    assert len(calls) == 1 and calls[0].tolist() == eps
+    assert len(c.bounds) == len(c.exponents) == len(eps)
+    assert all(type(x) is float for x in c.bounds + c.exponents)
+
+
+def mp_pole_oracle(spec, eps, digits=80):
+    # the Legendre transform at 80 digits, bisecting F(s) = eps in log s,
+    # since the root lies within 1e-150 of the pole
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(digits):
+        a = [mpmath.mpf(x) for x in spec.a]
+        v, c, e = mpmath.mpf(spec.v), mpmath.mpf(spec.c), mpmath.mpf(eps)
+
+        def fprime(s):
+            lam = (1 - s) / c
+            return sum(ar * lam ** (r - 1) for r, ar in enumerate(a, start=2)) + v * lam / s
+
+        lo, hi = mpmath.log(v / (v + c * e)), mpmath.mpf(0)
+        for _ in range(400):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if fprime(mpmath.exp(mid)) > e else (lo, mid)
+        s = mpmath.exp((lo + hi) / 2)
+        lam = (1 - s) / c
+        f = sum(ar * lam**r / r for r, ar in enumerate(a, start=2))
+        return lam * e - (f + v / c**2 * (-(1 - s) - mpmath.log(s)))
+
+
+@pytest.mark.parametrize("g,n,R", [(P1, 3, 2), (gf.power(3.5), 10**5, 20), (E64, 6, 2)],
+                         ids=["power1", "power3.5", "entropy64"])
+def test_poly_exponent_next_to_the_pole_matches_mp_oracle(g, n, R):
+    # from c eps near sqrt(v * 1.8e308)/2 the exponent is taken at the
+    # Newton start, within 1.5e-154 of the pole; at power:3.5, n = 1e5, R = 20
+    # (v = 2.7e-176) a plain solve misses its residual from eps = 1e150 on
+    spec = tb.build_spec(n, g, R)
+    edge = (math.sqrt(spec.v * sys.float_info.max) / 2.0 - spec.v) / spec.c
+    for e in (edge / 2.0, edge * 2.0, 1e200, 1e300):
+        got = tb.poly_filtered_exponent(spec, e)
+        want = mp_pole_oracle(spec, e)
+        if want > sys.float_info.max:
+            assert got == math.inf
+        else:
+            assert got == pytest.approx(float(want), rel=1e-15, abs=0)
+
+
+def test_scaled_products_overflow_to_inf_without_a_warning():
+    # x * num / den as Python floats round it, and +-inf where it overflows;
+    # num = 0 stands for a factor that underflowed, so inf * 0 stays inf
+    x = np.array([0.0, 1.0, -3.0, 1e300, -1e300, 1.7e308, -math.inf, math.inf, math.nan])
+    for num, den in [(1.0, 1.0), (0.3, 1.0), (10.0, 0.05), (1e-300, 1e-8), (0.0, 2.0)]:
+        got = tb._scaled(x, num, den)
+        for xi, gi in zip(x.tolist(), got.tolist()):
+            want = xi if math.isinf(xi) else xi * num / den
+            assert gi == want or (math.isnan(gi) and math.isnan(want)), (xi, num, den)
+
+
 def test_build_spec_negative_coefficient_is_numerical_error(monkeypatch):
     # a scale parameter far below the ratio chain's makes a_2 negative
     c = scale_parameter(50, P1)
