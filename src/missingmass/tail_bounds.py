@@ -4,32 +4,34 @@ The one concentration spec is the order-R polynomial filter PolyFiltered,
 
     f(l) = sum_[r=2..R] a_r l^r / r + (v/c^2) log(e^[-lc]/(1-cl)),
 
-built from exact numeric u*_r values and the scale parameter c.  Order 1
-(no filter terms) is the strongly sub-Gamma template.  The sub-Gamma
-(f = l^2 v/(2(1-cl))) template of Boucheron, Lugosi & Massart (2013,
-section 2.4) is a plain exponent function.  Each yields a right-tail bound
-exp(-E(eps)) by the Chernoff method; E is analytic except for R >= 2, whose
-Legendre transform is solved numerically.
+built by build_spec from exact numeric u*_r values and the scale parameter
+c.  Order 1 (no filter terms) is the strongly sub-Gamma template.  The
+sub-Gamma (f = l^2 v/(2(1-cl))) template of Boucheron, Lugosi & Massart
+(2013, section 2.4) is read on the order-1 spec's v and c.  Each yields a
+right-tail bound exp(-E(eps)) by the Chernoff method; E is analytic except
+for R >= 2, whose Legendre transform is solved numerically.
 
-curve(family, n, g, eps_grid) gives the bound curve of every family:
-subgauss, theorem2, left_u2, left_corollary, right_corollary, ssg, subgamma
-and poly:R.  A family's (n, g) work is done once, before any eps, and its
-exponent is then evaluated once, on the whole eps array: the closed forms
-elementwise, poly:R (R >= 2) by one Newton iteration over the array.  No
-code loops over eps.  The closed-form tails take the g they bound:
-power(1) (the missing mass), power(alpha > 1) (the order-alpha one) and
-entropy_log2(k) (the missing entropy).
+curve(family, n, g, eps_grid) is the one way to evaluate a bound, for every
+family: subgauss, theorem2, left_u2, left_corollary, right_corollary, ssg,
+subgamma and poly:R.  A family's (n, g) work is done once, before any eps,
+and its exponent is then evaluated once, on the whole eps array: the closed
+forms elementwise, poly:R (R >= 2) by one Newton iteration over the array.
+No code loops over eps.  The printed right tails take the g they bound:
+power(1) (the missing mass) is the strongly sub-Gamma template, and
+power(alpha > 1) (the order-alpha one) and entropy_log2(k) (the missing
+entropy) share one form, A eps - B log1p(C eps), read from log A, log B and
+log C.
 
 Every input taken from u*_r or gamma_alpha is read as its log: v and a_r,
 both left tails' variance and the power(alpha > 1) right tail.  So a u*_r
 that underflows, or a gamma_alpha or n^(2 alpha - 1) that overflows, still
-gives a bound.  Every sub-Gaussian exponent eps^2/(2 sigma2) -- Theorem 2,
-the exact left tail and the closed left tails -- is taken from log sigma2.
-The filter polynomial and its derivatives are taken by Horner's rule: every
-a_r is >= 0, so no partial sum overflows unless the whole sum does, even
-where l^R alone would.
+gives a bound.  Every sub-Gaussian exponent eps^2/(2 sigma2) -- the
+reference curve, Theorem 2, the exact left tail and the closed left tails --
+is taken from log sigma2.  The filter polynomial and its derivatives are
+taken by Horner's rule: every a_r is >= 0, so no partial sum overflows
+unless the whole sum does, even where l^R alone would.
 
-Every public bound is clamped to <= 1; the raw exponent is available for
+Every bound is clamped to <= 1; the raw exponent comes with it for
 diagnostics (it can go negative, where the bound is 1).  An exponent past
 the double range is inf, and its bound 0.  The array forms reach inf by
 masks (_scaled, and the guards of each closed form), not by overflowing,
@@ -68,22 +70,14 @@ _SQUARE_LIMIT = 2.0**512
 @dataclass(frozen=True)
 class PolyFiltered:
     """Filter coefficients a = (a_2, ..., a_R); R = 1 means an empty filter,
-    the strongly sub-Gamma spec (v, c)."""
+    the strongly sub-Gamma spec (v, c).  build_spec establishes the
+    invariants: integer R in [1, 170], R - 1 coefficients each >= 0, and
+    v, c > 0."""
 
     R: int
     a: Tuple[float, ...]
     v: float
     c: float
-
-    def __post_init__(self):
-        if int(self.R) != self.R or self.R < 1:
-            raise InvalidInputError("poly-filtered needs integer R >= 1")
-        if len(self.a) != self.R - 1:
-            raise InvalidInputError("need exactly R-1 filter coefficients a_2..a_R")
-        if any(a_r < 0.0 for a_r in self.a):
-            raise InvalidInputError("filter coefficients must be >= 0")
-        if not (self.v > 0.0 and self.c > 0.0):
-            raise InvalidInputError("poly-filtered needs v > 0 and c > 0")
 
 
 @dataclass(frozen=True)
@@ -92,11 +86,6 @@ class BoundCurve:
 
     bounds: Tuple[float, ...]
     exponents: Tuple[float, ...]
-
-
-def _clamp(exponent):
-    """exp(-exponent), clamped to <= 1; a negative or NaN exponent gives 1."""
-    return np.exp(-np.fmax(exponent, 0.0))[()]
 
 
 def _scaled(x, num: float, den: float = 1.0):
@@ -120,42 +109,29 @@ def _gaussian_exponent(log_sigma2: float, eps):
     return np.where(zero, 0.0, exponent)[()]
 
 
-def _gamma_eps(v: float, c: float, eps) -> np.ndarray:
-    """eps as a float array, after the gamma exponents' input check."""
-    eps = np.asarray(eps, dtype=float)
-    if not (v > 0.0 and c > 0.0) or (eps < 0.0).any():
-        raise InvalidInputError("need v, c > 0 and eps >= 0")
-    return eps
-
-
-def sub_gamma_exponent(v: float, c: float, eps):
-    """(v/c^2) h(c*eps/v) with h(x) = 1+x-sqrt(1+2x), in the stable form
-    h(x) = x^2/(1+x+sqrt(1+2x)).  Where x^2 overflows (x from 2^512, about
-    1.3e154), h is taken as x/(1+r+sqrt(r(2+r))) with r = 1/x, the same
-    quotient divided through by x, since 1+2x too overflows from x = 9e307.
-    Where x overflows, the exponent is inf.  eps is a float or an array."""
-    eps = _gamma_eps(v, c, eps)
+def _sub_gamma(v: float, c: float, eps: np.ndarray) -> np.ndarray:
+    """(v/c^2) h(c*eps/v), h(x) = 1+x-sqrt(1+2x), on an eps array, in the
+    stable form h(x) = x^2/(1+x+sqrt(1+2x)).  Where x^2 overflows (x from
+    2^512, about 1.3e154), h is taken as x/(1+r+sqrt(r(2+r))) with r = 1/x,
+    the same quotient divided through by x, since 1+2x too overflows from
+    x = 9e307.  Where x overflows, the exponent is inf."""
     x = _scaled(eps, c, v)
     square = x < _SQUARE_LIMIT
     xs, xl = np.where(square, x, 0.0), np.where(square, 1.0, x)
     r = 1.0 / xl
     h = np.where(square, xs * xs / (1.0 + xs + np.sqrt(1.0 + 2.0 * xs)),
                  xl / (1.0 + r + np.sqrt(r * (2.0 + r))))
-    return _scaled(h, v / (c * c))[()]
+    return _scaled(h, v / (c * c))
 
 
-def strongly_sub_gamma_exponent(v: float, c: float, eps):
-    """(1/c)(eps - (v/c) log(1+c*eps/v)) = (v/c^2)(z - log1p(z)), z = c*eps/v.
-
-    log1p keeps z - log1p(z) accurate down to z ~ 1e-8 and below.  Where z
-    overflows, the exponent is inf (bound 0), not inf - inf.  eps is a
-    float or an array.
-    """
-    eps = _gamma_eps(v, c, eps)
+def _strongly_sub_gamma(v: float, c: float, eps: np.ndarray) -> np.ndarray:
+    """(1/c)(eps - (v/c) log(1+c*eps/v)) = (v/c^2)(z - log1p(z)), z = c*eps/v,
+    on an eps array.  log1p keeps z - log1p(z) accurate down to z ~ 1e-8 and
+    below.  Where z overflows, the exponent is inf (bound 0), not inf - inf."""
     z = _scaled(eps, c, v)
     over = z == np.inf
     z = np.where(over, 0.0, z)
-    return np.where(over, np.inf, _scaled(z - np.log1p(z), v / (c * c)))[()]
+    return np.where(over, np.inf, _scaled(z - np.log1p(z), v / (c * c)))
 
 
 def _filter_derivs(a: Sequence[float], v: float, c: float, s):
@@ -221,7 +197,7 @@ def _poly_exponent(spec: PolyFiltered, eps: np.ndarray) -> np.ndarray:
     s0 (_pole_exponent), and the Newton runs at eps = 0.
     """
     if spec.R == 1:
-        return strongly_sub_gamma_exponent(spec.v, spec.c, eps)
+        return _strongly_sub_gamma(spec.v, spec.c, eps)
     a, v, c = spec.a, spec.v, spec.c
     at_pole = eps > min((math.sqrt(v * _MAX) / 2.0 - v) / c, c * _MAX / 4.0)
     e = np.where(at_pole, 0.0, eps)
@@ -249,19 +225,6 @@ def _poly_exponent(spec: PolyFiltered, eps: np.ndarray) -> np.ndarray:
     return exponent
 
 
-def poly_filtered_exponent(spec: PolyFiltered, eps: float) -> float:
-    """The Chernoff exponent of spec at one eps >= 0: a one-point call of
-    the array solve _poly_exponent, which curve runs on a whole grid."""
-    if eps < 0.0:
-        raise InvalidInputError("eps must be >= 0")
-    return float(_poly_exponent(spec, np.array([eps], dtype=float))[0])
-
-
-def tail_bound(spec: PolyFiltered, eps: float) -> float:
-    """min(1, exp(-poly_filtered_exponent(spec, eps)))."""
-    return float(_clamp(poly_filtered_exponent(spec, eps)))
-
-
 def build_spec(n: int, g: GFunction, R: int) -> PolyFiltered:
     """Poly-filtered spec from the logs of the exact numeric u*_r values.
 
@@ -271,7 +234,8 @@ def build_spec(n: int, g: GFunction, R: int) -> PolyFiltered:
     keeps every a_r >= 0 (a materially negative one is an internal error)
     and v <= u*_2.  R = 1 gives the strongly sub-Gamma spec v = u*_2.
     ratio_sup rejects power(alpha < 1), which breaks the ratio chain, and R
-    above _MAX_ORDER is rejected.  Raises NumericalError where v is not a normal double.
+    above _MAX_ORDER is rejected.  Raises NumericalError where v is not a
+    normal double.  So every spec returned holds PolyFiltered's invariants.
     """
     if int(R) != R or not 1 <= R <= _MAX_ORDER:
         raise InvalidInputError(f"build_spec needs integer R in [1, {_MAX_ORDER}]")
@@ -297,60 +261,62 @@ def build_spec(n: int, g: GFunction, R: int) -> PolyFiltered:
     return PolyFiltered(R=int(R), a=tuple(a), v=v, c=c)
 
 
+def _printed_tail(log_A: float, log_B: float, log_C: float) -> Callable[[np.ndarray], np.ndarray]:
+    """eps -> A eps - B log1p(C eps), the shape of the printed power(alpha > 1)
+    and entropy right tails, taken from log A, log B and log C, since A, B
+    and C may leave the double range where their logs do not.  The second
+    term is exp(log B + log log1p(C eps)), with log log1p(z) =
+    log logaddexp(0, log z), and log z itself below z = e^-40, where z may
+    underflow.  A second term past the double range gives E = -inf, the
+    bound 1."""
+    A = math.exp(log_A)
+
+    def exponent(eps: np.ndarray) -> np.ndarray:
+        zero = eps == 0.0
+        log_z = log_C + np.log(np.where(zero, 1.0, eps))
+        tiny = log_z < -40.0
+        log_l = np.where(tiny, log_z, np.log(np.logaddexp(0.0, np.where(tiny, 0.0, log_z))))
+        log_second = log_B + log_l
+        over = log_second > _LOG_MAX
+        second = np.exp(np.where(over, 0.0, log_second))
+        return np.where(zero, 0.0, np.where(over, -np.inf, _scaled(eps, A) - second))
+    return exponent
+
+
 def _right_corollary(n: int, g: GFunction) -> Callable[[np.ndarray], np.ndarray]:
     """eps -> the Chernoff exponent of the printed right-tail closed form of g at n.
 
     power(1) is the strongly sub-Gamma template at v = gamma/n and
-    c = 3/(2(n+2)); power(a > 1) and entropy_log2(k) are the printed forms.
+    c = 3/(2(n+2)).  power(a > 1) and entropy_log2(k) are _printed_tail:
+    ((n-b)/a) eps - (gamma_alpha/a^2) (n-b)^(3-2a) log1p(z),
+    z = a n^(2a-1) eps/(gamma_alpha (n-b)), with b = 1 + b1, b1 = 2a/(a-1)
+    and a = b1 (2(a-1)/(a+1))^a, and
+    (2 n0/log2 n0)(eps - (gamma_k/log2 n0) log2(1 + eps log2 n0/gamma_k)).
     curve's ratio_sup gate leaves no other g.
-    The power(a > 1) form ((n-b)/a) eps - (gamma_alpha/a^2) (n-b)^(3-2a) log1p(z),
-    z = a n^(2a-1) eps/(gamma_alpha (n-b)), is taken in log a, log gamma_alpha,
-    log(n-b) and log n, since a, gamma_alpha and n^(2a-1) overflow.
     """
     if g.kind == "power" and g.alpha == 1.0:
         if n < 3:
             raise RegimeError("m0 right tail needs n >= 3")
-        return functools.partial(strongly_sub_gamma_exponent,
+        return functools.partial(_strongly_sub_gamma,
                                  ustar_engine.gamma_const() / n, 3.0 / (2.0 * (n + 2.0)))
-    if g.kind == "power" and g.alpha > 1.0:
+    if g.kind == "power":
         alpha = g.alpha
-        thr = 1.0 + 4.0 * alpha * alpha / (1.0 - alpha) ** 2
-        if n <= thr:
-            raise RegimeError(f"right tail for alpha={alpha:g} needs n > {thr:.4g}")
-        b = 1.0 + 2.0 * alpha / (alpha - 1.0)
-        log_a = math.log(b - 1.0) + alpha * math.log(2.0 * (alpha - 1.0) / (alpha + 1.0))
-        log_ga, log_nb = ustar_engine.log_gamma_alpha(alpha), math.log(n - b)
-
-        def power_exponent(eps: np.ndarray) -> np.ndarray:
-            zero = eps == 0.0
-            log_z = (log_a + np.log(np.where(zero, 1.0, eps)) - log_ga - log_nb
-                     + (2.0 * alpha - 1.0) * math.log(n))
-            # log log1p(z) = log logaddexp(0, log z): log z below z = e^-40,
-            # where z itself may underflow
-            tiny = log_z < -40.0
-            log_l = np.where(tiny, log_z, np.log(np.logaddexp(0.0, np.where(tiny, 0.0, log_z))))
-            log_second = log_ga - 2.0 * log_a + (3.0 - 2.0 * alpha) * log_nb + log_l
-            # a second term past the double range gives E = -inf, the bound 1
-            over = log_second > _LOG_MAX
-            second = np.exp(np.where(over, 0.0, log_second))
-            exponent = np.where(over, -np.inf, _scaled(eps, math.exp(log_nb - log_a)) - second)
-            return np.where(zero, 0.0, exponent)
-        return power_exponent
+        b1 = 2.0 * alpha / (alpha - 1.0)  # 4 alpha^2/(alpha-1)^2 would overflow
+        if n <= 1.0 + b1 * b1:
+            raise RegimeError(f"right tail for alpha={alpha:g} needs n > {1.0 + b1 * b1:.4g}")
+        log_a = math.log(b1) + alpha * math.log(2.0 * (alpha - 1.0) / (alpha + 1.0))
+        log_ga, log_nb = ustar_engine.log_gamma_alpha(alpha), math.log(n - (1.0 + b1))
+        return _printed_tail(log_nb - log_a,
+                             log_ga - 2.0 * log_a + (3.0 - 2.0 * alpha) * log_nb,
+                             log_a - log_ga - log_nb + (2.0 * alpha - 1.0) * math.log(n))
     if n < 3:
         raise RegimeError("entropy right tail needs n >= 3")
     n0 = (n - 1.0) / 3.0 + _E
     log2n0 = math.log2(n0)
     gam_k = 2.0 * ustar_engine.gamma_const() * (1.0 / 3.0 + (_E - 1.0 / 3.0) / n) * math.log2(g.k_floor) ** 2
-
-    def entropy_exponent(eps: np.ndarray) -> np.ndarray:
-        # log2 inside the bracket, exactly as printed; weaker than the ln
-        # form for small eps, where clamping makes the bound trivially 1.
-        # Where eps log2n0/gam_k overflows, so does the log2 term: E = -inf.
-        second = (gam_k / log2n0) * np.log2(1.0 + _scaled(eps, log2n0, gam_k))
-        over = second == np.inf
-        bracket = np.where(over, -np.inf, eps - np.where(over, 0.0, second))
-        return _scaled(bracket, 2.0 * n0 / log2n0)
-    return entropy_exponent
+    # A = 2 n0/log2 n0, C = log2 n0/gamma_k and B = A gamma_k/(log2 n0 ln 2) = A/(C ln 2)
+    log_A, log_C = math.log(2.0 * n0 / log2n0), math.log(log2n0 / gam_k)
+    return _printed_tail(log_A, log_A - log_C - math.log(math.log(2.0)), log_C)
 
 
 def _exponent(family: str, n: int, g: GFunction) -> Callable[[np.ndarray], np.ndarray]:
@@ -358,8 +324,7 @@ def _exponent(family: str, n: int, g: GFunction) -> Callable[[np.ndarray], np.nd
     an array of eps >= 0.  The family's (n, g) work is done here, once; an
     error it raises is raised before any eps."""
     if family == "subgauss":
-        sigma2 = 1.0 / (2.0 * n)
-        return lambda e: _scaled(np.where(e < _SQUARE_LIMIT, e, np.inf) ** 2, 1.0, 2.0 * sigma2)
+        return functools.partial(_gaussian_exponent, -math.log(2.0 * n))
     if family == "theorem2":
         log_sigma2 = math.log(THEOREM2_VARIANCE_FACTOR) + 2.0 * math.log(ratio_sup(g)) - math.log(n)
         return functools.partial(_gaussian_exponent, log_sigma2)
@@ -383,7 +348,7 @@ def _exponent(family: str, n: int, g: GFunction) -> Callable[[np.ndarray], np.nd
         raise InvalidInputError(f"unknown bound family {family!r}")
     spec = build_spec(n, g, order)
     if family == "subgamma":
-        return functools.partial(sub_gamma_exponent, spec.v, spec.c)
+        return functools.partial(_sub_gamma, spec.v, spec.c)
     return functools.partial(_poly_exponent, spec)
 
 
@@ -408,4 +373,6 @@ def curve(family: str, n: int, g: GFunction, eps_grid: Sequence[float]) -> Bound
     if (eps < 0.0).any():
         raise InvalidInputError("eps grid must be >= 0")
     exponents = _exponent(family, n, g)(eps)
-    return BoundCurve(bounds=tuple(_clamp(exponents).tolist()), exponents=tuple(exponents.tolist()))
+    # exp(-E), clamped to <= 1: a negative or NaN exponent gives 1
+    bounds = np.exp(-np.fmax(exponents, 0.0))
+    return BoundCurve(bounds=tuple(bounds.tolist()), exponents=tuple(exponents.tolist()))

@@ -271,9 +271,9 @@ def scale_parameter(n: int, g: GFunction) -> float:
     """The scale constant c of the ratio chain, selected by g's type.
 
     power(alpha) is Type A with mu = alpha (0 < g'(p) <= mu g(p)/p):
-        c = 0.5 g(3 mu/(n+3 mu-1)) when mu <= 1 or n < 1+4 mu^2/(mu-1)^2;
+        c = 0.5 g(3 mu/(n+3 mu-1)) when mu <= 1 or n < 1+b1^2, b1 = 2 mu/(mu-1);
         otherwise the max of that and g(r2 mu/(n+r2 mu-1))/(r2-1),
-        r2 = 0.5(n-1)(1-1/mu)(1+sqrt(1-4 mu^2/((n-1)(mu-1)^2))).
+        r2 = 0.5(n-1)(1-1/mu)(1+sqrt(1-b1^2/(n-1))).
     entropy_log2(k) is Type B with p* = 1/e (g rises on (0, p*) and falls
     on (p*, 1)), and its g(p)/p = log2(1/p) is non-increasing, so it is
     always in the single-probe case: c = 0.5 g(3/(n+3/p*-1)).
@@ -286,9 +286,12 @@ def scale_parameter(n: int, g: GFunction) -> float:
     if g.kind == "power":
         mu = g.alpha
         part1 = 0.5 * g.eval_raw(3.0 * mu / (n + 3.0 * mu - 1.0))
-        if mu <= 1.0 or n < 1.0 + 4.0 * mu * mu / (mu - 1.0) ** 2:
+        if mu <= 1.0:
             return float(part1)
-        disc = 1.0 - 4.0 * mu * mu / ((n - 1.0) * (mu - 1.0) ** 2)
+        b1 = 2.0 * mu / (mu - 1.0)  # b1^2 = 4 mu^2/(mu-1)^2, whose mu^2 overflows
+        if n < 1.0 + b1 * b1:
+            return float(part1)
+        disc = 1.0 - b1 * b1 / (n - 1.0)
         r2 = 0.5 * (n - 1.0) * (1.0 - 1.0 / mu) * (1.0 + math.sqrt(max(disc, 0.0)))
         part2 = g.eval_raw(r2 * mu / (n + r2 * mu - 1.0)) / (r2 - 1.0)
         return float(max(part1, part2))

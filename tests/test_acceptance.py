@@ -9,7 +9,6 @@ must pass.
 """
 
 import json
-import math
 import pathlib
 
 import numpy as np
@@ -46,7 +45,7 @@ def test_criterion_01_sub_gaussian_reference_curve():
 
 def test_criterion_02a_order2_spot_n20_eps005():
     """order-2 filtered bound at (n=20, eps=0.05) within 0.5% of reference."""
-    got = tb.tail_bound(tb.build_spec(20, P1, 2), 0.05)
+    got = tb.curve("poly:2", 20, P1, [0.05]).bounds[0]
     want = 0.914933968097578
     rel = abs(got - want) / want
     assert rel <= 0.005, (
@@ -57,7 +56,7 @@ def test_criterion_02a_order2_spot_n20_eps005():
 
 def test_criterion_02b_order2_spot_n20_eps010():
     """order-2 filtered bound at (n=20, eps=0.1) within 0.5% of reference."""
-    got = tb.tail_bound(tb.build_spec(20, P1, 2), 0.1)
+    got = tb.curve("poly:2", 20, P1, [0.1]).bounds[0]
     want = 0.726983256729986
     rel = abs(got - want) / want
     assert rel <= 0.005, (
@@ -96,10 +95,10 @@ def test_criterion_02c_order2_full_reference_curves():
 
 def test_criterion_03_order5_numeric_chernoff_spots():
     """order-5 numeric Chernoff bound within 1% at two reference points."""
-    got_a = tb.tail_bound(tb.build_spec(20, P1, 5), 0.1)
+    got_a = tb.curve("poly:5", 20, P1, [0.1]).bounds[0]
     want_a = 0.721191842023466
     assert abs(got_a - want_a) / want_a <= 0.01
-    got_b = tb.tail_bound(tb.build_spec(100, P1, 5), 0.15)
+    got_b = tb.curve("poly:5", 100, P1, [0.15]).bounds[0]
     want_b = 0.0384833714561327
     assert abs(got_b - want_b) / want_b <= 0.01
 
@@ -236,9 +235,8 @@ def test_criterion_10_structural_invariants():
     # the strongly-sub-gamma tail never exceeds the sub-gamma tail
     for v in (1e-4, 0.01, 0.3):
         for c in (0.01, 0.1, 1.0):
-            for e in EPS_15:
-                ssg = tb.tail_bound(tb.PolyFiltered(1, (), v, c), float(e))
-                assert ssg <= math.exp(-tb.sub_gamma_exponent(v, c, float(e))) + 1e-15
+            ssg = np.exp(-tb._strongly_sub_gamma(v, c, EPS_15))
+            assert np.all(ssg <= np.exp(-tb._sub_gamma(v, c, EPS_15)) + 1e-15)
 
     # same seed, same numbers
     d = dm.zipf(60, 1.0)

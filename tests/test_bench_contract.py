@@ -1,9 +1,9 @@
 """The package names that bench/ relies on.
 
-bench/tracer.py hooks parameters by name (spec/eps of
-tail_bounds.poly_filtered_exponent, trials and n_list of the Monte Carlo
-entry points, path of cli.read_tokens) and raises KeyError when one is gone;
-bench/worker.py calls risk_lab.mc_bias with threads=.
+bench/tracer.py hooks parameters by name (trials and n_list of the Monte
+Carlo entry points, path of cli.read_tokens), times the u_star calls that
+miss its cache through u_star.cache_info, and raises KeyError when a hooked
+parameter is gone; bench/worker.py calls risk_lab.mc_bias with threads=.
 """
 
 import importlib
@@ -14,6 +14,7 @@ from missingmass import estimators as est
 from missingmass import gfunction as gf
 from missingmass import risk_lab as rl
 from missingmass import tail_bounds as tb
+from missingmass import ustar_engine as ue
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
@@ -21,20 +22,25 @@ BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 def test_tracer_patches_and_restores_every_layer(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     tracer_mod = importlib.import_module("tracer")
-    original = tb.poly_filtered_exponent
+    originals = {"u_star": ue.u_star, "curve": tb.curve}
     tracer = tracer_mod.Tracer("missingmass", {})
     tracer.patch()
     try:
-        assert tb.poly_filtered_exponent is not original
-        # curve solves a whole grid at once, past this hook; a direct call
-        # at eps > 0 is one solve
-        spec = tb.build_spec(20, gf.power(1.0), 2)
-        for eps in (0.0, 0.1, 0.2):
-            tb.poly_filtered_exponent(spec, eps)
-        assert tracer.counters["chernoff_solves"] == 2
+        assert ue.u_star is not originals["u_star"]
+        assert tb.curve is not originals["curve"]
+        # a u_star call that misses the cache is timed, one that hits it is not
+        args = (7919, gf.power(3.25), 4)
+        misses = originals["u_star"].cache_info().misses
+        ue.u_star(*args)
+        assert originals["u_star"].cache_info().misses == misses + 1
+        miss_s = tracer.counters["u_star.miss_s"]
+        assert miss_s > 0.0
+        ue.u_star(*args)
+        assert tracer.counters["u_star.miss_s"] == miss_s
     finally:
         tracer.unpatch()
-    assert tb.poly_filtered_exponent is original
+    assert ue.u_star is originals["u_star"]
+    assert tb.curve is originals["curve"]
 
 
 def test_mc_bias_accepts_threads():

@@ -403,17 +403,33 @@ def test_bounds_regime_exit(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("g,n", [("power:1", "3"), ("power:2", "30"), ("entropy:64", "30")])
 @pytest.mark.parametrize("family", ["subgauss", "theorem2", "left_u2", "left_corollary",
                                     "right_corollary", "ssg", "subgamma", "poly:1", "poly:2"])
-def test_bounds_at_huge_eps_are_zero_never_nan(family, capsys):
-    # c*eps/v overflows in the Gamma-type exponents: inf, as on the others
-    code, out, err = run(capsys, "bounds", "--family", family, "--g", "power:1",
-                         "--n", "3", "--eps-grid", "1e308,1e300")
+def test_bounds_at_huge_eps_are_zero_never_nan(family, g, n, capsys):
+    # c*eps/v overflows in the Gamma-type exponents, and A*eps in the printed
+    # right tails: inf, as on the others
+    code, out, err = run(capsys, "bounds", "--family", family, "--g", g,
+                         "--n", n, "--eps-grid", "1e308,1e300")
     assert code == 0, err
     lines = out.splitlines()
     assert lines[:2] == ["eps,bound,exponent", "1e+308,0,inf"]
     eps, bound, exponent = (float(x) for x in lines[2].split(","))
     assert (eps, bound) == (1e300, 0.0) and exponent > 1e299
+
+
+@pytest.mark.parametrize("family", ["ssg", "subgamma", "poly:2", "right_corollary"])
+def test_bounds_where_four_alpha_squared_overflows(family, capsys):
+    # alpha = 1e160: 4 alpha^2/(alpha-1)^2 overflows, 2 alpha/(alpha-1) does
+    # not; the spec families then meet a v below the normal doubles
+    code, out, err = run(capsys, "bounds", "--family", family, "--g", "power:1e160",
+                         "--n", "100", "--eps-grid", "0.1")
+    if family == "right_corollary":
+        assert code == 0, err
+        assert out.splitlines()[1].startswith("0.1,1,")
+    else:
+        assert code == 5
+        assert "v is not a normal double" in err
 
 
 def test_sub_gamma_exponent_stays_finite_where_its_square_overflows(capsys):

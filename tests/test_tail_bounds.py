@@ -19,9 +19,24 @@ E64 = gf.entropy_log2(64)
 EPS_GRID = np.arange(1, 15) * 0.05
 
 
+def sub_gamma_exponent(v, c, e):
+    """The sub-Gamma exponent at one eps, through a one-point array."""
+    return float(tb._sub_gamma(v, c, np.array([e]))[0])
+
+
+def ssg_exponent(v, c, e):
+    """The strongly sub-Gamma exponent at one eps, through a one-point array."""
+    return float(tb._strongly_sub_gamma(v, c, np.array([e]))[0])
+
+
+def poly_exponent(spec, e):
+    """The Chernoff exponent of spec at one eps, through a one-point array."""
+    return float(tb._poly_exponent(spec, np.array([e], dtype=float))[0])
+
+
 def ssg_tail(v, c, e):
     """Strongly sub-Gamma tail: the order-1 spec, which has no filter terms."""
-    return tb.tail_bound(tb.PolyFiltered(1, (), v, c), e)
+    return min(1.0, math.exp(-ssg_exponent(v, c, e)))
 
 
 def bound(family, n, g, e):
@@ -35,7 +50,7 @@ def exponent(family, n, g, e):
 
 
 def sub_gamma_tail(v, c, e):
-    return min(1.0, math.exp(-tb.sub_gamma_exponent(v, c, e)))
+    return min(1.0, math.exp(-sub_gamma_exponent(v, c, e)))
 
 
 def test_sub_gamma_matches_naive_form():
@@ -43,17 +58,17 @@ def test_sub_gamma_matches_naive_form():
     for v, c, e in [(0.01, 0.1, 0.2), (0.5, 1.0, 0.7), (1e-4, 0.05, 0.02)]:
         x = c * e / v
         naive = (v / c**2) * (1.0 + x - math.sqrt(1.0 + 2.0 * x))
-        assert tb.sub_gamma_exponent(v, c, e) == pytest.approx(naive, rel=1e-9)
+        assert sub_gamma_exponent(v, c, e) == pytest.approx(naive, rel=1e-9)
 
 
 def test_strongly_sub_gamma_oracle():
     v, c, e = 0.012, 0.07, 0.15
     z = c * e / v
     want = (v / c**2) * (z - math.log1p(z))
-    assert tb.strongly_sub_gamma_exponent(v, c, e) == pytest.approx(want, rel=1e-14, abs=0)
+    assert ssg_exponent(v, c, e) == pytest.approx(want, rel=1e-14, abs=0)
 
 
-@pytest.mark.parametrize("exponent", [tb.sub_gamma_exponent, tb.strongly_sub_gamma_exponent])
+@pytest.mark.parametrize("exponent", [sub_gamma_exponent, ssg_exponent])
 def test_gamma_exponents_are_inf_where_the_ratio_overflows(exponent):
     # c*eps/v overflows: the exponent is inf and the bound 0, never NaN
     for e in (1e308, math.inf):
@@ -70,7 +85,7 @@ def test_sub_gamma_exponent_matches_mpmath_where_the_square_overflows():
                   1.7e307):
             x = mpmath.mpf(c * e / v)  # the double the function computes
             want = mpmath.mpf(v) / mpmath.mpf(c) ** 2 * (1 + x - mpmath.sqrt(1 + 2 * x))
-            got = tb.sub_gamma_exponent(v, c, e)
+            got = sub_gamma_exponent(v, c, e)
             assert math.isfinite(got)
             assert abs(got - want) <= 1e-13 * want, e
 
@@ -85,9 +100,9 @@ def test_ssg_bound_never_above_sub_gamma(v, c):
 
 def test_exponents_zero_at_zero_and_increasing():
     v, c = 0.01, 0.1
-    assert tb.strongly_sub_gamma_exponent(v, c, 0.0) == 0.0
-    assert tb.sub_gamma_exponent(v, c, 0.0) == 0.0
-    ssg = [tb.strongly_sub_gamma_exponent(v, c, e) for e in EPS_GRID]
+    assert ssg_exponent(v, c, 0.0) == 0.0
+    assert sub_gamma_exponent(v, c, 0.0) == 0.0
+    ssg = tb._strongly_sub_gamma(v, c, EPS_GRID).tolist()
     assert all(b > a for a, b in zip(ssg, ssg[1:]))
 
 
@@ -95,13 +110,6 @@ def test_tails_clamped_to_one():
     assert bound("theorem2", 10, P1, 0.0) == 1.0
     assert sub_gamma_tail(0.5, 0.5, 0.0) == 1.0
     assert 0.0 < ssg_tail(0.5, 0.5, 3.0) <= 1.0
-
-
-def test_param_validation():
-    with pytest.raises(InvalidInputError):
-        tb.sub_gamma_exponent(0.1, -1.0, 0.1)
-    with pytest.raises(InvalidInputError):
-        tb.strongly_sub_gamma_exponent(0.1, 0.1, -0.5)
 
 
 def chernoff_oracle(spec, eps):
@@ -125,7 +133,7 @@ def chernoff_oracle(spec, eps):
 def test_poly_exponent_matches_legendre_oracle(n, R):
     spec = tb.build_spec(n, P1, R)
     for e in (0.02, 0.1, 0.3, 0.6):
-        got = tb.poly_filtered_exponent(spec, e)
+        got = poly_exponent(spec, e)
         assert got == pytest.approx(chernoff_oracle(spec, e), rel=1e-8, abs=1e-12)
 
 
@@ -164,7 +172,7 @@ def test_poly_exponent_matches_mp_oracle_near_the_pole(R, n):
     spec = tb.build_spec(n, P2, R)
     for e in (0.005, 0.05, 0.2, 0.7):
         want = mp_chernoff_oracle(spec, e)
-        assert tb.poly_filtered_exponent(spec, e) == pytest.approx(want, rel=1e-13, abs=0)
+        assert poly_exponent(spec, e) == pytest.approx(want, rel=1e-13, abs=0)
 
 
 def reference_exponent(spec, eps):
@@ -189,7 +197,7 @@ def test_poly_exponent_bit_identical_to_the_separate_residual_solve(g):
             spec = tb.build_spec(n, g, R)
             for e in np.arange(1, 141) * 0.005:
                 e = float(e)
-                assert tb.poly_filtered_exponent(spec, e).hex() == reference_exponent(spec, e).hex()
+                assert poly_exponent(spec, e).hex() == reference_exponent(spec, e).hex()
 
 
 def test_poly_exponent_checks_the_residual_after_the_step_cap(monkeypatch):
@@ -203,7 +211,7 @@ def test_poly_exponent_checks_the_residual_after_the_step_cap(monkeypatch):
 
     monkeypatch.setattr(tb, "_filter_derivs", derivs)
     with pytest.raises(NumericalError, match="residual"):
-        tb.poly_filtered_exponent(tb.PolyFiltered(2, (0.1,), 0.01, 0.1), 0.2)
+        poly_exponent(tb.PolyFiltered(2, (0.1,), 0.01, 0.1), 0.2)
     assert len(calls) == 201
 
 
@@ -216,7 +224,7 @@ def test_curve_exponents_equal_one_point_solves(g):
             got = tb.curve(f"poly:{R}", n, g, eps).exponents
             spec = tb.build_spec(n, g, R)
             for e, E in zip(eps.tolist(), got):
-                assert abs(E - tb.poly_filtered_exponent(spec, e)) <= 1e-14 * max(1.0, abs(E))
+                assert abs(E - poly_exponent(spec, e)) <= 1e-14 * max(1.0, abs(E))
 
 
 def test_one_failed_point_fails_the_whole_curve(monkeypatch):
@@ -289,7 +297,7 @@ def test_poly_exponent_next_to_the_pole_matches_mp_oracle(g, n, R):
     spec = tb.build_spec(n, g, R)
     edge = (math.sqrt(spec.v * sys.float_info.max) / 2.0 - spec.v) / spec.c
     for e in (edge / 2.0, edge * 2.0, 1e200, 1e300):
-        got = tb.poly_filtered_exponent(spec, e)
+        got = poly_exponent(spec, e)
         want = mp_pole_oracle(spec, e)
         if want > sys.float_info.max:
             assert got == math.inf
@@ -322,7 +330,7 @@ def test_r2_exponent_matches_mp_oracle_on_fig1_grid(n):
     spec = tb.build_spec(n, P1, 2)
     for e in EPS_GRID:
         want = mp_chernoff_oracle(spec, float(e))
-        assert tb.poly_filtered_exponent(spec, float(e)) == pytest.approx(want, rel=1e-13, abs=0)
+        assert poly_exponent(spec, float(e)) == pytest.approx(want, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("g", [P1, P2, gf.power(3.0), E64],
@@ -370,6 +378,29 @@ def test_build_spec_coefficients_nonnegative(g, n, R):
     assert spec.v > 0.0 and spec.c > 0.0
 
 
+@pytest.mark.parametrize("g", [P1, P2, gf.power(3.5), E64, gf.entropy_log2(2**1022)],
+                         ids=["power1", "power2", "power3.5", "entropy64", "entropy2^1022"])
+def test_build_spec_output_satisfies_the_spec_invariants(g):
+    # PolyFiltered checks nothing itself: every spec build_spec returns has an
+    # integer R in [1, 170], R - 1 coefficients each >= 0, and v, c > 0; where
+    # it cannot, build_spec raises
+    built = 0
+    for n in (3, 20, 1000, 10**6, 10**12):
+        for R in (1, 2, 5, 40, 170):
+            try:
+                spec = tb.build_spec(n, g, R)
+            except NumericalError:
+                continue
+            assert type(spec.R) is int and spec.R == R
+            assert len(spec.a) == R - 1 and all(a_r >= 0.0 for a_r in spec.a)
+            assert spec.v >= sys.float_info.min and spec.c > 0.0
+            built += 1
+    assert built >= 10
+    for R in (0, 171, 2.5):
+        with pytest.raises(InvalidInputError):
+            tb.build_spec(20, g, R)
+
+
 def test_build_spec_r1_is_strongly_sub_gamma():
     n = 30
     spec = tb.build_spec(n, P1, 1)
@@ -377,21 +408,20 @@ def test_build_spec_r1_is_strongly_sub_gamma():
     c = scale_parameter(n, P1)
     assert spec.v == pytest.approx(v, rel=1e-14, abs=0)
     assert spec.c == pytest.approx(c, rel=1e-14, abs=0)
-    for e in (0.05, 0.2, 0.5):
-        assert tb.tail_bound(spec, e) == pytest.approx(
-            math.exp(-tb.strongly_sub_gamma_exponent(v, c, e)), rel=1e-12, abs=0
-        )
+    eps = (0.05, 0.2, 0.5)
+    for e, got in zip(eps, tb.curve("ssg", n, P1, eps).bounds):
+        assert got == pytest.approx(math.exp(-ssg_exponent(v, c, e)), rel=1e-12, abs=0)
 
 
 def test_high_order_filter_terms_never_nan():
     # power:2, n = 100: from R = 135 on, l^r overflows in f(l) while a_r is
     # subnormal, and from R = 136 on a_r underflows to 0 at high r; the
     # exponent must stay the limit that the lower orders approach.
-    base = [tb.poly_filtered_exponent(tb.build_spec(100, P2, 134), e) for e in (0.1, 0.3)]
+    base = [poly_exponent(tb.build_spec(100, P2, 134), e) for e in (0.1, 0.3)]
     for R in (135, 136, 150, 170):
         spec = tb.build_spec(100, P2, R)
         for e, want in zip((0.1, 0.3), base):
-            assert tb.poly_filtered_exponent(spec, e) == pytest.approx(want, rel=1e-12)
+            assert poly_exponent(spec, e) == pytest.approx(want, rel=1e-12)
 
 
 def test_zero_filter_coefficients_add_nothing():
@@ -426,8 +456,8 @@ def test_filter_matches_mpmath_where_the_power_overflows(s):
 
 def test_higher_order_filter_is_tighter():
     n = 20
-    b2 = [tb.tail_bound(tb.build_spec(n, P1, 2), float(e)) for e in EPS_GRID]
-    b5 = [tb.tail_bound(tb.build_spec(n, P1, 5), float(e)) for e in EPS_GRID]
+    b2 = tb.curve("poly:2", n, P1, EPS_GRID).bounds
+    b5 = tb.curve("poly:5", n, P1, EPS_GRID).bounds
     assert all(x5 <= x2 + 1e-12 for x2, x5 in zip(b2, b5))
 
 
@@ -600,6 +630,27 @@ def test_corollary_right_large_alpha_matches_mpmath(alpha, n, eps):
     assert exponent("right_corollary", n, gf.power(alpha), eps) == pytest.approx(want, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("k", [2, 64, 1000, 10**6])
+@pytest.mark.parametrize("n", [3, 30, 10**4, 10**12])
+def test_corollary_right_entropy_matches_mpmath(k, n):
+    # the printed form at 50 digits: (2 n0/log2 n0)(eps - (gamma_k/log2 n0)
+    # log2(1 + eps log2 n0/gamma_k)), n0 = (n-1)/3 + e,
+    # gamma_k = 2 gamma (1/3 + (e - 1/3)/n) log2(k)^2
+    mpmath = pytest.importorskip("mpmath")
+    eps = [1e-12, 1e-6, 0.01, 0.5, 5.0, 50.0]
+    got = tb.curve("right_corollary", n, gf.entropy_log2(k), eps).exponents
+    with mpmath.workdps(50):
+        t = mpmath.findroot(lambda t: 1 / t - 1 + 1 / mpmath.expm1(t), (1, 2), solver="anderson")
+        gamma = t * mpmath.exp(-t) * -mpmath.expm1(-t)
+        n0 = mpmath.mpf(n - 1) / 3 + mpmath.e
+        log2n0 = mpmath.log(n0, 2)
+        gam_k = 2 * gamma * (mpmath.mpf(1) / 3 + (mpmath.e - mpmath.mpf(1) / 3) / n) * mpmath.log(k, 2) ** 2
+        for e, E in zip(eps, got):
+            e = mpmath.mpf(e)
+            want = float(2 * n0 / log2n0 * (e - gam_k / log2n0 * mpmath.log(1 + e * log2n0 / gam_k, 2)))
+            assert abs(E - want) <= 1e-11 * max(1.0, abs(want)), (e, E, want)
+
+
 def test_corollary_right_second_term_past_double_range():
     # alpha = 2000 at n = 6: the second term is about e^1387, so E = -inf
     g = gf.power(2000.0)
@@ -643,7 +694,8 @@ def test_curve_families_consistent():
     spec3 = tb.build_spec(n, P1, 3)
     for i, e in enumerate(eps):
         assert ssg.bounds[i] <= sg.bounds[i] + 1e-15
-        assert p3.bounds[i] == pytest.approx(tb.tail_bound(spec3, float(e)), rel=1e-12, abs=0)
+        want = min(1.0, math.exp(-poly_exponent(spec3, float(e))))
+        assert p3.bounds[i] == pytest.approx(want, rel=1e-12, abs=0)
     assert len(ssg.bounds) == len(ssg.exponents) == len(eps)
 
 
@@ -691,9 +743,3 @@ def test_curve_rejects_unknown_family_and_small_power():
     with pytest.raises(InvalidInputError):
         tb.curve("ssg", 20, gf.power(0.5), [0.1])
 
-
-def test_poly_filtered_validation():
-    with pytest.raises(InvalidInputError):
-        tb.PolyFiltered(R=3, a=(0.1,), v=0.01, c=0.1)  # needs R-1 coefficients
-    with pytest.raises(InvalidInputError):
-        tb.PolyFiltered(R=2, a=(-0.1,), v=0.01, c=0.1)
