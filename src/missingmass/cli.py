@@ -59,50 +59,6 @@ def _resolve_path(path: Optional[str]) -> Optional[str]:
     return path
 
 
-def parse_g(text: str) -> gf.GFunction:
-    """Parse a g-function descriptor: power:ALPHA or entropy:K."""
-    parts = text.split(":")
-    if parts[0] == "power" and len(parts) == 2:
-        try:
-            alpha = float(parts[1])
-        except ValueError:
-            raise InvalidInputError(f"bad power exponent: {parts[1]!r}")
-        return gf.power(alpha)
-    if parts[0] == "entropy" and len(parts) == 2:
-        try:
-            k = int(parts[1])
-        except ValueError:
-            raise InvalidInputError(f"bad entropy support size: {parts[1]!r}")
-        return gf.entropy_log2(k)
-    raise InvalidInputError(
-        f"unknown g descriptor {text!r}; expected power:ALPHA or entropy:K"
-    )
-
-
-def parse_dist(text: str) -> dist_mod.DiscreteDistribution:
-    """Parse uniform:K, zipf:K:S, geometric:K:Q, or explicit:PATH."""
-    parts = text.split(":", 1)
-    if parts[0] == "explicit":
-        if len(parts) != 2 or not parts[1]:
-            raise InvalidInputError("explicit distribution needs a file path")
-        return dist_mod.from_file(parts[1])
-    families = {"uniform": (dist_mod.uniform, (int,)),
-                "zipf": (dist_mod.zipf, (int, float)),
-                "geometric": (dist_mod.geometric, (int, float))}
-    if parts[0] not in families:
-        raise InvalidInputError(f"unknown distribution family {parts[0]!r}")
-    raw = text.split(":")[1:]
-    build, casts = families[parts[0]]
-    if len(raw) != len(casts):
-        raise InvalidInputError(
-            f"{parts[0]} takes {len(casts)} parameter(s), got {len(raw)}")
-    try:
-        params = [cast(v) for cast, v in zip(casts, raw)]
-    except ValueError:
-        raise InvalidInputError(f"malformed distribution descriptor {text!r}")
-    return build(*params)
-
-
 def parse_eps_grid(text: str) -> np.ndarray:
     """Parse 'a:b:step' (inclusive of b up to step/2, at most
     MAX_EPS_GRID_POINTS points) or 'e1,e2,...'."""
@@ -490,7 +446,7 @@ def fig1_rows(n: int) -> Tuple[List[str], List[List[float]]]:
 
 
 def cmd_fig1(args: argparse.Namespace) -> int:
-    outdir = args.outdir or os.environ.get(OUTDIR_ENV) or "."
+    outdir = _resolve_path(args.outdir) or os.environ.get(OUTDIR_ENV) or "."
     os.makedirs(outdir, exist_ok=True)
     tables = [_table(*fig1_rows(n), "csv") for n in _FIG_NS]
     for n, text in zip(_FIG_NS, tables):
@@ -501,7 +457,7 @@ def cmd_fig1(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
-    g = parse_g(args.g)
+    g = gf.parse(args.g)
     eps = parse_eps_grid(args.eps_grid)
     curve = tb.curve(args.family, args.n, g, eps)
     rows = list(zip(eps.tolist(), curve.bounds, curve.exponents))
@@ -512,7 +468,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_ustar(args: argparse.Namespace) -> int:
-    g = parse_g(args.g)
+    g = gf.parse(args.g)
     res = u_star(args.n, g, args.r)
     if res.value == 0.0:
         # u_r > 0 on (0, 1), so a maximum of 0 is an underflow: the value
@@ -563,8 +519,8 @@ def _simulate_table(args: argparse.Namespace) -> Tuple[List[str], List[List[floa
 
     if args.g is None or args.dist is None:
         raise InvalidInputError(f"--task {args.task} requires --g and --dist")
-    g = parse_g(args.g)
-    dist = parse_dist(args.dist)
+    g = gf.parse(args.g)
+    dist = dist_mod.parse(args.dist)
     ns = parse_n_list(args.n_list)
 
     if args.task == "risk":
@@ -641,10 +597,11 @@ def build_parser() -> argparse.ArgumentParser:
     pb = sub.add_parser("bounds", help="evaluate one bound family on a grid")
     pb.add_argument("--family", required=True,
                     help="subgauss | theorem2 | left_u2 | left_corollary | right_corollary | "
-                         "ssg | subgamma | poly:R with 1 <= R <= 170 (the corollaries, "
-                         "subgamma, ssg and poly need n >= 3, or more by g)")
+                         "ssg | subgamma | poly:R with 1 <= R <= 170 (subgauss is the "
+                         "e^(-n eps^2) reference of power:1 and exits 3 on any other g; "
+                         "the corollaries, subgamma, ssg and poly need n >= 3, or more by g)")
     pb.add_argument("--g", required=True, help="power:ALPHA or entropy:K "
-                                               "(power needs alpha >= 1 here)")
+                                               "(power needs 1 <= alpha <= 1e300 here)")
     pb.add_argument("--n", type=int, required=True, help="sample size")
     pb.add_argument("--eps-grid", required=True, help="a:b:step or comma list")
     pb.add_argument("--out", choices=("csv", "json"), default="csv",
@@ -688,6 +645,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+#: Exit code and stderr prefix of each error class a command may raise.
+_EXITS = {InvalidInputError: (2, "error"), RegimeError: (3, "out of regime"),
+          MemoryError: (3, "out of memory"), OSError: (4, "i/o failure"),
+          NumericalError: (5, "numerical failure"), OverflowError: (5, "numerical failure")}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -696,21 +659,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RegimeError as exc:
-        print(f"out of regime: {exc}", file=sys.stderr)
-        return 3
-    except MemoryError as exc:
-        print(f"out of memory: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return 4
-    except (NumericalError, OverflowError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 5
+    except tuple(_EXITS) as exc:
+        code, prefix = next(_EXITS[cls] for cls in type(exc).__mro__ if cls in _EXITS)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

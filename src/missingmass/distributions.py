@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidInputError
-from .gfunction import GFunction
+from .gfunction import GFunction, format_descriptor, parse_descriptor
 
 _SUM_TOL = 1e-12
 
@@ -52,7 +52,7 @@ def uniform(k: int) -> DiscreteDistribution:
     if int(k) != k or k < 1:
         raise InvalidInputError("uniform requires integer K >= 1")
     k = int(k)
-    return DiscreteDistribution(np.full(k, 1.0 / k), label=f"uniform:{k}")
+    return DiscreteDistribution(np.full(k, 1.0 / k), label=format_descriptor("uniform", k))
 
 
 def zipf(k: int, s: float) -> DiscreteDistribution:
@@ -61,8 +61,9 @@ def zipf(k: int, s: float) -> DiscreteDistribution:
         raise InvalidInputError("zipf requires integer K >= 1")
     if not (s > 0.0):
         raise InvalidInputError("zipf requires s > 0")
-    w = 1.0 / np.arange(1, int(k) + 1, dtype=float) ** s
-    return DiscreteDistribution(w / w.sum(), label=f"zipf:{int(k)}:{s:g}")
+    k, s = int(k), float(s)
+    w = 1.0 / np.arange(1, k + 1, dtype=float) ** s
+    return DiscreteDistribution(w / w.sum(), label=format_descriptor("zipf", k, s))
 
 
 def geometric(k: int, q: float) -> DiscreteDistribution:
@@ -75,8 +76,9 @@ def geometric(k: int, q: float) -> DiscreteDistribution:
         raise InvalidInputError("geometric requires integer K >= 1")
     if not (0.0 < q < 1.0):
         raise InvalidInputError("geometric requires q in (0, 1)")
-    w = q * (1.0 - q) ** np.arange(int(k), dtype=float)
-    return DiscreteDistribution(w / w.sum(), label=f"geometric:{int(k)}:{q:g}")
+    k, q = int(k), float(q)
+    w = q * (1.0 - q) ** np.arange(k, dtype=float)
+    return DiscreteDistribution(w / w.sum(), label=format_descriptor("geometric", k, q))
 
 
 def explicit(vector, label: str = "explicit") -> DiscreteDistribution:
@@ -95,6 +97,16 @@ def from_file(path) -> DiscreteDistribution:
     except (ValueError, TypeError) as exc:
         raise InvalidInputError(f"{path}: malformed distribution file ({exc})")
     return explicit(values, label=f"explicit:{path.name}")
+
+
+_GRAMMAR = {"uniform": (uniform, (int,)), "zipf": (zipf, (int, float)),
+            "geometric": (geometric, (int, float)), "explicit": (from_file, (str,))}
+
+
+def parse(text: str) -> DiscreteDistribution:
+    """The distribution a descriptor names: uniform:K, zipf:K:S or
+    geometric:K:Q, as their labels print them, or explicit:PATH."""
+    return parse_descriptor(text, _GRAMMAR, "uniform:K, zipf:K:S, geometric:K:Q or explicit:PATH")
 
 
 def _inverse_cdf(probs: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:

@@ -3,7 +3,7 @@
 The quantity under study is the missing mass of g: the sum of g(p_x) over
 letters x that never occur in the sample.  Two kinds are supported:
 
-* ``power(alpha)``      -- g(p) = p**alpha, alpha > 0; alpha = 1 is the classical
+* ``power(alpha)``      -- g(p) = p**alpha, 0 < alpha <= 1e300; alpha = 1 is the classical
   missing mass, integer alpha >= 1 the order-alpha missing mass.
 * ``entropy_log2(k)``   -- g(p) = p*log2(1/p), declared on p >= 1/k so that
   g(p)/p stays bounded; the missing Shannon entropy.
@@ -77,16 +77,42 @@ class GFunction:
         return 0.0 + arr * (-np.log2(arr))
 
     def descriptor(self) -> str:
+        """power:ALPHA or entropy:K; parse reads it back to this g."""
         if self.kind == POWER:
-            a = self.alpha
-            return f"power:{int(a)}" if float(a).is_integer() else f"power:{a:g}"
-        return f"entropy:{self.k_floor}"
+            return format_descriptor("power", self.alpha)
+        return format_descriptor("entropy", self.k_floor)
+
+
+def format_descriptor(name: str, *params) -> str:
+    """NAME:P1:...:Pm, each parameter exact and shortest: an int, or an
+    integral float below 2**53, as an integer, any other float by repr."""
+    fields = [repr(p) if isinstance(p, float) and not (p.is_integer() and abs(p) < 2**53)
+              else str(int(p)) for p in params]
+    return ":".join([name, *fields])
+
+
+def parse_descriptor(text: str, grammar: dict, expected: str):
+    """factory(cast_1(P1), ..., cast_m(Pm)) for NAME:P1:...:Pm, where
+    grammar[NAME] = (factory, (cast_1, ..., cast_m)) and Pm takes the rest of
+    the text.  InvalidInputError names the expected forms where NAME is
+    unknown, a field is missing or empty, or a cast fails."""
+    name, _, rest = text.partition(":")
+    factory, casts = grammar.get(name, (None, ()))
+    fields = rest.split(":", len(casts) - 1)
+    try:
+        params = [cast(f) for cast, f in zip(casts, fields, strict=True)]
+    except ValueError:
+        factory = None
+    if factory is None or "" in fields:
+        raise InvalidInputError(f"bad descriptor {text!r}; expected {expected}")
+    return factory(*params)
 
 
 def power(alpha: float) -> GFunction:
-    """g(p) = p**alpha for alpha > 0."""
-    if not (alpha > 0.0) or not math.isfinite(alpha):
-        raise InvalidInputError("power kind requires alpha > 0")
+    """g(p) = p**alpha for 0 < alpha <= 1e300.  log gamma_alpha overflows
+    near alpha = 2e305, where the closed-form tails would take inf - inf."""
+    if not 0.0 < alpha <= 1e300:
+        raise InvalidInputError("power kind requires 0 < alpha <= 1e300")
     return GFunction(kind=POWER, alpha=float(alpha))
 
 
@@ -99,6 +125,14 @@ def entropy_log2(k_floor: int) -> GFunction:
     return GFunction(kind=ENTROPY_LOG2, k_floor=int(k_floor))
 
 
+_GRAMMAR = {"power": (power, (float,)), "entropy": (entropy_log2, (int,))}
+
+
+def parse(text: str) -> GFunction:
+    """The g a descriptor names: power:ALPHA or entropy:K."""
+    return parse_descriptor(text, _GRAMMAR, "power:ALPHA or entropy:K")
+
+
 def ratio_sup(g: GFunction) -> float:
     """sup over the declared domain of g(p)/p.
 
@@ -107,8 +141,6 @@ def ratio_sup(g: GFunction) -> float:
     """
     if g.kind == POWER:
         if g.alpha < 1.0:
-            raise InvalidInputError(
-                "g(p)/p is unbounded near 0 for power alpha < 1"
-            )
+            raise InvalidInputError("g(p)/p is unbounded near 0 for power alpha < 1")
         return 1.0
     return math.log2(g.k_floor)

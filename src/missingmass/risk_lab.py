@@ -126,9 +126,8 @@ def _estimate_errors(
         raise InvalidInputError("Monte Carlo risk and bias need trials >= 100")
     alpha = kind.alpha
     if alpha > 0 and g != power(alpha):
-        raise InvalidInputError(
-            f"estimator {kind.descriptor()} targets g = power:{alpha}; got {g.descriptor()}"
-        )
+        raise InvalidInputError(f"estimator {kind.descriptor()} targets g = "
+                                f"{power(alpha).descriptor()}; got {g.descriptor()}")
     if n < alpha:
         raise RegimeError(f"n = {n} < alpha = {alpha}")
     g0, phi = _occupancy(dist.probs, _g_vector(dist, g), n, trials, seed, alpha)

@@ -324,6 +324,10 @@ def _exponent(family: str, n: int, g: GFunction) -> Callable[[np.ndarray], np.nd
     an array of eps >= 0.  The family's (n, g) work is done here, once; an
     error it raises is raised before any eps."""
     if family == "subgauss":
+        # exp(-n eps^2) is the Figure-1 reference of the missing mass only:
+        # simulation exceeds it for entropy g
+        if g.kind != "power" or g.alpha != 1.0:
+            raise RegimeError(f"subgauss bounds power:1 only, not {g.descriptor()}")
         return functools.partial(_gaussian_exponent, -math.log(2.0 * n))
     if family == "theorem2":
         log_sigma2 = math.log(THEOREM2_VARIANCE_FACTOR) + 2.0 * math.log(ratio_sup(g)) - math.log(n)
@@ -357,7 +361,8 @@ def curve(family: str, n: int, g: GFunction, eps_grid: Sequence[float]) -> Bound
 
     The family's exponent is evaluated once, on the whole eps array: a
     closed form elementwise, poly:R (R >= 2) by one Newton over the array.
-    family: "subgauss" (sigma2 = 1/(2n), the e^[-n eps^2] reference curve),
+    family: "subgauss" (sigma2 = 1/(2n), the e^[-n eps^2] reference curve
+    of power(1); RegimeError for any other g),
     "theorem2" (sigma2 = THEOREM2_VARIANCE_FACTOR ratio_sup(g)^2 / n),
     "left_u2" (the exact left tail, sigma2 = u*_2 over the domain of g),
     "left_corollary" (sigma2 from log_u2_closed_bound), "right_corollary"

@@ -35,31 +35,6 @@ def read_table(path):
 # parsers
 
 
-def test_parse_g():
-    assert cli.parse_g("power:2").descriptor() == "power:2"
-    assert cli.parse_g("power:1.5").alpha == 1.5
-    assert cli.parse_g("entropy:64").k_floor == 64
-    for bad in ("power", "power:x", "entropy:2.5", "log:3", "power:2:3"):
-        with pytest.raises(InvalidInputError):
-            cli.parse_g(bad)
-
-
-def test_parse_dist():
-    assert cli.parse_dist("uniform:50").label == "uniform:50"
-    assert cli.parse_dist("zipf:200:1").label == "zipf:200:1"
-    assert cli.parse_dist("geometric:100:0.5").label == "geometric:100:0.5"
-    for bad in ("uniform", "uniform:x", "zipf:10", "pareto:3", "geometric:10:0.5:1"):
-        with pytest.raises(InvalidInputError):
-            cli.parse_dist(bad)
-
-
-def test_parse_dist_explicit(tmp_path):
-    path = tmp_path / "d.json"
-    path.write_text("[0.5, 0.5]")
-    d = cli.parse_dist(f"explicit:{path}")
-    np.testing.assert_allclose(d.probs, [0.5, 0.5])
-
-
 def test_parse_eps_grid():
     np.testing.assert_allclose(cli.parse_eps_grid("0:0.2:0.1"), [0.0, 0.1, 0.2])
     np.testing.assert_allclose(cli.parse_eps_grid("0.05,0.1"), [0.05, 0.1])
@@ -364,6 +339,17 @@ def test_fig1_outdir_from_environment(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "tail_curves_n20.csv").exists()
 
 
+def test_fig1_relative_outdir_resolves_against_the_environment(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path / "base"))
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "fig1", "--outdir", "rel")
+    assert code == 0
+    want = tmp_path / "base" / "rel"
+    assert out.splitlines() == [str(want / f"tail_curves_n{n}.csv") for n in (20, 100, 1000)]
+    assert all((want / f"tail_curves_n{n}.csv").exists() for n in (20, 100, 1000))
+    assert not (tmp_path / "rel").exists()
+
+
 def test_bounds_csv_roundtrip(tmp_path, capsys):
     out_path = tmp_path / "b.csv"
     code, _, _ = run(capsys, "bounds", "--family", "ssg", "--g", "power:1",
@@ -397,6 +383,49 @@ def test_bounds_rejects_small_power(family, alpha, capsys):
     assert out == "" and "unbounded near 0" in err
 
 
+@pytest.mark.parametrize("g", ["power:2", "power:1.5", "entropy:64", "entropy:2"])
+def test_subgauss_bounds_only_the_missing_mass(g, capsys):
+    # simulation exceeds exp(-n eps^2) for entropy g, so no other g gets it
+    code, out, err = run(capsys, "bounds", "--family", "subgauss", "--g", g,
+                         "--n", "100", "--eps-grid", "0.2")
+    assert (code, out) == (3, "") and "power:1 only" in err
+
+
+@pytest.mark.parametrize("family,g", [("left_corollary", "power:1e308"),
+                                      ("right_corollary", "power:1e306"),
+                                      ("theorem2", "power:1.0000000000000002e300")])
+def test_bounds_reject_power_alpha_past_its_cap(family, g, capsys):
+    # the closed-form tails printed NaN here; alpha > 1e300 is refused up front
+    code, out, err = run(capsys, "bounds", "--family", family, "--g", g,
+                         "--n", "100", "--eps-grid", "0.1")
+    assert (code, out) == (2, "") and "alpha <= 1e300" in err
+
+
+@pytest.mark.parametrize("family", ["theorem2", "left_u2", "left_corollary", "right_corollary"])
+@pytest.mark.parametrize("n", ["3", "20", "100", "10000", "100000000"])
+def test_bounds_at_the_largest_power_alpha_are_never_nan(family, n, capsys):
+    code, out, err = run(capsys, "bounds", "--family", family, "--g", "power:1e300",
+                         "--n", n, "--eps-grid", "0,0.1,1,1e308")
+    if code == 3:  # right_corollary needs n > 1 + b1^2 = 5
+        assert (family, n) == ("right_corollary", "3")
+        return
+    assert code == 0, err
+    rows = [[float(x) for x in line.split(",")] for line in out.splitlines()[1:]]
+    assert len(rows) == 4 and not np.isnan(rows).any()
+
+
+def test_json_meta_echoes_descriptors_exactly(capsys):
+    code, out, err = run(capsys, "bounds", "--family", "theorem2", "--g", "power:1.23456789",
+                         "--n", "100", "--eps-grid", "0.1", "--out", "json")
+    assert code == 0, err
+    assert json.loads(out)["g"] == "power:1.23456789"
+    code, out, err = run(capsys, "simulate", "--task", "tail", "--g", "power:1",
+                         "--dist", "zipf:50:1.23456789", "--n-list", "20",
+                         "--trials", "1000", "--eps-grid", "0.1", "--out", "json")
+    assert code == 0, err
+    assert json.loads(out)["dist"] == "zipf:50:1.23456789"
+
+
 def test_bounds_regime_exit(capsys):
     code, _, err = run(capsys, "bounds", "--family", "ssg", "--g", "power:1",
                        "--n", "2", "--eps-grid", "0.1,0.2")
@@ -408,9 +437,12 @@ def test_bounds_regime_exit(capsys):
                                     "right_corollary", "ssg", "subgamma", "poly:1", "poly:2"])
 def test_bounds_at_huge_eps_are_zero_never_nan(family, g, n, capsys):
     # c*eps/v overflows in the Gamma-type exponents, and A*eps in the printed
-    # right tails: inf, as on the others
+    # right tails: inf, as on the others; subgauss bounds power:1 only
     code, out, err = run(capsys, "bounds", "--family", family, "--g", g,
                          "--n", n, "--eps-grid", "1e308,1e300")
+    if family == "subgauss" and g != "power:1":
+        assert (code, out) == (3, "") and "power:1 only" in err
+        return
     assert code == 0, err
     lines = out.splitlines()
     assert lines[:2] == ["eps,bound,exponent", "1e+308,0,inf"]

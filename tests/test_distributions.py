@@ -70,6 +70,44 @@ def test_from_file_json_and_csv(tmp_path):
     np.testing.assert_allclose(dm.from_file(cpath).probs, vec)
 
 
+def test_parse():
+    assert dm.parse("uniform:50").label == "uniform:50"
+    assert dm.parse("zipf:200:1").label == "zipf:200:1"
+    assert dm.parse("geometric:100:0.5").label == "geometric:100:0.5"
+    for bad in ("uniform", "uniform:x", "zipf:10", "pareto:3", "geometric:10:0.5:1",
+                "explicit", "explicit:", "uniform:2.5", ""):
+        with pytest.raises(InvalidInputError):
+            dm.parse(bad)
+
+
+def test_parse_explicit(tmp_path):
+    path = tmp_path / "d.json"
+    path.write_text("[0.5, 0.5]")
+    d = dm.parse(f"explicit:{path}")
+    np.testing.assert_allclose(d.probs, [0.5, 0.5])
+    assert d.label == "explicit:d.json"
+
+
+def test_labels_print_parameters_exactly():
+    assert dm.zipf(50, 1.23456789).label == "zipf:50:1.23456789"
+    assert dm.zipf(50, 3.0).label == "zipf:50:3"
+    assert dm.geometric(10, 0.1).label == "geometric:10:0.1"
+    assert dm.geometric(10, 1 / 3).label == f"geometric:10:{1 / 3!r}"
+
+
+_EXPONENTS = st.floats(min_value=1e-6, max_value=50.0)
+
+
+@given(k=st.integers(min_value=1, max_value=300), s=_EXPONENTS,
+       q=st.floats(min_value=1e-9, max_value=1.0, exclude_max=True))
+@settings(max_examples=150, deadline=None)
+def test_parse_of_a_label_rebuilds_the_same_probabilities(k, s, q):
+    for d in (dm.uniform(k), dm.zipf(k, s), dm.geometric(k, q)):
+        back = dm.parse(d.label)
+        assert back.label == d.label
+        assert back.probs.tobytes() == d.probs.tobytes()
+
+
 def test_sample_deterministic_and_in_range():
     d = dm.zipf(30, 1.0)
     a = dm.sample(d, 500, seed=7)

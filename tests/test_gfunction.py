@@ -57,7 +57,9 @@ def test_entropy_eval_raw_ignores_floor():
 
 
 def test_power_requires_positive_alpha():
-    for bad in (0.0, -1.0, math.inf, math.nan):
+    # and alpha <= 1e300, below where log gamma_alpha overflows (about 2e305)
+    assert gf.power(1e300).alpha == 1e300
+    for bad in (0.0, -1.0, math.inf, math.nan, 1e300 * (1 + 2.0**-52), 1e301, 1.7e308):
         with pytest.raises(InvalidInputError):
             gf.power(bad)
 
@@ -96,6 +98,41 @@ def test_descriptors():
     assert gf.power(1).descriptor() == "power:1"
     assert gf.power(2.5).descriptor() == "power:2.5"
     assert gf.entropy_log2(1024).descriptor() == "entropy:1024"
+
+
+def test_descriptors_print_alpha_exactly():
+    assert gf.power(1.23456789).descriptor() == "power:1.23456789"
+    assert gf.power(2.0**53 - 1).descriptor() == "power:9007199254740991"
+    assert gf.power(2.0**53).descriptor() == "power:9007199254740992.0"
+    assert gf.power(1e300).descriptor() == "power:1e+300"
+    assert gf.entropy_log2(2**1022).descriptor() == f"entropy:{2**1022}"
+
+
+def test_parse():
+    assert gf.parse("power:2") == gf.power(2.0)
+    assert gf.parse("power:1.5").alpha == 1.5
+    assert gf.parse("power:1e300").alpha == 1e300
+    assert gf.parse("entropy:64").k_floor == 64
+    for bad in ("power", "power:x", "entropy:2.5", "log:3", "power:2:3", "", "entropy_log2:4",
+                "power:0", "power:nan", "power:1e301", "power:inf", "entropy:1"):
+        with pytest.raises(InvalidInputError):
+            gf.parse(bad)
+
+
+@given(alpha=st.one_of(st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
+                       st.integers(min_value=1, max_value=2**60).map(float),
+                       st.sampled_from([1.23456789, 1e300, 1.0, 2.0, 5e-324])))
+@settings(max_examples=300, deadline=None)
+def test_parse_of_a_power_descriptor_is_the_same_g(alpha):
+    g = gf.power(alpha)
+    assert gf.parse(g.descriptor()) == g
+
+
+@given(k=st.integers(min_value=2, max_value=2**1022))
+@settings(max_examples=200, deadline=None)
+def test_parse_of_an_entropy_descriptor_is_the_same_g(k):
+    g = gf.entropy_log2(k)
+    assert gf.parse(g.descriptor()) == g
 
 
 @given(

@@ -260,7 +260,7 @@ def test_curve_evaluates_the_exponent_once_on_the_whole_grid(family, monkeypatch
 
     monkeypatch.setattr(tb, "_exponent", counted)
     eps = [0.0, 0.01, 0.1, 0.3]
-    c = tb.curve(family, 50, P2, eps)
+    c = tb.curve(family, 50, P1 if family == "subgauss" else P2, eps)
     assert len(calls) == 1 and calls[0].tolist() == eps
     assert len(c.bounds) == len(c.exponents) == len(eps)
     assert all(type(x) is float for x in c.bounds + c.exponents)
@@ -519,9 +519,9 @@ def test_left_tail_entropy_floor():
 
 
 def test_left_tail_at_the_largest_power_alpha_is_zero():
-    # log u*_2 of power:1.7e308 is about -3.4e296, finite, so the exponent
+    # log u*_2 of power:1e300 is about -2e288, finite, so the exponent
     # eps^2 / (2 u*_2) is +inf for eps > 0 and the bound is 0
-    g = gf.power(1.7e308)
+    g = gf.power(1e300)
     assert bound("left_u2", 20, g, 0.1) == 0.0
     assert bound("left_u2", 20, g, 0.0) == 1.0
 
