@@ -2,8 +2,8 @@
 
 Subcommands
 -----------
-estimate   Read a sample (tokens, token counts, or an occupancy profile),
-           report Good-Turing style estimates and optional deviation bounds.
+estimate   Good-Turing style estimates and optional deviation bounds of a
+           sample file, profiled by the readers of empirical.
 fig1       Emit reference tail-bound curves (sub-Gaussian, order-2 and
            order-5 polynomial filters) for n in {20, 100, 1000}.
 bounds     Evaluate one bound family (subgauss, theorem2, left_u2, left_corollary,
@@ -26,7 +26,7 @@ import json
 import math
 import os
 import sys
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from . import estimators as est
 from . import gfunction as gf
 from . import risk_lab
 from . import tail_bounds as tb
-from .empirical import SampleProfile, profile_from_counts, profile_from_phi
+from .empirical import SampleProfile, _not_utf8, profile_from_lines, read_count_csv, read_phi_csv
 from .errors import InvalidInputError, NumericalError, RegimeError
 from .ustar_engine import u_star
 
@@ -100,267 +100,26 @@ def parse_n_list(text: str) -> List[int]:
     return ns
 
 
-# ---------------------------------------------------------------------------
-# profile readers
-
-
-def _not_utf8(path: str, exc: UnicodeDecodeError) -> InvalidInputError:
-    return InvalidInputError(f"{path}: not UTF-8 text ({exc.reason})")
-
-
-#: Bytes read_tokens reads at a time.  The arrays of a 256 KiB block are
-#: small enough for the allocator to reuse their memory from block to block;
-#: 1 MiB blocks made about 4 times as many page faults on a file of 2e6 lines.
-_BLOCK_BYTES = 1 << 18
-#: Edge bytes of a line that str.strip may remove or that may start or end a
-#: removable character: ASCII whitespace and every non-ASCII UTF-8 byte.
-_STRIPPABLE = np.zeros(256, dtype=bool)
-_STRIPPABLE[[9, 11, 12, 28, 29, 30, 31, 32]] = True
-_STRIPPABLE[0x80:] = True
-_MIX = np.uint64(0x9E3779B97F4A7C15)
-#: Shifting the little-endian word at a line of L <= 7 bytes left by
-#: _SHIFT[L] keeps just its L bytes, at the top, and clears the low byte for
-#: L; numpy shifts by 64 to 0, so an empty line packs to 0.
-_SHIFT = np.array([64 - 8 * L for L in range(8)], dtype=np.uint8)
-#: Table key of the lines of 1 to 7 bytes, one packed word each.
-_PACKED = 0
-
-
-def _distinct_rows(keys: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of the uint64 matrix keys, and the sum of counts over each.
-
-    Rows are sorted by a mixed 64-bit hash; if two distinct rows share a hash,
-    the rows themselves are sorted instead."""
-    h = keys[:, 0]
-    for k in range(1, keys.shape[1]):
-        h = ((h ^ (h >> np.uint64(29))) * _MIX) ^ keys[:, k]
-    # A one-word table (packed lines, lines of 8 bytes) is regrouped mostly
-    # from parts that are each sorted, which a stable sort merges as runs.
-    order = np.argsort(h, kind="stable" if keys.shape[1] == 1 else None)
-    hs = h[order]
-    same = hs[1:] == hs[:-1]
-    if keys.shape[1] > 1 and (keys[order[:-1][same]] != keys[order[1:][same]]).any():
-        order = np.lexsort(keys.T[::-1])
-        rows = keys[order]
-        same = (rows[1:] == rows[:-1]).all(axis=1)
-    first = np.flatnonzero(np.concatenate(([True], ~same)))
-    return keys[order[first]], np.add.reduceat(counts[order], first)
-
-
-class _LineCounts:
-    """Counts of distinct byte lines.  A line of 1 to 7 bytes is one uint64
-    key in the _PACKED table: its bytes in the top bytes of a little-endian
-    word, and its length in the low byte.  A longer line of L bytes is a row of
-    ceil(L/8) little-endian uint64 words, zero padded, in the table for L.
-    A table is regrouped into distinct rows whenever it doubles."""
-
-    def __init__(self) -> None:
-        self.parts: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
-        self.grouped: Dict[int, int] = {}
-
-    def add(self, data: bytes, weights: Optional[np.ndarray] = None) -> None:
-        """Count the non-empty segments of data between line-end bytes
-        (10 and 13); segment i counts weights[i] times (default once)."""
-        buf = np.frombuffer(data, dtype=np.uint8)
-        ends = np.flatnonzero((buf == 10) | (buf == 13))
-        starts = np.empty(len(ends) + 1, np.int64)
-        starts[0] = 0
-        np.add(ends, 1, out=starts[1:])
-        lens = np.empty_like(starts)
-        lens[:-1] = ends
-        lens[-1] = len(data)
-        lens -= starts
-        # words[s] is the 8 bytes from offset s on; data is padded with 8
-        # zero bytes so that every word read is in range.
-        padded = data + bytes(8)
-        words = np.ndarray((len(data) + 1,), dtype="<u8", buffer=padded, strides=(1,))
-        long = lens >= 8
-        if long.any():
-            self._add_long(words, starts[long], lens[long],
-                           None if weights is None else weights[long])
-            short = ~long
-            starts, lens = starts[short], lens[short]
-            weights = None if weights is None else weights[short]
-        keys = words[starts]
-        keys <<= _SHIFT.take(lens)
-        keys |= lens.view(np.uint64)
-        # Free the block's arrays, so that a regroup of the packed table
-        # does not add to them.
-        del ends, starts, lens, long, padded, words
-        if weights is None:
-            keys.sort()
-        else:
-            order = np.argsort(keys)
-            keys, weights = keys[order], weights[order]
-        # An empty line's key is 0, so empty lines sort first.
-        skip = keys.searchsorted(np.uint64(1))
-        keys = keys[skip:]
-        new = np.empty(len(keys), bool)
-        new[:1] = True
-        np.not_equal(keys[1:], keys[:-1], out=new[1:])
-        first = np.flatnonzero(new)
-        counts = (np.diff(first, append=len(keys)) if weights is None
-                  else np.add.reduceat(weights[skip:], first))
-        keys = keys[first]
-        if len(keys):
-            self._merge(_PACKED, keys[:, None], counts)
-
-    def _add_long(self, words: np.ndarray, starts: np.ndarray, lens: np.ndarray,
-                  weights: Optional[np.ndarray]) -> None:
-        """Count the lines of 8 or more bytes at starts, one table per length."""
-        order = np.argsort(lens)
-        for group in np.split(order, np.flatnonzero(np.diff(lens[order])) + 1):
-            L = int(lens[group[0]])
-            width = -(-L // 8)
-            keys = words[starts[group][:, None] + np.arange(0, 8 * width, 8)]
-            if L % 8:
-                keys[:, -1] &= np.uint64((1 << (8 * (L % 8))) - 1)
-            counts = None if weights is None else weights[group]
-            if counts is None and width == 1:
-                # Sorting the words themselves is cheaper than sorting an
-                # order: a file of 8-byte lines reads 2.4 times as fast.
-                distinct, counts = np.unique(keys[:, 0], return_counts=True)
-                keys = distinct[:, None]
-            self._merge(L, keys, np.ones(len(keys), np.int64) if counts is None else counts)
-
-    def _merge(self, L: int, keys: np.ndarray, counts: np.ndarray) -> None:
-        parts = self.parts.setdefault(L, [])
-        parts.append((keys, counts))
-        if sum(len(k) for k, _ in parts) >= 2 * self.grouped.get(L, 0):
-            self._regroup(L)
-
-    def _regroup(self, L: int) -> None:
-        parts = self.parts[L]
-        keys, counts = _distinct_rows(np.concatenate([k for k, _ in parts]),
-                                      np.concatenate([c for _, c in parts]))
-        self.parts[L] = [(keys, counts)]
-        self.grouped[L] = len(keys)
-
-    def _tables(self) -> List[Tuple[int, np.ndarray, np.ndarray]]:
-        """(L, distinct rows, their counts) for every length L."""
-        for L, parts in self.parts.items():
-            if len(parts) > 1:
-                self._regroup(L)
-        return [(L, *parts[0]) for L, parts in self.parts.items()]
-
-    def stripped_counts(self) -> np.ndarray:
-        """The count of each distinct non-blank line after str.strip."""
-        # Only a line with a strippable edge byte can change under str.strip.
-        stripped: List[bytes] = []
-        weights: List[np.ndarray] = []
-        for L, keys, counts in self._tables():
-            # Row i holds its lens[i] bytes from raw[i, lo[i]] on.
-            raw = keys.view(np.uint8)
-            if L == _PACKED:
-                lens = raw[:, 0].astype(np.intp)
-                lo = 8 - lens
-            else:
-                lens = np.full(len(raw), L)
-                lo = np.zeros(len(raw), np.intp)
-            rows = np.arange(len(raw))
-            edge = _STRIPPABLE[raw[rows, lo]] | _STRIPPABLE[raw[rows, lo + lens - 1]]
-            if edge.any():
-                stripped += [row[i:i + n].tobytes().decode("utf-8").strip().encode("utf-8")
-                             for row, i, n in zip(raw[edge], lo[edge].tolist(),
-                                                  lens[edge].tolist())]
-                weights.append(counts[edge])
-                self.parts[L] = [(keys[~edge], counts[~edge])]
-        if stripped:
-            self.add(b"\n".join(stripped), np.concatenate(weights))
-        return np.concatenate([np.zeros(0, np.int64)] + [c for _, _, c in self._tables()])
-
-
 def read_tokens(path: str) -> SampleProfile:
-    """Profile of a UTF-8 file with one token per line.
-
-    Lines end in \\n, \\r\\n or \\r.  Leading and trailing Unicode whitespace
-    (str.strip) is removed, and blank lines are ignored; a byte-order mark
-    stays part of the first token.  The file is read in blocks, and memory
-    grows with the number of distinct tokens, not with the file size.
-    """
-    lines = _LineCounts()
-    with open(path, "rb") as fh:
-        pending: List[bytes] = []  # read since the last line end
-        while True:
-            chunk = fh.read(_BLOCK_BYTES)
-            cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r")) + 1
-            if chunk and not cut:
-                pending.append(chunk)
-                continue
-            # Blocks end on a line end, so each decodes alone.
-            block, pending = b"".join(pending + [chunk[:cut]]), [chunk[cut:]]
-            try:
-                block.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise _not_utf8(path, exc)
-            lines.add(block)
-            if not chunk:
-                break
-    counts = lines.stripped_counts()
-    if not counts.size:
-        raise InvalidInputError(f"no tokens found in {path}")
-    ls, phi = np.unique(counts, return_counts=True)
-    return profile_from_phi(dict(zip(ls.tolist(), phi.tolist())))
-
-
-def _split_pair(line: str, path: str) -> Tuple[str, str]:
-    parts = [p.strip() for p in line.split(",")]
-    if len(parts) != 2:
-        raise InvalidInputError(f"{path}: expected two comma-separated fields, got {line!r}")
-    return parts[0], parts[1]
-
-
-def _is_number(text: str) -> bool:
+    """Profile of a UTF-8 file with one token per line (empirical.profile_from_lines)."""
     try:
-        float(text)
-    except ValueError:
-        return False
-    return True
-
-
-def _read_pairs(path: str, key_cast: Callable[[str], Hashable]) -> Dict[Hashable, int]:
-    """Rows of key,int with unique keys; a first non-blank row of two non-numbers is a header."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            rows = [line for line in map(str.strip, fh) if line]
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(path, exc)
-    if rows and not any(map(_is_number, _split_pair(rows[0], path))):
-        rows = rows[1:]
-    pairs: Dict[Hashable, int] = {}
-    for line in rows:
-        key, val = _split_pair(line, path)
-        try:
-            key, count = key_cast(key), int(val)
-        except ValueError:
-            raise InvalidInputError(f"{path}: bad row {line!r}")
-        if key in pairs:
-            raise InvalidInputError(f"{path}: duplicate key {key!r}")
-        pairs[key] = count
-    return pairs
-
-
-def read_count_csv(path: str) -> SampleProfile:
-    """Lines of token,count; a leading header row is skipped."""
-    counts = _read_pairs(path, str)
-    if not counts:
-        raise InvalidInputError(f"no counts found in {path}")
-    return profile_from_counts(counts)
-
-
-def read_phi_csv(path: str) -> SampleProfile:
-    """Lines of l,phi_l; the sample size is sum l*phi_l."""
-    return profile_from_phi(_read_pairs(path, int))
-
-
-def phi_csv(profile: SampleProfile) -> str:
-    """The occupancy profile as l,phi_l rows under a header."""
-    return "l,phi_l\n" + "".join(f"{l},{profile.phi[l]}\n" for l in sorted(profile.phi))
+        with open(path, "rb") as fh:
+            profile = profile_from_lines(fh)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc)
+    if not profile.phi:
+        raise InvalidInputError(f"no tokens found in {path}")
+    return profile
 
 
 # ---------------------------------------------------------------------------
 # output: every command builds its whole output as one string, then _emit
 # writes it, so bad input never creates or truncates a file.
+
+
+def phi_csv(profile: SampleProfile) -> str:
+    """The occupancy profile as l,phi_l rows under a header."""
+    return "l,phi_l\n" + "".join(f"{l},{profile.phi[l]}\n" for l in sorted(profile.phi))
 
 
 def _json(payload: dict) -> str:

@@ -62,7 +62,8 @@ def zipf(k: int, s: float) -> DiscreteDistribution:
     if not (s > 0.0):
         raise InvalidInputError("zipf requires s > 0")
     k, s = int(k), float(s)
-    w = 1.0 / np.arange(1, k + 1, dtype=float) ** s
+    with np.errstate(over="ignore"):  # a weight whose i**s overflows is its limit 0
+        w = 1.0 / np.arange(1, k + 1, dtype=float) ** s
     return DiscreteDistribution(w / w.sum(), label=format_descriptor("zipf", k, s))
 
 

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from missingmass import cli
+from missingmass import empirical as emp
 from missingmass import gfunction as gf
 from missingmass import risk_lab as rl
 from missingmass import tail_bounds as tb
@@ -118,13 +119,13 @@ _BLOCK_SIZES = st.sampled_from([1, 2, 3, 5, 8, 13, 64, 1 << 20])
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(lines=_LINES, final_end=st.booleans(), block=_BLOCK_SIZES,
-       mix=st.sampled_from([cli._MIX, np.uint64(0)]))
+       mix=st.sampled_from([emp._MIX, np.uint64(0)]))
 def test_read_tokens_matches_text_mode_reader(tmp_path, monkeypatch, lines, final_end,
                                               block, mix):
     # Small blocks make lines straddle block cuts; a zero mix makes every
     # row of two or more words with equal last words collide in the hash.
-    monkeypatch.setattr(cli, "_BLOCK_BYTES", block)
-    monkeypatch.setattr(cli, "_MIX", mix)
+    monkeypatch.setattr(emp, "_BLOCK_BYTES", block)
+    monkeypatch.setattr(emp, "_MIX", mix)
     text = "".join(map("".join, lines))
     if lines and not final_end:
         text = text[:-len(lines[-1][3])]
@@ -136,7 +137,7 @@ def test_read_tokens_matches_text_mode_reader(tmp_path, monkeypatch, lines, fina
 @given(pieces=st.lists(st.sampled_from(_TEXT_PIECES + _BAD_PIECES), max_size=40),
        block=_BLOCK_SIZES)
 def test_read_tokens_utf8_error_matches_text_mode_reader(tmp_path, monkeypatch, pieces, block):
-    monkeypatch.setattr(cli, "_BLOCK_BYTES", block)
+    monkeypatch.setattr(emp, "_BLOCK_BYTES", block)
     _check_against_text_mode(tmp_path / "t.txt", b"".join(pieces))
 
 
@@ -146,7 +147,7 @@ def test_read_tokens_utf8_error_matches_text_mode_reader(tmp_path, monkeypatch, 
         "surrogate"])
 @pytest.mark.parametrize("block", range(1, 12))
 def test_read_tokens_bad_byte_at_every_block_cut(tmp_path, monkeypatch, data, block):
-    monkeypatch.setattr(cli, "_BLOCK_BYTES", block)
+    monkeypatch.setattr(emp, "_BLOCK_BYTES", block)
     _check_against_text_mode(tmp_path / "t.txt", data)
 
 
@@ -156,9 +157,9 @@ def test_read_tokens_long_lines_and_hash_collisions(tmp_path, monkeypatch):
     lines = [f"{i:08d}-shared-suffix!" for i in range(100)] * 2
     path = tmp_path / "t.txt"
     path.write_text("\n".join(lines) + "\n  tail token  ")
-    monkeypatch.setattr(cli, "_BLOCK_BYTES", 7)
-    for mix in (cli._MIX, np.uint64(0)):
-        monkeypatch.setattr(cli, "_MIX", mix)
+    monkeypatch.setattr(emp, "_BLOCK_BYTES", 7)
+    for mix in (emp._MIX, np.uint64(0)):
+        monkeypatch.setattr(emp, "_MIX", mix)
         profile = cli.read_tokens(str(path))
         assert (profile.n, profile.phi) == (201, {2: 100, 1: 1})
 
@@ -170,14 +171,17 @@ def test_read_tokens_packed_key_boundaries(tmp_path, monkeypatch, block, end, fi
     # Tokens of 0-17 bytes cross the 7/8-byte line between one packed key and
     # a row of words, bare or with a strippable edge of 1, 2 or 3 bytes; the
     # token of L bytes comes 7(L + 1) times, so tokens that merge change phi.
-    monkeypatch.setattr(cli, "_BLOCK_BYTES", block)
+    monkeypatch.setattr(emp, "_BLOCK_BYTES", block)
     lines = []
     for L in range(18):
         token = fill * L
         lines += [token] * (L + 1)
         for edge in (" ", "\u00a0", "\u3000"):
             lines += [edge + token, token + edge] * (L + 1)
-    _check_against_text_mode(tmp_path / "t.txt", "".join(t + end for t in lines).encode())
+    data = "".join(t + end for t in lines).encode()
+    _check_against_text_mode(tmp_path / "t.txt", data)
+    profile = emp.profile_from_lines(io.BytesIO(data))
+    assert (profile.n, profile.phi) == _text_mode_read(str(tmp_path / "t.txt"))
 
 
 def test_estimate_blank_tokens_file_exits_2(tmp_path, capsys):

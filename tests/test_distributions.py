@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,21 @@ def test_zipf_normalization_oracle():
     h = sum(1.0 / i for i in range(1, k + 1))
     d = dm.zipf(k, s)
     np.testing.assert_allclose(d.probs, [1.0 / (i * h) for i in range(1, k + 1)], rtol=1e-13)
+
+
+def test_zipf_weight_past_overflow_is_zero():
+    # 3**1000 overflows a double, so weights 3..50 are their limit 0, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = dm.zipf(50, 1000)
+    assert d.probs.sum() == 1.0
+    assert d.probs[1] > 0.0 and np.all(d.probs[2:] == 0.0)
+
+
+@pytest.mark.parametrize("k, s", [(200, 1), (50, 1.5)])
+def test_zipf_probs_bit_identical_to_the_power_formula(k, s):
+    w = 1.0 / np.arange(1, k + 1, dtype=float) ** float(s)
+    assert np.array_equal(dm.zipf(k, s).probs, w / w.sum())
 
 
 def test_geometric_ratio_structure():

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,6 +61,33 @@ def test_phi_rejects_bad_keys():
         emp.profile_from_phi({0: 1})
     with pytest.raises(InvalidInputError):
         emp.profile_from_phi({1: -1})
+
+
+_BASE = ([f"w{i}" for i in range(10)] + [f"token-{i:02d}-of-a-long-line" for i in range(10)]
+         + ["x" * L for L in range(1, 20, 2)])
+#: 50 tokens: 30 bare, short and long, and 20 with strippable edges that
+#: strip to one of the bare ones.
+_MEMORY_TOKENS = (_BASE + [" " + t for t in _BASE[:7]] + [t + "\u00a0" for t in _BASE[10:17]]
+                  + ["\u3000" + t + "\t" for t in _BASE[20:26]])
+
+
+def test_line_counts_memory_grows_with_distinct_lines():
+    # The README's memory rule: each table holds at most twice as many rows as
+    # the distinct lines it has seen, however many lines it has read.
+    rng = np.random.default_rng(11)
+    counter = emp._LineCounts()
+    seen, everything = {}, []
+    for _ in range(200):
+        subset = rng.choice(len(_MEMORY_TOKENS), size=rng.integers(5, 26), replace=False)
+        block = [_MEMORY_TOKENS[i] for i in rng.choice(subset, size=rng.integers(20, 200))]
+        counter.add("".join(t + "\n" for t in block).encode())
+        everything += block
+        for raw in {t.encode() for t in block}:
+            seen.setdefault(emp._PACKED if len(raw) < 8 else len(raw), set()).add(raw)
+        for L, parts in counter.parts.items():
+            assert sum(len(keys) for keys, _ in parts) <= 2 * len(seen[L])
+    oracle = Counter(map(str.strip, everything))
+    assert sorted(counter.stripped_counts().tolist()) == sorted(oracle.values())
 
 
 def test_realized_split_two_point():
