@@ -110,29 +110,33 @@ def parse(text: str) -> DiscreteDistribution:
     return parse_descriptor(text, _GRAMMAR, "uniform:K, zipf:K:S, geometric:K:Q or explicit:PATH")
 
 
-def _inverse_cdf(probs: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Letter lookup u -> i for uniforms u in [0, 1), by a guide table over
-    the cumulative sums cum = cumsum(probs) (Chen & Asau 1974; Devroye 1986,
-    III.2.4), for the Monte Carlo kernel's many draws per support.
-
-    The letter is the first i with cum[i] > u, as np.searchsorted(cum, u,
-    side="right") finds it, clipped to the last positive-probability letter
-    for the u >= cum[-1] that a sum a little below 1 leaves: sample returns
-    the same letters by that binary search.  Here the table is cum with every
-    entry from the last positive-probability letter on set to inf, so the
-    search never passes that letter.  With m = 4K buckets, a draw starts at
-    guide[int(u*m)] and steps forward while cum[i] <= u.  guide[j] is the
-    first i with cum[i] > e_j, for an edge e_j a few ulps below j/m: u*m may
-    round up onto j from just below j/m, and starting at or before the letter
-    of every such u keeps the lookup exact without a correction pass.  A
-    draw still behind its letter after _MAX_GUIDE_STEPS steps (one in a run
-    of atoms far below 1/m) is finished by binary search on the same table.
-    The returned function maps an array of uniforms to an intp array of
-    letters of the same shape.
-    """
-    m = 4 * probs.size
+def _cdf_table(probs: np.ndarray) -> np.ndarray:
+    """The letter table of inverse-CDF sampling: cumsum(probs) with every
+    entry from the last positive-probability letter on set to inf.  The
+    first i with table[i] > u (np.searchsorted, side="right") is the letter
+    of u in [0, 1), never past that letter, even for a u >= cumsum(probs)[-1]
+    that a sum a little below 1 leaves."""
     cum = np.cumsum(probs)
     cum[np.flatnonzero(probs)[-1]:] = np.inf
+    return cum
+
+
+def _inverse_cdf(probs: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Letter lookup u -> i for uniforms u in [0, 1), by a guide table over
+    the letter table cum = _cdf_table(probs) (Chen & Asau 1974; Devroye
+    1986, III.2.4), for the Monte Carlo kernel's many draws per support:
+    sample returns the same letters by binary search on cum.  With m = 4K
+    buckets, a draw starts at guide[int(u*m)] and steps forward while
+    cum[i] <= u.  guide[j] is the first i with cum[i] > e_j, for an edge e_j
+    a few ulps below j/m: u*m may round up onto j from just below j/m, and
+    starting at or before the letter of every such u keeps the lookup exact
+    without a correction pass.  A draw still behind its letter after
+    _MAX_GUIDE_STEPS steps (one in a run of atoms far below 1/m) is finished
+    by binary search on the same table.  The returned function maps an array
+    of uniforms to an intp array of letters of the same shape.
+    """
+    m = 4 * probs.size
+    cum = _cdf_table(probs)
     # e_j = j * (1 - 2^-50)/m lies at least 2^-51 j/m below j/m, more than
     # the rounding of u*m can hide; for u < 1, u*m stays below m.
     guide = np.searchsorted(cum, np.arange(m) * ((1.0 - 2.0**-50) / m), side="right")
@@ -157,19 +161,16 @@ def sample(dist: DiscreteDistribution, n: int, seed: int) -> np.ndarray:
     """n iid draws as symbol indices, by inverse CDF on the cumulative table.
 
     Deterministic for a fixed seed.  Each uniform u maps by binary search
-    to the first letter i with cumsum(probs)[i] > u, clipped to the last
-    positive-probability letter for the u at or above a last cumulative sum
-    a little below 1.  No guide table is built: one call draws too few
-    letters to pay for it.  The Monte Carlo kernel's guide-table lookup
-    (_inverse_cdf) returns the same letters.
+    on _cdf_table(probs) to its letter.  No guide table is built: one call
+    draws too few letters to pay for it.  The Monte Carlo kernel's
+    guide-table lookup (_inverse_cdf) returns the same letters.
     """
     if int(n) != n or n < 0:
         raise InvalidInputError("sample size must be an integer >= 0")
     if seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    idx = np.searchsorted(np.cumsum(dist.probs), rng.random(int(n)), side="right")
-    return np.minimum(idx, np.flatnonzero(dist.probs)[-1], out=idx)
+    return np.searchsorted(_cdf_table(dist.probs), rng.random(int(n)), side="right")
 
 
 def _g_vector(dist: DiscreteDistribution, g: GFunction) -> np.ndarray:

@@ -10,6 +10,7 @@ alpha of the n draws, so phi_alpha <= n/alpha <= C(n, alpha) for n >= alpha >= 1
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .empirical import SampleProfile
@@ -51,13 +52,21 @@ def plugin() -> EstimatorKind:
 
 
 def choose_float(n: int, alpha: int) -> float:
-    """C(n, alpha) as a float via products of ratios (n-alpha+i)/i.
+    """C(n, alpha) as a float: the product of the ratios (n-k+i)/i over
+    i = 1..k, k = min(alpha, n - alpha), and 0 for alpha > n.
 
-    Avoids factorials so n up to 1e9 stays finite in double precision.
+    Avoids factorials so n up to 1e9 stays finite in double precision.  The
+    product stops once it is inf: C(n, k) >= 2^k for k <= n/2, so it takes
+    at most about 1025 factors, whatever alpha.
     """
+    k = min(alpha, n - alpha)
+    if k < 0:
+        return 0.0
     out = 1.0
-    for i in range(1, alpha + 1):
-        out *= (n - alpha + i) / i
+    for i in range(1, k + 1):
+        out *= (n - k + i) / i
+        if out == math.inf:
+            break
     return out
 
 

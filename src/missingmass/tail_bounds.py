@@ -33,9 +33,11 @@ unless the whole sum does, even where l^R alone would.
 
 Every bound is clamped to <= 1; the raw exponent comes with it for
 diagnostics (it can go negative, where the bound is 1).  An exponent past
-the double range is inf, and its bound 0.  The array forms reach inf by
-masks (_scaled, and the guards of each closed form), not by overflowing,
-so that no floating-point warning fires, even at eps = 1e308.
+the double range is inf, and its bound 0, as is every exponent at
+eps = inf.  ssg, subgamma and the poly:R pole share the large-eps limit
+eps/c (plus a constant at the pole).  The array forms reach inf by masks
+(_scaled, and the guards of each closed form), not by overflowing, so
+that no floating-point warning fires, even at eps = 1e308.
 """
 
 from __future__ import annotations
@@ -112,26 +114,24 @@ def _gaussian_exponent(log_sigma2: float, eps):
 def _sub_gamma(v: float, c: float, eps: np.ndarray) -> np.ndarray:
     """(v/c^2) h(c*eps/v), h(x) = 1+x-sqrt(1+2x), on an eps array, in the
     stable form h(x) = x^2/(1+x+sqrt(1+2x)).  Where x^2 overflows (x from
-    2^512, about 1.3e154), h is taken as x/(1+r+sqrt(r(2+r))) with r = 1/x,
-    the same quotient divided through by x, since 1+2x too overflows from
-    x = 9e307.  Where x overflows, the exponent is inf."""
+    2^512, about 1.3e154), the exponent is its large-eps limit eps/c, as
+    for _strongly_sub_gamma: h(x) = x to within sqrt(2/x) < 1e-76 of itself."""
     x = _scaled(eps, c, v)
     square = x < _SQUARE_LIMIT
-    xs, xl = np.where(square, x, 0.0), np.where(square, 1.0, x)
-    r = 1.0 / xl
-    h = np.where(square, xs * xs / (1.0 + xs + np.sqrt(1.0 + 2.0 * xs)),
-                 xl / (1.0 + r + np.sqrt(r * (2.0 + r))))
-    return _scaled(h, v / (c * c))
+    xs = np.where(square, x, 0.0)
+    h = xs * xs / (1.0 + xs + np.sqrt(1.0 + 2.0 * xs))
+    return np.where(square, _scaled(h, v / (c * c)), _scaled(eps, 1.0 / c))
 
 
 def _strongly_sub_gamma(v: float, c: float, eps: np.ndarray) -> np.ndarray:
     """(1/c)(eps - (v/c) log(1+c*eps/v)) = (v/c^2)(z - log1p(z)), z = c*eps/v,
     on an eps array.  log1p keeps z - log1p(z) accurate down to z ~ 1e-8 and
-    below.  Where z overflows, the exponent is inf (bound 0), not inf - inf."""
+    below.  Where z overflows, the exponent is its large-eps limit eps/c: the
+    term dropped, (v/c^2) log1p(z), is below 4e-306 of it."""
     z = _scaled(eps, c, v)
     over = z == np.inf
     z = np.where(over, 0.0, z)
-    return np.where(over, np.inf, _scaled(z - np.log1p(z), v / (c * c)))
+    return np.where(over, _scaled(eps, 1.0 / c), _scaled(z - np.log1p(z), v / (c * c)))
 
 
 def _filter_derivs(a: Sequence[float], v: float, c: float, s):
@@ -163,16 +163,6 @@ def _filter_f(a: Sequence[float], v: float, c: float, s):
     return (v / (c * c)) * (-(1.0 - s) - np.log(s)) + _filter_poly(a, (1.0 - s) / c)
 
 
-def _pole_exponent(spec: PolyFiltered, eps: np.ndarray) -> np.ndarray:
-    """l eps - f(l) at the Newton start s0 = v/(v + c eps), for eps with
-    s0 below 1.5e-154: there 1 - s0 rounds to 1, so l = 1/c, and
-    -log s0 = log(c eps/v) to 1e-154, while s0 itself may underflow.  An
-    infinite eps gives inf."""
-    a, v, c = spec.a, spec.v, spec.c
-    log_ratio = np.log(np.fmin(eps, _MAX)) + math.log(c) - math.log(v)
-    return _scaled(eps, 1.0 / c) - (_filter_poly(a, 1.0 / c) + v / (c * c) * (log_ratio - 1.0))
-
-
 def _poly_exponent(spec: PolyFiltered, eps: np.ndarray) -> np.ndarray:
     """Chernoff exponent max over l in [0, 1/c) of l*eps - f(l), at every
     eps >= 0 of an array, by one Newton iteration over the whole array.
@@ -194,7 +184,9 @@ def _poly_exponent(spec: PolyFiltered, eps: np.ndarray) -> np.ndarray:
     c eps near sqrt(v * 1.8e308)/2), or eps/c would, the start lies within
     1.5e-154 of the pole, and the climb to the root would raise the
     exponent by less than 1e-150 of itself.  There the exponent is taken at
-    s0 (_pole_exponent), and the Newton runs at eps = 0.
+    s0, and the Newton runs at eps = 0.  At s0, 1 - s0 rounds to 1, so
+    l = 1/c, and -log s0 = log1p(c eps/v): l eps - f(l) is the order-1
+    exponent plus v/c^2 - P(1/c), P the filter polynomial.
     """
     if spec.R == 1:
         return _strongly_sub_gamma(spec.v, spec.c, eps)
@@ -221,7 +213,8 @@ def _poly_exponent(spec: PolyFiltered, eps: np.ndarray) -> np.ndarray:
         )
     exponent = (1.0 - s) / c * e - _filter_f(a, v, c, s)
     if at_pole.any():
-        exponent = np.where(at_pole, _pole_exponent(spec, np.where(at_pole, eps, 1.0)), exponent)
+        pole = _strongly_sub_gamma(v, c, np.where(at_pole, eps, 1.0))
+        exponent = np.where(at_pole, pole + (v / (c * c) - _filter_poly(a, 1.0 / c)), exponent)
     return exponent
 
 
@@ -268,7 +261,7 @@ def _printed_tail(log_A: float, log_B: float, log_C: float) -> Callable[[np.ndar
     term is exp(log B + log log1p(C eps)), with log log1p(z) =
     log logaddexp(0, log z), and log z itself below z = e^-40, where z may
     underflow.  A second term past the double range gives E = -inf, the
-    bound 1."""
+    bound 1, at finite eps; an infinite eps gives E = inf, the bound 0."""
     A = math.exp(log_A)
 
     def exponent(eps: np.ndarray) -> np.ndarray:
@@ -279,7 +272,8 @@ def _printed_tail(log_A: float, log_B: float, log_C: float) -> Callable[[np.ndar
         log_second = log_B + log_l
         over = log_second > _LOG_MAX
         second = np.exp(np.where(over, 0.0, log_second))
-        return np.where(zero, 0.0, np.where(over, -np.inf, _scaled(eps, A) - second))
+        return np.select([zero, eps == np.inf, over], [0.0, np.inf, -np.inf],
+                         _scaled(eps, A) - second)
     return exponent
 
 

@@ -440,7 +440,7 @@ def test_bounds_regime_exit(capsys):
 @pytest.mark.parametrize("family", ["subgauss", "theorem2", "left_u2", "left_corollary",
                                     "right_corollary", "ssg", "subgamma", "poly:1", "poly:2"])
 def test_bounds_at_huge_eps_are_zero_never_nan(family, g, n, capsys):
-    # c*eps/v overflows in the Gamma-type exponents, and A*eps in the printed
+    # eps/c overflows in the Gamma-type exponents, and A*eps in the printed
     # right tails: inf, as on the others; subgauss bounds power:1 only
     code, out, err = run(capsys, "bounds", "--family", family, "--g", g,
                          "--n", n, "--eps-grid", "1e308,1e300")
@@ -482,6 +482,18 @@ def test_sub_gamma_exponent_stays_finite_where_its_square_overflows(capsys):
                          "--n", "3", "--eps-grid", "1e308")
     assert code == 0, err
     assert out.splitlines()[1] == "1e+308,0,inf"
+
+
+def test_gamma_type_exponents_stay_finite_where_the_ratio_overflows(capsys):
+    # c*eps/v overflows at power:2, n = 100, but eps/c does not: the order-1
+    # families print the finite limit eps/c, as the poly:2 pole does
+    rows = set()
+    for family in ("ssg", "subgamma", "poly:2"):
+        code, out, err = run(capsys, "bounds", "--family", family, "--g", "power:2",
+                             "--n", "100", "--eps-grid", "1e305")
+        assert code == 0, err
+        rows.add(out.splitlines()[1])
+    assert rows == {"1e+305,0,1.9391385703095e+307"}
 
 
 def test_csv_row_in_one_step_matches_per_value_formatting():
@@ -715,6 +727,54 @@ def test_bad_input_exits_2(command, name, data, tmp_path, capsys):
     code, _, err = run(capsys, *shlex.split(command))
     assert code == 2
     assert err.startswith("error:")
+
+
+_COUNTS = "estimate --input {f} --format counts"
+_TAIL_ON = "simulate --task tail --g power:1 --n-list 20 --trials 1000 --dist "
+
+
+@pytest.mark.parametrize("command,data,code,message", [
+    ("simulate --task risk --estimator generalized --g entropy:64 --dist uniform:64 "
+     "--n-list 20 --trials 100", None, 2, "error: generalized estimator needs --alpha"),
+    ("simulate --task dirichlet --n-list 10 --trials 100", None, 2,
+     "error: --task dirichlet requires --alpha"),
+    ("simulate --task dirichlet --alpha 1 --n-list 10 --trials 50", None, 2,
+     "error: needs trials >= 100"),
+    ("simulate --task risk --g power:3 --dist uniform:10 --n-list 2 --trials 100", None, 3,
+     "out of regime: n = 2 < alpha = 3"),
+    ("bounds --family right_corollary --g power:1 --n 2 --eps-grid 0.1", None, 3,
+     "out of regime: m0 right tail needs n >= 3"),
+    ("bounds --family right_corollary --g entropy:64 --n 2 --eps-grid 0.1", None, 3,
+     "out of regime: entropy right tail needs n >= 3"),
+    (_COUNTS, b"k,c\na,1\na,2\n", 2, "duplicate key 'a'"),
+    (_COUNTS, b"a,1,2\n", 2, "expected two comma-separated fields, got 'a,1,2'"),
+    (_COUNTS, b"key,count\n", 2, "no counts found in"),
+    (_TAIL_ON + "uniform:0", None, 2, "error: uniform requires integer K >= 1"),
+    (_TAIL_ON + "zipf:0:1", None, 2, "error: zipf requires integer K >= 1"),
+    (_TAIL_ON + "zipf:10:0", None, 2, "error: zipf requires s > 0"),
+    (_TAIL_ON + "geometric:0:0.5", None, 2, "error: geometric requires integer K >= 1"),
+    (_TAIL_ON + "geometric:5:1.5", None, 2, "error: geometric requires q in (0, 1)"),
+], ids=["generalized_without_alpha", "dirichlet_without_alpha", "dirichlet_few_trials",
+        "risk_n_below_alpha", "m0_right_tail_n2", "entropy_right_tail_n2",
+        "counts_duplicate_key", "counts_three_fields", "counts_header_only",
+        "uniform_k0", "zipf_k0", "zipf_s0", "geometric_k0", "geometric_q_above_1"])
+def test_input_and_regime_exits(command, data, code, message, tmp_path, capsys):
+    if data is not None:
+        (tmp_path / "c.csv").write_bytes(data)
+        command = command.format(f=tmp_path / "c.csv")
+    got, out, err = run(capsys, *shlex.split(command))
+    assert (got, out) == (code, "")
+    assert message in err
+
+
+def test_simulate_risk_runs_the_plugin_estimator(capsys):
+    code, out, err = run(capsys, "simulate", "--task", "risk", "--estimator", "plugin",
+                         "--g", "power:1", "--dist", "uniform:10", "--n-list", "20",
+                         "--trials", "100", "--out", "json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["estimator"] == "plugin"
+    assert doc["columns"] == ["n", "trials", "mse", "se"] and len(doc["rows"]) == 1
 
 
 @pytest.mark.parametrize("command", [

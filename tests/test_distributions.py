@@ -70,6 +70,23 @@ def test_explicit_validates():
     assert d.label == "demo"
 
 
+def test_explicit_rejects_an_empty_or_nested_vector():
+    for bad in ([], [[0.5, 0.5]]):
+        with pytest.raises(InvalidInputError, match="nonempty 1-D"):
+            dm.explicit(bad)
+
+
+def test_sample_and_moments_reject_a_bad_sample_size():
+    d, g = dm.uniform(3), gf.power(1.0)
+    for n in (-1, 2.5):
+        with pytest.raises(InvalidInputError, match="sample size must be an integer >= 0"):
+            dm.sample(d, n, seed=0)
+        with pytest.raises(InvalidInputError, match="n must be an integer >= 0"):
+            dm.expected_missing(d, n, g)
+        with pytest.raises(InvalidInputError, match="n must be an integer >= 0"):
+            dm.variance_sum_bound(d, n, g)
+
+
 def test_probs_are_read_only():
     d = dm.uniform(5)
     with pytest.raises(ValueError):
@@ -233,6 +250,20 @@ def test_last_uniform_never_maps_to_a_zero_probability_letter():
     x = dm.sample(d, 20000, seed=5)
     assert x.max() == 1
     emp.realized_missing(d, x, gf.power(1.0))
+
+
+def test_sample_searches_one_letter_table_that_ends_at_the_last_positive_letter():
+    # the sum is 1 - 5e-13 and the last atom is 0: a u at or above the last
+    # cumulative sum maps to letter 1, and sample draws the kernel's letters
+    d = dm.explicit([0.3, 0.7 - 5e-13, 0.0])
+    table = dm._cdf_table(d.probs)
+    assert table[0] == 0.3 and table[1:].tolist() == [math.inf, math.inf]
+    edge = np.array([0.3, 1.0 - 5e-13, np.nextafter(1.0, 0.0)])
+    assert np.searchsorted(table, edge, side="right").tolist() == [1, 1, 1]
+    x = dm.sample(d, 20000, seed=9)
+    u = np.random.Generator(np.random.PCG64(9)).random(20000)
+    np.testing.assert_array_equal(x, dm._inverse_cdf(d.probs)(u))
+    np.testing.assert_array_equal(x, _binary_search_letters(d.probs, u))
 
 
 def test_sample_rejects_a_negative_seed():

@@ -20,6 +20,31 @@ def test_choose_float_matches_exact_binomial(n, alpha):
     assert est.choose_float(n, alpha) == pytest.approx(math.comb(n, alpha), rel=1e-12)
 
 
+def _ratio_product(n, alpha):
+    """C(n, alpha) as the product of alpha ratios (n-alpha+i)/i."""
+    out = 1.0
+    for i in range(1, alpha + 1):
+        out *= (n - alpha + i) / i
+    return out
+
+
+def test_choose_float_takes_the_smaller_side_and_stops_at_inf():
+    assert est.choose_float(10**7 + 1, 10**7) == 10**7 + 1
+    for n in (0, 1, 7, 10**9):
+        assert est.choose_float(n, n) == 1.0
+    assert est.choose_float(10**12, 10**6) == math.inf
+    assert est.choose_float(3, 5) == 0.0
+    # alpha <= n/2 keeps the alpha-ratio product, bit for bit
+    for n, alpha in [(2, 1), (7, 3), (100, 50), (3000, 1000), (10**9, 3)]:
+        assert est.choose_float(n, alpha).hex() == _ratio_product(n, alpha).hex()
+
+
+def test_bias_bound_rejects_an_order_below_one_or_fractional():
+    for alpha in (0, -2, 1.5):
+        with pytest.raises(InvalidInputError, match="alpha must be an integer >= 1"):
+            est.gt_bias_bound(100, alpha)
+
+
 def test_good_turing_is_phi1_over_n():
     prof = profile_from_phi({1: 3, 2: 2})
     assert est.estimate(est.good_turing(), prof) == pytest.approx(3.0 / 7.0, rel=1e-15, abs=0)

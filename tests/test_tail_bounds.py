@@ -70,7 +70,7 @@ def test_strongly_sub_gamma_oracle():
 
 @pytest.mark.parametrize("exponent", [sub_gamma_exponent, ssg_exponent])
 def test_gamma_exponents_are_inf_where_the_ratio_overflows(exponent):
-    # c*eps/v overflows: the exponent is inf and the bound 0, never NaN
+    # eps/c overflows, and so c*eps/v: the exponent is inf and the bound 0, never NaN
     for e in (1e308, math.inf):
         assert exponent(0.05, 0.5, e) == math.inf
     assert math.isfinite(exponent(0.05, 0.5, 1e100))
@@ -303,6 +303,37 @@ def test_poly_exponent_next_to_the_pole_matches_mp_oracle(g, n, R):
             assert got == math.inf
         else:
             assert got == pytest.approx(float(want), rel=1e-15, abs=0)
+
+
+def mp_gamma_exponent(family, spec, eps):
+    """The ssg or subgamma exponent of spec at eps in 60-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        v, c = mpmath.mpf(spec.v), mpmath.mpf(spec.c)
+        x = c * mpmath.mpf(eps) / v
+        if family == "ssg":
+            return v / c**2 * (x - mpmath.log1p(x))
+        return v / c**2 * (1 + x - mpmath.sqrt(1 + 2 * x))
+
+
+@pytest.mark.parametrize("g", [P1, P2, gf.power(10.0), E64],
+                         ids=["power1", "power2", "power10", "entropy64"])
+@pytest.mark.parametrize("n", [3, 1000, 10**9])
+def test_gamma_type_exponents_at_large_eps_match_mpmath(g, n):
+    # ssg, subgamma and the poly:2 pole share the large-eps limit eps/c, so
+    # none is inf where c*eps/v or its square overflows but the exponent does not
+    eps = [1e100, 1e154, 1e200, 1e300, 1e305, 1e307, 1e308]
+    for family in ("ssg", "subgamma", "poly:2"):
+        spec = tb.build_spec(n, g, 2 if family == "poly:2" else 1)
+        for e, got in zip(eps, tb.curve(family, n, g, eps).exponents):
+            if family == "poly:2":
+                want = mp_pole_oracle(spec, e, digits=60)
+            else:
+                want = mp_gamma_exponent(family, spec, e)
+            if want > sys.float_info.max:
+                assert got == math.inf, (family, e)
+            else:
+                assert abs(got - want) <= 5e-16 * max(1.0, abs(want)), (family, e, got)
 
 
 def test_scaled_products_overflow_to_inf_without_a_warning():
@@ -697,6 +728,19 @@ def test_curve_families_consistent():
         want = min(1.0, math.exp(-poly_exponent(spec3, float(e))))
         assert p3.bounds[i] == pytest.approx(want, rel=1e-12, abs=0)
     assert len(ssg.bounds) == len(ssg.exponents) == len(eps)
+
+
+@pytest.mark.parametrize("g", [P1, P2, gf.power(3.0), E64],
+                         ids=["power1", "power2", "power3", "entropy64"])
+@pytest.mark.parametrize("n", [20, 100, 1000, 2 * 10**6])
+def test_every_bound_falls_to_zero_at_infinite_eps(g, n):
+    for family in ("subgauss", "theorem2", "left_u2", "left_corollary", "right_corollary",
+                   "ssg", "subgamma", "poly:2", "poly:5"):
+        if family == "subgauss" and g != P1:
+            continue
+        bounds = tb.curve(family, n, g, [1e200, 1e300, 1e308, math.inf]).bounds
+        assert all(b <= a for a, b in zip(bounds, bounds[1:])), (family, bounds)
+        assert bounds[-1] == 0.0, (family, bounds)
 
 
 @pytest.mark.parametrize("g", [P1, P2, E64], ids=["power1", "power2", "entropy64"])
