@@ -35,7 +35,8 @@ from . import estimators as est
 from . import gfunction as gf
 from . import risk_lab
 from . import tail_bounds as tb
-from .empirical import SampleProfile, _not_utf8, profile_from_lines, read_count_csv, read_phi_csv
+from .empirical import (SampleProfile, _not_utf8, phi_csv, profile_from_lines, read_count_csv,
+                        read_phi_csv)
 from .errors import InvalidInputError, NumericalError, RegimeError
 from .ustar_engine import u_star
 
@@ -115,11 +116,6 @@ def read_tokens(path: str) -> SampleProfile:
 # ---------------------------------------------------------------------------
 # output: every command builds its whole output as one string, then _emit
 # writes it, so bad input never creates or truncates a file.
-
-
-def phi_csv(profile: SampleProfile) -> str:
-    """The occupancy profile as l,phi_l rows under a header."""
-    return "l,phi_l\n" + "".join(f"{l},{profile.phi[l]}\n" for l in sorted(profile.phi))
 
 
 def _json(payload: dict) -> str:
@@ -243,14 +239,15 @@ def _estimator_for(args: argparse.Namespace, g: gf.GFunction) -> est.EstimatorKi
         return est.plugin()
     if args.estimator == "goodturing":
         return est.good_turing()
-    power_order = int(g.alpha) if g.kind == "power" else None
+    power_order = g.alpha if g.kind == "power" else None
     if args.estimator == "generalized":
         alpha = args.alpha if args.alpha is not None else power_order
         if alpha is None:
             raise InvalidInputError("generalized estimator needs --alpha")
         return est.generalized_good_turing(alpha)
-    # auto: the order-alpha estimator when g = power(alpha), else the plugin
-    return est.EstimatorKind(power_order if power_order == g.alpha else 0)
+    # auto: the order-alpha estimator when g = power(alpha), alpha an integer, else the plugin
+    integral = power_order is not None and power_order.is_integer()
+    return est.EstimatorKind(power_order if integral else 0)
 
 
 def _simulate_table(args: argparse.Namespace) -> Tuple[List[str], List[List[float]], dict]:
@@ -267,14 +264,11 @@ def _simulate_table(args: argparse.Namespace) -> Tuple[List[str], List[List[floa
         if mc:
             header += ["mc_variance", "mc_se"]
         for n in ns:
-            row = [float(n),
-                   risk_lab.dirichlet_prior_variance(n, args.c, int(args.alpha))]
+            row = [float(n), risk_lab.dirichlet_prior_variance(n, args.c, args.alpha)]
             if mc:
-                m, se = risk_lab.dirichlet_mc_variance(
-                    n, args.c, int(args.alpha), args.trials, args.seed)
-                row += [m, se]
+                row += risk_lab.dirichlet_mc_variance(n, args.c, args.alpha, args.trials, args.seed)
             rows.append(row)
-        return header, rows, {"task": "dirichlet", "alpha": int(args.alpha), "c": args.c}
+        return header, rows, {"task": "dirichlet", "alpha": args.alpha, "c": args.c}
 
     if args.g is None or args.dist is None:
         raise InvalidInputError(f"--task {args.task} requires --g and --dist")

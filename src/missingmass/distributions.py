@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_int
 from .gfunction import GFunction, format_descriptor, parse_descriptor
 
 _SUM_TOL = 1e-12
@@ -49,19 +49,16 @@ class DiscreteDistribution:
 
 
 def uniform(k: int) -> DiscreteDistribution:
-    if int(k) != k or k < 1:
-        raise InvalidInputError("uniform requires integer K >= 1")
-    k = int(k)
+    k = require_int("K", k, 1)
     return DiscreteDistribution(np.full(k, 1.0 / k), label=format_descriptor("uniform", k))
 
 
 def zipf(k: int, s: float) -> DiscreteDistribution:
     """p_i proportional to 1/i**s for i = 1..K."""
-    if int(k) != k or k < 1:
-        raise InvalidInputError("zipf requires integer K >= 1")
+    k = require_int("K", k, 1)
     if not (s > 0.0):
         raise InvalidInputError("zipf requires s > 0")
-    k, s = int(k), float(s)
+    s = float(s)
     with np.errstate(over="ignore"):  # a weight whose i**s overflows is its limit 0
         w = 1.0 / np.arange(1, k + 1, dtype=float) ** s
     return DiscreteDistribution(w / w.sum(), label=format_descriptor("zipf", k, s))
@@ -73,11 +70,10 @@ def geometric(k: int, q: float) -> DiscreteDistribution:
     The truncation discards tail mass (1-q)**K of the infinite version; the
     vector is renormalized, so the truncation error is only a shape statement.
     """
-    if int(k) != k or k < 1:
-        raise InvalidInputError("geometric requires integer K >= 1")
+    k = require_int("K", k, 1)
     if not (0.0 < q < 1.0):
         raise InvalidInputError("geometric requires q in (0, 1)")
-    k, q = int(k), float(q)
+    q = float(q)
     w = q * (1.0 - q) ** np.arange(k, dtype=float)
     return DiscreteDistribution(w / w.sum(), label=format_descriptor("geometric", k, q))
 
@@ -165,12 +161,9 @@ def sample(dist: DiscreteDistribution, n: int, seed: int) -> np.ndarray:
     draws too few letters to pay for it.  The Monte Carlo kernel's
     guide-table lookup (_inverse_cdf) returns the same letters.
     """
-    if int(n) != n or n < 0:
-        raise InvalidInputError("sample size must be an integer >= 0")
-    if seed < 0:
-        raise InvalidInputError(f"seed must be >= 0, got {seed}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return np.searchsorted(_cdf_table(dist.probs), rng.random(int(n)), side="right")
+    n = require_int("sample size", n, 0)
+    rng = np.random.Generator(np.random.PCG64(require_int("seed", seed, 0)))
+    return np.searchsorted(_cdf_table(dist.probs), rng.random(n), side="right")
 
 
 def _g_vector(dist: DiscreteDistribution, g: GFunction) -> np.ndarray:
@@ -184,11 +177,10 @@ def _g_vector(dist: DiscreteDistribution, g: GFunction) -> np.ndarray:
 def _zero_hit_prob(p: np.ndarray, n: int) -> np.ndarray:
     """(1-p)^n elementwise via exp(n*log1p(-p)); stable for small p, large n.
     At p = 1 it is 0^n, which is 1 at n = 0."""
-    if int(n) != n or n < 0:
-        raise InvalidInputError("n must be an integer >= 0")
+    n = require_int("n", n, 0)
     out = np.full_like(p, 0.0**n)
     inside = p < 1.0
-    out[inside] = np.exp(int(n) * np.log1p(-p[inside]))
+    out[inside] = np.exp(n * np.log1p(-p[inside]))
     return out
 
 

@@ -4,10 +4,10 @@ realized missing/observed mass.
 A profile is the frequency of frequencies phi_l = #{x : F_x = l}, where F_x
 counts the occurrences of letter x, and the sample size n = sum_l l phi_l it
 implies.  The estimators read nothing else.  profile_from_lines counts the
-lines of a token stream in numpy blocks, and read_count_csv and read_phi_csv
-read token,count and l,phi_l rows.  The realized missing mass against a
-known distribution is computed from the sample itself, on the g vector of
-distributions._g_vector.
+lines of a token stream in numpy blocks, read_count_csv and read_phi_csv
+read token,count and l,phi_l rows, and phi_csv writes l,phi_l rows.  The
+realized missing mass against a known distribution is computed from the
+sample itself, on the g vector of distributions._g_vector.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import BinaryIO, Callable, Dict, Hashable, List, Mapping, Optional, 
 import numpy as np
 
 from .distributions import DiscreteDistribution, _g_vector
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_int
 from .gfunction import GFunction
 
 
@@ -28,15 +28,15 @@ class SampleProfile:
     """phi {l: phi_l, l >= 1} and the sample size n = sum_l l phi_l it implies.
 
     phi_0 is never stored: the number of unseen symbols is unknowable without
-    the support.
+    the support.  Each l and phi_l passes errors.require_int and is stored
+    as an int.
     """
 
     phi: Dict[int, int]
 
     def __post_init__(self):
-        for l, cnt in self.phi.items():
-            if int(l) != l or l < 1 or int(cnt) != cnt or cnt < 0:
-                raise InvalidInputError("phi must map integers l >= 1 to counts >= 0")
+        object.__setattr__(self, "phi", {require_int("l", l, 1): require_int("phi_l", c, 0)
+                                         for l, c in self.phi.items()})
 
     @property
     def n(self) -> int:
@@ -51,18 +51,22 @@ def profile_from_samples(seq) -> SampleProfile:
 
 
 def profile_from_counts(counts: Mapping) -> SampleProfile:
-    """Profile from a {symbol: count} mapping; every count must be >= 1."""
+    """Profile from a {symbol: count} mapping; every count must be an
+    integer >= 1.  Each distinct count is checked once; a bad one is
+    reported with a symbol that has it."""
     phi = Counter(counts.values())
     for cnt in phi:
-        if int(cnt) != cnt or cnt < 1:
-            sym = next(s for s, c in counts.items() if c == cnt)
-            raise InvalidInputError(f"count for symbol {sym!r} must be >= 1")
-    return SampleProfile(phi={int(l): c for l, c in phi.items()})
+        try:
+            require_int("count", cnt, 1)
+        except InvalidInputError as exc:
+            sym = next(s for s, c in counts.items() if c is cnt or c == cnt)
+            raise InvalidInputError(f"symbol {sym!r}: {exc}") from None
+    return SampleProfile(phi=phi)
 
 
 def profile_from_phi(phi: Mapping[int, int]) -> SampleProfile:
     """Profile from a frequency-of-frequencies table; n is sum l*phi_l."""
-    return SampleProfile(phi={int(l): int(c) for l, c in phi.items()})
+    return SampleProfile(phi=phi)
 
 
 def _profile_of_counts(counts: np.ndarray) -> SampleProfile:
@@ -299,6 +303,11 @@ def read_count_csv(path: str) -> SampleProfile:
 def read_phi_csv(path: str) -> SampleProfile:
     """Lines of l,phi_l; the sample size is sum l*phi_l."""
     return profile_from_phi(_read_pairs(path, int))
+
+
+def phi_csv(profile: SampleProfile) -> str:
+    """The profile as the l,phi_l rows, under a header, that read_phi_csv reads."""
+    return "l,phi_l\n" + "".join(f"{l},{profile.phi[l]}\n" for l in sorted(profile.phi))
 
 
 def _seen_mask(dist: DiscreteDistribution, sample) -> np.ndarray:

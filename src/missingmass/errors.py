@@ -6,7 +6,14 @@ parameters that fall outside the regime where a formula is proved to hold
 (RegimeError), and a numerical solve that breaks a property it must keep
 (NumericalError).  The CLI maps them to exit codes 2, 3 and 5; it also
 maps a MemoryError (an array too large to allocate) to exit code 3.
+
+require_int is the one integer check of the package: every public entry
+that takes a sample size, an order, a count or a seed passes it through
+require_int, which returns it as an int or raises InvalidInputError.
 """
+
+import math
+import operator
 
 
 class InvalidInputError(ValueError):
@@ -20,3 +27,17 @@ class RegimeError(ValueError):
 class NumericalError(ArithmeticError):
     """An internal numerical check failed: a Chernoff solve missed its
     residual tolerance, or a bound's parameters left the double range."""
+
+
+def require_int(name: str, value, lo: int, hi: float = math.inf) -> int:
+    """value as an int, if it is an int, a numpy integer or an integral float
+    in [lo, hi]; otherwise (NaN, +-inf, a fraction, a string, None, ...)
+    InvalidInputError naming the argument."""
+    try:
+        out = operator.index(value)
+    except TypeError:
+        out = int(value) if isinstance(value, float) and value.is_integer() else None
+    if out is None or not lo <= out <= hi:
+        span = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+        raise InvalidInputError(f"{name} must be an integer {span}, got {value!r}")
+    return out

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .empirical import SampleProfile
-from .errors import InvalidInputError, RegimeError
+from .errors import RegimeError, require_int
 
 
 @dataclass(frozen=True)
@@ -24,9 +24,7 @@ class EstimatorKind:
     alpha: int
 
     def __post_init__(self):
-        if int(self.alpha) != self.alpha or self.alpha < 0:
-            raise InvalidInputError("estimator order alpha must be an integer >= 0")
-        object.__setattr__(self, "alpha", int(self.alpha))
+        object.__setattr__(self, "alpha", require_int("alpha", self.alpha, 0))
 
     def descriptor(self) -> str:
         if self.alpha == 0:
@@ -42,9 +40,7 @@ def good_turing() -> EstimatorKind:
 
 def generalized_good_turing(alpha: int) -> EstimatorKind:
     """Order alpha >= 1; order 1 is good_turing() and order 0 is plugin()."""
-    if alpha < 1:
-        raise InvalidInputError("alpha must be >= 1")
-    return EstimatorKind(alpha)
+    return EstimatorKind(require_int("alpha", alpha, 1))
 
 
 def plugin() -> EstimatorKind:
@@ -72,6 +68,7 @@ def choose_float(n: int, alpha: int) -> float:
 
 def gt_value(phi_alpha, n: int, alpha: int):
     """phi_alpha / C(n, alpha) for a count or an array of counts; needs n >= alpha."""
+    n, alpha = require_int("n", n, 0), require_int("alpha", alpha, 0)
     if n < alpha:
         raise RegimeError(f"insufficient sample: n = {n} < alpha = {alpha}")
     return phi_alpha / choose_float(n, alpha)
@@ -90,8 +87,7 @@ def gt_bias_bound(n: int, alpha: int) -> float:
     Bounds the bias of the generalized Good-Turing estimator from above; the
     signed bias is >= 0.
     """
-    if int(alpha) != alpha or alpha < 1:
-        raise InvalidInputError("alpha must be an integer >= 1")
+    n, alpha = require_int("n", n, 0), require_int("alpha", alpha, 1)
     if n <= 2 * alpha:
         raise RegimeError(f"bias bound needs n > 2*alpha; got n = {n}, alpha = {alpha}")
     return alpha * (alpha / n) ** alpha

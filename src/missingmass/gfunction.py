@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_int
 
 # Slack applied to inclusive domain edges so that probabilities assembled by
 # floating-point normalization (e.g. 1/64 computed two ways) are not rejected.
@@ -119,10 +119,7 @@ def power(alpha: float) -> GFunction:
 def entropy_log2(k_floor: int) -> GFunction:
     """g(p) = p*log2(1/p), declared on p >= 1/k_floor.  k_floor is at most
     2**1022, where 1/k_floor stops being a normal double."""
-    # the range test rejects nan and +-inf before int() can raise
-    if not 2 <= k_floor <= 2**1022 or int(k_floor) != k_floor:
-        raise InvalidInputError("entropy_log2 requires an integer k_floor in [2, 2**1022]")
-    return GFunction(kind=ENTROPY_LOG2, k_floor=int(k_floor))
+    return GFunction(kind=ENTROPY_LOG2, k_floor=require_int("k_floor", k_floor, 2, 2.0**1022))
 
 
 _GRAMMAR = {"power": (power, (float,)), "entropy": (entropy_log2, (int,))}

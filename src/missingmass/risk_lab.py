@@ -23,7 +23,7 @@ import numpy as np
 
 from . import tail_bounds
 from .distributions import DiscreteDistribution, _g_vector, _inverse_cdf, expected_missing
-from .errors import InvalidInputError, NumericalError, RegimeError
+from .errors import InvalidInputError, NumericalError, RegimeError, require_int
 from .estimators import EstimatorKind, gt_value
 from .gfunction import GFunction, power
 
@@ -55,8 +55,7 @@ class TailReport:
 
 
 def _block_rng(seed: int, n: int, block: int) -> np.random.Generator:
-    if seed < 0:
-        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    seed = require_int("seed", seed, 0)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, n, block))))
 
 
@@ -122,8 +121,7 @@ def _estimate_errors(
 ) -> np.ndarray:
     """Per-trial estimate - realized missing mass G0 at sample size n.  The
     order-alpha estimator targets g = power(alpha); the plugin (order 0) any g."""
-    if trials < 100:
-        raise InvalidInputError("Monte Carlo risk and bias need trials >= 100")
+    trials = require_int("trials", trials, 100)
     alpha = kind.alpha
     if alpha > 0 and g != power(alpha):
         raise InvalidInputError(f"estimator {kind.descriptor()} targets g = "
@@ -148,7 +146,7 @@ def mc_risk(
     rate_fit turns the rows into a log-log rate."""
     rows = []
     for n in n_list:
-        n = int(n)
+        n = require_int("n", n, 0)
         mse, se = _mean_se(np.square(_estimate_errors(dist, kind, g, n, trials, seed)))
         rows.append(RiskRow(n=n, mse=mse, se=se))
     return tuple(rows)
@@ -168,7 +166,7 @@ def mc_bias(
 
     ``threads`` changes neither the result nor the speed; it stays because
     bench/worker.py passes it."""
-    return _mean_se(_estimate_errors(dist, kind, g, int(n), trials, seed))
+    return _mean_se(_estimate_errors(dist, kind, g, require_int("n", n, 0), trials, seed))
 
 
 #: Tail report column -> the tail_bounds.curve family it shows (theorem2 is two-sided).
@@ -202,14 +200,11 @@ def mc_tail(
     Binomial standard errors are floored at 1/trials so that dominance checks
     at empirical frequency 0 stay meaningful.
     """
-    if trials < 10**3:
-        raise InvalidInputError("mc_tail needs trials >= 1000")
-    n = int(n)
-    eps = tuple(float(e) for e in eps_grid)
-    bounds = _bound_columns(n, g, eps)
+    trials, n = require_int("trials", trials, 10**3), require_int("n", n, 1)
+    e = np.asarray(eps_grid, dtype=float)
+    bounds = _bound_columns(n, g, e)
     g0, _ = _occupancy(dist.probs, _g_vector(dist, g), n, trials, seed, 0)
     dev = np.sort(g0 - expected_missing(dist, n, g))
-    e = np.asarray(eps)
     # rows: Pr(dev >= eps), Pr(dev <= -eps)
     freq = np.stack([trials - np.searchsorted(dev, e, "left"),
                      np.searchsorted(dev, -e, "right")]) / trials
@@ -223,17 +218,15 @@ def mc_tail(
     )
 
 
-def _dirichlet_setup(n: int, c_param: float, alpha: int) -> Tuple[int, float]:
-    if int(n) != n or n < 2:
-        raise InvalidInputError("need integer n >= 2")
+def _dirichlet_setup(n: int, c_param: float, alpha: int) -> Tuple[int, int, int, float]:
+    """The checked (n, alpha), k = round(c n^2) letters and beta0 = k/n."""
+    n, alpha = require_int("n", n, 2), require_int("alpha", alpha, 1)
     if not (0.0 < c_param * n * n < math.inf):
         raise InvalidInputError("need c > 0 with c n^2 finite")
-    if int(alpha) != alpha or alpha < 1:
-        raise InvalidInputError("need integer alpha >= 1")
-    k = int(round(c_param * n * n))
+    k = round(c_param * n * n)
     if k < 2:
         raise InvalidInputError(f"k = round(c n^2) = {k} < 2")
-    return k, k / n
+    return n, alpha, k, k / n
 
 
 def _expm1_gain(d: float) -> float:
@@ -290,8 +283,7 @@ def dirichlet_prior_variance(n: int, c_param: float, alpha: int) -> float:
     reliable digits: at n = 20 from c near 1.6e3 (alpha = 1) or 1.6e6
     (alpha = 2), at n = 200 from c near 450 or 1.6e5.
     """
-    k, beta0 = _dirichlet_setup(n, c_param, alpha)
-    n = int(n)
+    n, alpha, k, beta0 = _dirichlet_setup(n, c_param, alpha)
     denom = n * (beta0 + np.arange(n, dtype=float))
     log_a1 = float(np.sum(np.log1p(-1.0 / denom)))
     # at k = 2 at most one letter is unseen, so A4 = 0 exactly, with no rounding
@@ -346,10 +338,8 @@ def dirichlet_mc_variance(
     of unseen letters (they are exchangeable, with weight 1/n each):
     Var = (A2 - A3) m + A5 (A6 - A7) m(m-1), from _posterior_factors.
     """
-    if trials < 100:
-        raise InvalidInputError("needs trials >= 100")
-    k, beta0 = _dirichlet_setup(n, c_param, alpha)
-    n = int(n)
+    trials = require_int("trials", trials, 100)
+    n, alpha, k, beta0 = _dirichlet_setup(n, c_param, alpha)
     (single, pair), _ = _posterior_factors(n, beta0, alpha)
     m = _polya_unseen(k, n, trials, seed)
     return _mean_se(pair * m * (m - 1.0) + single * m)
@@ -357,12 +347,10 @@ def dirichlet_mc_variance(
 
 def rate_fit(pairs: Sequence[Tuple[float, float]]) -> Tuple[float, float]:
     """OLS fit of log(value) on log(n); returns (slope, intercept)."""
-    pts = [(float(n), float(v)) for n, v in pairs]
+    pts = np.array([(float(n), float(v)) for n, v in pairs]).reshape(-1, 2)
     if len(pts) < 3:
         raise InvalidInputError("rate fit needs at least 3 points")
-    if any(v <= 0.0 for _, v in pts):
-        raise InvalidInputError("rate fit needs positive values")
-    x = np.log([n for n, _ in pts])
-    y = np.log([v for _, v in pts])
-    slope, intercept = np.polyfit(x, y, 1)
+    if not ((pts > 0.0) & (pts < math.inf)).all():
+        raise InvalidInputError("rate fit needs finite n > 0 and finite values > 0")
+    slope, intercept = np.polyfit(*np.log(pts).T, 1)
     return float(slope), float(intercept)

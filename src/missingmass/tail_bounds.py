@@ -51,7 +51,7 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 from . import ustar_engine
-from .errors import InvalidInputError, NumericalError, RegimeError
+from .errors import InvalidInputError, NumericalError, RegimeError, require_int
 from .gfunction import GFunction, ratio_sup
 
 #: Variance factor of the two-sided sub-Gaussian bound: 2*kappa = 0.51909...
@@ -230,8 +230,7 @@ def build_spec(n: int, g: GFunction, R: int) -> PolyFiltered:
     above _MAX_ORDER is rejected.  Raises NumericalError where v is not a
     normal double.  So every spec returned holds PolyFiltered's invariants.
     """
-    if int(R) != R or not 1 <= R <= _MAX_ORDER:
-        raise InvalidInputError(f"build_spec needs integer R in [1, {_MAX_ORDER}]")
+    R = require_int("R", R, 1, _MAX_ORDER)
     ratio_sup(g)
     c = ustar_engine.scale_parameter(n, g)
     log_c = math.log(c)
@@ -251,7 +250,7 @@ def build_spec(n: int, g: GFunction, R: int) -> PolyFiltered:
                 "violates the ratio chain"
             )
         a.append(max(a_r, 0.0))
-    return PolyFiltered(R=int(R), a=tuple(a), v=v, c=c)
+    return PolyFiltered(R=R, a=tuple(a), v=v, c=c)
 
 
 def _printed_tail(log_A: float, log_B: float, log_C: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -365,12 +364,11 @@ def curve(family: str, n: int, g: GFunction, eps_grid: Sequence[float]) -> Bound
     "poly:R".  ratio_sup rejects power(alpha < 1) for every family, then the
     family's own regime or input errors come, all before any eps.
     """
-    if int(n) != n or n < 1:
-        raise InvalidInputError("n must be an integer >= 1")
+    n = require_int("n", n, 1)
     ratio_sup(g)
     eps = np.asarray(eps_grid, dtype=float)
-    if (eps < 0.0).any():
-        raise InvalidInputError("eps grid must be >= 0")
+    if eps.ndim != 1 or not (eps >= 0.0).all():
+        raise InvalidInputError("eps grid must be a 1-D array of numbers >= 0")
     exponents = _exponent(family, n, g)(eps)
     # exp(-E), clamped to <= 1: a negative or NaN exponent gives 1
     bounds = np.exp(-np.fmax(exponents, 0.0))

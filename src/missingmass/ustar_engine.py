@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
-from .errors import InvalidInputError, RegimeError
+from .errors import InvalidInputError, RegimeError, require_int
 from .gfunction import GFunction, ratio_sup
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -181,8 +181,7 @@ def u_star(n: int, g: GFunction, r: int) -> UStarResult:
     log_value is log u_r at the argmax, with log g in closed form, and value
     is its exp.
     """
-    if n < 1 or r < 2:
-        raise InvalidInputError("u_star requires n >= 1 and r >= 2")
+    n, r = require_int("n", n, 1), require_int("r", r, 2)
     lo, hi = min(1e-12, 1e-3 / n), 1.0 - 1e-12
 
     def dh(p):
@@ -253,6 +252,7 @@ def log_u2_closed_bound(n: int, g: GFunction) -> float:
     entropy_log2(k):    ratio_sup(g)^2 gamma / n = (log2 k)^2 gamma / n, n >= 3.
     ratio_sup rejects power(alpha < 1).
     """
+    n = require_int("n", n, 1)
     ratio = ratio_sup(g)
     if g.kind == "power":
         a = g.alpha
@@ -281,6 +281,7 @@ def scale_parameter(n: int, g: GFunction) -> float:
     g is evaluated by its bare formula (probe points may fall below an
     entropy k-floor).  Requires n >= 3.
     """
+    n = require_int("n", n, 1)
     if n < 3:
         raise RegimeError("scale parameter needs n >= 3")
     if g.kind == "power":

@@ -739,7 +739,7 @@ _TAIL_ON = "simulate --task tail --g power:1 --n-list 20 --trials 1000 --dist "
     ("simulate --task dirichlet --n-list 10 --trials 100", None, 2,
      "error: --task dirichlet requires --alpha"),
     ("simulate --task dirichlet --alpha 1 --n-list 10 --trials 50", None, 2,
-     "error: needs trials >= 100"),
+     "error: trials must be an integer >= 100, got 50"),
     ("simulate --task risk --g power:3 --dist uniform:10 --n-list 2 --trials 100", None, 3,
      "out of regime: n = 2 < alpha = 3"),
     ("bounds --family right_corollary --g power:1 --n 2 --eps-grid 0.1", None, 3,
@@ -749,10 +749,10 @@ _TAIL_ON = "simulate --task tail --g power:1 --n-list 20 --trials 1000 --dist "
     (_COUNTS, b"k,c\na,1\na,2\n", 2, "duplicate key 'a'"),
     (_COUNTS, b"a,1,2\n", 2, "expected two comma-separated fields, got 'a,1,2'"),
     (_COUNTS, b"key,count\n", 2, "no counts found in"),
-    (_TAIL_ON + "uniform:0", None, 2, "error: uniform requires integer K >= 1"),
-    (_TAIL_ON + "zipf:0:1", None, 2, "error: zipf requires integer K >= 1"),
+    (_TAIL_ON + "uniform:0", None, 2, "error: K must be an integer >= 1, got 0"),
+    (_TAIL_ON + "zipf:0:1", None, 2, "error: K must be an integer >= 1, got 0"),
     (_TAIL_ON + "zipf:10:0", None, 2, "error: zipf requires s > 0"),
-    (_TAIL_ON + "geometric:0:0.5", None, 2, "error: geometric requires integer K >= 1"),
+    (_TAIL_ON + "geometric:0:0.5", None, 2, "error: K must be an integer >= 1, got 0"),
     (_TAIL_ON + "geometric:5:1.5", None, 2, "error: geometric requires q in (0, 1)"),
 ], ids=["generalized_without_alpha", "dirichlet_without_alpha", "dirichlet_few_trials",
         "risk_n_below_alpha", "m0_right_tail_n2", "entropy_right_tail_n2",

@@ -63,6 +63,19 @@ def test_phi_rejects_bad_keys():
         emp.profile_from_phi({1: -1})
 
 
+@pytest.mark.parametrize("phi", [{}, {1: 2, 2: 1, 3: 1}, {2: 0, 5: 3}, {10**6: 1, 1: 10**9}])
+def test_read_phi_csv_reads_back_what_phi_csv_writes(phi, tmp_path):
+    prof = emp.profile_from_phi(phi)
+    path = tmp_path / "phi.csv"
+    path.write_text(emp.phi_csv(prof), encoding="utf-8")
+    back = emp.read_phi_csv(str(path))
+    assert back == prof and back.n == prof.n
+
+
+def test_phi_csv_writes_sorted_rows_under_a_header():
+    assert emp.phi_csv(emp.profile_from_phi({3: 1, 1: 2})) == "l,phi_l\n1,2\n3,1\n"
+
+
 _BASE = ([f"w{i}" for i in range(10)] + [f"token-{i:02d}-of-a-long-line" for i in range(10)]
          + ["x" * L for L in range(1, 20, 2)])
 #: 50 tokens: 30 bare, short and long, and 20 with strippable edges that

@@ -316,6 +316,13 @@ def test_mc_tail_trials_floor():
         rl.mc_tail(dm.uniform(5), P1, 10, 500, (0.1,), seed=0)
 
 
+@pytest.mark.parametrize("grid", [[math.nan, 0.1], [0.1, math.nan], [[0.1, 0.2]], 0.1],
+                         ids=["nan_first", "nan_last", "2d", "scalar"])
+def test_mc_tail_rejects_a_grid_that_is_not_1d_and_finite(grid):
+    with pytest.raises(InvalidInputError, match="eps grid must be a 1-D array of numbers >= 0"):
+        rl.mc_tail(dm.uniform(5), P1, 10, 1000, grid, seed=0)
+
+
 def test_mc_tail_se_floor_keeps_zero_frequencies_meaningful():
     d = dm.uniform(10)
     rep = rl.mc_tail(d, P1, 30, 2000, (0.9,), seed=7)
@@ -514,3 +521,9 @@ def test_rate_fit_validation():
         rl.rate_fit([(10, 1.0), (20, 0.5)])
     with pytest.raises(InvalidInputError):
         rl.rate_fit([(10, 1.0), (20, 0.5), (40, 0.0)])
+    # unchecked, log(0) warns and an infinite point gives (nan, nan)
+    for bad in ([(0, 1.0), (2, 1.0), (3, 1.0)], [(1, math.inf), (2, 1.0), (3, 1.0)],
+                [(-1, 1.0), (2, 1.0), (3, 1.0)], [(math.nan, 1.0), (2, 1.0), (3, 1.0)],
+                [(1, 1.0), (math.inf, 1.0), (3, 1.0)], [(1, math.nan), (2, 1.0), (3, 1.0)]):
+        with pytest.raises(InvalidInputError, match="finite n > 0 and finite values > 0"):
+            rl.rate_fit(bad)

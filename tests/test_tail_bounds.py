@@ -779,6 +779,24 @@ def test_spec_and_closed_u2_bound_take_the_ratio_sup_gate():
         assert str(got.value) == str(info.value)
 
 
+#: Grids that are not a 1-D array of numbers >= 0.
+BAD_GRIDS = {"nan_first": [math.nan, 0.1], "nan_last": [0.1, math.nan],
+             "negative": [0.1, -0.1], "2d": [[0.1, 0.2]], "scalar": 0.1}
+
+
+@pytest.mark.parametrize("grid", BAD_GRIDS.values(), ids=BAD_GRIDS.keys())
+@pytest.mark.parametrize("family", ["ssg", "right_corollary", "poly:2", "theorem2"])
+def test_curve_rejects_a_grid_that_is_not_1d_and_nonnegative(family, grid):
+    # NaN passes an eps < 0 test; unchecked, it gives the bound 1 (ssg), a
+    # warning (right_corollary) or a NumericalError (poly:2)
+    with pytest.raises(InvalidInputError, match="eps grid must be a 1-D array of numbers >= 0"):
+        tb.curve(family, 100, P2, grid)
+
+
+def test_curve_takes_an_empty_grid():
+    assert tb.curve("poly:2", 100, P1, []) == tb.BoundCurve(bounds=(), exponents=())
+
+
 def test_curve_rejects_unknown_family_and_small_power():
     with pytest.raises(InvalidInputError):
         tb.curve("cauchy", 20, P1, [0.1])
