@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -127,8 +128,8 @@ def _table(header: Sequence[str], rows: Sequence[Sequence[float]],
     """CSV (15 significant digits) or JSON (meta, columns, rows) text; JSON
     writes an infinity as the string CSV prints for it, "inf" or "-inf"."""
     if fmt == "csv":
-        line = ",".join(["%.15g"] * len(header)) + "\n"
-        return ",".join(header) + "\n" + "".join(line % tuple(map(float, row)) for row in rows)
+        lines = (",".join(["%.15g"] * len(header)) + "\n") * len(rows)
+        return ",".join(header) + "\n" + lines % tuple(itertools.chain.from_iterable(rows))
     payload = dict(meta or {})
     payload["columns"] = list(header)
     payload["rows"] = [[v if math.isfinite(v) else "%.15g" % v for v in map(float, row)]
@@ -264,7 +265,7 @@ def _simulate_table(args: argparse.Namespace) -> Tuple[List[str], List[List[floa
         if mc:
             header += ["mc_variance", "mc_se"]
         for n in ns:
-            row = [float(n), risk_lab.dirichlet_prior_variance(n, args.c, args.alpha)]
+            row = [n, risk_lab.dirichlet_prior_variance(n, args.c, args.alpha)]
             if mc:
                 row += risk_lab.dirichlet_mc_variance(n, args.c, args.alpha, args.trials, args.seed)
             rows.append(row)
@@ -293,13 +294,10 @@ def _simulate_table(args: argparse.Namespace) -> Tuple[List[str], List[List[floa
         rep = risk_lab.mc_tail(dist, g, n, args.trials, eps, args.seed)
         names = sorted(rep.bounds)
         if not header:
-            header = (["n", "eps", "right_freq", "right_se", "left_freq", "left_se"]
-                      + names)
-        for j, e in enumerate(eps):
-            row = [float(n), float(e), rep.right_freq[j], rep.right_se[j],
-                   rep.left_freq[j], rep.left_se[j]]
-            row += [rep.bounds[name][j] for name in names]
-            rows.append(row)
+            header = ["n", "eps", "right_freq", "right_se", "left_freq", "left_se"] + names
+        columns = (rep.right_freq, rep.right_se, rep.left_freq, rep.left_se,
+                   *(rep.bounds[name] for name in names))
+        rows += [[n, *cells] for cells in zip(eps.tolist(), *columns)]
     return header, rows, {"task": "tail", "g": g.descriptor(), "dist": dist.label,
                           "trials": args.trials}
 

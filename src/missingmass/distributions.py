@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidInputError, require_int
+from .errors import InvalidInputError, require_int, require_real, require_real_array
 from .gfunction import GFunction, format_descriptor, parse_descriptor
 
 _SUM_TOL = 1e-12
@@ -31,7 +31,7 @@ class DiscreteDistribution:
     label: str = "explicit"
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.probs, dtype=float))
+        arr = np.ascontiguousarray(require_real_array("probabilities", self.probs))
         if arr.ndim != 1 or arr.size < 1:
             raise InvalidInputError("need a nonempty 1-D probability vector")
         if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
@@ -55,10 +55,9 @@ def uniform(k: int) -> DiscreteDistribution:
 
 def zipf(k: int, s: float) -> DiscreteDistribution:
     """p_i proportional to 1/i**s for i = 1..K."""
-    k = require_int("K", k, 1)
+    k, s = require_int("K", k, 1), require_real("s", s)
     if not (s > 0.0):
         raise InvalidInputError("zipf requires s > 0")
-    s = float(s)
     with np.errstate(over="ignore"):  # a weight whose i**s overflows is its limit 0
         w = 1.0 / np.arange(1, k + 1, dtype=float) ** s
     return DiscreteDistribution(w / w.sum(), label=format_descriptor("zipf", k, s))
@@ -70,16 +69,15 @@ def geometric(k: int, q: float) -> DiscreteDistribution:
     The truncation discards tail mass (1-q)**K of the infinite version; the
     vector is renormalized, so the truncation error is only a shape statement.
     """
-    k = require_int("K", k, 1)
+    k, q = require_int("K", k, 1), require_real("q", q)
     if not (0.0 < q < 1.0):
         raise InvalidInputError("geometric requires q in (0, 1)")
-    q = float(q)
     w = q * (1.0 - q) ** np.arange(k, dtype=float)
     return DiscreteDistribution(w / w.sum(), label=format_descriptor("geometric", k, q))
 
 
 def explicit(vector, label: str = "explicit") -> DiscreteDistribution:
-    return DiscreteDistribution(np.asarray(vector, dtype=float), label=label)
+    return DiscreteDistribution(vector, label=label)
 
 
 def from_file(path) -> DiscreteDistribution:
@@ -87,11 +85,9 @@ def from_file(path) -> DiscreteDistribution:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-        if path.suffix.lower() == ".json":
-            values = np.asarray(json.loads(text), dtype=float)
-        else:
-            values = [float(line) for line in text.splitlines() if line.strip()]
-    except (ValueError, TypeError) as exc:
+        values = (json.loads(text) if path.suffix.lower() == ".json"
+                  else [float(line) for line in text.splitlines() if line.strip()])
+    except ValueError as exc:
         raise InvalidInputError(f"{path}: malformed distribution file ({exc})")
     return explicit(values, label=f"explicit:{path.name}")
 

@@ -10,10 +10,16 @@ maps a MemoryError (an array too large to allocate) to exit code 3.
 require_int is the one integer check of the package: every public entry
 that takes a sample size, an order, a count or a seed passes it through
 require_int, which returns it as an int or raises InvalidInputError.
+require_real and require_real_array are the one rule for real arguments.
 """
 
+import contextlib
 import math
+import numbers
 import operator
+import reprlib
+
+import numpy as np
 
 
 class InvalidInputError(ValueError):
@@ -41,3 +47,25 @@ def require_int(name: str, value, lo: int, hi: float = math.inf) -> int:
         span = f">= {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
         raise InvalidInputError(f"{name} must be an integer {span}, got {value!r}")
     return out
+
+
+def require_real(name: str, value) -> float:
+    """float(value) for a bool, int, float, Fraction or numpy integer or
+    floating scalar in the double range, NaN included (each range check
+    rejects it); anything else raises InvalidInputError naming the argument."""
+    with contextlib.suppress(OverflowError):
+        if isinstance(value, numbers.Real):
+            return float(value)
+    raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+
+
+def require_real_array(name: str, value) -> np.ndarray:
+    """np.asarray(value) as float64, not copied if float64, for bools, ints or
+    floats; anything else (strings, None, complex, ragged) InvalidInputError."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "biuf":
+        raise InvalidInputError(f"{name} must be real numbers, got {reprlib.repr(value)}")
+    return arr.astype(float, copy=False)

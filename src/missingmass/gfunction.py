@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, require_int
+from .errors import InvalidInputError, require_int, require_real, require_real_array
 
 # Slack applied to inclusive domain edges so that probabilities assembled by
 # floating-point normalization (e.g. 1/64 computed two ways) are not rejected.
@@ -48,7 +48,7 @@ class GFunction:
         Accepts scalars or arrays; raises InvalidInputError on any entry
         outside (0, 1], or below 1/k_floor for the entropy kind.
         """
-        arr = np.asarray(p, dtype=float)
+        arr = require_real_array("p", p)
         if np.any(arr <= 0.0) or np.any(arr > 1.0 + _EDGE_SLACK):
             raise InvalidInputError("g is declared on p in (0, 1]")
         if self.kind == ENTROPY_LOG2 and np.any(arr < self.domain_min - _EDGE_SLACK):
@@ -66,7 +66,7 @@ class GFunction:
         fall below 1/k_floor; the floor is a property of the distributions
         the bounds cover, not of the formula.
         """
-        arr = np.asarray(p, dtype=float)
+        arr = require_real_array("p", p)
         out = self._raw(arr)
         return float(out) if np.isscalar(p) or arr.ndim == 0 else out
 
@@ -111,9 +111,10 @@ def parse_descriptor(text: str, grammar: dict, expected: str):
 def power(alpha: float) -> GFunction:
     """g(p) = p**alpha for 0 < alpha <= 1e300.  log gamma_alpha overflows
     near alpha = 2e305, where the closed-form tails would take inf - inf."""
+    alpha = require_real("alpha", alpha)
     if not 0.0 < alpha <= 1e300:
         raise InvalidInputError("power kind requires 0 < alpha <= 1e300")
-    return GFunction(kind=POWER, alpha=float(alpha))
+    return GFunction(kind=POWER, alpha=alpha)
 
 
 def entropy_log2(k_floor: int) -> GFunction:

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import tail_bounds
 from .distributions import DiscreteDistribution, _g_vector, _inverse_cdf, expected_missing
-from .errors import InvalidInputError, NumericalError, RegimeError, require_int
+from .errors import (InvalidInputError, NumericalError, RegimeError, require_int,
+                     require_real, require_real_array)
 from .estimators import EstimatorKind, gt_value
 from .gfunction import GFunction, power
 
@@ -201,7 +202,7 @@ def mc_tail(
     at empirical frequency 0 stay meaningful.
     """
     trials, n = require_int("trials", trials, 10**3), require_int("n", n, 1)
-    e = np.asarray(eps_grid, dtype=float)
+    e = require_real_array("eps grid", eps_grid)
     bounds = _bound_columns(n, g, e)
     g0, _ = _occupancy(dist.probs, _g_vector(dist, g), n, trials, seed, 0)
     dev = np.sort(g0 - expected_missing(dist, n, g))
@@ -220,10 +221,10 @@ def mc_tail(
 
 def _dirichlet_setup(n: int, c_param: float, alpha: int) -> Tuple[int, int, int, float]:
     """The checked (n, alpha), k = round(c n^2) letters and beta0 = k/n."""
-    n, alpha = require_int("n", n, 2), require_int("alpha", alpha, 1)
-    if not (0.0 < c_param * n * n < math.inf):
+    n, c, alpha = require_int("n", n, 2), require_real("c", c_param), require_int("alpha", alpha, 1)
+    if not (0.0 < c * n * n < math.inf):
         raise InvalidInputError("need c > 0 with c n^2 finite")
-    k = round(c_param * n * n)
+    k = round(c * n * n)
     if k < 2:
         raise InvalidInputError(f"k = round(c n^2) = {k} < 2")
     return n, alpha, k, k / n
@@ -347,9 +348,9 @@ def dirichlet_mc_variance(
 
 def rate_fit(pairs: Sequence[Tuple[float, float]]) -> Tuple[float, float]:
     """OLS fit of log(value) on log(n); returns (slope, intercept)."""
-    pts = np.array([(float(n), float(v)) for n, v in pairs]).reshape(-1, 2)
-    if len(pts) < 3:
-        raise InvalidInputError("rate fit needs at least 3 points")
+    pts = require_real_array("rate fit pairs", pairs)
+    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
+        raise InvalidInputError("rate fit needs at least 3 (n, value) points")
     if not ((pts > 0.0) & (pts < math.inf)).all():
         raise InvalidInputError("rate fit needs finite n > 0 and finite values > 0")
     slope, intercept = np.polyfit(*np.log(pts).T, 1)

@@ -51,7 +51,7 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 from . import ustar_engine
-from .errors import InvalidInputError, NumericalError, RegimeError, require_int
+from .errors import InvalidInputError, NumericalError, RegimeError, require_int, require_real_array
 from .gfunction import GFunction, ratio_sup
 
 #: Variance factor of the two-sided sub-Gaussian bound: 2*kappa = 0.51909...
@@ -366,7 +366,7 @@ def curve(family: str, n: int, g: GFunction, eps_grid: Sequence[float]) -> Bound
     """
     n = require_int("n", n, 1)
     ratio_sup(g)
-    eps = np.asarray(eps_grid, dtype=float)
+    eps = require_real_array("eps grid", eps_grid)
     if eps.ndim != 1 or not (eps >= 0.0).all():
         raise InvalidInputError("eps grid must be a 1-D array of numbers >= 0")
     exponents = _exponent(family, n, g)(eps)

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
-from .errors import InvalidInputError, RegimeError, require_int
+from .errors import InvalidInputError, RegimeError, require_int, require_real
 from .gfunction import GFunction, ratio_sup
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -206,8 +206,9 @@ def log_gamma_alpha(alpha: float) -> float:
     root of h' in (e, e+1), which _newton_max finds from e + 1/2, and the
     log maximum is h there.
     """
-    if not (alpha >= 1.0):
-        raise InvalidInputError("gamma_alpha requires alpha >= 1")
+    alpha = require_real("alpha", alpha)
+    if not 1.0 <= alpha <= 1e300:
+        raise InvalidInputError("gamma_alpha requires 1 <= alpha <= 1e300")
 
     e = 2.0 * alpha - 1.0
 

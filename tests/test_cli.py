@@ -701,6 +701,7 @@ _TAIL_ON_FILE = "simulate --task tail --g power:1 --dist explicit:{f} --n-list 5
     ("simulate --task dirichlet --alpha 1 --c inf --n-list 20 --trials 0", None, None),
     (_TAIL_ON_FILE, "p.json", b"[0.5, 0.5"),
     (_TAIL_ON_FILE, "p.json", b'{"p": 1}'),
+    (_TAIL_ON_FILE, "p.json", b'["0.5", "0.5"]'),
     (_TAIL_ON_FILE, "p.csv", b"0.5\nx\n"),
     (_TAIL_ON_FILE, "p.csv", b"\xff0.5\n0.5\n"),
     ("estimate --input {f}", "t.txt", b"a\n\xff\n"),
@@ -716,7 +717,7 @@ _TAIL_ON_FILE = "simulate --task tail --g power:1 --dist explicit:{f} --n-list 5
     ("simulate --task dirichlet --alpha 1 --n-list 5 --trials 200 --seed -1", None, None),
     ("simulate --task dirichlet --alpha 1 --n-list 5 --trials -1", None, None),
 ], ids=["n_zero", "dirichlet_c_inf", "dist_json", "dist_json_object",
-        "dist_csv", "dist_non_utf8", "tokens_non_utf8", "counts_non_utf8",
+        "dist_json_quoted_numbers", "dist_csv", "dist_non_utf8", "tokens_non_utf8", "counts_non_utf8",
         "eps_grid_too_long", "poly_order_171", "poly_order_huge",
         "counts_fractional_first_row", "seed_negative_tail", "seed_negative_risk",
         "seed_negative_dirichlet", "trials_negative_dirichlet"])
