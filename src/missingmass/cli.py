@@ -400,6 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
 _EXITS = {InvalidInputError: (2, "error"), RegimeError: (3, "out of regime"),
           MemoryError: (3, "out of memory"), OSError: (4, "i/o failure"),
           NumericalError: (5, "numerical failure"), OverflowError: (5, "numerical failure")}
+#: How numpy's ValueError begins when it refuses an array size it cannot
+#: address; it exits as a MemoryError does.
+_TOO_BIG = ("array is too big", "Maximum allowed dimension exceeded",
+            "Maximum allowed size exceeded")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -410,8 +414,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except tuple(_EXITS) as exc:
-        code, prefix = next(_EXITS[cls] for cls in type(exc).__mro__ if cls in _EXITS)
+    except (*_EXITS, ValueError) as exc:
+        cls = MemoryError if str(exc).startswith(_TOO_BIG) else type(exc)
+        if not issubclass(cls, tuple(_EXITS)):
+            raise
+        code, prefix = next(_EXITS[c] for c in cls.__mro__ if c in _EXITS)
         print(f"{prefix}: {exc}", file=sys.stderr)
         return code
 

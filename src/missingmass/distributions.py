@@ -25,7 +25,8 @@ _MAX_GUIDE_STEPS = 4
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
-    """Probability vector over the alphabet {0, ..., K-1}; immutable."""
+    """Probability vector over the alphabet {0, ..., K-1}; immutable, and
+    never the caller's array."""
 
     probs: np.ndarray
     label: str = "explicit"
@@ -40,6 +41,8 @@ class DiscreteDistribution:
             raise InvalidInputError(
                 f"probabilities sum to {arr.sum()!r}, not 1 within {_SUM_TOL}"
             )
+        if arr is self.probs or not arr.flags.owndata:
+            arr = arr.copy()  # the caller's array stays writeable
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
 

@@ -4,10 +4,11 @@ realized missing/observed mass.
 A profile is the frequency of frequencies phi_l = #{x : F_x = l}, where F_x
 counts the occurrences of letter x, and the sample size n = sum_l l phi_l it
 implies.  The estimators read nothing else.  profile_from_lines counts the
-lines of a token stream in numpy blocks, read_count_csv and read_phi_csv
-read token,count and l,phi_l rows, and phi_csv writes l,phi_l rows.  The
-realized missing mass against a known distribution is computed from the
-sample itself, on the g vector of distributions._g_vector.
+lines of a token stream in numpy blocks, each line as a row of 64-bit words
+padded with the byte 0xFF, which UTF-8 text never holds; read_count_csv and
+read_phi_csv read token,count and l,phi_l rows, and phi_csv writes l,phi_l
+rows.  The realized missing mass against a known distribution is computed
+from the sample itself, on the g vector of distributions._g_vector.
 """
 
 from __future__ import annotations
@@ -89,41 +90,42 @@ _STRIPPABLE = np.zeros(256, dtype=bool)
 _STRIPPABLE[[9, 11, 12, 28, 29, 30, 31, 32]] = True
 _STRIPPABLE[0x80:] = True
 _MIX = np.uint64(0x9E3779B97F4A7C15)
-#: Shifting the little-endian word at a line of L <= 7 bytes left by
-#: _SHIFT[L] keeps just its L bytes, at the top, and clears the low byte for
-#: L; numpy shifts by 64 to 0, so an empty line packs to 0.
-_SHIFT = np.array([64 - 8 * L for L in range(8)], dtype=np.uint8)
-#: Table key of the lines of 1 to 7 bytes, one packed word each.
-_PACKED = 0
+#: _PAD[r] sets every byte of a little-endian word after its first r, so that
+#: the word holding the last r bytes of a line reads 0xFF after them.
+_PAD = np.array([(1 << 64) - (1 << (8 * r)) for r in range(9)], dtype=np.uint64)
 
 
 def _distinct_rows(keys: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The distinct rows of the uint64 matrix keys, and the sum of counts over each.
 
     Rows are sorted by a mixed 64-bit hash; if two distinct rows share a hash,
-    the rows themselves are sorted instead."""
+    the rows themselves are sorted instead.  A one-word row is its own hash."""
     h = keys[:, 0]
     for k in range(1, keys.shape[1]):
         h = ((h ^ (h >> np.uint64(29))) * _MIX) ^ keys[:, k]
-    # A one-word table (packed lines, lines of 8 bytes) is regrouped mostly
-    # from parts that are each sorted, which a stable sort merges as runs.
+    # A one-word table is regrouped mostly from parts that are each sorted,
+    # which a stable sort merges as runs.
     order = np.argsort(h, kind="stable" if keys.shape[1] == 1 else None)
-    hs = h[order]
-    same = hs[1:] == hs[:-1]
-    if keys.shape[1] > 1 and (keys[order[:-1][same]] != keys[order[1:][same]]).any():
+    h = h[order]
+    same = h[1:] == h[:-1]
+    if keys.shape[1] > 1 and (keys.take(order[:-1][same], axis=0)
+                              != keys.take(order[1:][same], axis=0)).any():
         order = np.lexsort(keys.T[::-1])
-        rows = keys[order]
+        rows = keys.take(order, axis=0)
         same = (rows[1:] == rows[:-1]).all(axis=1)
     first = np.flatnonzero(np.concatenate(([True], ~same)))
-    return keys[order[first]], np.add.reduceat(counts[order], first)
+    rows = h[first, None] if keys.shape[1] == 1 else keys.take(order[first], axis=0)
+    return rows, np.add.reduceat(counts[order], first)
 
 
 class _LineCounts:
-    """Counts of distinct byte lines.  A line of 1 to 7 bytes is one uint64
-    key in the _PACKED table: its bytes in the top bytes of a little-endian
-    word, and its length in the low byte.  A longer line of L bytes is a row of
-    ceil(L/8) little-endian uint64 words, zero padded, in the table for L.
-    A table is regrouped into distinct rows whenever it doubles."""
+    """Counts of distinct byte lines.  A line of L bytes is a row of
+    W = ceil(L/8) little-endian uint64 words that hold its bytes, with the rest
+    of the last word set to 0xFF; an empty line is the one word _PAD[0].  The
+    lines are UTF-8, which never uses the byte 0xFF, so the padding marks where
+    a line ends and rows of different lines differ.  Rows of W words are
+    counted in the table for W, which is regrouped into distinct rows whenever
+    it doubles."""
 
     def __init__(self) -> None:
         self.parts: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
@@ -131,26 +133,31 @@ class _LineCounts:
 
     def add(self, data: bytes, weights: Optional[np.ndarray] = None) -> None:
         """Count the non-empty segments of data between line-end bytes
-        (10 and 13); segment i counts weights[i] times (default once)."""
+        (10 and 13); segment i counts weights[i] times (default once).
+        The segments must be UTF-8."""
         buf = np.frombuffer(data, dtype=np.uint8)
         ends = np.append(np.flatnonzero((buf == 10) | (buf == 13)), len(data))
         starts = np.concatenate(([0], ends[:-1] + 1))
         lens = ends - starts
         # words[s] is the 8 bytes from offset s on; data is padded with 8
-        # zero bytes so that every word read is in range.
+        # bytes so that every word read is in range.
         padded = data + bytes(8)
         words = np.ndarray((len(data) + 1,), dtype="<u8", buffer=padded, strides=(1,))
-        long = lens >= 8
-        if long.any():
-            self._add_long(words, starts[long], lens[long],
-                           None if weights is None else weights[long])
-            lens[long] = 0  # so that a long line packs to key 0, as an empty one does
+        wide = np.flatnonzero(lens > 8)
+        if len(wide):
+            widths = (lens[wide] + 7) >> 3
+            for W in np.flatnonzero(np.bincount(widths)).tolist():
+                at = wide[widths == W]
+                keys = words[starts[at][:, None] + np.arange(0, 8 * W, 8)]
+                keys[:, -1] |= _PAD.take(lens[at] - 8 * (W - 1))
+                self._merge(W, *_distinct_rows(
+                    keys, np.ones(len(at), np.int64) if weights is None else weights[at]))
+            lens[wide] = 0  # so that a wider line becomes _PAD[0], as an empty one does
         keys = words[starts]
-        keys <<= _SHIFT.take(lens)
-        keys |= lens.view(np.uint64)
-        # Free the block's arrays, so that a regroup of the packed table
+        keys |= _PAD.take(lens)
+        # Free the block's arrays, so that a regroup of the one-word table
         # does not add to them.
-        del ends, starts, lens, long, padded, words
+        del ends, starts, lens, wide, padded, words
         if weights is None:
             keys.sort()
             first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
@@ -158,71 +165,48 @@ class _LineCounts:
         else:
             rows, counts = _distinct_rows(keys[:, None], weights)
             keys = rows[:, 0]
-        # Empty and long lines have key 0, so they sort first.
-        skip = keys.searchsorted(np.uint64(1))
-        if len(keys) > skip:
-            self._merge(_PACKED, keys[skip:, None], counts[skip:])
+        # Empty and wider lines are _PAD[0], the largest word, so they sort last.
+        if len(keys) and keys[-1] == _PAD[0]:
+            keys, counts = keys[:-1], counts[:-1]
+        if len(keys):
+            self._merge(1, keys[:, None], counts)
 
-    def _add_long(self, words: np.ndarray, starts: np.ndarray, lens: np.ndarray,
-                  weights: Optional[np.ndarray]) -> None:
-        """Count the lines of 8 or more bytes at starts, one table per length."""
-        order = np.argsort(lens)
-        for group in np.split(order, np.flatnonzero(np.diff(lens[order])) + 1):
-            L = int(lens[group[0]])
-            width = -(-L // 8)
-            keys = words[starts[group][:, None] + np.arange(0, 8 * width, 8)]
-            if L % 8:
-                keys[:, -1] &= np.uint64((1 << (8 * (L % 8))) - 1)
-            counts = None if weights is None else weights[group]
-            if counts is None and width == 1:
-                # Sorting the words themselves is cheaper than sorting an
-                # order: a file of 8-byte lines reads 2.4 times as fast.
-                distinct, counts = np.unique(keys[:, 0], return_counts=True)
-                keys = distinct[:, None]
-            self._merge(L, keys, np.ones(len(keys), np.int64) if counts is None else counts)
-
-    def _merge(self, L: int, keys: np.ndarray, counts: np.ndarray) -> None:
-        parts = self.parts.setdefault(L, [])
+    def _merge(self, W: int, keys: np.ndarray, counts: np.ndarray) -> None:
+        parts = self.parts.setdefault(W, [])
         parts.append((keys, counts))
-        if sum(len(k) for k, _ in parts) >= 2 * self.grouped.get(L, 0):
-            self._regroup(L)
+        if sum(len(k) for k, _ in parts) >= 2 * self.grouped.get(W, 0):
+            self._regroup(W)
 
-    def _regroup(self, L: int) -> None:
-        parts = self.parts[L]
-        keys, counts = _distinct_rows(np.concatenate([k for k, _ in parts]),
-                                      np.concatenate([c for _, c in parts]))
-        self.parts[L] = [(keys, counts)]
-        self.grouped[L] = len(keys)
+    def _regroup(self, W: int) -> None:
+        keys, counts = map(np.concatenate, zip(*self.parts[W]))
+        self.parts[W].clear()  # so that the parts are freed before the regroup
+        keys, counts = _distinct_rows(keys, counts)
+        self.parts[W] = [(keys, counts)]
+        self.grouped[W] = len(keys)
 
     def _tables(self) -> List[Tuple[int, np.ndarray, np.ndarray]]:
-        """(L, distinct rows, their counts) for every length L."""
-        for L, parts in self.parts.items():
+        """(W, distinct rows, their counts) for every width W."""
+        for W, parts in self.parts.items():
             if len(parts) > 1:
-                self._regroup(L)
-        return [(L, *parts[0]) for L, parts in self.parts.items()]
+                self._regroup(W)
+        return [(W, *parts[0]) for W, parts in self.parts.items()]
 
     def stripped_counts(self) -> np.ndarray:
         """The count of each distinct non-blank line after str.strip."""
         # Only a line with a strippable edge byte can change under str.strip.
         stripped: List[bytes] = []
         weights: List[np.ndarray] = []
-        for L, keys, counts in self._tables():
-            # Row i holds its lens[i] bytes from raw[i, lo[i]] on.
+        for W, keys, counts in self._tables():
+            # A last word that holds r bytes lies in [_PAD[r], _PAD[r - 1]): its
+            # top 8 - r bytes are 0xFF and the byte below them is not.
+            lens = 8 * (W - 1) + sum(keys[:, -1] < pad for pad in _PAD[:8])
             raw = keys.view(np.uint8)
-            if L == _PACKED:
-                lens = raw[:, 0].astype(np.intp)
-                lo = 8 - lens
-            else:
-                lens = np.full(len(raw), L)
-                lo = np.zeros(len(raw), np.intp)
-            rows = np.arange(len(raw))
-            edge = _STRIPPABLE[raw[rows, lo]] | _STRIPPABLE[raw[rows, lo + lens - 1]]
+            edge = _STRIPPABLE[raw[:, 0]] | _STRIPPABLE[raw[np.arange(len(raw)), lens - 1]]
             if edge.any():
-                stripped += [row[i:i + n].tobytes().decode("utf-8").strip().encode("utf-8")
-                             for row, i, n in zip(raw[edge], lo[edge].tolist(),
-                                                  lens[edge].tolist())]
+                stripped += [row[:n].tobytes().decode("utf-8").strip().encode("utf-8")
+                             for row, n in zip(raw[edge], lens[edge].tolist())]
                 weights.append(counts[edge])
-                self.parts[L] = [(keys[~edge], counts[~edge])]
+                self.parts[W] = [(keys[~edge], counts[~edge])]
         if stripped:
             self.add(b"\n".join(stripped), np.concatenate(weights))
         return np.concatenate([np.zeros(0, np.int64)] + [c for _, _, c in self._tables()])

@@ -5,7 +5,8 @@ a function's mathematical domain (InvalidInputError), structurally valid
 parameters that fall outside the regime where a formula is proved to hold
 (RegimeError), and a numerical solve that breaks a property it must keep
 (NumericalError).  The CLI maps them to exit codes 2, 3 and 5; it also
-maps a MemoryError (an array too large to allocate) to exit code 3.
+maps a MemoryError, or numpy's ValueError for an array size it cannot
+address, to exit code 3.
 
 require_int is the one integer check of the package: every public entry
 that takes a sample size, an order, a count or a seed passes it through

@@ -167,13 +167,14 @@ def test_read_tokens_long_lines_and_hash_collisions(tmp_path, monkeypatch):
 @pytest.mark.parametrize("block", [1, 7, 8, 9, 1 << 20])
 @pytest.mark.parametrize("end", _ENDS, ids=["lf", "cr", "crlf"])
 @pytest.mark.parametrize("fill", ["a", "\x00"], ids=["a", "nul"])
-def test_read_tokens_packed_key_boundaries(tmp_path, monkeypatch, block, end, fill):
-    # Tokens of 0-17 bytes cross the 7/8-byte line between one packed key and
-    # a row of words, bare or with a strippable edge of 1, 2 or 3 bytes; the
-    # token of L bytes comes 7(L + 1) times, so tokens that merge change phi.
+def test_read_tokens_row_width_boundaries(tmp_path, monkeypatch, block, end, fill):
+    # Tokens of 0-25 bytes cross every width boundary of a row up to four
+    # words (8/9, 16/17, 24/25 bytes), bare or with a strippable edge of 1, 2
+    # or 3 bytes; the token of L bytes comes 7(L + 1) times, so tokens that
+    # merge change phi.
     monkeypatch.setattr(emp, "_BLOCK_BYTES", block)
     lines = []
-    for L in range(18):
+    for L in range(26):
         token = fill * L
         lines += [token] * (L + 1)
         for edge in (" ", "\u00a0", "\u3000"):
@@ -863,13 +864,22 @@ def test_simulate_risk_json_has_no_rate_below_three_sizes(capsys):
 
 
 # Each asks for an array of at least 10^15 elements, beyond any 48-bit
-# address space, so numpy refuses it before touching memory.
+# address space, so numpy refuses it before touching memory: with a
+# MemoryError at 10^15, and with a ValueError at 2^60 and 10^20, sizes it
+# cannot address.
 @pytest.mark.parametrize("command", [
     "--task tail --g power:1 --dist uniform:10 --n-list 1000000000000000 --trials 1000",
     "--task tail --g power:1 --dist uniform:10 --n-list 5 --trials 1000000000000000",
     "--task tail --g power:1 --dist uniform:1000000000000000 --n-list 5 --trials 1000",
     "--task dirichlet --alpha 1 --n-list 1000000000000000 --trials 0",
-], ids=["n", "trials", "support", "dirichlet_n"])
+    "--task risk --g power:1 --dist uniform:10 --n-list 1152921504606846976 --trials 100",
+    "--task tail --g power:1 --dist uniform:10 --n-list 100000000000000000000 --trials 1000",
+    "--task tail --g power:1 --dist uniform:10 --n-list 5 --trials 100000000000000000000",
+    "--task tail --g power:1 --dist uniform:100000000000000000000 --n-list 5 --trials 1000",
+    "--task tail --g power:1 --dist geometric:1152921504606846976:0.5 --n-list 5 --trials 1000",
+    "--task dirichlet --alpha 100000000000000000000 --n-list 5 --trials 100",
+], ids=["n", "trials", "support", "dirichlet_n", "risk_n_2e60", "n_1e20", "trials_1e20",
+        "support_1e20", "geometric_support_2e60", "dirichlet_alpha_1e20"])
 def test_simulate_unallocatable_array_exits_3(command, tmp_path, capsys):
     out_path = tmp_path / "out.csv"
     code, out, err = run(capsys, "simulate", *command.split(), "--path", str(out_path))
@@ -951,15 +961,19 @@ _VALID = {
 }
 #: Values no option should accept silently.  The 10^15 sizes ask for arrays
 #: beyond any 48-bit address space, which numpy refuses before touching
-#: memory, so no example does more than a few MB of work.
-_HOSTILE = ["-1", "0", "nan", "inf", "1e400", "", "x", "1000000000000000"]
+#: memory (MemoryError), and the 2^60 and 10^20 sizes for arrays it cannot
+#: address at all (its "array is too big" and "Maximum allowed ..."
+#: ValueErrors), so no example does more than a few MB of work.
+_HOSTILE = ["-1", "0", "nan", "inf", "1e400", "", "x", "1000000000000000",
+            "1152921504606846976", "100000000000000000000"]
 _POOLS = {
     "--g": ["power:1", "power:2", "entropy:64", "power:", "power:x", "power:nan", "power:-1",
             "power:1e400", "power:1000000000000000", "entropy:0", "entropy:x",
             "entropy:1000000000000000", "nope:1", "power:1:2"],
     "--dist": ["zipf:10:1", "geometric:10:0.5", "uniform:-1", "uniform:1000000000000000",
                "zipf:10:nan", "zipf:10:inf", "zipf:10", "geometric:10:1e400",
-               "geometric:1000000000000000:0.5", "explicit:", "explicit:missing.json",
+               "geometric:1000000000000000:0.5", "uniform:100000000000000000000",
+               "geometric:1152921504606846976:0.5", "explicit:", "explicit:missing.json",
                "nope:3", "uniform"],
     "--family": ["subgauss", "theorem2", "left_u2", "left_corollary", "right_corollary",
                  "ssg", "subgamma", "poly:5", "poly:171", "poly:1000000000000000",

@@ -93,6 +93,19 @@ def test_probs_are_read_only():
         d.probs[0] = 0.9
 
 
+@pytest.mark.parametrize("make", [
+    lambda a: dm.explicit(a), lambda a: dm.DiscreteDistribution(a),
+    lambda a: dm.explicit(a[:]), lambda a: dm.explicit(memoryview(a)),
+], ids=["explicit", "constructor", "view", "memoryview"])
+def test_explicit_leaves_the_callers_array_alone(make):
+    a = np.array([0.25, 0.75])
+    dist = make(a)
+    assert a.flags.writeable and not dist.probs.flags.writeable
+    assert not np.shares_memory(a, dist.probs)
+    a[0] = 0.5
+    assert a.tolist() == [0.5, 0.75] and dist.probs.tolist() == [0.25, 0.75]
+
+
 def test_from_file_json_and_csv(tmp_path):
     vec = [0.2, 0.3, 0.5]
     jpath = tmp_path / "d.json"

@@ -86,7 +86,8 @@ _MEMORY_TOKENS = (_BASE + [" " + t for t in _BASE[:7]] + [t + "\u00a0" for t in 
 
 def test_line_counts_memory_grows_with_distinct_lines():
     # The README's memory rule: each table holds at most twice as many rows as
-    # the distinct lines it has seen, however many lines it has read.
+    # the distinct lines it has seen, however many lines it has read.  A line
+    # of L bytes is a row of ceil(L/8) words, in the table for that width.
     rng = np.random.default_rng(11)
     counter = emp._LineCounts()
     seen, everything = {}, []
@@ -96,9 +97,9 @@ def test_line_counts_memory_grows_with_distinct_lines():
         counter.add("".join(t + "\n" for t in block).encode())
         everything += block
         for raw in {t.encode() for t in block}:
-            seen.setdefault(emp._PACKED if len(raw) < 8 else len(raw), set()).add(raw)
-        for L, parts in counter.parts.items():
-            assert sum(len(keys) for keys, _ in parts) <= 2 * len(seen[L])
+            seen.setdefault(-(-len(raw) // 8), set()).add(raw)
+        for W, parts in counter.parts.items():
+            assert sum(len(keys) for keys, _ in parts) <= 2 * len(seen[W])
     oracle = Counter(map(str.strip, everything))
     assert sorted(counter.stripped_counts().tolist()) == sorted(oracle.values())
 
