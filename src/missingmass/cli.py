@@ -6,8 +6,7 @@ estimate   Good-Turing style estimates and optional deviation bounds of a
            sample file, profiled by the readers of empirical.
 fig1       Emit reference tail-bound curves (sub-Gaussian, order-2 and
            order-5 polynomial filters) for n in {20, 100, 1000}.
-bounds     Evaluate one bound family (subgauss, theorem2, left_u2, left_corollary,
-           right_corollary, ssg, subgamma or poly:R) on an epsilon grid.
+bounds     Evaluate one bound family of tail_bounds.FAMILIES on an epsilon grid.
 ustar      Maximize g(p)^r (1-p)^n (1-(1-p)^n) / p over p.
 simulate   Monte Carlo: estimator risk curves, tail-frequency dominance
            checks, or Dirichlet-prior variance curves.
@@ -217,7 +216,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     eps = parse_eps_grid(args.eps_grid)
     curve = tb.curve(args.family, args.n, g, eps)
     rows = list(zip(eps.tolist(), curve.bounds, curve.exponents))
-    meta = {"family": args.family, "n": args.n, "g": g.descriptor()}
+    meta = {"family": tb.parse_family(args.family).name, "n": args.n, "g": g.descriptor()}
     _emit(_table(["eps", "bound", "exponent"], rows, args.out, meta),
           _resolve_path(args.path))
     return 0
@@ -347,10 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("bounds", help="evaluate one bound family on a grid")
     pb.add_argument("--family", required=True,
-                    help="subgauss | theorem2 | left_u2 | left_corollary | right_corollary | "
-                         "ssg | subgamma | poly:R with 1 <= R <= 170 (subgauss is the "
-                         "e^(-n eps^2) reference of power:1 and exits 3 on any other g; "
-                         "the corollaries, subgamma, ssg and poly need n >= 3, or more by g)")
+                    help=f"{tb.FAMILY_LIST}: the tails each bounds, and the one g where named "
+                         "(any other exits 3); most need n >= 3, or more by g")
     pb.add_argument("--g", required=True, help="power:ALPHA or entropy:K "
                                                "(power needs 1 <= alpha <= 1e300 here)")
     pb.add_argument("--n", type=int, required=True, help="sample size")

@@ -12,24 +12,19 @@ right-tail bound exp(-E(eps)) by the Chernoff method; E is analytic except
 for R >= 2, whose Legendre transform is solved numerically.
 
 curve(family, n, g, eps_grid) is the one way to evaluate a bound, for every
-family: subgauss, theorem2, left_u2, left_corollary, right_corollary, ssg,
-subgamma and poly:R.  A family's (n, g) work is done once, before any eps,
-and its exponent is then evaluated once, on the whole eps array: the closed
+family of FAMILIES, the table of the families, the tails they bound and the
+g they hold for.  A family's (n, g) work is done once, before any eps, and
+its exponent is then evaluated once, on the whole eps array: the closed
 forms elementwise, poly:R (R >= 2) by one Newton iteration over the array.
-No code loops over eps.  The printed right tails take the g they bound:
-power(1) (the missing mass) is the strongly sub-Gamma template, and
-power(alpha > 1) (the order-alpha one) and entropy_log2(k) (the missing
-entropy) share one form, A eps - B log1p(C eps), read from log A, log B and
-log C.
+No code loops over eps.
 
 Every input taken from u*_r or gamma_alpha is read as its log: v and a_r,
 both left tails' variance and the power(alpha > 1) right tail.  So a u*_r
 that underflows, or a gamma_alpha or n^(2 alpha - 1) that overflows, still
-gives a bound.  Every sub-Gaussian exponent eps^2/(2 sigma2) -- the
-reference curve, Theorem 2, the exact left tail and the closed left tails --
-is taken from log sigma2.  The filter polynomial and its derivatives are
-taken by Horner's rule: every a_r is >= 0, so no partial sum overflows
-unless the whole sum does, even where l^R alone would.
+gives a bound.  Every sub-Gaussian exponent eps^2/(2 sigma2) is taken from
+log sigma2.  The filter polynomial and its derivatives are taken by
+Horner's rule: every a_r is >= 0, so no partial sum overflows unless the
+whole sum does, even where l^R alone would.
 
 Every bound is clamped to <= 1; the raw exponent comes with it for
 diagnostics (it can go negative, where the bound is 1).  An exponent past
@@ -44,9 +39,10 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -312,64 +308,73 @@ def _right_corollary(n: int, g: GFunction) -> Callable[[np.ndarray], np.ndarray]
     return _printed_tail(log_A, log_A - log_C - math.log(math.log(2.0)), log_C)
 
 
-def _exponent(family: str, n: int, g: GFunction) -> Callable[[np.ndarray], np.ndarray]:
-    """The Chernoff exponent of one bound family at (n, g), as a function of
-    an array of eps >= 0.  The family's (n, g) work is done here, once; an
-    error it raises is raised before any eps."""
-    if family == "subgauss":
-        # exp(-n eps^2) is the Figure-1 reference of the missing mass only:
-        # simulation exceeds it for entropy g
-        if g.kind != "power" or g.alpha != 1.0:
-            raise RegimeError(f"subgauss bounds power:1 only, not {g.descriptor()}")
-        return functools.partial(_gaussian_exponent, -math.log(2.0 * n))
-    if family == "theorem2":
-        log_sigma2 = math.log(THEOREM2_VARIANCE_FACTOR) + 2.0 * math.log(ratio_sup(g)) - math.log(n)
-        return functools.partial(_gaussian_exponent, log_sigma2)
-    if family == "left_u2":
-        # log u_2 rises to one maximum and then falls, so its maximum over
-        # the declared domain p >= domain_min lies at max(argmax, domain_min)
-        p = max(ustar_engine.u_star(n, g, 2).argmax, g.domain_min)
-        return functools.partial(_gaussian_exponent, ustar_engine._log_u_r_at(p, n, g, 2))
-    if family == "left_corollary":
-        return functools.partial(_gaussian_exponent, ustar_engine.log_u2_closed_bound(n, g))
-    if family == "right_corollary":
-        return _right_corollary(n, g)
-    if family in ("ssg", "subgamma"):
-        order = 1
-    elif family.startswith("poly:"):
+def _gaussian(log_sigma2: Callable[[int, GFunction], float]):
+    """The builder of the sub-Gaussian exponent eps^2/(2 sigma2), sigma2 at (n, g) from its log."""
+    return lambda n, g: functools.partial(_gaussian_exponent, log_sigma2(n, g))
+
+
+class Family(NamedTuple):
+    """A row of FAMILIES."""
+
+    name: str
+    tails: Tuple[str, ...]  # the tails it bounds, as mc_tail's column prefixes
+    g: Optional[str]  # the one g it holds for; None for every g ratio_sup admits
+    build: Callable[..., Callable[[np.ndarray], np.ndarray]]  # (n, g) -> the exponent of eps
+
+
+#: Every bound family, in the order help and errors list them; poly:R's build also takes R.
+FAMILIES = (
+    # exp(-n eps^2), Figure 1's reference: simulation exceeds it for entropy g
+    Family("subgauss", ("right",), "power:1", _gaussian(lambda n, g: -math.log(2.0 * n))),
+    Family("theorem2", ("right", "left"), None, _gaussian(lambda n, g: math.log(
+        THEOREM2_VARIANCE_FACTOR) + 2.0 * math.log(ratio_sup(g)) - math.log(n))),
+    # log u_2 rises to one maximum, so on p >= domain_min it peaks at max(argmax, domain_min)
+    Family("left_u2", ("left",), None, _gaussian(lambda n, g: ustar_engine._log_u_r_at(
+        max(ustar_engine.u_star(n, g, 2).argmax, g.domain_min), n, g, 2))),
+    Family("left_corollary", ("left",), None, _gaussian(ustar_engine.log_u2_closed_bound)),
+    Family("right_corollary", ("right",), None, _right_corollary),
+    Family("ssg", ("right",), None,
+           lambda n, g: functools.partial(_poly_exponent, build_spec(n, g, 1))),
+    Family("subgamma", ("right",), None, lambda n, g: functools.partial(
+        _sub_gamma, *operator.attrgetter("v", "c")(build_spec(n, g, 1)))),
+    Family("poly:R", ("right",), None,
+           lambda n, g, R: functools.partial(_poly_exponent, build_spec(n, g, R))),
+)
+#: FAMILIES as help and errors list them: each name, its tails and its one g.
+FAMILY_LIST = " | ".join(f"{f.name} ({'/'.join(f.tails)}{', ' + f.g + ' only' if f.g else ''})"
+                         for f in FAMILIES) + f", 1 <= R <= {_MAX_ORDER}"
+
+
+def parse_family(text: str) -> Family:
+    """The row of FAMILIES that text names; for poly:R, with any R int() reads
+    (build_spec checks its range), that row renamed poly:R, R in digits, R bound."""
+    name, colon, order = text.partition(":")
+    if name == "poly" and colon:
         try:
-            order = int(family.split(":", 1)[1])
+            R = int(order)
         except ValueError:
-            raise InvalidInputError(f"bad filter order in family {family!r}")
-    else:
-        raise InvalidInputError(f"unknown bound family {family!r}")
-    spec = build_spec(n, g, order)
-    if family == "subgamma":
-        return functools.partial(_sub_gamma, spec.v, spec.c)
-    return functools.partial(_poly_exponent, spec)
+            raise InvalidInputError(f"bad filter order in family {text!r}")
+        poly = FAMILIES[-1]
+        return poly._replace(name=f"poly:{R}", build=functools.partial(poly.build, R=R))
+    for row in FAMILIES:
+        if row.name == text:
+            return row
+    raise InvalidInputError(f"unknown bound family {text!r}; expected {FAMILY_LIST}")
 
 
 def curve(family: str, n: int, g: GFunction, eps_grid: Sequence[float]) -> BoundCurve:
-    """Bound curve of one family over an eps grid.
-
-    The family's exponent is evaluated once, on the whole eps array: a
-    closed form elementwise, poly:R (R >= 2) by one Newton over the array.
-    family: "subgauss" (sigma2 = 1/(2n), the e^[-n eps^2] reference curve
-    of power(1); RegimeError for any other g),
-    "theorem2" (sigma2 = THEOREM2_VARIANCE_FACTOR ratio_sup(g)^2 / n),
-    "left_u2" (the exact left tail, sigma2 = u*_2 over the domain of g),
-    "left_corollary" (sigma2 from log_u2_closed_bound), "right_corollary"
-    (the printed right tails), "ssg" (the order-1 spec, as "poly:1"),
-    "subgamma" (the sub-Gamma template on the order-1 spec's v and c) or
-    "poly:R".  ratio_sup rejects power(alpha < 1) for every family, then the
-    family's own regime or input errors come, all before any eps.
-    """
+    """Bound curve over an eps grid of the family parse_family reads.  After
+    ratio_sup and the eps grid come the family's name, its g (RegimeError for
+    any other g) and its own regime or input errors, all before any eps."""
     n = require_int("n", n, 1)
     ratio_sup(g)
     eps = require_real_array("eps grid", eps_grid)
     if eps.ndim != 1 or not (eps >= 0.0).all():
         raise InvalidInputError("eps grid must be a 1-D array of numbers >= 0")
-    exponents = _exponent(family, n, g)(eps)
+    row = parse_family(family)
+    if row.g not in (None, g.descriptor()):
+        raise RegimeError(f"{row.name} bounds {row.g} only, not {g.descriptor()}")
+    exponents = row.build(n, g)(eps)
     # exp(-E), clamped to <= 1: a negative or NaN exponent gives 1
     bounds = np.exp(-np.fmax(exponents, 0.0))
     return BoundCurve(bounds=tuple(bounds.tolist()), exponents=tuple(exponents.tolist()))

@@ -227,22 +227,20 @@ def gamma_const() -> float:
 
 @functools.lru_cache(maxsize=1)
 def kappa_const() -> float:
-    """max over u, v > 0 of (u/v^2) log(1+e^[-u](e^v-v-1)) = 0.2595...
+    """max over u, v > 0 of F(u, v) = (u/v^2) log(1+e^[-u](e^v-v-1)) = 0.2595...
 
-    Alternating coordinate-wise golden refinement, each round on the windows
-    [x/4, 4x], from (u, v) = (1, 1).  The maximizer (1.7088..., 2.7965...)
-    lies inside the first two windows.
-    2*kappa = 0.51909...; the Theorem-2 variance factor rounds it up.
-    """
+    With w = e^[-u](e^v-v-1), dF/du = 0 reads log1p(w) = u w/(1+w), and
+    dF/dv = 0 then reads v (e^v-1) = 2u (e^v-v-1).  So the maximizer
+    (1.7088..., 2.7965...) lies on the curve u(v) = v expm1(v)/(2(expm1(v) - v)),
+    and kappa is the maximum of F(u(v), v), by one golden search on v in
+    [1/4, 4].  2*kappa = 0.51909...; the Theorem-2 variance factor rounds it up."""
 
-    def f(u, v):
-        return (u / (v * v)) * math.log1p(math.exp(-u) * (math.expm1(v) - v))
+    def on_curve(v):
+        e1 = math.expm1(v)
+        u = v * e1 / (2.0 * (e1 - v))
+        return (u / (v * v)) * math.log1p(math.exp(-u) * (e1 - v))
 
-    u = v = 1.0
-    for _ in range(60):
-        u, best = _golden_max(lambda x: f(x, v), u / 4.0, u * 4.0)
-        v, best = _golden_max(lambda y: f(u, y), v / 4.0, v * 4.0)
-    return best
+    return _golden_max(on_curve, 0.25, 4.0)[1]
 
 
 def log_u2_closed_bound(n: int, g: GFunction) -> float:

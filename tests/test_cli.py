@@ -431,6 +431,23 @@ def test_json_meta_echoes_descriptors_exactly(capsys):
     assert json.loads(out)["dist"] == "zipf:50:1.23456789"
 
 
+@pytest.mark.parametrize("spelling,canonical", [("poly:1_0", "poly:10"), ("poly:+2", "poly:2"),
+                                                ("poly:\u0662", "poly:2"), ("poly:02", "poly:2")])
+def test_json_meta_prints_the_canonical_family(spelling, canonical, capsys):
+    # every spelling int() reads names the same family, and meta prints it as
+    # the table does, as it prints g and dist
+    args = ("--g", "power:1", "--n", "50", "--eps-grid", "0.1,0.3")
+    outputs = []
+    for family in (spelling, canonical):
+        for fmt in ("csv", "json"):
+            code, out, err = run(capsys, "bounds", "--family", family, *args, "--out", fmt)
+            assert code == 0, err
+            outputs.append(out)
+    assert outputs[0] == outputs[2]
+    assert outputs[1] == outputs[3]
+    assert json.loads(outputs[1])["family"] == canonical
+
+
 def test_bounds_regime_exit(capsys):
     code, _, err = run(capsys, "bounds", "--family", "ssg", "--g", "power:1",
                        "--n", "2", "--eps-grid", "0.1,0.2")
@@ -939,6 +956,25 @@ def test_readme_quick_example_runs():
     readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
     block = re.search(r"Quick example:\n+```python\n(.*?)```", readme.read_text(), re.S)
     exec(compile(block.group(1), "README.md", "exec"), {})
+
+
+def test_readme_family_table_matches_the_table():
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    block = re.search(r"\| family \| tails \| g \| exponent .*?\n\|[- |]+\|\n((?:\|.*\|\n)+)",
+                      readme.read_text())
+    rows = [[cell.strip().strip("`") for cell in line.split("|")[1:4]]
+            for line in block.group(1).splitlines()]
+    assert rows == [[f.name, ", ".join(f.tails), f.g or "any"] for f in tb.FAMILIES]
+
+
+def test_family_help_and_error_name_every_family(capsys):
+    code, out, _ = run(capsys, "bounds", "--help")
+    assert code == 0
+    code, _, err = run(capsys, "bounds", "--family", "nope", "--g", "power:1", "--n", "20",
+                       "--eps-grid", "0.1")
+    assert code == 2
+    for family in tb.FAMILIES:
+        assert family.name in " ".join(out.split()) and family.name in err
 
 
 # ---------------------------------------------------------------------------

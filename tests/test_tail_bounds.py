@@ -7,6 +7,7 @@ import pytest
 from scipy import optimize
 
 from missingmass import gfunction as gf
+from missingmass import risk_lab as rl
 from missingmass import tail_bounds as tb
 from missingmass.errors import InvalidInputError, NumericalError, RegimeError
 from missingmass.ustar_engine import (gamma_const, kappa_const, log_u2_closed_bound,
@@ -247,18 +248,22 @@ def test_one_failed_point_fails_the_whole_curve(monkeypatch):
 @pytest.mark.parametrize("family", ["subgauss", "theorem2", "left_u2", "left_corollary",
                                     "right_corollary", "ssg", "subgamma", "poly:2", "poly:5"])
 def test_curve_evaluates_the_exponent_once_on_the_whole_grid(family, monkeypatch):
-    exponent = tb._exponent
+    parse = tb.parse_family
     calls = []
 
-    def counted(*args):
-        fn = exponent(*args)
+    def counted(text):
+        row = parse(text)
 
-        def once(eps):
-            calls.append(eps.copy())
-            return fn(eps)
-        return once
+        def build(n, g):
+            fn = row.build(n, g)
 
-    monkeypatch.setattr(tb, "_exponent", counted)
+            def once(eps):
+                calls.append(eps.copy())
+                return fn(eps)
+            return once
+        return row._replace(build=build)
+
+    monkeypatch.setattr(tb, "parse_family", counted)
     eps = [0.0, 0.01, 0.1, 0.3]
     c = tb.curve(family, 50, P1 if family == "subgauss" else P2, eps)
     assert len(calls) == 1 and calls[0].tolist() == eps
@@ -760,7 +765,7 @@ def test_every_family_rejects_small_power_before_its_work(family, eps, monkeypat
     def no_work(*args):
         raise AssertionError("family work reached")
 
-    monkeypatch.setattr(tb, "_exponent", no_work)
+    monkeypatch.setattr(tb, "parse_family", no_work)
     with pytest.raises(InvalidInputError) as info:
         gf.ratio_sup(gf.power(0.5))
     for alpha in (0.5, 0.01):
@@ -805,3 +810,29 @@ def test_curve_rejects_unknown_family_and_small_power():
     with pytest.raises(InvalidInputError):
         tb.curve("ssg", 20, gf.power(0.5), [0.1])
 
+
+def test_family_table_declares_each_family_and_its_tails():
+    # the sides mc_tail's columns, fig1 and README give each family
+    assert {f.name: f.tails for f in tb.FAMILIES} == {
+        "subgauss": ("right",), "theorem2": ("right", "left"), "left_u2": ("left",),
+        "left_corollary": ("left",), "right_corollary": ("right",), "ssg": ("right",),
+        "subgamma": ("right",), "poly:R": ("right",)}
+    assert [f.name for f in tb.FAMILIES if f.g is not None] == ["subgauss"]
+    for column, family in rl._BOUND_FAMILIES.items():
+        assert column.split("_")[0] in tb.parse_family(family).tails, column
+    for family in ("subgauss", "poly:2", "poly:5"):  # fig1's columns
+        assert tb.parse_family(family).tails == ("right",)
+
+
+@pytest.mark.parametrize("text,name", [("poly:7", "poly:7"), ("poly: 7", "poly:7"),
+                                       ("poly:0_7", "poly:7"), ("ssg", "ssg")])
+def test_parse_family_gives_the_canonical_name(text, name):
+    row = tb.parse_family(text)
+    assert row.name == name
+    assert tuple(row.build(20, P1)(np.array([0.2])).tolist()) == tb.curve(name, 20, P1, [0.2]).exponents
+
+
+@pytest.mark.parametrize("text", ["poly:R", "poly:", "poly", "Poly:2", ""])
+def test_parse_family_rejects_what_the_table_does_not_name(text):
+    with pytest.raises(InvalidInputError):
+        tb.parse_family(text)
