@@ -5,17 +5,19 @@ A profile is the frequency of frequencies phi_l = #{x : F_x = l}, where F_x
 counts the occurrences of letter x, and the sample size n = sum_l l phi_l it
 implies.  The estimators read nothing else.  profile_from_lines counts the
 lines of a token stream in numpy blocks, each line as a row of 64-bit words
-padded with the byte 0xFF, which UTF-8 text never holds; read_count_csv and
-read_phi_csv read token,count and l,phi_l rows, and phi_csv writes l,phi_l
-rows.  The realized missing mass against a known distribution is computed
-from the sample itself, on the g vector of distributions._g_vector.
+padded with the byte 0xFF, which UTF-8 text never holds, and it counts a
+long stream on up to two threads, with the same profile on any number of
+threads.  read_count_csv and read_phi_csv read token,count and l,phi_l
+rows, and phi_csv writes l,phi_l rows.  The realized missing mass against a
+known distribution is computed from the sample itself, on the g vector of
+distributions._g_vector.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, Dict, Hashable, List, Mapping, Optional, Tuple
+from typing import BinaryIO, Callable, Dict, Hashable, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -81,9 +83,25 @@ def _not_utf8(path: str, exc: UnicodeDecodeError) -> InvalidInputError:
 
 
 #: Bytes profile_from_lines reads at a time.  The arrays of a 256 KiB block are
-#: small enough for the allocator to reuse their memory from block to block;
-#: 1 MiB blocks made about 4 times as many page faults on a file of 2e6 lines.
+#: small enough for the allocator to reuse their memory from block to block:
+#: counted on one thread, 1 MiB blocks made about 4 times as many page faults
+#: on a file of 2e6 lines.
 _BLOCK_BYTES = 1 << 18
+#: profile_from_lines counts a stream on threads once the stream holds
+#: _THREAD_BYTES and the process, this stream included, has read three times
+#: as many: a regular file's size decides at its first block, any other
+#: stream at the block that reaches both.  Measured on files of the
+#: benchmark's zipf tokens on 2 CPUs, a read on two threads took, against
+#: one thread, 1.6 times as long at 1.1 MB, 1.15 at 4.4 MB, 0.75-1.10 at
+#: 6.6-8.8 MB, 0.87-0.89 at 12-17 MB and 0.67-0.72 at 33 MB as the first
+#: read of a fresh process; after a first read on one thread, 1.2-1.4 times
+#: as long at 1.1 MB, about as long at 2.2 MB, and 0.89-0.93 at 4.4 MB and
+#: 0.80-0.89 at 8.8 MB.  A process's first threaded blocks run slowly, so
+#: threads pay on a short stream only once the process has read a lot.
+_THREAD_BYTES = 4 << 20
+#: Bytes that profile_from_lines has read in this process, up to where its
+#: reads went to the threads.
+_bytes_read = 0
 #: Edge bytes of a line that str.strip may remove or that may start or end a
 #: removable character: ASCII whitespace and every non-ASCII UTF-8 byte.
 _STRIPPABLE = np.zeros(256, dtype=bool)
@@ -130,6 +148,10 @@ class _LineCounts:
     def __init__(self) -> None:
         self.parts: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
         self.grouped: Dict[int, int] = {}
+        # A threading.Lock that tables counting on several threads share, so
+        # that only one regroups at a time: a regroup's arrays are as large as
+        # its table.
+        self.lock = None
 
     def add(self, data: bytes, weights: Optional[np.ndarray] = None) -> None:
         """Count the non-empty segments of data between line-end bytes
@@ -138,7 +160,7 @@ class _LineCounts:
         buf = np.frombuffer(data, dtype=np.uint8)
         ends = np.append(np.flatnonzero((buf == 10) | (buf == 13)), len(data))
         starts = np.concatenate(([0], ends[:-1] + 1))
-        lens = ends - starts
+        lens = np.subtract(ends, starts, out=ends)  # in place: an array less per block counted
         # words[s] is the 8 bytes from offset s on; data is padded with 8
         # bytes so that every word read is in range.
         padded = data + bytes(8)
@@ -178,6 +200,15 @@ class _LineCounts:
             self._regroup(W)
 
     def _regroup(self, W: int) -> None:
+        """Reduce the table for W to its distinct rows, after any other table
+        that shares its lock has finished its regroup."""
+        if self.lock is None:
+            self._regroup_now(W)
+        else:
+            with self.lock:
+                self._regroup_now(W)
+
+    def _regroup_now(self, W: int) -> None:
         keys, counts = map(np.concatenate, zip(*self.parts[W]))
         self.parts[W].clear()  # so that the parts are freed before the regroup
         keys, counts = _distinct_rows(keys, counts)
@@ -212,6 +243,98 @@ class _LineCounts:
         return np.concatenate([np.zeros(0, np.int64)] + [c for _, _, c in self._tables()])
 
 
+def _workers() -> int:
+    """Counting threads for profile_from_lines: min(2, CPUs this process may run on)."""
+    import os
+    if hasattr(os, "sched_getaffinity"):
+        return min(2, len(os.sched_getaffinity(0)))
+    return min(2, os.cpu_count() or 1)
+
+
+def _file_bytes_left(stream: BinaryIO) -> int:
+    """Bytes from the position of stream to the end of its file, if it
+    reads a regular file; 0 for any other stream."""
+    import os
+    import stat
+    try:
+        info = os.fstat(stream.fileno())
+        return info.st_size - stream.tell() if stat.S_ISREG(info.st_mode) else 0
+    except (AttributeError, OSError, ValueError):  # io.UnsupportedOperation is both
+        return 0
+
+
+def _blocks(stream: BinaryIO) -> Iterator[bytes]:
+    """The blocks of stream, each cut at its last line end and checked as
+    UTF-8; the last block, empty or not, ends the stream."""
+    pending: List[bytes] = []  # read since the last line end
+    while True:
+        chunk = stream.read(_BLOCK_BYTES)
+        lf = chunk.rfind(b"\n")
+        cut = max(lf, chunk.rfind(b"\r", lf + 1)) + 1
+        if chunk and not cut:
+            pending.append(chunk)
+            continue
+        # Blocks end on a line end, so each decodes alone.
+        block, pending = b"".join(pending + [memoryview(chunk)[:cut]]), [chunk[cut:]]
+        block.decode("utf-8")  # raises UnicodeDecodeError if it is not UTF-8
+        yield block
+        if not chunk:
+            return
+
+
+def _count_on_threads(first: _LineCounts, blocks: Iterator[bytes],
+                      workers: int) -> _LineCounts:
+    """first, with blocks counted on workers threads, each in a table of its
+    own, and every other table joined into first.  The tables share one lock,
+    so that only one of them regroups at a time.  After a failure the threads
+    take the blocks that remain but count none, so that the reading thread
+    never waits on a full queue; every thread started has ended when this
+    returns or raises."""
+    import queue
+    import threading
+    tables = [first] + [_LineCounts() for _ in range(workers - 1)]
+    lock = threading.Lock()
+    for table in tables:
+        table.lock = lock
+    todo: queue.Queue = queue.Queue(workers)  # a waiting block per thread keeps each busy
+    failed: List[Exception] = []
+
+    def guarded(step: Callable, *args) -> None:
+        """step(*args) unless a thread has failed; records what it raises."""
+        if not failed:
+            try:
+                step(*args)
+            except Exception as exc:  # raised again on the reading thread
+                failed.append(exc)
+
+    def count(table: _LineCounts) -> None:
+        for block in iter(todo.get, None):
+            guarded(table.add, block)
+        guarded(table._tables)  # regroup while the other thread counts its last block
+
+    started = []
+    try:
+        for table in tables:
+            thread = threading.Thread(target=count, args=(table,))
+            thread.start()
+            started.append(thread)
+        for block in blocks:
+            if failed:
+                break
+            todo.put(block)
+    finally:
+        for _ in started:
+            todo.put(None)
+        for thread in started:
+            thread.join()
+    if failed:
+        raise failed[0]
+    for table in tables[1:]:
+        for W, keys, counts in table._tables():
+            first._merge(W, keys, counts)
+    return first
+
+
 def profile_from_lines(stream: BinaryIO) -> SampleProfile:
     """Profile of a binary stream of UTF-8 text with one token per line.
 
@@ -221,21 +344,34 @@ def profile_from_lines(stream: BinaryIO) -> SampleProfile:
     grows with the number of distinct tokens, not with the stream's length.
     Raises UnicodeDecodeError on bytes that are not UTF-8; a stream without
     tokens gives the empty profile.
+
+    The calling thread reads, cuts and checks every block.  Once the
+    process has read 12 MiB, this stream included, the blocks of a stream
+    of 4 MiB or more are counted on two threads, if the process may run on
+    two or more CPUs: each thread counts into a table of its own, and the
+    tables are joined at the end, so the profile is the same on any number
+    of threads.  A regular file's size decides before its first block; any
+    other stream goes to the threads at the block that reaches both
+    bounds (_THREAD_BYTES).  The second table and the blocks in flight cost
+    memory: on the files measured, up to 1.3 times one thread's tracemalloc
+    peak, and 6-67 MB more resident memory, most of it held by the counting
+    threads' malloc arenas.  Every thread started has ended when this
+    returns or raises.
     """
+    global _bytes_read
     lines = _LineCounts()
-    pending: List[bytes] = []  # read since the last line end
-    while True:
-        chunk = stream.read(_BLOCK_BYTES)
-        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r")) + 1
-        if chunk and not cut:
-            pending.append(chunk)
-            continue
-        # Blocks end on a line end, so each decodes alone.
-        block, pending = b"".join(pending + [chunk[:cut]]), [chunk[cut:]]
-        block.decode("utf-8")  # raises UnicodeDecodeError if it is not UTF-8
-        lines.add(block)
-        if not chunk:
+    workers = _workers()
+    blocks = _blocks(stream)
+    before, size, read = _bytes_read, _file_bytes_left(stream), 0
+    for block in blocks:
+        read += len(block)
+        known = max(size, read)
+        if workers > 1 and known >= _THREAD_BYTES and before + known >= 3 * _THREAD_BYTES:
+            import itertools
+            lines = _count_on_threads(lines, itertools.chain([block], blocks), workers)
             break
+        lines.add(block)
+    _bytes_read = before + known
     return _profile_of_counts(lines.stripped_counts())
 
 

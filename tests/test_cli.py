@@ -1,9 +1,12 @@
+import errno
 import io
+import itertools
 import json
 import math
 import pathlib
 import re
 import shlex
+import threading
 from collections import Counter
 
 import numpy as np
@@ -113,15 +116,27 @@ def _check_against_text_mode(path, data):
 
 _LINES = st.lists(st.tuples(*map(st.sampled_from, (_SPACES, _TOKENS, _SPACES, _ENDS))),
                   max_size=30)
-_BLOCK_SIZES = st.sampled_from([1, 2, 3, 5, 8, 13, 64, 1 << 20])
+_BLOCK_SIZES = [1, 2, 3, 5, 8, 13, 64, 1 << 20]
+# The reader tests run twice: as they are, where files this small are counted
+# on the calling thread, and with _THREAD_BYTES at 0, where every block goes
+# to the counting threads.  A tiny block costs a GIL hand-off between
+# threads, so the threaded twins of the hypothesis tests draw fewer examples
+# and no block under 5 bytes: the calling thread cuts the blocks as it does
+# on one thread.
+_SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
-@settings(max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(lines=_LINES, final_end=st.booleans(), block=_BLOCK_SIZES,
-       mix=st.sampled_from([emp._MIX, np.uint64(0)]))
-def test_read_tokens_matches_text_mode_reader(tmp_path, monkeypatch, lines, final_end,
-                                              block, mix):
+def _given_lines(blocks):
+    return given(lines=_LINES, final_end=st.booleans(), block=st.sampled_from(blocks),
+                 mix=st.sampled_from([emp._MIX, np.uint64(0)]))
+
+
+def _given_pieces(blocks):
+    return given(pieces=st.lists(st.sampled_from(_TEXT_PIECES + _BAD_PIECES), max_size=40),
+                 block=st.sampled_from(blocks))
+
+
+def _check_lines(tmp_path, monkeypatch, lines, final_end, block, mix):
     # Small blocks make lines straddle block cuts; a zero mix makes every
     # row of two or more words with equal last words collide in the hash.
     monkeypatch.setattr(emp, "_BLOCK_BYTES", block)
@@ -132,23 +147,60 @@ def test_read_tokens_matches_text_mode_reader(tmp_path, monkeypatch, lines, fina
     _check_against_text_mode(tmp_path / "t.txt", text.encode())
 
 
-@settings(max_examples=200, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(pieces=st.lists(st.sampled_from(_TEXT_PIECES + _BAD_PIECES), max_size=40),
-       block=_BLOCK_SIZES)
-def test_read_tokens_utf8_error_matches_text_mode_reader(tmp_path, monkeypatch, pieces, block):
+@settings(max_examples=300, **_SETTINGS)
+@_given_lines(_BLOCK_SIZES)
+def test_read_tokens_matches_text_mode_reader(tmp_path, monkeypatch, lines, final_end,
+                                              block, mix):
+    _check_lines(tmp_path, monkeypatch, lines, final_end, block, mix)
+
+
+@settings(max_examples=25, **_SETTINGS)
+@_given_lines(_BLOCK_SIZES[3:])
+def test_read_tokens_matches_text_mode_reader_threaded(tmp_path, monkeypatch, lines, final_end,
+                                                       block, mix):
+    monkeypatch.setattr(emp, "_THREAD_BYTES", 0)
+    _check_lines(tmp_path, monkeypatch, lines, final_end, block, mix)
+
+
+def _check_pieces(tmp_path, monkeypatch, pieces, block):
     monkeypatch.setattr(emp, "_BLOCK_BYTES", block)
     _check_against_text_mode(tmp_path / "t.txt", b"".join(pieces))
 
 
-@pytest.mark.parametrize("data", [
+@settings(max_examples=200, **_SETTINGS)
+@_given_pieces(_BLOCK_SIZES)
+def test_read_tokens_utf8_error_matches_text_mode_reader(tmp_path, monkeypatch, pieces, block):
+    _check_pieces(tmp_path, monkeypatch, pieces, block)
+
+
+@settings(max_examples=20, **_SETTINGS)
+@_given_pieces(_BLOCK_SIZES[3:])
+def test_read_tokens_utf8_error_matches_text_mode_reader_threaded(tmp_path, monkeypatch, pieces,
+                                                                  block):
+    monkeypatch.setattr(emp, "_THREAD_BYTES", 0)
+    _check_pieces(tmp_path, monkeypatch, pieces, block)
+
+
+_BAD_BYTE_FILES = pytest.mark.parametrize("data", [
     b"ab\ncd\xe2\x82\nef\n", b"ab\ncd\xe2\x82", b"ab\r\n\xffcd\r\n", b"abc\xed\xa0\x80\n",
 ], ids=["truncated_before_newline", "truncated_at_eof", "stray_byte_after_crlf",
         "surrogate"])
+
+
+@_BAD_BYTE_FILES
 @pytest.mark.parametrize("block", range(1, 12))
 def test_read_tokens_bad_byte_at_every_block_cut(tmp_path, monkeypatch, data, block):
     monkeypatch.setattr(emp, "_BLOCK_BYTES", block)
     _check_against_text_mode(tmp_path / "t.txt", data)
+
+
+# The calling thread checks every block, as on one thread, so the threaded
+# twin cuts at three block sizes, not at every one.
+@_BAD_BYTE_FILES
+@pytest.mark.parametrize("block", [1, 6, 11])
+def test_read_tokens_bad_byte_at_every_block_cut_threaded(tmp_path, monkeypatch, data, block):
+    monkeypatch.setattr(emp, "_THREAD_BYTES", 0)
+    test_read_tokens_bad_byte_at_every_block_cut(tmp_path, monkeypatch, data, block)
 
 
 def test_read_tokens_long_lines_and_hash_collisions(tmp_path, monkeypatch):
@@ -164,9 +216,13 @@ def test_read_tokens_long_lines_and_hash_collisions(tmp_path, monkeypatch):
         assert (profile.n, profile.phi) == (201, {2: 100, 1: 1})
 
 
+_ROW_ENDS = pytest.mark.parametrize("end", _ENDS, ids=["lf", "cr", "crlf"])
+_ROW_FILLS = pytest.mark.parametrize("fill", ["a", "\x00"], ids=["a", "nul"])
+
+
 @pytest.mark.parametrize("block", [1, 7, 8, 9, 1 << 20])
-@pytest.mark.parametrize("end", _ENDS, ids=["lf", "cr", "crlf"])
-@pytest.mark.parametrize("fill", ["a", "\x00"], ids=["a", "nul"])
+@_ROW_ENDS
+@_ROW_FILLS
 def test_read_tokens_row_width_boundaries(tmp_path, monkeypatch, block, end, fill):
     # Tokens of 0-25 bytes cross every width boundary of a row up to four
     # words (8/9, 16/17, 24/25 bytes), bare or with a strippable edge of 1, 2
@@ -183,6 +239,97 @@ def test_read_tokens_row_width_boundaries(tmp_path, monkeypatch, block, end, fil
     _check_against_text_mode(tmp_path / "t.txt", data)
     profile = emp.profile_from_lines(io.BytesIO(data))
     assert (profile.n, profile.phi) == _text_mode_read(str(tmp_path / "t.txt"))
+
+
+# Small blocks hand a few lines at a time from thread to thread, at 1.8-2.7
+# times the cost of counting them inline (blocks of 1, 7 and 256 bytes), so
+# the threaded twin cuts the 47-50 KB file every 256 bytes (about 190
+# blocks) and not at all, and only with CRLF ends: the calling thread cuts
+# the blocks as it does on one thread, so the other ends add nothing here.
+@pytest.mark.parametrize("block", [256, 1 << 20])
+@_ROW_FILLS
+def test_read_tokens_row_width_boundaries_threaded(tmp_path, monkeypatch, block, fill):
+    monkeypatch.setattr(emp, "_THREAD_BYTES", 0)
+    test_read_tokens_row_width_boundaries(tmp_path, monkeypatch, block, "\r\n", fill)
+
+
+@pytest.fixture
+def six_blocks(tmp_path, monkeypatch):
+    """A file of six default blocks of 8-byte lines, so that block k holds
+    bytes [(k - 1) B, k B), read on two counting threads from its first block."""
+    monkeypatch.setattr(emp, "_THREAD_BYTES", 0)
+    monkeypatch.setattr(emp, "_workers", lambda: 2)
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"".join(b"%07d\n" % (i % 9973) for i in range(6 * emp._BLOCK_BYTES // 8)))
+    return path
+
+
+def _run_joined(call):
+    """call() in a thread named "reader", joined with a timeout, so that a
+    deadlock fails the test (the thread is a daemon, so it does not hang the
+    run); no thread may outlive the call."""
+    before = threading.active_count()
+    result = []
+    runner = threading.Thread(target=lambda: result.append(call()), name="reader", daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive(), "the call did not return"
+    assert threading.active_count() == before
+    return result[0]
+
+
+def test_failed_read_of_a_threaded_stream_exits_4(six_blocks, monkeypatch, capsys):
+    class FailingFile:
+        """A binary file whose 4th read raises OSError."""
+
+        def __init__(self, path, mode):
+            self.fh, self.reads = open(path, mode), 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def read(self, size):
+            self.reads += 1
+            if self.reads == 4:
+                raise OSError(errno.EIO, "Input/output error")
+            return self.fh.read(size)
+
+    monkeypatch.setattr(cli, "open", FailingFile, raising=False)
+    code, out, err = _run_joined(lambda: run(capsys, "estimate", "--input", str(six_blocks)))
+    assert (code, out, err) == (4, "", "i/o failure: [Errno 5] Input/output error\n")
+
+
+def test_bad_byte_in_the_fifth_threaded_block_exits_2(six_blocks, monkeypatch, capsys):
+    data = bytearray(six_blocks.read_bytes())
+    data[4 * emp._BLOCK_BYTES + 100] = 0xFF
+    six_blocks.write_bytes(bytes(data))
+    code, out, err = _run_joined(lambda: run(capsys, "estimate", "--input", str(six_blocks)))
+    monkeypatch.setattr(emp, "_workers", lambda: 1)
+    assert run(capsys, "estimate", "--input", str(six_blocks)) == (code, out, err)
+    expected = _text_mode_read(str(six_blocks))
+    assert (code, out, err) == (2, "", f"error: {expected}\n")
+
+
+@pytest.mark.parametrize("method", ["add", "_tables"])
+def test_memory_error_in_a_counting_thread_exits_3(six_blocks, monkeypatch, capsys, method):
+    # A MemoryError from a counting thread's third add, or from the regroup
+    # it runs when the stream ends, reaches the reading thread.
+    original, calls, raised_on = getattr(emp._LineCounts, method), itertools.count(1), []
+
+    def failing(self, *args):
+        thread = threading.current_thread().name
+        if thread != "reader" and next(calls) == (3 if method == "add" else 1):
+            raised_on.append(thread)
+            raise MemoryError("injected")
+        return original(self, *args)
+
+    monkeypatch.setattr(emp._LineCounts, method, failing)
+    code, out, err = _run_joined(lambda: run(capsys, "estimate", "--input", str(six_blocks)))
+    assert (code, out, err) == (3, "", "out of memory: injected\n")
+    assert len(raised_on) == 1
 
 
 def test_estimate_blank_tokens_file_exits_2(tmp_path, capsys):

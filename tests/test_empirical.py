@@ -1,3 +1,8 @@
+import io
+import itertools
+import os
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -102,6 +107,123 @@ def test_line_counts_memory_grows_with_distinct_lines():
             assert sum(len(keys) for keys, _ in parts) <= 2 * len(seen[W])
     oracle = Counter(map(str.strip, everything))
     assert sorted(counter.stripped_counts().tolist()) == sorted(oracle.values())
+
+
+def _zipf_token_lines(tokens, seed):
+    """tokens lines drawn as the benchmark's estimate_tokens file is: letter
+    i of zipf(10^5, 1.1), written "w<i>"."""
+    weights = 1.0 / np.arange(1, 100_001, dtype=float) ** 1.1
+    cdf = np.cumsum(weights / weights.sum())
+    idx = np.searchsorted(cdf, np.random.default_rng(seed).random(tokens), side="right")
+    return "".join("w%d\n" % i for i in np.minimum(idx, 99_999).tolist()).encode()
+
+
+@pytest.fixture(scope="module")
+def zipf_file():
+    """A file of 400 000 zipf lines (about 1.8 MB) and its phi."""
+    data = _zipf_token_lines(400_000, seed=5)
+    return data, Counter(Counter(data.split()).values())
+
+
+# At 0 every block is counted on the threads; at three blocks, in a process
+# that has read enough, the first blocks of the stream are counted on the
+# calling thread and the rest on the threads.
+@pytest.mark.parametrize("thread_bytes", [0, 3 * emp._BLOCK_BYTES])
+def test_profile_from_lines_is_the_same_on_one_and_two_threads(monkeypatch, zipf_file,
+                                                               thread_bytes):
+    data, expected = zipf_file
+    assert len(data) > thread_bytes + 2 * emp._BLOCK_BYTES
+    monkeypatch.setattr(emp, "_THREAD_BYTES", thread_bytes)
+    monkeypatch.setattr(emp, "_bytes_read", 2 * thread_bytes)
+    before, start, started = threading.active_count(), threading.Thread.start, []
+
+    def start_and_count(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start_and_count)
+    phi = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(emp, "_workers", lambda: workers)
+        phi[workers] = emp.profile_from_lines(io.BytesIO(data)).phi
+        assert len(started) == (0 if workers == 1 else 2)
+    assert phi[1] == phi[2] == expected
+    assert threading.active_count() == before
+
+
+def test_four_counting_threads_under_a_short_switch_interval_count_every_line(monkeypatch):
+    # More threads than this host has CPUs, small blocks, and the interpreter
+    # switching threads as often as it can: a lost block or a lost update to a
+    # table would change phi.
+    data = _zipf_token_lines(60_000, seed=7)
+    monkeypatch.setattr(emp, "_THREAD_BYTES", 0)
+    monkeypatch.setattr(emp, "_BLOCK_BYTES", 4096)
+    monkeypatch.setattr(emp, "_workers", lambda: 4)
+    interval, phi = sys.getswitchinterval(), []
+    sys.setswitchinterval(1e-6)
+    try:
+        reader = threading.Thread(
+            target=lambda: phi.append(emp.profile_from_lines(io.BytesIO(data)).phi))
+        reader.start()
+        reader.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not reader.is_alive()
+    assert phi == [Counter(Counter(data.split()).values())]
+
+
+def test_a_counting_thread_that_cannot_start_ends_the_read(monkeypatch):
+    # The first thread starts and the second does not: the read raises, and
+    # the first thread is ended, not left waiting for blocks.
+    monkeypatch.setattr(emp, "_THREAD_BYTES", 0)
+    monkeypatch.setattr(emp, "_workers", lambda: 2)
+    before, start, starts = threading.active_count(), threading.Thread.start, itertools.count()
+
+    def start_one(thread):
+        if next(starts):
+            raise RuntimeError("can't start new thread")
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start_one)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        emp.profile_from_lines(io.BytesIO(b"a\nb\n"))
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("file_short, process_short, on_calling_thread", [
+    (0, 0, False),  # the file and the process's reads reach the bounds
+    (1, 0, True),   # the file is a byte short of _THREAD_BYTES
+    (0, 1, True),   # the process's reads are a byte short of 3 _THREAD_BYTES
+])
+def test_a_file_goes_to_the_threads_from_its_first_block_or_not_at_all(
+        tmp_path, monkeypatch, zipf_file, file_short, process_short, on_calling_thread):
+    # A regular file's size decides before the first block, with the bytes
+    # the process has read before it.
+    data, expected = zipf_file
+    path = tmp_path / "tokens.txt"
+    path.write_bytes(data)
+    before = 2 * len(data) - process_short
+    monkeypatch.setattr(emp, "_workers", lambda: 2)
+    monkeypatch.setattr(emp, "_THREAD_BYTES", len(data) + file_short)
+    monkeypatch.setattr(emp, "_bytes_read", before)
+    add, callers = emp._LineCounts.add, []
+
+    def add_and_note(table, *args):
+        callers.append(threading.current_thread() is threading.main_thread())
+        add(table, *args)
+
+    monkeypatch.setattr(emp._LineCounts, "add", add_and_note)
+    with open(path, "rb") as fh:
+        assert emp.profile_from_lines(fh).phi == expected
+    assert len(callers) > 3 and set(callers) == {on_calling_thread}
+    assert emp._bytes_read == before + len(data)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")
+@pytest.mark.parametrize("cpus, workers", [({0}, 1), ({0, 1}, 2), ({0, 1, 2, 3}, 2)])
+def test_workers_follow_the_cpus_the_process_may_run_on(monkeypatch, cpus, workers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    assert emp._workers() == workers
 
 
 def test_realized_split_two_point():
