@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Tail-frequency dominance matrix: for each (g, distribution, n) cell,
-the largest margin by which any bound column sits above the observed
-frequency (negative would mean a violation).
+the smallest margin by which a bound column sits above the observed
+frequency of its tail (negative would mean a violation), and that column.
 
 Usage: python scripts/tail_dominance.py [--trials N] [--seed S]
 """
@@ -36,9 +36,10 @@ def main() -> int:
                     print(f"{g.descriptor():>12} {d.label:>12} {n:>5}  refused: {exc}")
                     continue
                 worst, which = None, ""
-                for name, col in rep.bounds.items():
-                    freqs = rep.right_freq if name.startswith("right") else rep.left_freq
-                    for f, b in zip(freqs, col):
+                for name, col in rep.items():
+                    if name.endswith(("_freq", "_se")):
+                        continue
+                    for f, b in zip(rep[name.split("_")[0] + "_freq"], col):
                         slack = b - f
                         if worst is None or slack < worst:
                             worst, which = slack, name

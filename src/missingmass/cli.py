@@ -156,6 +156,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         profile = read_count_csv(args.input)
     else:
         profile = read_phi_csv(args.input)
+        if not profile.n:
+            raise InvalidInputError(f"no sample found in {args.input}: sum of l*phi_l = 0")
         if args.n not in (None, profile.n):
             raise InvalidInputError(
                 f"inconsistent profile: sum of l*phi_l = {profile.n} != --n {args.n}")
@@ -288,17 +290,12 @@ def _simulate_table(args: argparse.Namespace) -> Tuple[List[str], List[List[floa
 
     # tail dominance
     eps = parse_eps_grid(args.eps_grid or "0.01:0.3:0.05")
-    header, rows = [], []
+    rows = []
     for n in ns:
-        rep = risk_lab.mc_tail(dist, g, n, args.trials, eps, args.seed)
-        names = sorted(rep.bounds)
-        if not header:
-            header = ["n", "eps", "right_freq", "right_se", "left_freq", "left_se"] + names
-        columns = (rep.right_freq, rep.right_se, rep.left_freq, rep.left_se,
-                   *(rep.bounds[name] for name in names))
-        rows += [[n, *cells] for cells in zip(eps.tolist(), *columns)]
-    return header, rows, {"task": "tail", "g": g.descriptor(), "dist": dist.label,
-                          "trials": args.trials}
+        table = risk_lab.mc_tail(dist, g, n, args.trials, eps, args.seed)
+        rows += [[n, *cells] for cells in zip(eps.tolist(), *table.values())]
+    return ["n", "eps", *table], rows, {"task": "tail", "g": g.descriptor(),
+                                        "dist": dist.label, "trials": args.trials}
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

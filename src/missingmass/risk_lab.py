@@ -43,18 +43,6 @@ class RiskRow:
     se: float
 
 
-@dataclass(frozen=True)
-class TailReport:
-    """Empirical tail frequencies, their standard errors and the bound
-    columns, one entry per eps of the grid."""
-
-    right_freq: Tuple[float, ...]
-    right_se: Tuple[float, ...]
-    left_freq: Tuple[float, ...]
-    left_se: Tuple[float, ...]
-    bounds: Dict[str, Tuple[float, ...]]
-
-
 def _block_rng(seed: int, n: int, block: int) -> np.random.Generator:
     seed = require_int("seed", seed, 0)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, n, block))))
@@ -170,20 +158,10 @@ def mc_bias(
     return _mean_se(_estimate_errors(dist, kind, g, require_int("n", n, 0), trials, seed))
 
 
-#: Tail report column -> the tail_bounds.curve family it shows (theorem2 is two-sided).
+#: Tail table column -> the tail_bounds.curve family it shows (theorem2 is two-sided).
 _BOUND_FAMILIES = {"right_subgauss_519": "theorem2", "left_subgauss_519": "theorem2",
                    "left_exact_u2": "left_u2", "right_poly_r2": "poly:2",
                    "left_corollary": "left_corollary", "right_corollary": "right_corollary"}
-
-
-def _bound_columns(
-    n: int, g: GFunction, eps: Sequence[float]
-) -> Dict[str, Tuple[float, ...]]:
-    """Bound values per family for the deviation of the missing mass of g;
-    each family's curve is computed once, in column order."""
-    curves = {family: tail_bounds.curve(family, n, g, eps).bounds
-              for family in dict.fromkeys(_BOUND_FAMILIES.values())}
-    return {name: curves[family] for name, family in _BOUND_FAMILIES.items()}
 
 
 def mc_tail(
@@ -193,30 +171,34 @@ def mc_tail(
     trials: int,
     eps_grid: Sequence[float],
     seed: int,
-) -> TailReport:
-    """Empirical Pr(G0 - E[G0] >= eps) and Pr(G0 - E[G0] <= -eps) per eps,
-    against the bound families; E[G0] is analytic.  The bounds come first,
-    so that a spec that cannot be built fails before the Monte Carlo runs.
+) -> Dict[str, Tuple[float, ...]]:
+    """The tail table at sample size n: column name -> one value per eps, in
+    the order simulate --task tail prints them.  right_freq and left_freq
+    are the empirical Pr(G0 - E[G0] >= eps) and Pr(G0 - E[G0] <= -eps),
+    E[G0] analytic; right_se and left_se their binomial standard errors,
+    floored at 1/trials so that dominance checks at empirical frequency 0
+    stay meaningful.  The bound columns of _BOUND_FAMILIES follow, sorted
+    by name, each prefixed by the tail it bounds.
 
-    Binomial standard errors are floored at 1/trials so that dominance checks
-    at empirical frequency 0 stay meaningful.
+    Each family's curve is computed once, in _BOUND_FAMILIES order, before
+    the Monte Carlo, so that a spec that cannot be built fails first.
     """
     trials, n = require_int("trials", trials, 10**3), require_int("n", n, 1)
     e = require_real_array("eps grid", eps_grid)
-    bounds = _bound_columns(n, g, e)
+    curves = {family: tail_bounds.curve(family, n, g, e).bounds
+              for family in dict.fromkeys(_BOUND_FAMILIES.values())}
     g0, _ = _occupancy(dist.probs, _g_vector(dist, g), n, trials, seed, 0)
     dev = np.sort(g0 - expected_missing(dist, n, g))
     # rows: Pr(dev >= eps), Pr(dev <= -eps)
     freq = np.stack([trials - np.searchsorted(dev, e, "left"),
                      np.searchsorted(dev, -e, "right")]) / trials
     se = np.maximum(np.sqrt(freq * (1.0 - freq) / trials), 1.0 / trials)
-    return TailReport(
-        right_freq=tuple(freq[0].tolist()),
-        right_se=tuple(se[0].tolist()),
-        left_freq=tuple(freq[1].tolist()),
-        left_se=tuple(se[1].tolist()),
-        bounds=bounds,
-    )
+    table = {}
+    for side, f, s in zip(("right", "left"), freq.tolist(), se.tolist()):
+        table[side + "_freq"], table[side + "_se"] = tuple(f), tuple(s)
+    for name in sorted(_BOUND_FAMILIES):
+        table[name] = curves[_BOUND_FAMILIES[name]]
+    return table
 
 
 def _dirichlet_setup(n: int, c_param: float, alpha: int) -> Tuple[int, int, int, float]:

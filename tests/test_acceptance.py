@@ -181,11 +181,12 @@ def test_criterion_08_tail_bound_dominance(g, dist, n):
         with pytest.raises(InvalidInputError):
             rl.mc_tail(dist, g, n, 10**5, TAIL_EPS, seed=13)
         return
-    rep = rl.mc_tail(dist, g, n, 10**5, TAIL_EPS, seed=13)
-    for name, col in rep.bounds.items():
-        freqs = rep.right_freq if name.startswith("right") else rep.left_freq
-        ses = rep.right_se if name.startswith("right") else rep.left_se
-        for e, f, s, b in zip(TAIL_EPS, freqs, ses, col):
+    table = rl.mc_tail(dist, g, n, 10**5, TAIL_EPS, seed=13)
+    for name, col in table.items():
+        if name.endswith(("_freq", "_se")):
+            continue
+        side = name.split("_")[0]
+        for e, f, s, b in zip(TAIL_EPS, table[side + "_freq"], table[side + "_se"], col):
             assert f <= b + 3.0 * s, (
                 f"{name} violated at eps={e}: freq {f:.4g} > bound {b:.4g} "
                 f"+ 3*{s:.2g}"

@@ -896,6 +896,7 @@ def test_bad_input_exits_2(command, name, data, tmp_path, capsys):
 
 
 _COUNTS = "estimate --input {f} --format counts"
+_PHI = "estimate --input {f} --format phi"
 _TAIL_ON = "simulate --task tail --g power:1 --n-list 20 --trials 1000 --dist "
 
 
@@ -915,6 +916,8 @@ _TAIL_ON = "simulate --task tail --g power:1 --n-list 20 --trials 1000 --dist "
     (_COUNTS, b"k,c\na,1\na,2\n", 2, "duplicate key 'a'"),
     (_COUNTS, b"a,1,2\n", 2, "expected two comma-separated fields, got 'a,1,2'"),
     (_COUNTS, b"key,count\n", 2, "no counts found in"),
+    (_PHI, b"l,phi_l\n", 2, "no sample found in"),
+    (_PHI, b"l,phi_l\n1,0\n", 2, "no sample found in"),
     (_TAIL_ON + "uniform:0", None, 2, "error: K must be an integer >= 1, got 0"),
     (_TAIL_ON + "zipf:0:1", None, 2, "error: K must be an integer >= 1, got 0"),
     (_TAIL_ON + "zipf:10:0", None, 2, "error: zipf requires s > 0"),
@@ -923,6 +926,7 @@ _TAIL_ON = "simulate --task tail --g power:1 --n-list 20 --trials 1000 --dist "
 ], ids=["generalized_without_alpha", "dirichlet_without_alpha", "dirichlet_few_trials",
         "risk_n_below_alpha", "m0_right_tail_n2", "entropy_right_tail_n2",
         "counts_duplicate_key", "counts_three_fields", "counts_header_only",
+        "phi_header_only", "phi_sums_to_zero",
         "uniform_k0", "zipf_k0", "zipf_s0", "geometric_k0", "geometric_q_above_1"])
 def test_input_and_regime_exits(command, data, code, message, tmp_path, capsys):
     if data is not None:

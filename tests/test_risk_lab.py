@@ -154,9 +154,17 @@ def test_occupancy_unseen_count_matches_exact_law():
     assert np.all(np.abs(freq - law) <= 4.0 * np.sqrt(law * (1.0 - law) / trials) + 1e-12)
 
 
+def _bound_columns(monkeypatch, dist, g, n, eps):
+    """The bound columns of mc_tail's table, with G0 = 0 for its Monte Carlo."""
+    monkeypatch.setattr(rl, "_occupancy", lambda probs, gvec, n, trials, seed, alpha:
+                        (np.zeros(trials), None))
+    table = rl.mc_tail(dist, g, n, 1000, eps, seed=0)
+    return {name: col for name, col in table.items() if not name.endswith(("_freq", "_se"))}
+
+
 @pytest.mark.parametrize("k", [2, 10, 50, 64])
 @pytest.mark.parametrize("g", [P1, P2, gf.entropy_log2(64)], ids=lambda g: g.descriptor())
-def test_bounds_dominate_exact_tail_law_on_uniform_supports(g, k):
+def test_bounds_dominate_exact_tail_law_on_uniform_supports(g, k, monkeypatch):
     # G0 = (k - D) g(1/k).  The exact tails Pr(G0 - E G0 >= eps) and
     # Pr(G0 - E G0 <= -eps) are step functions that jump at the atoms of the
     # deviation, and every bound is non-increasing in eps, so checking each
@@ -174,27 +182,28 @@ def test_bounds_dominate_exact_tail_law_on_uniform_supports(g, k):
         eps = np.unique(np.abs(dev[dev != 0.0]))
         right = np.array([law[dev >= e].sum() for e in eps])
         left = np.array([law[dev <= -e].sum() for e in eps])
-        cols = rl._bound_columns(n, g, eps)
+        cols = _bound_columns(monkeypatch, d, g, n, eps)
         assert len(cols) == 6
         for name, col in cols.items():
             exact = right if name.startswith("right") else left
             assert np.all(exact <= np.asarray(col)), (name, n)
 
 
-def test_bound_columns_with_underflowed_u2_fail_as_numerical():
+def test_bound_columns_with_underflowed_u2_fail_as_numerical(monkeypatch):
     # simulate --task tail --g power:100 --dist uniform:10 --n-list 100000:
     # u*_2 underflows to 0 and the left tail takes its log; then the order-2
     # spec's v = u*_3/(2c) underflows too, a numerical failure (exit 5), not
     # the malformed input "need sigma2 > 0" (exit 2)
     with pytest.raises(NumericalError, match="is not a normal double"):
-        rl._bound_columns(10**5, gf.power(100.0), (0.01, 0.1))
+        _bound_columns(monkeypatch, dm.uniform(10), gf.power(100.0), 10**5, (0.01, 0.1))
 
 
-def test_bound_columns_with_a_right_exponent_below_the_double_range():
+def test_bound_columns_with_a_right_exponent_below_the_double_range(monkeypatch):
     # simulate --task tail --g entropy:1000 --n-list 1000000 --eps-grid 0.1:
     # the closed right tail's exponent is about -1348, so exp(-E) overflows;
     # the clamped bound is 1
-    assert rl._bound_columns(10**6, gf.entropy_log2(1000), (0.1,))["right_corollary"] == (1.0,)
+    cols = _bound_columns(monkeypatch, dm.uniform(10), gf.entropy_log2(1000), 10**6, (0.1,))
+    assert cols["right_corollary"] == (1.0,)
 
 
 def test_mc_tail_builds_its_bounds_before_the_monte_carlo(monkeypatch):
@@ -291,24 +300,27 @@ def test_mc_bias_thread_determinism():
 def test_mc_tail_report_structure_and_dominance():
     d = dm.uniform(20)
     eps = (0.05, 0.15, 0.3)
-    rep = rl.mc_tail(d, P1, 20, 4000, eps, seed=5)
-    assert len(rep.right_freq) == len(rep.left_se) == len(eps)
-    assert set(rep.bounds) == {
-        "right_subgauss_519", "right_poly_r2", "right_corollary",
-        "left_subgauss_519", "left_exact_u2", "left_corollary",
-    }
-    for name, col in rep.bounds.items():
-        freqs = rep.right_freq if name.startswith("right") else rep.left_freq
-        ses = rep.right_se if name.startswith("right") else rep.left_se
-        for f, s, b in zip(freqs, ses, col):
+    table = rl.mc_tail(d, P1, 20, 4000, eps, seed=5)
+    # the order simulate --task tail prints: the observed tails, then the bounds by name
+    assert list(table) == [
+        "right_freq", "right_se", "left_freq", "left_se",
+        "left_corollary", "left_exact_u2", "left_subgauss_519",
+        "right_corollary", "right_poly_r2", "right_subgauss_519",
+    ]
+    assert all(len(col) == len(eps) for col in table.values())
+    for name, col in table.items():
+        if name.endswith(("_freq", "_se")):
+            continue
+        side = name.split("_")[0]
+        for f, s, b in zip(table[side + "_freq"], table[side + "_se"], col):
             assert f <= b + 3.0 * s
 
 
 def test_mc_tail_centers_on_analytic_mean():
     # with eps = 0 both sides fire on every draw apart from exact ties
     d = dm.uniform(15)
-    rep = rl.mc_tail(d, P1, 10, 1500, (0.0,), seed=6)
-    assert rep.right_freq[0] + rep.left_freq[0] >= 1.0
+    table = rl.mc_tail(d, P1, 10, 1500, (0.0,), seed=6)
+    assert table["right_freq"][0] + table["left_freq"][0] >= 1.0
 
 
 def test_mc_tail_trials_floor():
@@ -325,9 +337,9 @@ def test_mc_tail_rejects_a_grid_that_is_not_1d_and_finite(grid):
 
 def test_mc_tail_se_floor_keeps_zero_frequencies_meaningful():
     d = dm.uniform(10)
-    rep = rl.mc_tail(d, P1, 30, 2000, (0.9,), seed=7)
-    assert rep.right_freq[0] == 0.0
-    assert rep.right_se[0] >= 1.0 / 2000
+    table = rl.mc_tail(d, P1, 30, 2000, (0.9,), seed=7)
+    assert table["right_freq"][0] == 0.0
+    assert table["right_se"][0] >= 1.0 / 2000
 
 
 def test_dirichlet_variance_positive_and_decreasing():

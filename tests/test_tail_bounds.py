@@ -836,3 +836,128 @@ def test_parse_family_gives_the_canonical_name(text, name):
 def test_parse_family_rejects_what_the_table_does_not_name(text):
     with pytest.raises(InvalidInputError):
         tb.parse_family(text)
+
+
+# ---------------------------------------------------------------------------
+# exact per-distribution Chernoff oracle
+#
+# The unseen indicators [F_x = 0] are negatively associated (Dubhashi &
+# Ranjan 1998), so for lam >= 0 the log-MGF of s (G0 - E[G0]), s = +1 on the
+# right tail and -1 on the left, is at most psi_P(s lam), where
+#     psi_P(lam) = sum_d m_d [log(1 - q_d + q_d e^(lam g_d)) - lam g_d q_d],
+# q_d = (1 - p_d)^n, over the distinct masses p_d of multiplicity m_d.  So
+# exp(-E_P(eps)), E_P(eps) = sup_[lam >= 0] [lam eps - psi_P(s lam)], bounds
+# each tail, and no family's exponent may exceed E_P.
+
+#: (distinct masses, multiplicities): uniform supports, then two-mass ones.
+NA_SUPPORTS = [((1.0 / k,), (k,)) for k in (2, 5, 20, 64, 200, 700)] + [
+    ((0.5, 0.005), (1, 100)), ((0.9, 0.001), (1, 100)), ((0.4, 0.0002), (2, 1000)),
+    ((0.02, 0.0005), (25, 1000)), ((0.1, 0.01), (5, 50)), ((0.25, 0.025), (2, 20)),
+    ((0.05, 0.02), (10, 25)), ((0.125, 0.0625), (4, 8)), ((0.2, 0.016), (1, 50))]
+NA_EPS = np.array([0.005, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7])
+NA_NS = (20, 100, 1000)
+#: Every row of FAMILIES, poly:R as poly:2 and poly:5.
+NA_FAMILIES = [name for f in tb.FAMILIES
+               for name in (("poly:2", "poly:5") if f.name == "poly:R" else (f.name,))]
+
+
+def na_exponent(p, m, gv, n, s, eps):
+    """E_P per row, inf from the largest deviation on.  p, m and gv (masses,
+    multiplicities, g at the masses) have shape (rows, atoms), padded with
+    m = 0; n, s and eps have shape (rows,).  lam solves
+    (d/dlam) psi_P(s lam) = eps by Newton's method on the convex psi, kept
+    inside a bracket that it bisects where a step would leave it."""
+    s = s[:, None]
+    log_q = n[:, None] * np.log1p(-p)
+    log_1mq = np.log(-np.expm1(log_q))
+    q = np.exp(log_q)
+    w = m * gv
+    top = np.sum(w * np.where(s > 0, 1.0 - q, q), axis=1)
+    live = eps < top
+    e = np.where(live, eps, 0.0)
+
+    def slope(lam):
+        """(d/dlam) psi_P(s lam) and its derivative, from the tilted q_d."""
+        z = s * lam[:, None] * gv + log_q - log_1mq
+        t = np.exp(-np.abs(z))
+        tilted = np.where(z >= 0.0, 1.0 / (1.0 + t), t / (1.0 + t))
+        return (np.sum(w * s * (tilted - q), axis=1),
+                np.sum(w * gv * t / (1.0 + t) ** 2, axis=1))
+
+    # the slope rises from 0 at lam = 0 to top as lam -> inf
+    lo, hi = np.zeros_like(e), np.ones_like(e)
+    while (short := live & (slope(hi)[0] <= e)).any():
+        lo, hi = np.where(short, hi, lo), np.where(short, 2.0 * hi, hi)
+    lam = 0.5 * (lo + hi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(200):
+            d1, d2 = slope(lam)
+            lo, hi = np.where(d1 < e, lam, lo), np.where(d1 > e, lam, hi)
+            step = lam - (d1 - e) / d2
+            new = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+            if np.all(np.abs(new - lam) <= 1e-15 * lam):
+                break
+            lam = new
+    assert np.all(~live | (np.abs(d1 - e) <= 1e-12 * e)), "na_exponent: Newton solve failed"
+    tilt = s * lam[:, None] * gv
+    psi = np.sum(m * (np.logaddexp(log_1mq, log_q + tilt) - tilt * q), axis=1)
+    return np.where(live, lam * eps - psi, np.inf)
+
+
+def test_na_exponent_is_the_bernoulli_divergence_on_one_atom():
+    # one indicator of weight w: E_P(eps) = KL(q +- eps/w || q)
+    p, n, w = 0.05, 20, 0.5
+    q = (1.0 - p) ** n
+    eps = np.linspace(0.005, 0.45, 40)
+    ones = np.ones_like(eps)
+    for s in (1.0, -1.0):
+        got = na_exponent(p * ones[:, None], ones[:, None], w * ones[:, None], n * ones,
+                          s * ones, eps)
+        a = q + s * eps / w
+        inside = (a > 0.0) & (a < 1.0)
+        b = a[inside]
+        kl = b * np.log(b / q) + (1.0 - b) * np.log((1.0 - b) / (1.0 - q))
+        np.testing.assert_allclose(got[inside], kl, rtol=1e-10)
+        assert np.all(got[~inside] == np.inf)
+
+
+@pytest.fixture(scope="module")
+def na_exponents():
+    """(g, n, tail) -> E_P, one row per support of NA_SUPPORTS (for
+    entropy:64 only those whose atoms are >= 1/64), one column per eps of NA_EPS."""
+    cells = [(g, n, tail, support) for g in (P1, P2, E64) for n in NA_NS
+             for tail in ("right", "left")
+             for support in NA_SUPPORTS if min(support[0]) >= g.domain_min]
+    p = np.full((len(cells), 2), 0.5)
+    m, gv = np.zeros_like(p), np.zeros_like(p)
+    for i, (g, _, _, (masses, mults)) in enumerate(cells):
+        p[i, :len(masses)], m[i, :len(masses)] = masses, mults
+        gv[i, :len(masses)] = g.eval(np.array(masses))
+    n = np.array([c[1] for c in cells], dtype=float)
+    s = np.array([1.0 if c[2] == "right" else -1.0 for c in cells])
+    rows = np.repeat(np.arange(len(cells)), NA_EPS.size)
+    exact = na_exponent(p[rows], m[rows], gv[rows], n[rows], s[rows],
+                        np.tile(NA_EPS, len(cells))).reshape(len(cells), -1)
+    table = {}
+    for (g, n, tail, _), row in zip(cells, exact):
+        table.setdefault((g, n, tail), []).append(row)
+    return {key: np.array(rows) for key, rows in table.items()}
+
+
+@pytest.mark.parametrize("family", NA_FAMILIES)
+def test_no_family_exponent_exceeds_the_exact_chernoff_exponent(family, na_exponents):
+    checked = 0
+    for g in (P1, P2, E64):
+        for n in NA_NS:
+            try:
+                got = np.array(tb.curve(family, n, g, NA_EPS).exponents)
+            except (RegimeError, NumericalError):
+                continue
+            for tail in tb.parse_family(family).tails:
+                exact = na_exponents[g, n, tail]
+                over = got > exact * (1.0 + 1e-9)
+                assert not over.any(), (
+                    f"{family} {tail} tail, {g.descriptor()}, n = {n}: exponents {got} "
+                    f"above the exact {exact[over]} at eps {NA_EPS[over.any(axis=0)]}")
+                checked += exact.size
+    assert checked > 0
