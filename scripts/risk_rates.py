@@ -27,8 +27,8 @@ def main() -> int:
         g = gf.power(float(alpha))
         pairs = []
         for n in (20, 40, 80, 160):
-            (row,) = rl.mc_risk(dm.uniform(n), kind, g, [n], args.trials, args.seed)
-            pairs.append((n, row.mse))
+            risk = rl.mc_risk(dm.uniform(n), kind, g, [n], args.trials, args.seed)
+            pairs.append((n, risk["mse"][0]))
         slope, _ = rl.rate_fit(pairs)
         print(f"{alpha:>6} {slope:>8.3f} {-(2 * alpha - 1):>9}")
 
@@ -36,9 +36,9 @@ def main() -> int:
     print("classical estimator at n=100: n * MSE by support size")
     print(f"{'K':>6} {'n*mse':>10} {'3 se * n':>10}")
     for k in (10, 100, 1000):
-        (row,) = rl.mc_risk(dm.uniform(k), est.good_turing(), gf.power(1.0),
-                            [100], args.trials, args.seed)
-        print(f"{k:>6} {100 * row.mse:>10.4f} {300 * row.se:>10.4f}")
+        risk = rl.mc_risk(dm.uniform(k), est.good_turing(), gf.power(1.0),
+                          [100], args.trials, args.seed)
+        print(f"{k:>6} {100 * risk['mse'][0]:>10.4f} {300 * risk['se'][0]:>10.4f}")
 
     print()
     print("signed bias of the order-alpha estimator on uniform(K=n)")

@@ -62,7 +62,7 @@ def _resolve_path(path: Optional[str]) -> Optional[str]:
 
 def parse_eps_grid(text: str) -> np.ndarray:
     """Parse 'a:b:step' (inclusive of b up to step/2, at most
-    MAX_EPS_GRID_POINTS points) or 'e1,e2,...'."""
+    MAX_EPS_GRID_POINTS points; b = a is the one point a) or 'e1,e2,...'."""
     if ":" in text:
         pieces = text.split(":")
         if len(pieces) != 3:
@@ -80,7 +80,11 @@ def parse_eps_grid(text: str) -> np.ndarray:
             raise InvalidInputError(
                 f"grid spec {text!r} has more than {MAX_EPS_GRID_POINTS} points"
             )
-        grid = np.arange(a, b + 0.5 * step, step)
+        stop = b + 0.5 * step
+        if stop == math.inf:
+            raise InvalidInputError(f"grid spec {text!r}: b + step/2 is past the double range")
+        # stop rounds to a only where b = a
+        grid = np.arange(a, stop, step) if stop > a else np.array([a])
     else:
         try:
             grid = np.array([float(p) for p in text.split(",") if p], dtype=float)
@@ -182,8 +186,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         report["deviation_bounds"] = {
             "g": g.descriptor(),
             "eps": eps,
-            "right": list(tb.curve("right_corollary", profile.n, g, eps).bounds),
-            "left": list(tb.curve("left_corollary", profile.n, g, eps).bounds),
+            "right": list(tb.curve("right_corollary", profile.n, g, eps)["bound"]),
+            "left": list(tb.curve("left_corollary", profile.n, g, eps)["bound"]),
         }
 
     text = _json(report)
@@ -198,7 +202,7 @@ def fig1_rows(n: int) -> Tuple[List[str], List[List[float]]]:
     g = gf.power(1.0)
     curves = [tb.curve(family, n, g, _FIG_EPS)
               for family in ("subgauss", "poly:2", "poly:5")]
-    rows = [list(row) for row in zip(_FIG_EPS.tolist(), *(c.bounds for c in curves))]
+    rows = [list(row) for row in zip(_FIG_EPS.tolist(), *(c["bound"] for c in curves))]
     return ["eps", "subgauss", "r2", "r5"], rows
 
 
@@ -216,11 +220,10 @@ def cmd_fig1(args: argparse.Namespace) -> int:
 def cmd_bounds(args: argparse.Namespace) -> int:
     g = gf.parse(args.g)
     eps = parse_eps_grid(args.eps_grid)
-    curve = tb.curve(args.family, args.n, g, eps)
-    rows = list(zip(eps.tolist(), curve.bounds, curve.exponents))
+    table = tb.curve(args.family, args.n, g, eps)
+    rows = list(zip(eps.tolist(), *table.values()))
     meta = {"family": tb.parse_family(args.family).name, "n": args.n, "g": g.descriptor()}
-    _emit(_table(["eps", "bound", "exponent"], rows, args.out, meta),
-          _resolve_path(args.path))
+    _emit(_table(["eps", *table], rows, args.out, meta), _resolve_path(args.path))
     return 0
 
 
@@ -252,25 +255,15 @@ def _estimator_for(args: argparse.Namespace, g: gf.GFunction) -> est.EstimatorKi
     return est.EstimatorKind(power_order if integral else 0)
 
 
-def _simulate_table(args: argparse.Namespace) -> Tuple[List[str], List[List[float]], dict]:
+def _simulate_table(args: argparse.Namespace) -> Tuple[List[str], List[Sequence[float]], dict]:
     """Header, rows and JSON meta of one simulate task."""
     if args.task == "dirichlet":
         if args.alpha is None:
             raise InvalidInputError("--task dirichlet requires --alpha")
-        if args.trials < 0:
-            raise InvalidInputError(f"--task dirichlet needs --trials >= 0, got {args.trials}")
         ns = parse_n_list(args.n_list)
-        header = ["n", "variance"]
-        rows: List[List[float]] = []
-        mc = args.trials > 0
-        if mc:
-            header += ["mc_variance", "mc_se"]
-        for n in ns:
-            row = [n, risk_lab.dirichlet_prior_variance(n, args.c, args.alpha)]
-            if mc:
-                row += risk_lab.dirichlet_mc_variance(n, args.c, args.alpha, args.trials, args.seed)
-            rows.append(row)
-        return header, rows, {"task": "dirichlet", "alpha": args.alpha, "c": args.c}
+        table = risk_lab.dirichlet_table(ns, args.c, args.alpha, args.trials, args.seed)
+        rows = list(zip(ns, *table.values()))
+        return ["n", *table], rows, {"task": "dirichlet", "alpha": args.alpha, "c": args.c}
 
     if args.g is None or args.dist is None:
         raise InvalidInputError(f"--task {args.task} requires --g and --dist")
@@ -280,13 +273,13 @@ def _simulate_table(args: argparse.Namespace) -> Tuple[List[str], List[List[floa
 
     if args.task == "risk":
         kind = _estimator_for(args, g)
-        risk = risk_lab.mc_risk(dist, kind, g, ns, args.trials, args.seed)
-        rows = [[r.n, args.trials, r.mse, r.se] for r in risk]
+        table = risk_lab.mc_risk(dist, kind, g, ns, args.trials, args.seed)
+        rows = list(zip(ns, [args.trials] * len(ns), *table.values()))
         meta = {"task": "risk", "estimator": kind.descriptor(),
                 "g": g.descriptor(), "dist": dist.label}
-        if len(risk) >= 3 and all(r.mse > 0.0 for r in risk):
-            meta["slope"], meta["intercept"] = risk_lab.rate_fit([(r.n, r.mse) for r in risk])
-        return ["n", "trials", "mse", "se"], rows, meta
+        if len(ns) >= 3 and all(mse > 0.0 for mse in table["mse"]):
+            meta["slope"], meta["intercept"] = risk_lab.rate_fit(list(zip(ns, table["mse"])))
+        return ["n", "trials", *table], rows, meta
 
     # tail dominance
     eps = parse_eps_grid(args.eps_grid or "0.01:0.3:0.05")

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,13 +33,6 @@ _BLOCK_BUDGET = 2**16
 
 #: Largest estimated relative rounding error dirichlet_prior_variance returns.
 _DIRICHLET_REL_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class RiskRow:
-    n: int
-    mse: float
-    se: float
 
 
 def _block_rng(seed: int, n: int, block: int) -> np.random.Generator:
@@ -104,6 +96,11 @@ def _mean_se(values: np.ndarray) -> Tuple[float, float]:
     return float(np.mean(values)), se
 
 
+def _columns(names: Sequence[str], rows: Sequence[Sequence[float]]) -> Dict[str, Tuple[float, ...]]:
+    """The table of rows: column name -> the column's values, in row order."""
+    return {name: tuple(row[i] for row in rows) for i, name in enumerate(names)}
+
+
 def _estimate_errors(
     dist: DiscreteDistribution, kind: EstimatorKind, g: GFunction, n: int,
     trials: int, seed: int,
@@ -130,15 +127,12 @@ def mc_risk(
     n_list: Sequence[int],
     trials: int,
     seed: int,
-) -> Tuple[RiskRow, ...]:
-    """Mean squared error (estimate - realized missing mass)^2 per n;
-    rate_fit turns the rows into a log-log rate."""
-    rows = []
-    for n in n_list:
-        n = require_int("n", n, 0)
-        mse, se = _mean_se(np.square(_estimate_errors(dist, kind, g, n, trials, seed)))
-        rows.append(RiskRow(n=n, mse=mse, se=se))
-    return tuple(rows)
+) -> Dict[str, Tuple[float, ...]]:
+    """The table simulate --task risk prints: mse, the mean squared error
+    (estimate - realized missing mass)^2, and se, its standard error, one
+    value per n of n_list; rate_fit turns (n, mse) into a log-log rate."""
+    return _columns(("mse", "se"), [_mean_se(np.square(
+        _estimate_errors(dist, kind, g, require_int("n", n, 0), trials, seed))) for n in n_list])
 
 
 def mc_bias(
@@ -185,7 +179,7 @@ def mc_tail(
     """
     trials, n = require_int("trials", trials, 10**3), require_int("n", n, 1)
     e = require_real_array("eps grid", eps_grid)
-    curves = {family: tail_bounds.curve(family, n, g, e).bounds
+    curves = {family: tail_bounds.curve(family, n, g, e)["bound"]
               for family in dict.fromkeys(_BOUND_FAMILIES.values())}
     g0, _ = _occupancy(dist.probs, _g_vector(dist, g), n, trials, seed, 0)
     dev = np.sort(g0 - expected_missing(dist, n, g))
@@ -326,6 +320,18 @@ def dirichlet_mc_variance(
     (single, pair), _ = _posterior_factors(n, beta0, alpha)
     m = _polya_unseen(k, n, trials, seed)
     return _mean_se(pair * m * (m - 1.0) + single * m)
+
+
+def dirichlet_table(n_list: Sequence[int], c: float, alpha: int, trials: int,
+                    seed: int) -> Dict[str, Tuple[float, ...]]:
+    """The table simulate --task dirichlet prints: variance, the closed form,
+    then, for trials > 0, mc_variance and mc_se, its Monte Carlo check; one
+    value per n of n_list, n by n, each closed form before its check."""
+    trials = require_int("trials", trials, 0)
+    rows = [(dirichlet_prior_variance(n, c, alpha),)
+            + (dirichlet_mc_variance(n, c, alpha, trials, seed) if trials else ())
+            for n in n_list]
+    return _columns(("variance", "mc_variance", "mc_se")[:3 if trials else 1], rows)
 
 
 def rate_fit(pairs: Sequence[Tuple[float, float]]) -> Tuple[float, float]:

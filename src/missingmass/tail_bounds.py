@@ -42,7 +42,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,14 +76,6 @@ class PolyFiltered:
     a: Tuple[float, ...]
     v: float
     c: float
-
-
-@dataclass(frozen=True)
-class BoundCurve:
-    """Clamped bounds and raw Chernoff exponents, one per eps of the grid."""
-
-    bounds: Tuple[float, ...]
-    exponents: Tuple[float, ...]
 
 
 def _scaled(x, num: float, den: float = 1.0):
@@ -362,8 +354,10 @@ def parse_family(text: str) -> Family:
     raise InvalidInputError(f"unknown bound family {text!r}; expected {FAMILY_LIST}")
 
 
-def curve(family: str, n: int, g: GFunction, eps_grid: Sequence[float]) -> BoundCurve:
-    """Bound curve over an eps grid of the family parse_family reads.  After
+def curve(family: str, n: int, g: GFunction,
+          eps_grid: Sequence[float]) -> Dict[str, Tuple[float, ...]]:
+    """The table bounds prints for the family parse_family reads: bound and
+    exponent (clamped bound, raw Chernoff exponent), one value per eps.  After
     ratio_sup and the eps grid come the family's name, its g (RegimeError for
     any other g) and its own regime or input errors, all before any eps."""
     n = require_int("n", n, 1)
@@ -377,4 +371,4 @@ def curve(family: str, n: int, g: GFunction, eps_grid: Sequence[float]) -> Bound
     exponents = row.build(n, g)(eps)
     # exp(-E), clamped to <= 1: a negative or NaN exponent gives 1
     bounds = np.exp(-np.fmax(exponents, 0.0))
-    return BoundCurve(bounds=tuple(bounds.tolist()), exponents=tuple(exponents.tolist()))
+    return {"bound": tuple(bounds.tolist()), "exponent": tuple(exponents.tolist())}

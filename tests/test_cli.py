@@ -45,6 +45,13 @@ def test_parse_eps_grid():
     grid = cli.parse_eps_grid("0:0.7:0.05")
     assert grid.size == 15 and grid[-1] == pytest.approx(0.7)
     assert cli.parse_eps_grid(f"0:{cli.MAX_EPS_GRID_POINTS - 1}:1").size == cli.MAX_EPS_GRID_POINTS
+    # b = a names the one point a, also where b + step/2 rounds to a
+    assert cli.parse_eps_grid("5:5:1e-300").tolist() == [5.0]
+    assert cli.parse_eps_grid("1e16:1e16:1").tolist() == [1e16]
+    # a grid of more than one point is np.arange's, bit for bit
+    for a, b, step in ((0.0, 0.7, 0.005), (0.01, 0.3, 0.05)):
+        want = np.arange(a, b + 0.5 * step, step)
+        assert cli.parse_eps_grid(f"{a}:{b}:{step}").tobytes() == want.tobytes()
     for bad in ("", "0:1", "0:1:0", "1:0:0.1", "-0.1,0.2", "a:b:c",
                 "0:nan:0.1", "0:inf:0.1", "nan:1:0.1", "0:1:inf", "nan,0.1", "0.1,inf",
                 f"0:{cli.MAX_EPS_GRID_POINTS}:1", "0:1:1e-300"):
@@ -465,8 +472,8 @@ def test_estimate_deviation_bounds(tmp_path, capsys):
     dev = doc["deviation_bounds"]
     assert dev["eps"] == [0.05, 0.2]
     assert dev["g"] == "power:1"
-    assert dev["right"][0] == tb.curve("right_corollary", 30, gf.power(1.0), [0.05]).bounds[0]
-    assert dev["left"][1] == tb.curve("left_corollary", 30, gf.power(1.0), [0.2]).bounds[0]
+    assert dev["right"][0] == tb.curve("right_corollary", 30, gf.power(1.0), [0.05])["bound"][0]
+    assert dev["left"][1] == tb.curve("left_corollary", 30, gf.power(1.0), [0.2])["bound"][0]
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +517,8 @@ def test_bounds_csv_roundtrip(tmp_path, capsys):
     header, data = read_table(out_path)
     assert header == ["eps", "bound", "exponent"]
     curve = tb.curve("ssg", 50, gf.power(1.0), data[:, 0])
-    np.testing.assert_allclose(data[:, 1], curve.bounds, rtol=1e-14)
-    np.testing.assert_allclose(data[:, 2], curve.exponents, rtol=1e-14)
+    np.testing.assert_allclose(data[:, 1], curve["bound"], rtol=1e-14)
+    np.testing.assert_allclose(data[:, 2], curve["exponent"], rtol=1e-14)
 
 
 def test_bounds_json_format(capsys):
@@ -923,11 +930,14 @@ _TAIL_ON = "simulate --task tail --g power:1 --n-list 20 --trials 1000 --dist "
     (_TAIL_ON + "zipf:10:0", None, 2, "error: zipf requires s > 0"),
     (_TAIL_ON + "geometric:0:0.5", None, 2, "error: K must be an integer >= 1, got 0"),
     (_TAIL_ON + "geometric:5:1.5", None, 2, "error: geometric requires q in (0, 1)"),
+    ("bounds --family theorem2 --g power:1 --n 20 --eps-grid 0:1.7976931348623157e308:1e308",
+     None, 2, "error: grid spec '0:1.7976931348623157e308:1e308': b + step/2 is past"),
 ], ids=["generalized_without_alpha", "dirichlet_without_alpha", "dirichlet_few_trials",
         "risk_n_below_alpha", "m0_right_tail_n2", "entropy_right_tail_n2",
         "counts_duplicate_key", "counts_three_fields", "counts_header_only",
         "phi_header_only", "phi_sums_to_zero",
-        "uniform_k0", "zipf_k0", "zipf_s0", "geometric_k0", "geometric_q_above_1"])
+        "uniform_k0", "zipf_k0", "zipf_s0", "geometric_k0", "geometric_q_above_1",
+        "eps_grid_end_overflows"])
 def test_input_and_regime_exits(command, data, code, message, tmp_path, capsys):
     if data is not None:
         (tmp_path / "c.csv").write_bytes(data)

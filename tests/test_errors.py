@@ -67,6 +67,10 @@ INTEGER_ARGUMENTS = {
     "dirichlet_mc_variance.alpha": lambda v: rl.dirichlet_mc_variance(10, 1.0, v, 100, 0),
     "dirichlet_mc_variance.trials": lambda v: rl.dirichlet_mc_variance(10, 1.0, 1, v, 0),
     "dirichlet_mc_variance.seed": lambda v: rl.dirichlet_mc_variance(10, 1.0, 1, 100, v),
+    "dirichlet_table.n": lambda v: rl.dirichlet_table([v], 1.0, 1, 0, 0),
+    "dirichlet_table.alpha": lambda v: rl.dirichlet_table([10], 1.0, v, 0, 0),
+    "dirichlet_table.trials": lambda v: rl.dirichlet_table([10], 1.0, 1, v, 0),
+    "dirichlet_table.seed": lambda v: rl.dirichlet_table([10], 1.0, 1, 100, v),
 }
 
 #: The valid value of each argument, spelled as an int: each call above
@@ -77,7 +81,8 @@ VALID = {"uniform.K": 5, "zipf.K": 5, "geometric.K": 5, "SampleProfile.l": 2,
          "gt_bias_bound.n": 100, "gt_bias_bound.alpha": 1, "entropy_log2.k_floor": 64,
          "u_star.r": 2, "build_spec.R": 2, "mc_risk.trials": 100, "mc_bias.trials": 100,
          "mc_tail.trials": 1000, "dirichlet_prior_variance.alpha": 1,
-         "dirichlet_mc_variance.alpha": 1, "dirichlet_mc_variance.trials": 100}
+         "dirichlet_mc_variance.alpha": 1, "dirichlet_mc_variance.trials": 100,
+         "dirichlet_table.alpha": 1, "dirichlet_table.trials": 100}
 
 BAD_VALUES = {"nan": math.nan, "inf": math.inf, "2.5": 2.5, "str": "3", "None": None}
 
@@ -154,6 +159,7 @@ REAL_ARGUMENTS = {
     "geometric.q": lambda v: dm.geometric(5, v),
     "dirichlet_prior_variance.c": lambda v: rl.dirichlet_prior_variance(10, v, 1),
     "dirichlet_mc_variance.c": lambda v: rl.dirichlet_mc_variance(10, v, 1, 100, 0),
+    "dirichlet_table.c": lambda v: rl.dirichlet_table([10], v, 1, 0, 0),
     "log_gamma_alpha.alpha": lambda v: ue.log_gamma_alpha(v),
 }
 

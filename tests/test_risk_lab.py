@@ -97,11 +97,20 @@ def test_occupancy_matches_counting_kernel_bit_for_bit(probs, n):
     np.testing.assert_array_equal(g0.view(np.int64), want_g0.view(np.int64))
 
 
-def test_mc_tail_thread_count_does_not_change_results():
-    d = dm.zipf(200, 1.0)
-    a = rl.mc_tail(d, P1, 20, 1500, (0.02, 0.1), seed=5)
-    b = rl.mc_tail(d, P1, 20, 1500, (0.02, 0.1), seed=5)
-    assert a == b
+#: Each Monte Carlo table, as a call that takes the seed, and a seed to try.
+SEEDED_TABLES = {
+    "mc_tail": (lambda seed: rl.mc_tail(dm.zipf(200, 1.0), P1, 20, 1500, (0.02, 0.1), seed), 5),
+    "mc_risk": (lambda seed: rl.mc_risk(dm.uniform(30), est.good_turing(), P1, [25], 600, seed), 9),
+    "dirichlet_table": (lambda seed: rl.dirichlet_table([12], 1.0, 1, 400, seed), 2),
+}
+
+
+@pytest.mark.parametrize("table", SEEDED_TABLES)
+def test_a_seed_repeats_its_table_and_the_next_seed_changes_it(table):
+    call, seed = SEEDED_TABLES[table]
+    first = call(seed)
+    assert call(seed) == first
+    assert call(seed + 1) != first
 
 
 def _exact_g0_moments(d, n, g):
@@ -233,8 +242,8 @@ def test_mc_risk_plugin_two_point_exact():
     # one draw from uniform(2): the unseen letter always has mass 1/2,
     # so with g = p^2 every trial scores (0 - 1/4)^2 = 1/16
     rep = rl.mc_risk(dm.uniform(2), est.plugin(), P2, [1], trials=500, seed=1)
-    assert rep[0].mse == pytest.approx(1.0 / 16.0, rel=1e-15, abs=0)
-    assert rep[0].se == 0.0
+    assert rep["mse"][0] == pytest.approx(1.0 / 16.0, rel=1e-15, abs=0)
+    assert rep["se"][0] == 0.0
 
 
 @pytest.mark.parametrize("d", [dm.uniform(30), dm.zipf(200, 1.0)], ids=lambda d: d.label)
@@ -256,17 +265,8 @@ def test_mc_risk_good_turing_equals_order_one_generalized():
     d = dm.zipf(40, 1.0)
     a = rl.mc_risk(d, est.good_turing(), P1, [15, 30], trials=400, seed=3)
     b = rl.mc_risk(d, est.generalized_good_turing(1), P1, [15, 30], trials=400, seed=3)
-    for ra, rb in zip(a, b):
-        assert ra.mse == rb.mse
-        assert ra.se == rb.se
-
-
-def test_mc_risk_thread_count_does_not_change_results():
-    d = dm.uniform(30)
-    a = rl.mc_risk(d, est.good_turing(), P1, [25], trials=600, seed=9)
-    b = rl.mc_risk(d, est.good_turing(), P1, [25], trials=600, seed=9)
-    assert a[0].mse == b[0].mse
-    assert a[0].se == b[0].se
+    assert list(a) == ["mse", "se"] and len(a["mse"]) == 2
+    assert a == b
 
 
 def test_mc_risk_estimator_must_match_target():
@@ -449,6 +449,24 @@ def test_dirichlet_closed_form_matches_monte_carlo():
         assert abs(mc - closed) <= max(4.0 * se, 0.02 * closed)
 
 
+def test_dirichlet_table_is_the_closed_form_and_its_check_per_n():
+    table = rl.dirichlet_table([10, 12], 1.0, 1, 400, 3)
+    assert list(table) == ["variance", "mc_variance", "mc_se"]
+    assert table["variance"] == tuple(rl.dirichlet_prior_variance(n, 1.0, 1) for n in (10, 12))
+    assert list(zip(table["mc_variance"], table["mc_se"])) == [
+        rl.dirichlet_mc_variance(n, 1.0, 1, 400, 3) for n in (10, 12)]
+    assert rl.dirichlet_table([10, 12], 1.0, 1, 0, 3) == {"variance": table["variance"]}
+
+
+def test_dirichlet_table_raises_the_error_of_its_first_failing_step():
+    # n = 10's closed form holds and its check refuses 50 trials, before
+    # n = 20's closed form, which cancels below its rounding at c = 2000
+    with pytest.raises(NumericalError):
+        rl.dirichlet_prior_variance(20, 2000.0, 1)
+    with pytest.raises(InvalidInputError, match="trials must be an integer >= 100, got 50"):
+        rl.dirichlet_table([10, 20], 2000.0, 1, 50, 0)
+
+
 def _unseen_law(k, n):
     """Exact law of the unseen count m after n draws of the Polya urn with k
     letters of weight u = 1/n: with j letters seen, draw i (from 0) is a new
@@ -502,12 +520,6 @@ def test_polya_urn_draws_follow_the_exact_unseen_law(n, c):
     draws = rl._polya_unseen(k, n, 4000, 23)
     mean, se = draws.mean(), draws.std(ddof=1) / math.sqrt(draws.size)
     assert abs(mean - math.fsum(law * m)) <= 4.0 * se
-
-
-def test_dirichlet_mc_thread_determinism():
-    a = rl.dirichlet_mc_variance(12, 1.0, 1, trials=400, seed=2)
-    b = rl.dirichlet_mc_variance(12, 1.0, 1, trials=400, seed=2)
-    assert a == b
 
 
 def test_dirichlet_validation():

@@ -1,5 +1,6 @@
 """Smoke tests: each script under scripts/ runs with small inputs and prints
-its table header."""
+its table header, without the development-only dependencies and with
+RuntimeWarnings as errors, as the package's own tests run."""
 
 import os
 import pathlib
@@ -7,6 +8,7 @@ import subprocess
 import sys
 
 import pytest
+from test_imports import DEV_ONLY
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -24,12 +26,19 @@ SCRIPTS = {
 @pytest.mark.parametrize("script", sorted(SCRIPTS))
 def test_script_runs(script, tmp_path):
     args, header = SCRIPTS[script]
-    env = dict(os.environ)
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    argv = [a.format(tmp=tmp_path) for a in args]
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / f"{script}.py"), *argv],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    path = str(ROOT / "scripts" / f"{script}.py")
+    argv = [path, *(a.format(tmp=tmp_path) for a in args)]
+    # a None entry in sys.modules makes any import of that name fail
+    run = ("import runpy, sys\n"
+           f"for name in {DEV_ONLY!r}:\n"
+           "    sys.modules[name] = None\n"
+           f"sys.argv = {argv!r}\n"
+           f"runpy.run_path({path!r}, run_name='__main__')\n")
+    proc = subprocess.run([sys.executable, "-c", run], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert header in [" ".join(line.split()) for line in proc.stdout.splitlines()]
     if script == "make_fig1":

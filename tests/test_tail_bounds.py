@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from missingmass import gfunction as gf
@@ -42,12 +44,12 @@ def ssg_tail(v, c, e):
 
 def bound(family, n, g, e):
     """The bound of one curve family at a single eps."""
-    return tb.curve(family, n, g, [e]).bounds[0]
+    return tb.curve(family, n, g, [e])["bound"][0]
 
 
 def exponent(family, n, g, e):
     """The Chernoff exponent of one curve family at a single eps."""
-    return tb.curve(family, n, g, [e]).exponents[0]
+    return tb.curve(family, n, g, [e])["exponent"][0]
 
 
 def sub_gamma_tail(v, c, e):
@@ -222,7 +224,7 @@ def test_curve_exponents_equal_one_point_solves(g):
     eps = np.arange(0, 141) * 0.005
     for n in (20, 702, 10000):
         for R in (2, 5):
-            got = tb.curve(f"poly:{R}", n, g, eps).exponents
+            got = tb.curve(f"poly:{R}", n, g, eps)["exponent"]
             spec = tb.build_spec(n, g, R)
             for e, E in zip(eps.tolist(), got):
                 assert abs(E - poly_exponent(spec, e)) <= 1e-14 * max(1.0, abs(E))
@@ -267,8 +269,9 @@ def test_curve_evaluates_the_exponent_once_on_the_whole_grid(family, monkeypatch
     eps = [0.0, 0.01, 0.1, 0.3]
     c = tb.curve(family, 50, P1 if family == "subgauss" else P2, eps)
     assert len(calls) == 1 and calls[0].tolist() == eps
-    assert len(c.bounds) == len(c.exponents) == len(eps)
-    assert all(type(x) is float for x in c.bounds + c.exponents)
+    assert list(c) == ["bound", "exponent"]
+    assert len(c["bound"]) == len(c["exponent"]) == len(eps)
+    assert all(type(x) is float for x in c["bound"] + c["exponent"])
 
 
 def mp_pole_oracle(spec, eps, digits=80):
@@ -330,7 +333,7 @@ def test_gamma_type_exponents_at_large_eps_match_mpmath(g, n):
     eps = [1e100, 1e154, 1e200, 1e300, 1e305, 1e307, 1e308]
     for family in ("ssg", "subgamma", "poly:2"):
         spec = tb.build_spec(n, g, 2 if family == "poly:2" else 1)
-        for e, got in zip(eps, tb.curve(family, n, g, eps).exponents):
+        for e, got in zip(eps, tb.curve(family, n, g, eps)["exponent"]):
             if family == "poly:2":
                 want = mp_pole_oracle(spec, e, digits=60)
             else:
@@ -399,8 +402,8 @@ def test_high_order_spec_where_u_star_underflows():
     eps = (0.01, 0.1)
     want = tb.curve("poly:140", 10**4, P1, eps)
     got = tb.curve("poly:150", 10**4, P1, eps)
-    assert got.exponents == pytest.approx(want.exponents, rel=1e-12)
-    assert got.bounds == pytest.approx(want.bounds, rel=1e-12, abs=0)
+    assert got["exponent"] == pytest.approx(want["exponent"], rel=1e-12)
+    assert got["bound"] == pytest.approx(want["bound"], rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("g", [P1, P2, E64], ids=["power1", "power2", "entropy64"])
@@ -445,7 +448,7 @@ def test_build_spec_r1_is_strongly_sub_gamma():
     assert spec.v == pytest.approx(v, rel=1e-14, abs=0)
     assert spec.c == pytest.approx(c, rel=1e-14, abs=0)
     eps = (0.05, 0.2, 0.5)
-    for e, got in zip(eps, tb.curve("ssg", n, P1, eps).bounds):
+    for e, got in zip(eps, tb.curve("ssg", n, P1, eps)["bound"]):
         assert got == pytest.approx(math.exp(-ssg_exponent(v, c, e)), rel=1e-12, abs=0)
 
 
@@ -492,8 +495,8 @@ def test_filter_matches_mpmath_where_the_power_overflows(s):
 
 def test_higher_order_filter_is_tighter():
     n = 20
-    b2 = tb.curve("poly:2", n, P1, EPS_GRID).bounds
-    b5 = tb.curve("poly:5", n, P1, EPS_GRID).bounds
+    b2 = tb.curve("poly:2", n, P1, EPS_GRID)["bound"]
+    b5 = tb.curve("poly:5", n, P1, EPS_GRID)["bound"]
     assert all(x5 <= x2 + 1e-12 for x2, x5 in zip(b2, b5))
 
 
@@ -674,7 +677,7 @@ def test_corollary_right_entropy_matches_mpmath(k, n):
     # gamma_k = 2 gamma (1/3 + (e - 1/3)/n) log2(k)^2
     mpmath = pytest.importorskip("mpmath")
     eps = [1e-12, 1e-6, 0.01, 0.5, 5.0, 50.0]
-    got = tb.curve("right_corollary", n, gf.entropy_log2(k), eps).exponents
+    got = tb.curve("right_corollary", n, gf.entropy_log2(k), eps)["exponent"]
     with mpmath.workdps(50):
         t = mpmath.findroot(lambda t: 1 / t - 1 + 1 / mpmath.expm1(t), (1, 2), solver="anderson")
         gamma = t * mpmath.exp(-t) * -mpmath.expm1(-t)
@@ -718,7 +721,7 @@ def test_curve_subgauss_matches_exponential_rate():
     for n in (20, 100, 1000):
         c = tb.curve("subgauss", n, P1, EPS_GRID)
         want = np.minimum(1.0, np.exp(-n * EPS_GRID**2))
-        np.testing.assert_allclose(np.asarray(c.bounds), want, rtol=1e-12)
+        np.testing.assert_allclose(np.asarray(c["bound"]), want, rtol=1e-12)
 
 
 def test_curve_families_consistent():
@@ -729,10 +732,10 @@ def test_curve_families_consistent():
     p3 = tb.curve("poly:3", n, P1, eps)
     spec3 = tb.build_spec(n, P1, 3)
     for i, e in enumerate(eps):
-        assert ssg.bounds[i] <= sg.bounds[i] + 1e-15
+        assert ssg["bound"][i] <= sg["bound"][i] + 1e-15
         want = min(1.0, math.exp(-poly_exponent(spec3, float(e))))
-        assert p3.bounds[i] == pytest.approx(want, rel=1e-12, abs=0)
-    assert len(ssg.bounds) == len(ssg.exponents) == len(eps)
+        assert p3["bound"][i] == pytest.approx(want, rel=1e-12, abs=0)
+    assert len(ssg["bound"]) == len(ssg["exponent"]) == len(eps)
 
 
 @pytest.mark.parametrize("g", [P1, P2, gf.power(3.0), E64],
@@ -743,7 +746,7 @@ def test_every_bound_falls_to_zero_at_infinite_eps(g, n):
                    "ssg", "subgamma", "poly:2", "poly:5"):
         if family == "subgauss" and g != P1:
             continue
-        bounds = tb.curve(family, n, g, [1e200, 1e300, 1e308, math.inf]).bounds
+        bounds = tb.curve(family, n, g, [1e200, 1e300, 1e308, math.inf])["bound"]
         assert all(b <= a for a, b in zip(bounds, bounds[1:])), (family, bounds)
         assert bounds[-1] == 0.0, (family, bounds)
 
@@ -753,8 +756,8 @@ def test_curve_ssg_is_order_one_filter(g):
     for n in (20, 100, 1000):
         ssg = tb.curve("ssg", n, g, EPS_GRID)
         poly1 = tb.curve("poly:1", n, g, EPS_GRID)
-        assert ssg.bounds == poly1.bounds
-        assert ssg.exponents == poly1.exponents
+        assert ssg["bound"] == poly1["bound"]
+        assert ssg["exponent"] == poly1["exponent"]
 
 
 @pytest.mark.parametrize("family", ["subgauss", "theorem2", "left_u2", "left_corollary",
@@ -799,7 +802,7 @@ def test_curve_rejects_a_grid_that_is_not_1d_and_nonnegative(family, grid):
 
 
 def test_curve_takes_an_empty_grid():
-    assert tb.curve("poly:2", 100, P1, []) == tb.BoundCurve(bounds=(), exponents=())
+    assert tb.curve("poly:2", 100, P1, []) == {"bound": (), "exponent": ()}
 
 
 def test_curve_rejects_unknown_family_and_small_power():
@@ -829,7 +832,8 @@ def test_family_table_declares_each_family_and_its_tails():
 def test_parse_family_gives_the_canonical_name(text, name):
     row = tb.parse_family(text)
     assert row.name == name
-    assert tuple(row.build(20, P1)(np.array([0.2])).tolist()) == tb.curve(name, 20, P1, [0.2]).exponents
+    want = tb.curve(name, 20, P1, [0.2])["exponent"]
+    assert tuple(row.build(20, P1)(np.array([0.2])).tolist()) == want
 
 
 @pytest.mark.parametrize("text", ["poly:R", "poly:", "poly", "Poly:2", ""])
@@ -898,7 +902,10 @@ def na_exponent(p, m, gv, n, s, eps):
             if np.all(np.abs(new - lam) <= 1e-15 * lam):
                 break
             lam = new
-    assert np.all(~live | (np.abs(d1 - e) <= 1e-12 * e)), "na_exponent: Newton solve failed"
+    # the slope is a sum of terms up to the total weight, so its rounding
+    # error is about 1e-16 of that weight, whatever eps is
+    tol = 1e-12 * e + 1e-14 * np.sum(w, axis=1)
+    assert np.all(~live | (np.abs(d1 - e) <= tol)), "na_exponent: Newton solve failed"
     tilt = s * lam[:, None] * gv
     psi = np.sum(m * (np.logaddexp(log_1mq, log_q + tilt) - tilt * q), axis=1)
     return np.where(live, lam * eps - psi, np.inf)
@@ -950,7 +957,7 @@ def test_no_family_exponent_exceeds_the_exact_chernoff_exponent(family, na_expon
     for g in (P1, P2, E64):
         for n in NA_NS:
             try:
-                got = np.array(tb.curve(family, n, g, NA_EPS).exponents)
+                got = np.array(tb.curve(family, n, g, NA_EPS)["exponent"])
             except (RegimeError, NumericalError):
                 continue
             for tail in tb.parse_family(family).tails:
@@ -961,3 +968,47 @@ def test_no_family_exponent_exceeds_the_exact_chernoff_exponent(family, na_expon
                     f"above the exact {exact[over]} at eps {NA_EPS[over.any(axis=0)]}")
                 checked += exact.size
     assert checked > 0
+
+
+@st.composite
+def na_cases(draw):
+    """(masses, multiplicities, g, n, eps): one to three distinct masses, the
+    drawn weights renormalized over the multiplicities; g is power:1, power:2
+    or entropy:k with every atom >= 1/k; n in [3, 2000]; one to five eps."""
+    atoms = draw(st.integers(1, 3))
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=atoms, max_size=atoms)))
+    mults = np.array(draw(st.lists(st.integers(1, 1000), min_size=atoms, max_size=atoms)),
+                     dtype=float)
+    assume(mults.sum() >= 2.0)  # a lone atom of mass 1 is never unseen
+    masses = weights / np.sum(weights * mults)
+    g = draw(st.sampled_from(["power:1", "power:2", "entropy"]))
+    if g == "entropy":
+        floor = math.ceil(1.0 / masses.min())
+        g = gf.entropy_log2(draw(st.integers(max(2, floor), 4 * floor)))
+        assume(masses.min() >= g.domain_min)
+    else:
+        g = gf.parse(g)
+    n = draw(st.integers(3, 2000))
+    eps = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=5)))
+    return masses, mults, g, n, eps
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=na_cases())
+def test_no_family_exponent_exceeds_the_exact_chernoff_exponent_on_drawn_supports(case):
+    masses, mults, g, n, eps = case
+    rows = np.ones((eps.size, 1))
+    exact = {tail: na_exponent(masses * rows, mults * rows, g.eval(masses) * rows, n * rows[:, 0],
+                               s * rows[:, 0], eps)
+             for tail, s in (("right", 1.0), ("left", -1.0))}
+    for family in NA_FAMILIES:
+        try:
+            got = np.array(tb.curve(family, n, g, eps)["exponent"])
+        except (RegimeError, NumericalError):
+            continue
+        for tail in tb.parse_family(family).tails:
+            over = got > exact[tail] * (1.0 + 1e-9)
+            assert not over.any(), (
+                f"{family} {tail} tail, {g.descriptor()}, n = {n}, masses {masses}, "
+                f"multiplicities {mults}: exponents {got[over]} above the exact "
+                f"{exact[tail][over]} at eps {eps[over]}")
